@@ -21,7 +21,10 @@ and diffs them:
   consults the memory hierarchy;
 * all four copies must report the identical channel order (canonically
   L1 → REMOTE_CACHE → L2 → RING → DRAM: the remote-cache *hit* pays L2
-  latency before any ring traversal is costed).
+  latency before any ring traversal is costed) — or, for a batched
+  copy that *tallies* each access by (home, requester) pair instead of
+  costing it, that order without RING, provided the engine's
+  ``flush_tallies`` charges the ring with ``_TRANSFER_BYTES``.
 
 Three auxiliary parity checks ride along: the ring transfer payload
 constant must agree between the staged literal and ``_TRANSFER_BYTES``;
@@ -130,7 +133,19 @@ DATA_CHANNELS: Dict[str, str] = {
     "ROW_SIZE": "DRAM",
     "dram_acc": "DRAM",
     "dram_rh": "DRAM",
+    # per-(home, requester) service tallies of the batched engine
+    "t_l1": "L1",
+    "t_rc": "REMOTE_CACHE",
+    "t_l2": "L2",
+    "t_rh": "DRAM",
+    "t_rm": "DRAM",
 }
+
+#: The batched engine's tally flush.  A data-path copy that tallies
+#: each access by (home, requester) pair instead of costing it touches
+#: no RING token per access; the flush charges the ring for the pair
+#: counts at run end, so it must use the shared payload constant.
+RING_FLUSH_FUNC = "flush_tallies"
 
 #: Identifier -> translation-path channel, for comparing the batched
 #: translation copies against ``translate_head``.
@@ -249,14 +264,24 @@ def _fused_loop(func: ast.FunctionDef) -> Optional[ast.For]:
     """``vec_window``'s fused data loop: the ``for`` whose body touches
     ``l1_sets`` (array-derivation prep above it consults channels in
     construction order, not access order, so only the loop is the
-    data-path copy; its batched ring/DRAM flushes trail the loop and
-    are covered by the RING/DRAM tokens inside it)."""
+    data-path copy; its tallies are folded into the machine after the
+    replay, by ``flush_tallies``)."""
     for node in ast.walk(func):
         if isinstance(node, ast.For):
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name) and sub.id == "l1_sets":
                     return node
     return None
+
+
+def _flush_charges_ring(batch: SourceFile) -> bool:
+    """True when the tally flush exists and charges remote transfers
+    the ``_TRANSFER_BYTES`` payload."""
+    func = _find_function(batch, RING_FLUSH_FUNC)
+    return func is not None and any(
+        isinstance(node, ast.Name) and node.id == "_TRANSFER_BYTES"
+        for node in ast.walk(func)
+    )
 
 
 def _ring_payload_literal(func: ast.FunctionDef) -> Optional[int]:
@@ -485,6 +510,8 @@ def check_engine_parity(project: Project) -> Iterator[Finding]:
         )
         return
     reference = _data_sequence(staged_process)
+    ring_deferred = tuple(ch for ch in reference if ch != "RING")
+    flush_charges_ring = _flush_charges_ring(batch)
 
     # --- batched copies ---
     for name in BATCH_DATA_FUNCS:
@@ -514,15 +541,28 @@ def check_engine_parity(project: Project) -> Iterator[Finding]:
             sequence = _first_occurrence(stream)
         else:
             sequence = _data_sequence(func)
-        if sequence != reference:
-            yield _finding(
-                batch,
-                func,
-                f"memory-path order of {name}() is "
-                f"{' -> '.join(sequence)} but the staged "
-                f"DataStage.process order is {' -> '.join(reference)}; "
-                "the engines have drifted (DESIGN.md §7 bit-identity)",
-            )
+        if sequence == reference:
+            continue
+        if sequence == ring_deferred:
+            # A tallying copy: the flush charges the ring per pair.
+            if not flush_charges_ring:
+                yield _finding(
+                    batch,
+                    func,
+                    f"{name}() defers ring accounting to "
+                    f"{RING_FLUSH_FUNC}(), which is missing or never "
+                    "charges _TRANSFER_BYTES; remote transfers would "
+                    "vanish from the ring",
+                )
+            continue
+        yield _finding(
+            batch,
+            func,
+            f"memory-path order of {name}() is "
+            f"{' -> '.join(sequence)} but the staged "
+            f"DataStage.process order is {' -> '.join(reference)}; "
+            "the engines have drifted (DESIGN.md §7 bit-identity)",
+        )
 
     # --- ring payload constant ---
     staged_payload = _ring_payload_literal(staged_process)

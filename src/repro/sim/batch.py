@@ -35,9 +35,23 @@ also enriches exhaustion errors), the faulting access's translation,
 data and accounting then run through the same inlined sequences the
 windows use (identical operation order, no staged-closure dispatch),
 and epoch/kernel callbacks fire at chunk boundaries only (chunks are
-clipped so boundaries never fall inside a window).  Telemetry-
-instrumented and multi-page-TLB runs use the staged pipeline entirely
-(see :mod:`repro.sim.engine`).
+clipped so boundaries never fall inside a window).  Multi-page-TLB
+runs, and runs with a custom per-access ``Instrumentation``, use the
+staged pipeline entirely (see :mod:`repro.sim.engine`).
+
+**Tallies, not costs**: every copy of the data path counts *how* each
+access was served — L1, remote cache, home L2, DRAM row hit or row
+miss — per ``(home, requester)`` chiplet pair instead of costing it on
+the spot.  ``flush_tallies`` turns the counts into data cycles, cache
+and DRAM hit counters and ring traffic once, at run end: each is a sum
+over accesses whose terms depend only on the pair and the outcome, so
+regrouping it is integer-exact.  The same counts, the TLB path counters
+and a walk-latency tally give the built-in
+:class:`~repro.sim.telemetry.TelemetryCollector` every number of its
+snapshot, so a ``--telemetry`` run replays through the same windows
+with no per-access callbacks: faults report through the shared
+``FaultStage`` (and, on the bulk path, one ``on_fault`` per fault),
+epochs through the shared ``close_epoch``.
 
 **The vectorized fault path** (``batch_faults``): when the policy opts
 in via ``fault_batch_size()`` (a contract promise that ``place`` is a
@@ -98,6 +112,7 @@ from __future__ import annotations
 
 import gc
 import os
+from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -114,13 +129,8 @@ from ..tlb.tlb import TLBEntry
 from ..tlb.units import COALESCE_WINDOW_PAGES
 from ..units import PAGE_2M, PAGE_64K
 from ..vm.page_table import MappingRecord
-from .pipeline import (
-    DataStage,
-    FaultStage,
-    SimState,
-    TranslationStage,
-    close_epoch,
-)
+from .pipeline import FaultStage, SimState, close_epoch
+from .telemetry import TelemetryCollector
 
 #: Accesses per chunk.  Chunks are additionally clipped at kernel starts
 #: and epoch boundaries so callbacks only ever fire between chunks.
@@ -159,9 +169,11 @@ AUDITED_PLACE = frozenset(
 class BatchedPipeline:
     """Replays a trace through vectorized windows with staged fallback.
 
-    Drop-in alternative to :class:`~repro.sim.pipeline.AccessPipeline`
-    for telemetry-off runs: same constructor state, same ``run()``
-    contract, bit-identical :class:`SimState` at the end.  Additionally
+    Drop-in alternative to :class:`~repro.sim.pipeline.AccessPipeline`:
+    same constructor state, same ``run()`` contract, bit-identical
+    :class:`SimState` at the end and, given a ``telemetry`` collector,
+    the same snapshot (filled from run-level counts, not per-access
+    hooks).  Additionally
     exposes ``fast_path_fraction`` — the fraction of accesses replayed
     through vectorized windows — and ``fault_batch_fraction`` — the
     fraction of page faults resolved through the vectorized fault path
@@ -179,20 +191,20 @@ class BatchedPipeline:
         self,
         state: SimState,
         prep: Optional[Dict[Tuple[int, int, int], tuple]] = None,
+        telemetry: Optional[TelemetryCollector] = None,
     ) -> None:
         self.state = state
-        #: Batched runs are always telemetry-off (the engine falls back
-        #: to the staged pipeline otherwise); ``_fold_result`` reads this.
-        self.telemetry = None
-        self.fault_stage = FaultStage(state, None)
-        self.translation_stage = TranslationStage(state, None)
-        self.data_stage = DataStage(state, None)
+        #: The collector this run fills (None with telemetry off);
+        #: ``_fold_result`` snapshots it.
+        self.telemetry = telemetry
+        self.fault_stage = FaultStage(state, telemetry)
         self.fast_path_fraction: Optional[float] = None
         self.fault_batch_fraction: Optional[float] = None
         self.prep = prep
 
     def run(self) -> SimState:  # noqa: C901 - one fused hot path
         state = self.state
+        telem = self.telemetry
         machine = state.machine
         config = machine.config
         trace = state.trace
@@ -250,7 +262,6 @@ class BatchedPipeline:
         hops_tab = [[ring.hops(s, d) for d in range(nc)] for s in range(nc)]
         ring_traffic = ring.traffic_bytes
         ring_traffic_get = ring_traffic.get
-        rcost_np = 2 * ring.hop_cycles * np.array(hops_tab, dtype=np.int64)
         rcost_tab = [[2 * ring.hop_cycles * h for h in row]
                      for row in hops_tab]
         open_row = dram._open_row
@@ -258,6 +269,71 @@ class BatchedPipeline:
         ch_accesses = dram.channel_accesses
         row_hit_c = dram.row_hit_cycles
         row_miss_c = dram.row_miss_cycles
+
+        # --- service tallies (see "Tallies, not costs" above) ---
+        #: Indexed by ``pr = home * nc + requester``.
+        n_pairs = nc * nc
+        t_l1 = [0] * n_pairs  # L1 data-cache hits
+        t_rc = [0] * n_pairs  # remote-cache hits
+        t_l2 = [0] * n_pairs  # home-L2 hits
+        t_rh = [0] * n_pairs  # DRAM row-buffer hits
+        t_rm = [0] * n_pairs  # DRAM row-buffer misses
+
+        def flush_tallies() -> Tuple[int, int]:
+            """Fold the tallies into the machine's cache, DRAM and ring
+            counters (and the telemetry collector, if any); returns the
+            run's ``(data_cycles, remote_on_ring)``.
+
+            Per pair, an L1 miss went on to the remote cache (remote
+            pairs, under remote caching) and, unless served there, to
+            the home L2 and maybe DRAM; whatever got past the remote
+            cache of a remote pair crossed the ring.  The cycles are
+            ``DataStage``'s per-access costs grouped by pair and
+            outcome.
+            """
+            data = 0
+            on_ring = 0
+            for pr in range(n_pairs):
+                l1h, rch, l2h = t_l1[pr], t_rc[pr], t_l2[pr]
+                rh, rmiss = t_rh[pr], t_rm[pr]
+                beyond = l2h + rh + rmiss
+                if not (l1h or rch or beyond):
+                    continue
+                hm, c = divmod(pr, nc)
+                l1_caches[c].hits += l1h
+                l1_caches[c].misses += rch + beyond
+                if hm != c:
+                    if use_rc:
+                        rc = remote_caches[c]
+                        rc.remote_lookups += rch + beyond
+                        rc.remote_hits += rch
+                        rc.cache.hits += rch
+                        rc.cache.misses += beyond
+                    if beyond:
+                        nbytes = _TRANSFER_BYTES * beyond
+                        key = (hm, c)
+                        ring_traffic[key] = ring_traffic_get(key, 0) + nbytes
+                        ring.total_bytes += nbytes
+                        ring.hop_bytes += hops_tab[hm][c] * nbytes
+                        on_ring += beyond
+                    if telem is not None:
+                        telem.add_ring_transfers(c, hm, l1h + rch + beyond)
+                l2_caches[hm].hits += l2h
+                l2_caches[hm].misses += rh + rmiss
+                dram.accesses += rh + rmiss
+                dram.row_hits += rh
+                via_l2 = rcost_tab[c][hm] + l2_latency
+                for served, cost, count in (
+                    ("l1", l1_latency, l1h),
+                    ("remote_cache", l2_latency, rch),
+                    ("home_l2", via_l2, l2h),
+                    ("dram", via_l2 + row_hit_c, rh),
+                    ("dram", via_l2 + row_miss_c, rmiss),
+                ):
+                    data += cost * count
+                    if telem is not None:
+                        telem.add_data(served, cost, count)
+            return data, on_ring
 
         # --- translation-unit flags and page granule ---
         coalescing = caps.coalescing
@@ -344,6 +420,8 @@ class BatchedPipeline:
             for c in range(nc)
         ]
         span1, span2, span3 = _LEVEL_SPANS
+        #: walk cycles -> walks, for the telemetry latency histograms
+        walk_tally: Dict[int, int] = {}
 
         def walk_inline(
             c: int,
@@ -363,9 +441,11 @@ class BatchedPipeline:
             span2=span2,
             span3=span3,
             wtrackers=wtrackers,
+            walk_tally=walk_tally,
         ) -> int:
             """``PageWalker.walk`` with the walk cache, step-cost hash
-            and stats updates inlined (same counters, same order)."""
+            and stats updates inlined (same counters, same order), plus
+            the walk-latency tally."""
             cache = wdicts[c]
             wc = wcaches[c]
             st = wstats[c]
@@ -403,6 +483,7 @@ class BatchedPipeline:
             rt = wtrackers[c]
             if rt is not None:
                 rt.update(aid, is_remote=leaf != c)
+            walk_tally[cycles] = walk_tally.get(cycles, 0) + 1
             return cycles
 
         per_structure = state.per_structure
@@ -474,8 +555,6 @@ class BatchedPipeline:
 
         # --- batch-owned accumulators (merged into state at the end) ---
         vec_translation = 0
-        vec_data = 0
-        vec_on_ring = 0
         acc_remote_placement = 0
         acc_epoch_remote = 0
         acc_epoch_accesses = 0
@@ -492,13 +571,9 @@ class BatchedPipeline:
             l1_sets=l1_sets,
             l1_ns=l1_ns,
             l1_ways=l1_ways,
-            l1_caches=l1_caches,
             l2_sets=l2_sets,
             l2_ns=l2_ns,
             l2_ways=l2_ways,
-            l2_caches=l2_caches,
-            l1_latency=l1_latency,
-            l2_latency=l2_latency,
             l2_tlb_latency=l2_tlb_latency,
             use_rc=use_rc,
             remote_caches=remote_caches,
@@ -506,15 +581,14 @@ class BatchedPipeline:
             rc_ns=rc_ns,
             rc_ways=rc_ways,
             rc_insert_all=rc_insert_all,
-            rcost_tab=rcost_tab,
-            hops_tab=hops_tab,
-            ring_traffic=ring_traffic,
-            ring_traffic_get=ring_traffic_get,
             open_row=open_row,
             open_row_get=open_row_get,
             ch_accesses=ch_accesses,
-            row_hit_c=row_hit_c,
-            row_miss_c=row_miss_c,
+            t_l1=t_l1,
+            t_rc=t_rc,
+            t_l2=t_l2,
+            t_rh=t_rh,
+            t_rm=t_rm,
             per_structure=per_structure,
             naive=naive,
             nc=nc,
@@ -529,11 +603,13 @@ class BatchedPipeline:
             policy placement, error enrichment); the rest mirrors
             ``TranslationStage.process`` / ``DataStage.process``
             statement for statement — including passing the *raw* vaddr
-            to the page walker, which the staged stage does too — so
-            fault-path accesses stay bit-identical without paying the
-            staged closures' dispatch and allocation overhead.
+            to the page walker, which the staged stage does too — except
+            that the data path tallies the access's outcome instead of
+            costing it (``flush_tallies``).  Fault-path accesses thus
+            stay bit-identical without paying the staged closures'
+            dispatch and allocation overhead.
             """
-            nonlocal vec_translation, vec_data, vec_on_ring
+            nonlocal vec_translation
             nonlocal acc_remote_placement, acc_epoch_remote
             nonlocal acc_epoch_accesses
             c = int(chiplets[i])
@@ -616,76 +692,52 @@ class BatchedPipeline:
                         es[tag] = TLBEntry(tag, coverage, mask)
                     vec_translation += l2_tlb_latency + walk_latency
 
-            # -- data path (DataStage.process, inlined) --
+            # -- data path (DataStage.process, inlined; tallied) --
             pd = rec.paddr + (va - rec.va_base)
             if naive:
                 hm = (pd // FINE_INTERLEAVE) % nc
             else:
                 hm = rec.chiplet
             rm = hm != c
+            pr = hm * nc + c
             ln = pd // line_size
             h = ((ln * 0x9E3779B1) & 0xFFFFFFFF) >> 16
             entries = l1_sets[c][h % l1_ns]
             if ln in entries:
                 entries.move_to_end(ln)
-                l1_caches[c].hits += 1
-                vec_data += l1_latency
+                t_l1[pr] += 1
             else:
-                l1_caches[c].misses += 1
                 if len(entries) >= l1_ways:
                     entries.popitem(last=False)
                 entries[ln] = True
                 served_remote = False
                 if rm and use_rc:
-                    rc = remote_caches[c]
-                    rc.remote_lookups += 1
                     entries = rc_sets[c][h % rc_ns]
                     if ln in entries:
                         entries.move_to_end(ln)
-                        rc.cache.hits += 1
-                        rc.remote_hits += 1
-                        vec_data += l2_latency
+                        t_rc[pr] += 1
                         served_remote = True
-                    else:
-                        rc.cache.misses += 1
-                        if rc_insert_all or rc.should_insert(pd):
-                            if len(entries) >= rc_ways:
-                                entries.popitem(last=False)
-                            entries[ln] = True
+                    elif rc_insert_all or remote_caches[c].should_insert(pd):
+                        if len(entries) >= rc_ways:
+                            entries.popitem(last=False)
+                        entries[ln] = True
                 if not served_remote:
-                    cost = 0
-                    if rm:
-                        cost = rcost_tab[c][hm]
-                        key = (hm, c)
-                        ring_traffic[key] = (
-                            ring_traffic_get(key, 0) + _TRANSFER_BYTES
-                        )
-                        ring.total_bytes += _TRANSFER_BYTES
-                        ring.hop_bytes += (
-                            hops_tab[hm][c] * _TRANSFER_BYTES
-                        )
-                        vec_on_ring += 1
                     entries = l2_sets[hm][h % l2_ns]
                     if ln in entries:
                         entries.move_to_end(ln)
-                        l2_caches[hm].hits += 1
-                        cost += l2_latency
+                        t_l2[pr] += 1
                     else:
-                        l2_caches[hm].misses += 1
                         if len(entries) >= l2_ways:
                             entries.popitem(last=False)
                         entries[ln] = True
                         cn = hm * cpc + (pd // FINE_INTERLEAVE) % cpc
                         rw = pd // ROW_SIZE
-                        dram.accesses += 1
                         ch_accesses[cn] += 1
                         if open_row_get(cn) == rw:
-                            dram.row_hits += 1
-                            cost += l2_latency + row_hit_c
+                            t_rh[pr] += 1
                         else:
                             open_row[cn] = rw
-                            cost += l2_latency + row_miss_c
-                    vec_data += cost
+                            t_rm[pr] += 1
 
             # -- accounting (AccountingStage.process, inlined) --
             stats = per_structure[rec.alloc_id]
@@ -705,7 +757,7 @@ class BatchedPipeline:
                 counts[c] += 1
 
         def run_chunk(start: int, end: int) -> None:  # noqa: C901
-            nonlocal vec_translation, vec_data, vec_on_ring
+            nonlocal vec_translation
             nonlocal acc_remote_placement, acc_epoch_remote
             nonlocal acc_epoch_accesses, fast_accesses
 
@@ -913,10 +965,8 @@ class BatchedPipeline:
                 # data loop instead of closure-cell dereferences).
                 l1_sets=l1_sets,
                 l1_ways=l1_ways,
-                l1_latency=l1_latency,
                 l2_sets=l2_sets,
                 l2_ways=l2_ways,
-                l2_latency=l2_latency,
                 use_rc=use_rc,
                 rc_sets=rc_sets,
                 rc_ways=rc_ways,
@@ -925,11 +975,14 @@ class BatchedPipeline:
                 open_row=open_row,
                 open_row_get=open_row_get,
                 ch_accesses=ch_accesses,
-                row_hit_c=row_hit_c,
-                row_miss_c=row_miss_c,
+                t_l1=t_l1,
+                t_rc=t_rc,
+                t_l2=t_l2,
+                t_rh=t_rh,
+                t_rm=t_rm,
             ) -> None:
                 """Replay resolved accesses ``[start+a, start+b)``."""
-                nonlocal vec_translation, vec_data, vec_on_ring
+                nonlocal vec_translation
                 nonlocal acc_remote_placement, acc_epoch_remote
                 nonlocal acc_epoch_accesses, vec_arrays
 
@@ -974,8 +1027,7 @@ class BatchedPipeline:
                         np.append(head_pos, useq.size)
                     ).tolist()
                     path = paths[c]
-                    for hp, rl in zip(head_pos.tolist(), run_lens):
-                        j = int(useq[hp])
+                    for j, rl in zip(useq[head_pos].tolist(), run_lens):
                         tcyc += translate_head(c, j)
                         if rl > 1:
                             # The head left the L1 TLB entry present,
@@ -987,7 +1039,7 @@ class BatchedPipeline:
                             path.l1_hits += tails
                 vec_translation += tcyc
 
-                # -- data path: fused loop in global order --
+                # -- data path: fused loop in global order, tallied --
                 ch_l = ch_seg.tolist()
                 pd_l = paddr.tolist()
                 ln_l = line.tolist()
@@ -1000,100 +1052,46 @@ class BatchedPipeline:
                     home * cpc + (paddr // FINE_INTERLEAVE) % cpc
                 ).tolist()
                 rw_l = (paddr // ROW_SIZE).tolist()
-                co_l = rcost_np[ch_seg, home].tolist()
                 pr_l = (home * nc + ch_seg).tolist()
 
-                dc = 0
-                ror = 0
-                l1_hit = [0] * nc
-                l1_miss = [0] * nc
-                l2_hit = [0] * nc
-                l2_miss = [0] * nc
-                rc_look = [0] * nc
-                rc_hit = [0] * nc
-                rc_miss = [0] * nc
-                pair_counts = [0] * (nc * nc)
-                dram_acc = 0
-                dram_rh = 0
-
-                for c, pd, ln, hm, rm, i1, i2, ri, cn, rw, co, pr in zip(
+                for c, pd, ln, hm, rm, i1, i2, ri, cn, rw, pr in zip(
                     ch_l, pd_l, ln_l, hm_l, rm_l, i1_l, i2_l, ri_l,
-                    cn_l, rw_l, co_l, pr_l,
+                    cn_l, rw_l, pr_l,
                 ):
                     entries = l1_sets[c][i1]
                     if ln in entries:
                         entries.move_to_end(ln)
-                        l1_hit[c] += 1
-                        dc += l1_latency
+                        t_l1[pr] += 1
                         continue
-                    l1_miss[c] += 1
                     if len(entries) >= l1_ways:
                         entries.popitem(last=False)
                     entries[ln] = True
                     if rm and use_rc:
-                        rc_look[c] += 1
                         entries = rc_sets[c][ri]
                         if ln in entries:
                             entries.move_to_end(ln)
-                            rc_hit[c] += 1
-                            dc += l2_latency
+                            t_rc[pr] += 1
                             continue
-                        rc_miss[c] += 1
                         if rc_insert_all or remote_caches[c].should_insert(
                             pd
                         ):
                             if len(entries) >= rc_ways:
                                 entries.popitem(last=False)
                             entries[ln] = True
-                    cost = 0
-                    if rm:
-                        cost = co
-                        pair_counts[pr] += 1
-                        ror += 1
                     entries = l2_sets[hm][i2]
                     if ln in entries:
                         entries.move_to_end(ln)
-                        l2_hit[hm] += 1
-                        cost += l2_latency
+                        t_l2[pr] += 1
                     else:
-                        l2_miss[hm] += 1
                         if len(entries) >= l2_ways:
                             entries.popitem(last=False)
                         entries[ln] = True
-                        dram_acc += 1
                         ch_accesses[cn] += 1
                         if open_row_get(cn) == rw:
-                            dram_rh += 1
-                            cost += l2_latency + row_hit_c
+                            t_rh[pr] += 1
                         else:
                             open_row[cn] = rw
-                            cost += l2_latency + row_miss_c
-                    dc += cost
-
-                vec_data += dc
-                vec_on_ring += ror
-                for c in range(nc):
-                    l1_caches[c].hits += l1_hit[c]
-                    l1_caches[c].misses += l1_miss[c]
-                    l2_caches[c].hits += l2_hit[c]
-                    l2_caches[c].misses += l2_miss[c]
-                    if use_rc:
-                        rc = remote_caches[c]
-                        rc.remote_lookups += rc_look[c]
-                        rc.remote_hits += rc_hit[c]
-                        rc.cache.hits += rc_hit[c]
-                        rc.cache.misses += rc_miss[c]
-                dram.accesses += dram_acc
-                dram.row_hits += dram_rh
-                traffic = ring.traffic_bytes
-                for p, cnt in enumerate(pair_counts):
-                    if not cnt:
-                        continue
-                    src, dst = divmod(p, nc)
-                    nbytes = _TRANSFER_BYTES * cnt
-                    traffic[(src, dst)] = traffic.get((src, dst), 0) + nbytes
-                    ring.total_bytes += nbytes
-                    ring.hop_bytes += hops_tab[src][dst] * nbytes
+                            t_rm[pr] += 1
 
                 # -- accounting: bincount reductions --
                 aid_seg = alloc_np[inv_seg]
@@ -1146,28 +1144,23 @@ class BatchedPipeline:
                 l1_sets=l1_sets,
                 l1_ns=l1_ns,
                 l1_ways=l1_ways,
-                l1_caches=l1_caches,
                 l2_sets=l2_sets,
                 l2_ns=l2_ns,
                 l2_ways=l2_ways,
-                l2_caches=l2_caches,
-                l1_latency=l1_latency,
-                l2_latency=l2_latency,
                 use_rc=use_rc,
                 remote_caches=remote_caches,
                 rc_sets=rc_sets,
                 rc_ns=rc_ns,
                 rc_ways=rc_ways,
                 rc_insert_all=rc_insert_all,
-                rcost_tab=rcost_tab,
-                hops_tab=hops_tab,
-                ring_traffic=ring_traffic,
-                ring_traffic_get=ring_traffic_get,
                 open_row=open_row,
                 open_row_get=open_row_get,
                 ch_accesses=ch_accesses,
-                row_hit_c=row_hit_c,
-                row_miss_c=row_miss_c,
+                t_l1=t_l1,
+                t_rc=t_rc,
+                t_l2=t_l2,
+                t_rh=t_rh,
+                t_rm=t_rm,
                 per_structure=per_structure,
                 naive=naive,
                 nc=nc,
@@ -1184,11 +1177,10 @@ class BatchedPipeline:
                 accesses) skip both the staged closures' dispatch cost
                 and the fixed NumPy setup of a vectorized window.
                 """
-                nonlocal vec_translation, vec_data, vec_on_ring
+                nonlocal vec_translation
                 nonlocal acc_remote_placement, acc_epoch_remote
                 nonlocal acc_epoch_accesses
                 tcyc = 0
-                dc = 0
                 last_j = [-1] * nc
                 last_aid = -1
                 stats = None
@@ -1217,56 +1209,34 @@ class BatchedPipeline:
                     else:
                         hm = rec.chiplet
                     rm = hm != c
+                    pr = hm * nc + c
                     ln = pd // line_size
                     h = ((ln * 0x9E3779B1) & 0xFFFFFFFF) >> 16
                     entries = l1_sets[c][h % l1_ns]
                     if ln in entries:
                         entries.move_to_end(ln)
-                        l1_caches[c].hits += 1
-                        dc += l1_latency
+                        t_l1[pr] += 1
                     else:
-                        l1_caches[c].misses += 1
                         if len(entries) >= l1_ways:
                             entries.popitem(last=False)
                         entries[ln] = True
                         served_remote = False
                         if rm and use_rc:
-                            rc = remote_caches[c]
-                            rc.remote_lookups += 1
                             entries = rc_sets[c][h % rc_ns]
                             if ln in entries:
                                 entries.move_to_end(ln)
-                                rc.cache.hits += 1
-                                rc.remote_hits += 1
-                                dc += l2_latency
+                                t_rc[pr] += 1
                                 served_remote = True
-                            else:
-                                rc.cache.misses += 1
-                                if rc_insert_all or rc.should_insert(pd):
-                                    if len(entries) >= rc_ways:
-                                        entries.popitem(last=False)
-                                    entries[ln] = True
+                            elif rc_insert_all or remote_caches[c].should_insert(pd):
+                                if len(entries) >= rc_ways:
+                                    entries.popitem(last=False)
+                                entries[ln] = True
                         if not served_remote:
-                            cost = 0
-                            if rm:
-                                cost = rcost_tab[c][hm]
-                                key = (hm, c)
-                                ring_traffic[key] = (
-                                    ring_traffic_get(key, 0)
-                                    + _TRANSFER_BYTES
-                                )
-                                ring.total_bytes += _TRANSFER_BYTES
-                                ring.hop_bytes += (
-                                    hops_tab[hm][c] * _TRANSFER_BYTES
-                                )
-                                vec_on_ring += 1
                             entries = l2_sets[hm][h % l2_ns]
                             if ln in entries:
                                 entries.move_to_end(ln)
-                                l2_caches[hm].hits += 1
-                                cost += l2_latency
+                                t_l2[pr] += 1
                             else:
-                                l2_caches[hm].misses += 1
                                 if len(entries) >= l2_ways:
                                     entries.popitem(last=False)
                                 entries[ln] = True
@@ -1275,15 +1245,12 @@ class BatchedPipeline:
                                     + (pd // FINE_INTERLEAVE) % cpc
                                 )
                                 rw = pd // ROW_SIZE
-                                dram.accesses += 1
                                 ch_accesses[cn] += 1
                                 if open_row_get(cn) == rw:
-                                    dram.row_hits += 1
-                                    cost += l2_latency + row_hit_c
+                                    t_rh[pr] += 1
                                 else:
                                     open_row[cn] = rw
-                                    cost += l2_latency + row_miss_c
-                            dc += cost
+                                    t_rm[pr] += 1
                     aid = rec.alloc_id
                     if aid != last_aid:
                         stats = per_structure[aid]
@@ -1304,7 +1271,6 @@ class BatchedPipeline:
                             last_pb = page_base
                         counts[c] += 1
                 vec_translation += tcyc
-                vec_data += dc
 
             def batch_faults(rel: int) -> int:
                 """Batch-resolve every first-touch fault in ``[rel, m)``.
@@ -1373,6 +1339,9 @@ class BatchedPipeline:
                             int(trace_alloc_ids[start + pos])
                         ]
                         buf_log[r](v, r)
+                        # Wall time feeds only the telemetry snapshot
+                        # (stripped before cache writes), as in FaultStage.
+                        t0 = perf_counter() if telem is not None else 0.0  # repro-lint: ignore[RPR001]
                         pool = pool_for(allocation)
                         fl = alloc_free.get((r, granule, pool))
                         frame = (
@@ -1394,6 +1363,11 @@ class BatchedPipeline:
                             allocation.alloc_id,
                         )
                         table[vpn] = rec
+                        if telem is not None:
+                            telem.on_fault(
+                                r, v, allocation.alloc_id,
+                                (perf_counter() - t0) * 1e6,  # repro-lint: ignore[RPR001]
+                            )
                         buf_drain[r]()
                         recs[j] = rec
                         units[j] = unit_tuple(page_base, rec)
@@ -1494,7 +1468,7 @@ class BatchedPipeline:
                     state.remote_placement = acc_remote_placement
                     state.epoch_remote = acc_epoch_remote
                     state.epoch_accesses = acc_epoch_accesses
-                    close_epoch(state, None)
+                    close_epoch(state, telem)
                     acc_epoch_remote = 0
                     acc_epoch_accesses = 0
         finally:
@@ -1506,17 +1480,24 @@ class BatchedPipeline:
             # Bulk-path faults bypass FaultStage entirely; fold them
             # into the same total its finish() just published.
             state.faults += bulk_faults
-            self.translation_stage.finish()
-            self.data_stage.finish()
-            state.translation_cycles += vec_translation
-            state.data_cycles += vec_data
-            state.remote_on_ring += vec_on_ring
+            state.translation_cycles = vec_translation
+            state.data_cycles, state.remote_on_ring = flush_tallies()
             state.remote_placement = acc_remote_placement
             state.epoch_remote = acc_epoch_remote
             state.epoch_accesses = acc_epoch_accesses
 
         if state.epoch_accesses:
-            close_epoch(state, None)
+            close_epoch(state, telem)
+        if telem is not None:
+            # Translation levels are exactly the TLB path counters; a
+            # walk costs the L2 TLB probe plus its walk cycles.
+            telem.add_translations("L1", 0, sum(p.l1_hits for p in paths))
+            telem.add_translations(
+                "L2", l2_tlb_latency, sum(p.l2_hits for p in paths)
+            )
+            for cycles, count in walk_tally.items():
+                telem.add_translations("walk", l2_tlb_latency + cycles, count)
+            telem.on_run_end(machine)
         self.fast_path_fraction = fast_accesses / n if n else 1.0
         if fault_batch_eligible:
             self.fault_batch_fraction = (

@@ -27,7 +27,11 @@ from .energy import energy_report
 from .machine import Machine
 from .pipeline import AccessPipeline, SimState
 from .results import SimResult
-from .telemetry import Instrumentation, resolve_instrumentation
+from .telemetry import (
+    Instrumentation,
+    TelemetryCollector,
+    resolve_instrumentation,
+)
 from .timing import TimingParams, total_cycles
 
 #: Valid values for the ``engine`` argument / ``REPRO_ENGINE`` variable.
@@ -87,7 +91,7 @@ def run_simulation(
     ``telemetry=True`` (or ``REPRO_TELEMETRY=1`` when left as None)
     records the standard per-stage telemetry into
     ``SimResult.telemetry``.  Telemetry never affects simulated results
-    — only wall time.
+    or which engine runs.
 
     ``engine`` selects the replay machinery: ``"staged"`` (the
     per-access pipeline), ``"batched"`` (vectorized steady-state
@@ -95,8 +99,10 @@ def run_simulation(
     plus cross-cell trace-group fusion in the sweep runner — see
     :mod:`repro.sim.xbatch`) or ``"auto"``/None (batched when eligible;
     ``REPRO_ENGINE`` overrides the default).  All produce bit-identical
-    results; telemetry-instrumented and multi-page-TLB runs always use
-    the staged pipeline.
+    results.  Multi-page-TLB runs, and runs with a custom
+    ``instrumentation`` (anything but the built-in
+    :class:`~repro.sim.telemetry.TelemetryCollector`, which the batched
+    engine fills from aggregate counts), always use the staged pipeline.
 
     ``shared_prep`` (fused sweeps) shares the batched engine's
     pure-trace-derived per-chunk arrays across runs replaying the same
@@ -136,12 +142,16 @@ def run_simulation(
     )
     hook = resolve_instrumentation(instrumentation, telemetry)
     choice = resolve_engine(engine)
-    # The batched engine has no telemetry taps and assumes single-size
-    # TLB reach per unit; such runs stay on the staged pipeline even
-    # when batched was requested (results are identical either way).
-    eligible = hook is None and not multi_page_tlb
+    # The batched engine fills the built-in collector from aggregate
+    # counts, but a custom Instrumentation expects one call per access,
+    # which only the staged pipeline makes; batched replay also assumes
+    # single-size TLB reach per unit.  Such runs stay on the staged
+    # pipeline even when batched was requested (results are identical).
+    eligible = (
+        hook is None or type(hook) is TelemetryCollector
+    ) and not multi_page_tlb
     if choice != "staged" and eligible:
-        pipeline = BatchedPipeline(state, prep=shared_prep)
+        pipeline = BatchedPipeline(state, prep=shared_prep, telemetry=hook)
     else:
         pipeline = AccessPipeline(state, hook)
     pipeline.run()

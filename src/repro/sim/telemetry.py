@@ -1,6 +1,6 @@
-"""Observability hooks woven through the staged access pipeline.
+"""Observability hooks for the simulation engines.
 
-The pipeline (:mod:`repro.sim.pipeline`) drives an
+The staged pipeline (:mod:`repro.sim.pipeline`) drives an
 :class:`Instrumentation` object at well-defined points of every access:
 fault resolution, translation, the data path, and epoch boundaries.  The
 base class is a no-op — and the pipeline skips the calls entirely when
@@ -13,6 +13,13 @@ per-level TLB hit ratios, data-path service levels, ring occupancy) plus
 a per-allocation locality timeline sampled at every epoch boundary.  Its
 :meth:`~TelemetryCollector.snapshot` is a JSON-compatible dict surfaced
 as ``SimResult.telemetry``, dumped per sweep cell under ``--telemetry``.
+
+The batched engine (:mod:`repro.sim.batch`) has no per-access hook
+points.  It fills the same collector once, at run end, from counts it
+keeps anyway, through the bulk methods (``add_translations``,
+``add_data``, ``add_ring_transfers`` and :meth:`Histogram.add`), so both
+engines record the same snapshot and telemetry does not choose the
+engine.
 
 Structural machine statistics that cost nothing to harvest once (TLB
 hit counts, walker step mix, ring traffic) are read off the
@@ -59,10 +66,16 @@ class Histogram:
         self.sum = 0.0
 
     def record(self, value: float) -> None:
+        self.add(value, 1)
+
+    def add(self, value: float, count: int) -> None:
+        """``count`` samples of ``value`` at once."""
+        if count <= 0:
+            return
         bucket = 0 if value < 1 else int(value).bit_length()
-        self.counts[bucket] = self.counts.get(bucket, 0) + 1
-        self.total += 1
-        self.sum += value
+        self.counts[bucket] = self.counts.get(bucket, 0) + count
+        self.total += count
+        self.sum += value * count
 
     @property
     def mean(self) -> float:
@@ -146,20 +159,45 @@ class TelemetryCollector(Instrumentation):
 
     def on_translation(self, requester: int, level: str,
                        latency: int) -> None:
-        self.translation_levels[level] = (
-            self.translation_levels.get(level, 0) + 1
-        )
-        self.translation_latency.record(latency)
-        if level == "walk":
-            self.walk_latency.record(latency)
+        self.add_translations(level, latency, 1)
 
     def on_data(self, requester: int, home: int, served: str,
                 latency: int) -> None:
-        self.data_served[served] = self.data_served.get(served, 0) + 1
-        self.data_latency.record(latency)
+        self.add_data(served, latency, 1)
         if home != requester:
-            key = f"{requester}->{home}"
-            self.ring_transfers[key] = self.ring_transfers.get(key, 0) + 1
+            self.add_ring_transfers(requester, home, 1)
+
+    # --- bulk counts (the batched engine feeds these once per run) ---
+
+    def add_translations(self, level: str, latency: int,
+                         count: int) -> None:
+        """``count`` translations served at ``level`` in ``latency``
+        cycles each."""
+        if count <= 0:
+            return
+        self.translation_levels[level] = (
+            self.translation_levels.get(level, 0) + count
+        )
+        self.translation_latency.add(latency, count)
+        if level == "walk":
+            self.walk_latency.add(latency, count)
+
+    def add_data(self, served: str, latency: int, count: int) -> None:
+        """``count`` data fetches supplied by ``served`` in ``latency``
+        cycles each."""
+        if count <= 0:
+            return
+        self.data_served[served] = self.data_served.get(served, 0) + count
+        self.data_latency.add(latency, count)
+
+    def add_ring_transfers(self, requester: int, home: int,
+                           count: int) -> None:
+        """``count`` accesses by ``requester`` to data homed on another
+        chiplet, ``home``."""
+        if count <= 0:
+            return
+        key = f"{requester}->{home}"
+        self.ring_transfers[key] = self.ring_transfers.get(key, 0) + count
 
     def on_epoch(self, epoch: int, remote_ratio: float,
                  per_structure: Dict[int, List[int]]) -> None:
@@ -247,12 +285,12 @@ class TelemetryCollector(Instrumentation):
                 "place_latency_us": self.place_latency_us.to_dict(),
             },
             "translation": {
-                "levels": dict(self.translation_levels),
+                "levels": dict(sorted(self.translation_levels.items())),
                 "latency_cycles": self.translation_latency.to_dict(),
                 "walk_latency_cycles": self.walk_latency.to_dict(),
             },
             "data": {
-                "served": dict(self.data_served),
+                "served": dict(sorted(self.data_served.items())),
                 "latency_cycles": self.data_latency.to_dict(),
                 "ring_transfers": dict(
                     sorted(self.ring_transfers.items())
@@ -276,10 +314,11 @@ def resolve_instrumentation(
     is None) selects a fresh :class:`TelemetryCollector`.  Returns None
     for the telemetry-off fast path.
 
-    A non-None return also pins the run to the staged pipeline: the
-    batched engine (:mod:`repro.sim.batch`) has no per-access hook
-    points, so instrumented runs always replay access-by-access (see
-    ``run_simulation``'s eligibility check).
+    The return does not pick the engine: the batched engine
+    (:mod:`repro.sim.batch`) fills a :class:`TelemetryCollector` from
+    aggregate counts.  Only a custom :class:`Instrumentation` subclass,
+    which expects one call per access, keeps the run on the staged
+    pipeline (see ``run_simulation``'s eligibility check).
     """
     if instrumentation is not None:
         return instrumentation if instrumentation.enabled else None

@@ -1,5 +1,7 @@
 """Shared test fixtures: small synthetic workloads and run helpers."""
 
+import copy
+
 import pytest
 
 from repro.sim.engine import run_simulation
@@ -50,6 +52,15 @@ def strided(name="strided", size=48 * MB, **kw):
 
 def run(spec, policy, **kwargs):
     return run_simulation(spec, policy, **kwargs)
+
+
+def comparable_telemetry(snapshot):
+    """A telemetry snapshot minus host wall-clock: ``place_latency_us``
+    keeps only its sample count (its buckets and mean time the host)."""
+    data = copy.deepcopy(snapshot)
+    place = data["faults"]["place_latency_us"]
+    data["faults"]["place_latency_us"] = {"count": place["count"]}
+    return data
 
 
 @pytest.fixture

@@ -563,6 +563,19 @@ def test_engine_drift_in_live_batch_fails_lint(mutable_tree):
     )
 
 
+def test_ring_flush_without_payload_fails_lint(mutable_tree):
+    # The batched data-path copies tally per (home, requester) pair and
+    # leave ring traffic to flush_tallies(); a flush that stops charging
+    # the shared payload constant would drop or skew remote transfers.
+    reintroduce(
+        mutable_tree / "sim" / "batch.py",
+        "nbytes = _TRANSFER_BYTES * beyond",
+        "nbytes = 128 * beyond",
+    )
+    findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
+    assert any("defers ring accounting" in f.message for f in findings)
+
+
 def test_inlined_placement_in_batch_faults_fails_lint(mutable_tree):
     # The drift the fault-batching check exists for: resolving batched
     # faults by calling the placement primitive directly instead of

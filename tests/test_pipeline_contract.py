@@ -17,7 +17,9 @@ every engine, per-cell results and fingerprints identical — and the
 vectorized fault path's abort regression, which forces a mid-batch
 contract violation and requires bit-identity plus consistent
 ``faults_dropped`` / ``fast_path_fraction`` / ``fault_batch_fraction``
-accounting anyway.
+accounting anyway.  With telemetry on, the staged and batched engines
+must also record the same snapshot on the golden cells and across the
+abort.
 """
 
 import json
@@ -42,6 +44,8 @@ from repro.sim.errors import PolicyContractError as ReexportedError
 from repro.sim.runner import run_workload
 from repro.trace.suite import workload_by_name
 from repro.units import PAGE_4K, PAGE_64K
+
+from .conftest import comparable_telemetry
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_pipeline_results.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -111,6 +115,27 @@ def test_batched_engine_matches_golden(workload, policy, kwargs):
             f"{workload}/{policy}: field {field_name!r} diverged between "
             f"the batched engine and the golden recording"
         )
+
+
+@pytest.mark.parametrize(
+    "workload, policy, kwargs",
+    GOLDEN_CELLS,
+    ids=[_golden_key(*cell) for cell in GOLDEN_CELLS],
+)
+def test_batched_telemetry_matches_staged(workload, policy, kwargs):
+    """Both engines record the same telemetry snapshot on every golden
+    cell, bar the host wall-clock in ``place_latency_us``; telemetry no
+    longer pins the run to the staged pipeline."""
+    staged = run_workload(
+        workload, policy, engine="staged", telemetry=True, **kwargs
+    )
+    batched = run_workload(
+        workload, policy, engine="batched", telemetry=True, **kwargs
+    )
+    assert batched.fast_path_fraction is not None
+    assert comparable_telemetry(batched.telemetry) == (
+        comparable_telemetry(staged.telemetry)
+    )
 
 
 def test_fast_path_fraction_reported_on_fault_light_cells():
@@ -412,3 +437,19 @@ def test_fault_batch_abort_keeps_results_and_accounting_consistent():
     assert 0.0 <= batched.fast_path_fraction <= 1.0
     assert "fault_batch_fraction" not in batched.to_dict()
     assert "fast_path_fraction" not in batched.to_dict()
+
+
+def test_fault_batch_abort_keeps_telemetry_identical():
+    """Across the abort, faults fired by the batch and by the scalar
+    fallback after it are each reported once, as in the staged run."""
+    spec = workload_by_name("STE")
+    staged = run_simulation(
+        spec, _LyingPolicy(), engine="staged", telemetry=True
+    )
+    batched = run_simulation(
+        spec, _LyingPolicy(), engine="batched", telemetry=True
+    )
+    assert 0.0 < batched.fault_batch_fraction < 1.0
+    assert comparable_telemetry(batched.telemetry) == (
+        comparable_telemetry(staged.telemetry)
+    )

@@ -12,7 +12,11 @@ across the regimes where the vectorized fault path and cross-cell fusion
 could drift — fault-heavy first-touch traces, oversubscription eviction,
 migrating policies, multi-structure interleave, and capacity-exhaustion-
 adjacent occupancy.  Every case asserts full ``SimResult`` bit-identity.
+A telemetry differential follows: 22 cells recorded by the staged and
+batched engines must yield equal telemetry snapshots.
 """
+
+import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +29,8 @@ from repro.sim.machine import Machine
 from repro.sim.validation import validate_machine
 from repro.trace.workload import Pattern, StructureSpec, WorkloadSpec
 from repro.units import MB, PAGE_2M, PAGE_64K, align_down
+
+from .conftest import comparable_telemetry
 
 
 # --- pager operation fuzzing -------------------------------------------
@@ -396,6 +402,116 @@ def test_engines_agree_at_capacity_exhaustion_boundary(
             assert value.faults_dropped == staged_value.faults_dropped
         else:
             assert value == staged_value
+
+
+# --- telemetry differential: staged and batched snapshots agree -------
+#
+# With telemetry on, the batched engine fills the collector from run-
+# level tallies instead of per-access hooks.  Its snapshot must equal
+# the staged one in every regime where those tallies could drift, bar
+# ``faults.place_latency_us`` buckets/mean, which time the host.
+
+
+def _assert_telemetry_identical(run_one):
+    """Run ``run_one(engine)`` (telemetry on) under both engines;
+    returns the staged result."""
+    staged = run_one("staged")
+    batched = run_one("batched")
+    assert batched.fast_path_fraction is not None
+    assert comparable_telemetry(batched.telemetry) == (
+        comparable_telemetry(staged.telemetry)
+    )
+    assert dataclasses.replace(batched, telemetry=None) == (
+        dataclasses.replace(staged, telemetry=None)
+    )
+    return staged
+
+
+@given(
+    spec=_fault_heavy_spec(),
+    seed=st.integers(0, 50),
+    policy=_batchable_policy,
+)
+@settings(max_examples=6, deadline=None)
+def test_telemetry_identical_on_the_bulk_fault_path(spec, seed, policy):
+    from repro.sim.runner import run_workload
+
+    staged = _assert_telemetry_identical(
+        lambda engine: run_workload(
+            spec, policy, seed=seed, engine=engine, telemetry=True
+        )
+    )
+    assert staged.page_faults > 0
+
+
+@given(
+    spec=_interleaved_spec(),
+    seed=st.integers(0, 50),
+    policy=_any_policy,
+    interleave=st.sampled_from(
+        [InterleavePolicy.NAIVE, InterleavePolicy.NUMA_AWARE]
+    ),
+    remote_cache=st.sampled_from([None, "NUBA", "SAC"]),
+)
+@settings(max_examples=6, deadline=None)
+def test_telemetry_identical_under_interleave_and_remote_caches(
+    spec, seed, policy, interleave, remote_cache
+):
+    from repro.sim.runner import resolve_policy
+
+    def run_one(engine):
+        return run_simulation(
+            spec,
+            resolve_policy(policy),
+            seed=seed,
+            interleave=interleave,
+            remote_cache=remote_cache,
+            telemetry=True,
+            engine=engine,
+        )
+
+    _assert_telemetry_identical(run_one)
+
+
+@given(
+    spec=_random_spec(), seed=st.integers(0, 50), policy=_migrating_policy
+)
+@settings(max_examples=5, deadline=None)
+def test_telemetry_identical_under_epoch_policies(spec, seed, policy):
+    from repro.sim.runner import run_workload
+
+    staged = _assert_telemetry_identical(
+        lambda engine: run_workload(
+            spec, policy, seed=seed, engine=engine, telemetry=True
+        )
+    )
+    assert staged.telemetry["locality_timeline"]
+
+
+@given(
+    spec=_fault_heavy_spec(),
+    seed=st.integers(0, 30),
+    policy=_any_policy,
+    cap=st.integers(1, 4),
+)
+@settings(max_examples=5, deadline=None)
+def test_telemetry_identical_under_oversubscription_eviction(
+    spec, seed, policy, cap
+):
+    from repro.sim.runner import resolve_policy
+
+    def run_one(engine):
+        return run_simulation(
+            spec,
+            resolve_policy(policy),
+            seed=seed,
+            capacity_blocks_per_chiplet=cap,
+            host_eviction=True,
+            telemetry=True,
+            engine=engine,
+        )
+
+    _assert_telemetry_identical(run_one)
 
 
 # --- determinism (the invariant the result cache relies on) -----------

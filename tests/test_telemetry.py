@@ -7,6 +7,7 @@ and the sweep runner's per-cell JSON dumps (including the rule that
 telemetry never enters the result cache).
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -44,6 +45,35 @@ def test_histogram_buckets_and_moments():
 def test_empty_histogram():
     snap = Histogram().to_dict()
     assert snap == {"buckets": {}, "count": 0, "mean": 0.0}
+
+
+def test_histogram_add_equals_repeated_record():
+    bulk, looped = Histogram(), Histogram()
+    for value, count in [(0, 5), (0.25, 3), (1, 1), (7, 4), (900, 6),
+                         (3, 0)]:
+        bulk.add(value, count)
+        for _ in range(count):
+            looped.record(value)
+    assert bulk.counts == looped.counts
+    assert bulk.total == looped.total
+    assert bulk.sum == looped.sum
+    assert bulk.mean == looped.mean
+    assert bulk.to_dict() == looped.to_dict()
+
+
+def test_snapshot_orders_keys_canonically():
+    """A dump does not depend on which level a run touched first."""
+    collector = TelemetryCollector()
+    collector.on_translation(0, "walk", 300)
+    collector.on_translation(1, "L2", 20)
+    collector.on_translation(0, "L1", 0)
+    collector.on_data(0, 1, "dram", 400)
+    collector.on_data(1, 1, "l1", 1)
+    collector.on_data(1, 0, "home_l2", 90)
+    snap = collector.snapshot()
+    assert list(snap["translation"]["levels"]) == ["L1", "L2", "walk"]
+    assert list(snap["data"]["served"]) == ["dram", "home_l2", "l1"]
+    assert list(snap["data"]["ring_transfers"]) == ["0->1", "1->0"]
 
 
 # --- activation ---
@@ -103,6 +133,27 @@ def test_run_workload_telemetry_snapshot():
     json.dumps(telemetry)
 
 
+@pytest.mark.parametrize(
+    "workload, policy",
+    [("STE", "S-64KB"), ("BLK", "CLAP"), ("GPT3", "Ideal_C-NUMA")],
+)
+def test_telemetry_does_not_change_the_batched_run(workload, policy):
+    """Recording telemetry keeps the run on the batched engine and
+    leaves every result field, and how it was computed, unchanged."""
+    off = run_workload(workload, policy, engine="batched", telemetry=False)
+    on = run_workload(workload, policy, engine="batched", telemetry=True)
+    assert off.telemetry is None and on.telemetry is not None
+    assert dataclasses.replace(on, telemetry=None) == off
+    on_payload, off_payload = on.to_dict(), off.to_dict()
+    on_payload.pop("telemetry")
+    off_payload.pop("telemetry")
+    assert on_payload == off_payload
+    assert on.faults_dropped == off.faults_dropped
+    assert on.fast_path_fraction is not None
+    assert on.fast_path_fraction == off.fast_path_fraction
+    assert on.fault_batch_fraction == off.fault_batch_fraction
+
+
 def test_telemetry_off_by_default(monkeypatch):
     monkeypatch.delenv(TELEMETRY_ENV, raising=False)
     result = run_workload("STE", "S-64KB")
@@ -151,6 +202,8 @@ def test_custom_instrumentation_receives_hooks():
     assert spy.run_ends == 1
     # A spy without a snapshot contributes no SimResult.telemetry.
     assert result.telemetry is None
+    # Per-access hooks need the staged pipeline, whatever the default.
+    assert result.fast_path_fraction is None
 
 
 def test_simresult_roundtrip_preserves_telemetry():
