@@ -1,22 +1,20 @@
 #!/usr/bin/env python
-"""Benchmark: staged vs batched vs fused replay, plus the fault-heavy sweep.
+"""Benchmark: staged vs batched replay, plus the fault-heavy sweep.
 
-Prints a per-cell table of staged/batched/fused wall time (best of
-``--repeats``), the speedups over staged, and the batched engine's
-``fast_path_fraction`` / ``fault_batch_fraction`` (share of the trace
-replayed through vectorized steady-state windows, and share of page
-faults resolved by the batched fault path).  All engines are
-bit-identical in results — asserted here on every measured cell — so
-the table is purely a wall time comparison.
+Prints a per-cell table of staged/batched wall time (best of
+``--repeats``), the batched speedup over staged, and the batched
+engine's ``fast_path_fraction`` / ``fault_batch_fraction`` (share of
+the trace replayed through vectorized steady-state windows, and share
+of page faults resolved by the vectorized fault path).  Both engines
+are bit-identical in results — asserted here on every measured cell —
+so the table is purely a wall time comparison.
 
-The second section measures what cross-cell fusion and the bulk fault
-path buy *together*: a fault-heavy quick sweep (first-touch-dominated
-trace, six batchable cells sharing one trace group) replayed the old
-way — serial per-cell batched engine with the vectorized fault path
-disabled (``REPRO_FAULT_BATCH=0``) — against one fused
-:func:`~repro.sim.xbatch.run_group` pass.  This is the acceptance
-measurement for the fused engine: the speedup is recorded in
-``BENCH_batch.json`` and must stay >= 2x.
+The second section measures the regime the vectorized fault path
+targets: a fault-heavy quick sweep (first-touch-dominated trace, six
+fault-batching cells) replayed cell by cell through the staged engine
+and through the batched engine, results asserted bit-identical.  The
+ratio is recorded in ``BENCH_batch.json``; ``--min-sweep-speedup``
+turns it into the CI gate.
 
 Usage::
 
@@ -25,15 +23,14 @@ Usage::
     python benchmarks/perf_batch.py --json BENCH_batch.json
 
 Unlike ``scripts/perf_smoke.py`` (the CI budget gate), this script has
-no baseline and never fails on timing; ``--min-sweep-speedup`` turns
-the sweep measurement into a gate for CI.
+no baseline and never fails on timing unless ``--min-sweep-speedup``
+is given.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -42,10 +39,9 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.arch.address import InterleavePolicy  # noqa: E402
-from repro.sim.engine import run_simulation  # noqa: E402
+from repro.sim.engine import ENGINES, run_simulation  # noqa: E402
 from repro.sim.parallel import SweepCell  # noqa: E402
 from repro.sim.runner import run_workload  # noqa: E402
-from repro.sim.xbatch import run_group, trace_group_key  # noqa: E402
 from repro.trace.workload import (  # noqa: E402
     Pattern,
     StructureSpec,
@@ -64,9 +60,6 @@ DEFAULT_CELLS = [
     "GPT3/MGvm",
 ]
 
-#: Engines measured per cell, in column order.
-ENGINES = ("staged", "batched", "fused")
-
 
 def _fault_heavy_spec() -> WorkloadSpec:
     """First-touch-dominated workload for the sweep measurement.
@@ -74,7 +67,7 @@ def _fault_heavy_spec() -> WorkloadSpec:
     One wave and few lines per touch keep the fault:access ratio high
     (nearly every granule page is reached through the fault path), and
     single-page groups defeat any accidental spatial batching — the
-    regime the vectorized fault path and cross-cell fusion target.
+    regime the vectorized fault path targets.
     """
     return WorkloadSpec(
         abbr="FHVY",
@@ -95,8 +88,8 @@ def _fault_heavy_spec() -> WorkloadSpec:
 
 
 def _fault_heavy_cells() -> list:
-    """Six batchable cells sharing one trace group: three fault-batching
-    policies under both interleave modes."""
+    """Six fault-batching cells on one trace: three policies that opt
+    into the vectorized fault path, under both interleave modes."""
     spec = _fault_heavy_spec()
     return [
         SweepCell(spec, policy, interleave=interleave)
@@ -119,21 +112,19 @@ def _best(measure, repeats: int) -> float:
 
 def _measure_cells(cells, repeats: int) -> dict:
     print(
-        f"{'cell':24s} {'staged':>9s} {'batched':>9s} {'fused':>9s} "
-        f"{'batched':>8s} {'fused':>8s} {'fast-path':>10s} {'flt-batch':>10s}"
+        f"{'cell':24s} {'staged':>9s} {'batched':>9s} "
+        f"{'speedup':>8s} {'fast-path':>10s} {'flt-batch':>10s}"
     )
     rows = []
     totals = {engine: 0.0 for engine in ENGINES}
     for workload, policy in cells:
-        results = {
-            engine: run_workload(workload, policy, engine=engine)
+        staged, batched = (
+            run_workload(workload, policy, engine=engine)
             for engine in ENGINES
-        }
-        staged = results["staged"]
-        for engine in ("batched", "fused"):
-            assert results[engine].to_dict() == staged.to_dict(), (
-                f"{workload}/{policy}: {engine} diverged from staged"
-            )
+        )
+        assert batched.to_dict() == staged.to_dict(), (
+            f"{workload}/{policy}: batched diverged from staged"
+        )
         times = {
             engine: _best(
                 lambda engine=engine: run_workload(
@@ -145,77 +136,63 @@ def _measure_cells(cells, repeats: int) -> dict:
         }
         for engine in ENGINES:
             totals[engine] += times[engine]
-        fused = results["fused"]
-        fbf = fused.fault_batch_fraction
+        fbf = batched.fault_batch_fraction
         row = {
             "cell": f"{workload}/{policy}",
             **{f"{engine}_ms": times[engine] * 1e3 for engine in ENGINES},
-            "batched_speedup": times["staged"] / times["batched"],
-            "fused_speedup": times["staged"] / times["fused"],
-            "fast_path_fraction": fused.fast_path_fraction,
+            "speedup": times["staged"] / times["batched"],
+            "fast_path_fraction": batched.fast_path_fraction,
             "fault_batch_fraction": fbf,
         }
         rows.append(row)
         print(
             f"{row['cell']:24s} "
             f"{row['staged_ms']:7.1f}ms {row['batched_ms']:7.1f}ms "
-            f"{row['fused_ms']:7.1f}ms "
-            f"{row['batched_speedup']:7.2f}x {row['fused_speedup']:7.2f}x "
+            f"{row['speedup']:7.2f}x "
             f"{row['fast_path_fraction']:10.3f} "
             + (f"{fbf:10.3f}" if fbf is not None else f"{'-':>10s}")
         )
     print(
         f"{'total':24s} "
         f"{totals['staged'] * 1e3:7.1f}ms {totals['batched'] * 1e3:7.1f}ms "
-        f"{totals['fused'] * 1e3:7.1f}ms "
-        f"{totals['staged'] / totals['batched']:7.2f}x "
-        f"{totals['staged'] / totals['fused']:7.2f}x"
+        f"{totals['staged'] / totals['batched']:7.2f}x"
     )
     return {
         "cells": rows,
         "totals": {
             **{f"{engine}_ms": totals[engine] * 1e3 for engine in ENGINES},
-            "batched_speedup": totals["staged"] / totals["batched"],
-            "fused_speedup": totals["staged"] / totals["fused"],
+            "speedup": totals["staged"] / totals["batched"],
         },
     }
 
 
-def _run_sweep_old() -> list:
-    """The pre-fusion baseline: serial per-cell batched replay with the
-    vectorized fault path disabled (every fault through scalar_one)."""
-    os.environ["REPRO_FAULT_BATCH"] = "0"
-    try:
-        return [
-            run_simulation(
-                cell.workload,
-                cell.policy,
-                cell.config,
-                interleave=cell.interleave,
-                seed=cell.seed,
-                engine="batched",
-            )
-            for cell in _fault_heavy_cells()
-        ]
-    finally:
-        del os.environ["REPRO_FAULT_BATCH"]
+def _run_sweep(engine: str) -> list:
+    """The fault-heavy sweep, cell by cell, under one engine."""
+    return [
+        run_simulation(
+            cell.workload,
+            cell.policy,
+            cell.config,
+            interleave=cell.interleave,
+            seed=cell.seed,
+            engine=engine,
+        )
+        for cell in _fault_heavy_cells()
+    ]
 
 
 def _measure_sweep(repeats: int) -> dict:
     cells = _fault_heavy_cells()
-    keys = {trace_group_key(cell) for cell in cells}
-    assert len(keys) == 1, "fault-heavy cells must share one trace group"
-
-    old_results = _run_sweep_old()
-    fused_results = run_group(_fault_heavy_cells())
-    reference = [r.to_dict() for r in old_results]
-    assert [r.to_dict() for r in fused_results] == reference, (
-        "fused sweep diverged from the batched baseline"
+    staged, batched = (_run_sweep(engine) for engine in ENGINES)
+    assert [r.to_dict() for r in batched] == [r.to_dict() for r in staged], (
+        "batched sweep diverged from the staged sweep"
     )
 
-    t_old = _best(_run_sweep_old, repeats)
-    t_fused = _best(lambda: run_group(_fault_heavy_cells()), repeats)
-    fractions = [r.fault_batch_fraction for r in fused_results]
+    times = {
+        engine: _best(lambda engine=engine: _run_sweep(engine), repeats)
+        for engine in ENGINES
+    }
+    fractions = [r.fault_batch_fraction for r in batched]
     sweep = {
         "workload": "FHVY",
         "cells": [
@@ -223,15 +200,15 @@ def _measure_sweep(repeats: int) -> dict:
             f"+{cell.interleave.name}"
             for cell in cells
         ],
-        "old_ms": t_old * 1e3,
-        "fused_ms": t_fused * 1e3,
-        "speedup": t_old / t_fused,
+        **{f"{engine}_ms": times[engine] * 1e3 for engine in ENGINES},
+        "speedup": times["staged"] / times["batched"],
         "fault_batch_fractions": fractions,
     }
     print()
     print(
         f"fault-heavy sweep ({len(cells)} cells): "
-        f"old {sweep['old_ms']:.0f}ms -> fused {sweep['fused_ms']:.0f}ms "
+        f"staged {sweep['staged_ms']:.0f}ms -> "
+        f"batched {sweep['batched_ms']:.0f}ms "
         f"({sweep['speedup']:.2f}x, fault-batch fractions {fractions})"
     )
     return sweep
@@ -257,7 +234,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--min-sweep-speedup", type=float, default=None, metavar="X",
-        help="exit nonzero unless the fault-heavy sweep speedup >= X",
+        help="exit nonzero unless the fault-heavy sweep's batched "
+             "speedup over staged >= X",
     )
     args = parser.parse_args(argv)
 
@@ -268,7 +246,7 @@ def main(argv=None) -> int:
             parser.error(f"cell {text!r} is not WORKLOAD/POLICY")
         cells.append((workload, policy))
 
-    payload = {"schema": "repro/bench-batch/v1", "repeats": args.repeats}
+    payload = {"schema": "repro/bench-batch/v2", "repeats": args.repeats}
     if not args.skip_cells:
         payload.update(_measure_cells(cells, args.repeats))
     payload["fault_heavy_sweep"] = _measure_sweep(args.repeats)

@@ -18,8 +18,8 @@ is the summed per-worker Pss across the fleet; the acceptance gate
 the store to cut it by at least 2x.
 
 A second section asserts the store never changes results: a quick
-``--jobs 4`` sweep runs store-off and store-on under all three engines
-(staged, batched, fused) and every cell must be bit-identical.
+``--jobs 4`` sweep runs store-off and store-on under both engines
+(staged, batched) and every cell must be bit-identical.
 
 Usage::
 
@@ -52,7 +52,7 @@ from repro.trace.workload import (  # noqa: E402
 from repro.units import MB  # noqa: E402
 
 #: Engines the bit-identity section sweeps under.
-ENGINES = ("staged", "batched", "fused")
+ENGINES = ("staged", "batched")
 
 #: Cells for the bit-identity quick sweep: two distinct fingerprints,
 #: three cells, so the sweep exercises both materialize and re-attach.

@@ -25,7 +25,6 @@ Usage::
 
     python scripts/perf_smoke.py                    # staged, <= 1.1x
     python scripts/perf_smoke.py --engine batched   # batched entry
-    python scripts/perf_smoke.py --engine fused     # fused entry
     python scripts/perf_smoke.py --tolerance 1.2
     python scripts/perf_smoke.py --record           # rewrite all entries
 
@@ -60,10 +59,8 @@ SWEEP_CELLS = [
     ("GPT3", "Ideal_C-NUMA"),
 ]
 
-#: Engines the baseline tracks.  ``fused`` degenerates to batched for
-#: single-cell runs (fusion is a sweep-level optimisation) but the
-#: entry pins its per-cell entry overhead to the same budget anyway.
-ENGINES = ("staged", "batched", "fused")
+#: Engines the baseline tracks.
+ENGINES = ("staged", "batched")
 
 #: Calibration loop size; ~0.2-0.4s of pure Python on 2020s hardware.
 CALIBRATION_OPS = 400_000

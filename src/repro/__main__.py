@@ -65,12 +65,11 @@ per-stage pipeline telemetry and writes one JSON file per simulation
 into ``--telemetry-dir`` (default ``REPRO_TELEMETRY_DIR`` or
 ``./telemetry``).
 
-``--engine staged|batched|fused|auto`` selects the replay engine
-(default: ``REPRO_ENGINE`` or auto; results are bit-identical, only
-wall time differs — see DESIGN.md section 7).  ``fused`` additionally
-replays sweep cells that share one trace as a group with shared
-trace-prep arrays (see ``repro/sim/xbatch.py``).  ``--profile`` wraps
-the selected command in ``cProfile`` and dumps a ``pstats`` file next
+``--engine staged|batched`` selects the replay engine (default:
+``REPRO_ENGINE`` or batched; results are bit-identical, only wall time
+differs — see DESIGN.md section 7); an unknown ``REPRO_ENGINE`` value
+is a usage error before anything runs.  ``--profile`` wraps the
+selected command in ``cProfile`` and dumps a ``pstats`` file next
 to the telemetry output.
 """
 
@@ -92,6 +91,7 @@ from .sim.coordinator import (
     resolve_sweep_id,
 )
 from .sim.durability import atomic_write
+from .sim.engine import ENGINES, resolve_engine
 from .sim.parallel import ResultCache, SweepCell, SweepRunner
 from .sim.runner import resolve_policy, run_workload
 from .trace.suite import SUITE, workload_by_name
@@ -290,14 +290,11 @@ def _add_coordinator_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    from .sim.engine import ENGINES
-
     parser.add_argument(
         "--engine", choices=ENGINES, default=None,
-        help="replay engine: staged, batched, fused (batched plus "
-             "cross-cell trace-group fusion in sweeps), or auto "
-             "(default: the REPRO_ENGINE env flag, or auto); results "
-             "are bit-identical",
+        help="replay engine: staged or batched (default: the "
+             "REPRO_ENGINE env flag, or batched); results are "
+             "bit-identical",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -705,11 +702,19 @@ def main(argv=None) -> int:
     # ``python -m repro --quick --jobs 4`` is shorthand for ``report``.
     if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
         argv.insert(0, "report")
-    args = build_parser().parse_args(argv)
-    # The env flag (not a per-call argument) so sweep worker processes
-    # spawned by the parallel runner inherit the choice too.
-    if getattr(args, "engine", None):
-        os.environ["REPRO_ENGINE"] = args.engine
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if hasattr(args, "engine"):
+        # Reject a bad REPRO_ENGINE once, before any cell simulates
+        # (argparse already checked ``--engine`` against ENGINES).
+        try:
+            resolve_engine(args.engine)
+        except ValueError as exc:
+            parser.error(f"{exc} (from REPRO_ENGINE)")
+        # The env flag (not a per-call argument) so sweep worker
+        # processes spawned by the parallel runner inherit the choice.
+        if args.engine:
+            os.environ["REPRO_ENGINE"] = args.engine
     handlers = {
         "list": _cmd_list,
         "run": _cmd_run,

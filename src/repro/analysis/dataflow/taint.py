@@ -123,7 +123,6 @@ SINK_CALLS: Dict[str, str] = {
     "cell_fingerprint": "a cell fingerprint payload",
     "policy_fingerprint": "a policy fingerprint payload",
     "trace_fingerprint": "a trace fingerprint payload",
-    "trace_group_key": "a trace group key",
     "derive_sweep_id": "a sweep id",
     "frame_entry": "a CRC-framed durable entry",
 }
@@ -135,7 +134,6 @@ SINK_RETURNS: Dict[Tuple[str, str], str] = {
     ("sim/parallel.py", "cell_fingerprint"): "a cell fingerprint",
     ("sim/parallel.py", "policy_fingerprint"): "a policy fingerprint",
     ("trace/store.py", "trace_fingerprint"): "a trace fingerprint",
-    ("trace/store.py", "trace_group_key"): "a trace group key",
     ("sim/coordinator.py", "derive_sweep_id"): "a sweep id",
     ("surrogate/features.py", "feature_vector"): (
         "a surrogate feature vector"

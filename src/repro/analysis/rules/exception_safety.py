@@ -29,7 +29,6 @@ from ..core import Finding, Project, register
 #: used in messages.
 SCOPE_FILES = {
     "sim/parallel.py": "the worker/retry path",
-    "sim/xbatch.py": "the fused worker path",
     "sim/coordinator.py": "the coordinator path",
     "sim/chaos.py": "the chaos harness",
     "sim/runner.py": "the sweep runner",

@@ -111,7 +111,6 @@ affected page keys.
 from __future__ import annotations
 
 import gc
-import os
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
@@ -178,19 +177,11 @@ class BatchedPipeline:
     through vectorized windows — and ``fault_batch_fraction`` — the
     fraction of page faults resolved through the vectorized fault path
     (None when the run was not eligible for it).
-
-    ``prep`` optionally shares the pure-trace-derived per-chunk arrays
-    (page keys, ``np.unique`` output, Python list materializations)
-    between runs that replay the *same* trace — the fused sweep engine
-    (:mod:`repro.sim.xbatch`) passes one dict across all cells of a
-    trace group.  Entries are keyed by ``(start, end, shift)`` and are
-    read-only in use, so sharing cannot couple cells.
     """
 
     def __init__(
         self,
         state: SimState,
-        prep: Optional[Dict[Tuple[int, int, int], tuple]] = None,
         telemetry: Optional[TelemetryCollector] = None,
     ) -> None:
         self.state = state
@@ -200,7 +191,6 @@ class BatchedPipeline:
         self.fault_stage = FaultStage(state, telemetry)
         self.fast_path_fraction: Optional[float] = None
         self.fault_batch_fraction: Optional[float] = None
-        self.prep = prep
 
     def run(self) -> SimState:  # noqa: C901 - one fused hot path
         state = self.state
@@ -504,17 +494,12 @@ class BatchedPipeline:
         # evict (host eviction reorders under hoisting) nor exhaust
         # mid-batch under bounded capacity (the enriched error must
         # carry the exact staged access index and fault count).
-        # ``REPRO_FAULT_BATCH=0`` forces the pre-vectorization scalar
-        # fault path — a debugging/benchmarking escape hatch (results
-        # are bit-identical either way; only wall time changes).
         fault_batch_eligible = (
             getattr(caps, "fault_batch_size", None) == granule
             and not coalescing
             and not pattern
             and machine.pager.eviction is None
             and machine.allocator.free_capacity(0) is None
-            and os.environ.get("REPRO_FAULT_BATCH", "1").lower()
-            not in ("0", "false")
         )
         #: Flips to False when a batch aborts (the hook's promise was
         #: observed broken); the exact scalar path takes over.
@@ -762,31 +747,14 @@ class BatchedPipeline:
             nonlocal acc_epoch_accesses, fast_accesses
 
             m = end - start
-            # Pure-trace-derived chunk arrays: shareable across cells
-            # replaying the same trace at the same granule (the fused
-            # sweep engine passes ``prep``); everything below is only
-            # ever read, never mutated.
-            prep = self.prep
-            prep_key = (start, end, shift)
-            cached = prep.get(prep_key) if prep is not None else None
-            if cached is None:
-                va_chunk = va_np[start:end]
-                ch_chunk = ch_np[start:end]
-                keys = va_chunk >> shift
-                uniq, inv = np.unique(keys, return_inverse=True)
-                va_list = va_chunk.tolist()
-                ch_list = ch_chunk.tolist()
-                inv_list = inv.tolist()
-                uniq_list = uniq.tolist()
-                key_to_j = {k: j for j, k in enumerate(uniq_list)}
-                if prep is not None:
-                    prep[prep_key] = (
-                        va_chunk, ch_chunk, uniq, inv,
-                        va_list, ch_list, inv_list, uniq_list, key_to_j,
-                    )
-            else:
-                (va_chunk, ch_chunk, uniq, inv,
-                 va_list, ch_list, inv_list, uniq_list, key_to_j) = cached
+            va_chunk = va_np[start:end]
+            ch_chunk = ch_np[start:end]
+            uniq, inv = np.unique(va_chunk >> shift, return_inverse=True)
+            va_list = va_chunk.tolist()
+            ch_list = ch_chunk.tolist()
+            inv_list = inv.tolist()
+            uniq_list = uniq.tolist()
+            key_to_j = {k: j for j, k in enumerate(uniq_list)}
             n_uniq = len(uniq_list)
 
             recs: List[object] = [None] * n_uniq

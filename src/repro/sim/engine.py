@@ -3,8 +3,10 @@
 ``run_simulation`` wires one run together: it validates the policy
 against the formal contract (:mod:`repro.policies.contract`), builds the
 :class:`~repro.sim.machine.Machine` and binds the workload, replays the
-trace through the staged :class:`~repro.sim.pipeline.AccessPipeline`
-(fault → translation → data → accounting, per Figure 3), and folds the
+trace through one of two bit-identical engines — the staged
+:class:`~repro.sim.pipeline.AccessPipeline` (fault → translation →
+data → accounting, per Figure 3) or the vectorized
+:class:`~repro.sim.batch.BatchedPipeline` (the default) — and folds the
 accumulated :class:`~repro.sim.pipeline.SimState` into a
 :class:`~repro.sim.results.SimResult` under the analytic timing model.
 
@@ -35,25 +37,22 @@ from .telemetry import (
 from .timing import TimingParams, total_cycles
 
 #: Valid values for the ``engine`` argument / ``REPRO_ENGINE`` variable.
-ENGINES = ("staged", "batched", "fused", "auto")
+ENGINES = ("staged", "batched")
 
 
 def resolve_engine(engine: Optional[str]) -> str:
-    """Normalize an engine request: argument > ``REPRO_ENGINE`` > auto.
+    """Normalize an engine request: argument > ``REPRO_ENGINE`` > batched.
 
-    All engines produce bit-identical results (asserted by the golden
-    and differential-fuzz suites), so the choice only affects wall time;
-    ``auto`` picks the batched engine whenever the run is eligible.
-    ``fused`` behaves like ``batched`` for a single run and additionally
-    lets the sweep runner replay cells sharing one trace through a fused
-    pass (:mod:`repro.sim.xbatch`).
+    Both engines produce bit-identical results (asserted by the golden
+    and differential-fuzz suites), so the choice only affects wall time.
     """
     if engine is None:
-        engine = os.environ.get("REPRO_ENGINE") or "auto"
+        engine = os.environ.get("REPRO_ENGINE") or "batched"
     engine = engine.strip().lower()
     if engine not in ENGINES:
         raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
+            f"unknown engine {engine!r}; expected one of: "
+            f"{', '.join(ENGINES)}"
         )
     return engine
 
@@ -74,7 +73,6 @@ def run_simulation(
     instrumentation: Optional[Instrumentation] = None,
     telemetry: Optional[bool] = None,
     engine: Optional[str] = None,
-    shared_prep: Optional[dict] = None,
 ) -> SimResult:
     """Run ``policy`` on ``workload`` and return the measured result.
 
@@ -94,19 +92,13 @@ def run_simulation(
     or which engine runs.
 
     ``engine`` selects the replay machinery: ``"staged"`` (the
-    per-access pipeline), ``"batched"`` (vectorized steady-state
-    windows, see :mod:`repro.sim.batch`), ``"fused"`` (batched here,
-    plus cross-cell trace-group fusion in the sweep runner — see
-    :mod:`repro.sim.xbatch`) or ``"auto"``/None (batched when eligible;
-    ``REPRO_ENGINE`` overrides the default).  All produce bit-identical
+    per-access pipeline) or ``"batched"`` (vectorized steady-state
+    windows, see :mod:`repro.sim.batch`); None defers to
+    ``REPRO_ENGINE``, else batched.  Both produce bit-identical
     results.  Multi-page-TLB runs, and runs with a custom
     ``instrumentation`` (anything but the built-in
     :class:`~repro.sim.telemetry.TelemetryCollector`, which the batched
     engine fills from aggregate counts), always use the staged pipeline.
-
-    ``shared_prep`` (fused sweeps) shares the batched engine's
-    pure-trace-derived per-chunk arrays across runs replaying the same
-    trace; it never affects results.
     """
     if timing is None:
         timing = TimingParams()
@@ -150,8 +142,8 @@ def run_simulation(
     eligible = (
         hook is None or type(hook) is TelemetryCollector
     ) and not multi_page_tlb
-    if choice != "staged" and eligible:
-        pipeline = BatchedPipeline(state, prep=shared_prep, telemetry=hook)
+    if choice == "batched" and eligible:
+        pipeline = BatchedPipeline(state, telemetry=hook)
     else:
         pipeline = AccessPipeline(state, hook)
     pipeline.run()

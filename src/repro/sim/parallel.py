@@ -902,7 +902,6 @@ class SweepRunner:
             self.last_sweep_id = coordinator.sweep_id
             return
         self._prepare_traces(cells, pending)
-        pending = self._run_fused_groups(cells, keys, pending, results)
         pool_indices: List[int] = []
         serial_indices: List[int] = []
         if self.jobs > 1 and len(pending) > 1:
@@ -953,64 +952,6 @@ class SweepRunner:
         self.stats.traces_materialized += (
             store.materialized - materialized_before
         )
-
-    # --- fused trace-group scheduling ---
-
-    def _run_fused_groups(
-        self,
-        cells: List[SweepCell],
-        keys: List[str],
-        pending: List[int],
-        results: List[Optional[SimResult]],
-    ) -> List[int]:
-        """Under ``--engine fused``, replay same-trace cells as groups.
-
-        Pending cells are bucketed by :func:`~repro.sim.xbatch.
-        trace_group_key`; groups of two or more run through
-        :func:`~repro.sim.xbatch.run_group`, which builds the trace once
-        and shares the batched engine's trace-derived prep arrays across
-        the group while every cell keeps its own machine and counters.
-        Completed cells flush to the cache immediately (``_complete``,
-        same as every other path).  Returns the indices still pending:
-        singleton groups, telemetry cells, and any cell whose fused
-        attempt raised — those go through the normal pool/serial
-        machinery, keeping its timeout/retry/failure semantics.
-
-        Chaos schedules disable fusion entirely: directives are injected
-        per cell attempt by the normal paths, and a fused group would
-        bypass them.
-        """
-        from .engine import resolve_engine
-
-        try:
-            fused = resolve_engine(None) == "fused"
-        except ValueError:
-            fused = False
-        if not fused or self.telemetry or self.chaos is not None:
-            return pending
-        from .xbatch import run_group, trace_group_key
-
-        groups: Dict[str, List[int]] = {}
-        rest: List[int] = []
-        for i in pending:
-            if cells[i].telemetry:
-                rest.append(i)
-                continue
-            groups.setdefault(trace_group_key(cells[i]), []).append(i)
-        for group in groups.values():
-            if len(group) < 2:
-                rest.extend(group)
-                continue
-            outcomes = run_group(
-                [cells[i] for i in group], trace_store=self.trace_store
-            )
-            for i, outcome in zip(group, outcomes):
-                if isinstance(outcome, SimResult):
-                    self._complete(i, keys[i], outcome, results, cells[i])
-                else:
-                    rest.append(i)
-        rest.sort()
-        return rest
 
     # --- pool scheduling ---
 

@@ -74,8 +74,8 @@ def run_workload(
     per call inside the engine (never a shared module-level instance).
     ``telemetry`` forces per-stage telemetry on/off; ``None`` defers to
     the ``REPRO_TELEMETRY`` environment flag.  ``engine`` selects
-    staged/batched/auto replay (``None`` defers to ``REPRO_ENGINE``);
-    results are bit-identical either way.  ``trace`` supplies a
+    staged or batched replay (``None`` defers to ``REPRO_ENGINE``, else
+    batched); results are bit-identical either way.  ``trace`` supplies a
     pre-built (e.g. store-attached) trace instead of regenerating one —
     it must match ``(workload, config.num_chiplets, seed)``, which the
     determinism invariant makes exact.

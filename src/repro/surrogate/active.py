@@ -24,8 +24,8 @@ spends exact simulations only where the answer is actually at stake:
    :class:`~repro.surrogate.results.PredictedResult`.
 
 Exact cells run through the caller-supplied ``exact_fn`` — in practice
-:class:`~repro.sim.parallel.SweepRunner`'s ordinary pool/fused/
-coordinator machinery — so every exactly simulated cell is bit-identical
+:class:`~repro.sim.parallel.SweepRunner`'s ordinary pool/coordinator
+machinery — so every exactly simulated cell is bit-identical
 to the same cell in a plain sweep, cached under the same fingerprint.
 """
 

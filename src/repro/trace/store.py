@@ -2,8 +2,7 @@
 
 Sweeps replay far fewer *distinct* traces than cells — a trace is a
 deterministic function of ``(workload spec, num_chiplets, seed)`` and of
-nothing else (the same invariant :func:`repro.sim.xbatch.
-trace_group_key` fuses on).  Without sharing, every worker process
+nothing else.  Without sharing, every worker process
 regenerates (or privately loads) its cell's trace, so sweep memory
 scales as trace-bytes × ``--jobs``.
 
@@ -60,10 +59,9 @@ def trace_fingerprint(
 ) -> str:
     """Content hash of everything that determines a trace's bytes.
 
-    Deliberately the same payload as :func:`repro.sim.xbatch.
-    trace_group_key` (which delegates here): two sweep cells with equal
-    fingerprints replay byte-identical traces, so the fingerprint is
-    both the fused-replay grouping key and the store filename.
+    Two sweep cells with equal fingerprints replay byte-identical
+    traces (policy, interleave, remote cache and timing only affect the
+    replay), so the fingerprint is the store filename.
     """
     from ..sim.parallel import _jsonable  # lazy: avoids import cycle
 

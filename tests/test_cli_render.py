@@ -93,3 +93,24 @@ class TestCli:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("engine", ["fused", "auto"])
+    def test_unknown_engine_env_is_a_usage_error(
+        self, monkeypatch, capsys, engine
+    ):
+        """A bad ``REPRO_ENGINE`` fails once, before any cell runs;
+        commands without ``--engine`` ignore it."""
+        import repro.__main__ as cli
+
+        simulated = []
+        monkeypatch.setattr(
+            cli, "run_workload", lambda *a, **k: simulated.append(a)
+        )
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "STE", "--policy", "CLAP"])
+        assert excinfo.value.code == 2
+        assert "staged, batched" in capsys.readouterr().err
+        assert simulated == []
+        assert main(["list"]) == 0
+        assert "STE" in capsys.readouterr().out

@@ -174,7 +174,7 @@ def test_fingerprint_is_engine_independent(monkeypatch):
     result computed under either engine stands in for the other."""
     spec = small_spec()
     keys = set()
-    for engine in ("staged", "batched", "auto"):
+    for engine in ("staged", "batched"):
         monkeypatch.setenv("REPRO_ENGINE", engine)
         keys.add(cell_fingerprint(SweepCell(spec, StaticPaging(PAGE_64K))))
     monkeypatch.delenv("REPRO_ENGINE")

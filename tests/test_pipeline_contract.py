@@ -11,13 +11,13 @@ Two guarantees of the AccessPipeline refactor:
   :class:`~repro.errors.PolicyContractError` naming every violation,
   instead of an ``AttributeError`` deep inside the per-access loop.
 
-Two further engine gates live here: a twelve-cell *fused-replay golden
-fixture* — one trace group swept through the real ``SweepRunner`` under
-every engine, per-cell results and fingerprints identical — and the
-vectorized fault path's abort regression, which forces a mid-batch
-contract violation and requires bit-identity plus consistent
-``faults_dropped`` / ``fast_path_fraction`` / ``fault_batch_fraction``
-accounting anyway.  With telemetry on, the staged and batched engines
+Two further engine gates live here: a twelve-cell *same-trace sweep
+fixture* — cells replaying one trace, swept through the real
+``SweepRunner`` under both engines, per-cell results and fingerprints
+identical — and the vectorized fault path's abort regression, which
+forces a mid-batch contract violation and requires bit-identity plus
+consistent ``faults_dropped`` / ``fast_path_fraction`` /
+``fault_batch_fraction`` accounting anyway.  With telemetry on, the staged and batched engines
 must also record the same snapshot on the golden cells and across the
 abort.
 """
@@ -281,17 +281,15 @@ def test_final_partial_epoch_is_flushed():
     assert policy.epochs == list(range(expected))
 
 
-# --- multi-cell fused replay (cross-cell trace-group fusion) ---
+# --- multi-cell same-trace sweep ---
 #
 # Twelve sweep cells all replaying the quick STE trace under seed 7 —
-# every policy family plus the remote-cache and naive-interleave paths —
-# form exactly one trace group.  The sweep is run once per engine
-# through the real ``SweepRunner`` (serial, cache off), so the fused run
-# exercises the runner's trace-group detection and
-# ``BatchedSweepPipeline`` end to end; per-cell results and cell
-# fingerprints must be identical across engines.
+# every policy family plus the remote-cache and naive-interleave paths.
+# The sweep is run once per engine through the real ``SweepRunner``
+# (serial, cache off); per-cell results and cell fingerprints must be
+# identical across engines.
 
-FUSED_GROUP_CELLS = [
+SAME_TRACE_CELLS = [
     ("S-4KB", {}),
     ("S-64KB", {}),
     ("S-2MB", {}),
@@ -307,12 +305,12 @@ FUSED_GROUP_CELLS = [
 ]
 
 
-def _fused_group_cells():
+def _same_trace_cells():
     from repro.sim.parallel import SweepCell
 
     return [
         SweepCell("STE", policy, seed=7, **kwargs)
-        for policy, kwargs in FUSED_GROUP_CELLS
+        for policy, kwargs in SAME_TRACE_CELLS
     ]
 
 
@@ -323,7 +321,7 @@ def _sweep_under_engine(engine):
     try:
         mp.setenv("REPRO_ENGINE", engine)
         mp.delenv("REPRO_TELEMETRY", raising=False)
-        cells = _fused_group_cells()
+        cells = _same_trace_cells()
         fingerprints = [cell_fingerprint(cell) for cell in cells]
         runner = SweepRunner(jobs=1, use_cache=False)
         results = runner.run_cells(cells)
@@ -339,40 +337,30 @@ def _sweep_under_engine(engine):
 
 
 @pytest.fixture(scope="module")
-def fused_group_sweeps():
+def same_trace_sweeps():
     return {
         engine: _sweep_under_engine(engine)
-        for engine in ("staged", "batched", "fused")
+        for engine in ("staged", "batched")
     }
 
 
-def test_fused_group_cells_share_one_trace_group():
-    from repro.sim.xbatch import trace_group_key
-
-    keys = {trace_group_key(cell) for cell in _fused_group_cells()}
-    assert len(keys) == 1
-
-
-@pytest.mark.parametrize("engine", ["staged", "batched", "fused"])
-def test_fused_group_sweep_simulates_every_cell(fused_group_sweeps, engine):
-    """No cell is skipped, deduplicated away, or silently dropped by
-    the fused grouping — all twelve simulate under every engine."""
-    assert fused_group_sweeps[engine]["simulated"] == len(FUSED_GROUP_CELLS)
-    assert len(fused_group_sweeps[engine]["dicts"]) == len(FUSED_GROUP_CELLS)
+@pytest.mark.parametrize("engine", ["staged", "batched"])
+def test_same_trace_sweep_simulates_every_cell(same_trace_sweeps, engine):
+    """No cell is skipped, deduplicated away, or silently dropped —
+    all twelve simulate under both engines."""
+    assert same_trace_sweeps[engine]["simulated"] == len(SAME_TRACE_CELLS)
+    assert len(same_trace_sweeps[engine]["dicts"]) == len(SAME_TRACE_CELLS)
 
 
-@pytest.mark.parametrize("engine", ["batched", "fused"])
-def test_fused_group_sweep_bit_identical_to_staged(
-    fused_group_sweeps, engine
-):
-    staged = fused_group_sweeps["staged"]
-    other = fused_group_sweeps[engine]
-    assert other["fingerprints"] == staged["fingerprints"]
-    assert other["faults_dropped"] == staged["faults_dropped"]
-    for index, (policy, kwargs) in enumerate(FUSED_GROUP_CELLS):
-        assert other["dicts"][index] == staged["dicts"][index], (
+def test_same_trace_sweep_bit_identical_to_staged(same_trace_sweeps):
+    staged = same_trace_sweeps["staged"]
+    batched = same_trace_sweeps["batched"]
+    assert batched["fingerprints"] == staged["fingerprints"]
+    assert batched["faults_dropped"] == staged["faults_dropped"]
+    for index, (policy, kwargs) in enumerate(SAME_TRACE_CELLS):
+        assert batched["dicts"][index] == staged["dicts"][index], (
             f"cell {index} ({policy}, {kwargs}) diverged between the "
-            f"{engine} sweep and the staged sweep"
+            f"batched sweep and the staged sweep"
         )
 
 

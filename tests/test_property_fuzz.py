@@ -7,9 +7,9 @@ This is the class of test that catches frame double-allocation and
 region bookkeeping bugs that example-based tests miss.
 
 The second half is the *engine differential suite*: 135 generated cells
-replayed through all three engines (staged / batched / fused), stratified
-across the regimes where the vectorized fault path and cross-cell fusion
-could drift — fault-heavy first-touch traces, oversubscription eviction,
+replayed through both engines (staged / batched), stratified across the
+regimes where the vectorized windows and fault path could drift —
+fault-heavy first-touch traces, oversubscription eviction,
 migrating policies, multi-structure interleave, and capacity-exhaustion-
 adjacent occupancy.  Every case asserts full ``SimResult`` bit-identity.
 A telemetry differential follows: 22 cells recorded by the staged and
@@ -145,10 +145,10 @@ def test_clap_on_random_workloads(spec, seed):
     assert result.page_faults > 0
 
 
-# --- engine differential equivalence (staged vs batched vs fused) -----
+# --- engine differential equivalence (staged vs batched) --------------
 #
-# Every differential property below replays the same cell through all
-# three engines with a *fresh* policy instance per run and asserts full
+# Every differential property below replays the same cell through both
+# engines with a *fresh* policy instance per run and asserts full
 # ``SimResult`` bit-identity: dataclass equality, the serialized cache
 # payload (``to_dict``), and — explicitly, because the fault-buffer
 # overflow path is the easiest counter to desynchronize — equal
@@ -158,7 +158,7 @@ def test_clap_on_random_workloads(spec, seed):
 # eviction, migrating policies, multi-structure interleave, and
 # capacity-exhaustion-adjacent occupancy.
 
-ENGINE_TRIPLET = ("staged", "batched", "fused")
+ENGINE_PAIR = ("staged", "batched")
 
 _any_policy = st.sampled_from(
     [
@@ -181,18 +181,15 @@ _migrating_policy = st.sampled_from(
 
 
 def _assert_engines_identical(run_one):
-    """Run ``run_one(engine)`` for all engines; assert bit-identity.
+    """Run ``run_one(engine)`` for both engines; assert bit-identity.
 
     Returns the staged result so callers can pin extra regime
     assertions (e.g. the case actually faulted).
     """
-    results = {engine: run_one(engine) for engine in ENGINE_TRIPLET}
-    staged = results["staged"]
-    for engine in ("batched", "fused"):
-        other = results[engine]
-        assert other == staged, f"{engine} drifted from staged"
-        assert other.to_dict() == staged.to_dict()
-        assert other.faults_dropped == staged.faults_dropped
+    staged, batched = (run_one(engine) for engine in ENGINE_PAIR)
+    assert batched == staged, "batched drifted from staged"
+    assert batched.to_dict() == staged.to_dict()
+    assert batched.faults_dropped == staged.faults_dropped
     return staged
 
 
@@ -257,8 +254,8 @@ def _interleaved_spec(draw):
 @given(spec=_random_spec(), seed=st.integers(0, 50), policy=_any_policy)
 @settings(max_examples=40, deadline=None)
 def test_engines_bit_identical_on_random_workloads(spec, seed, policy):
-    """For any workload shape, seed and policy family, the batched and
-    fused engines must produce the *same* ``SimResult`` as the staged
+    """For any workload shape, seed and policy family, the batched
+    engine must produce the *same* ``SimResult`` as the staged
     pipeline — every counter, cycle total, selection and energy figure,
     as serialized by ``to_dict`` (the result-cache payload, which is
     also why the cache key may ignore the engine)."""
@@ -344,7 +341,7 @@ def test_engines_bit_identical_on_multi_structure_interleave(
 ):
     """Three interleaved structures under both physical-address
     interleaving modes: chunk windows mixing allocations must classify
-    identically in all engines."""
+    identically in both engines."""
     from repro.sim.runner import resolve_policy
 
     def run_one(engine):
@@ -371,7 +368,7 @@ def test_engines_agree_at_capacity_exhaustion_boundary(
 ):
     """Occupancy adjacent to capacity exhaustion, *without* host
     eviction: whether a cell completes or dies must be engine-invariant,
-    and when it dies every engine must report the identical enriched
+    and when it dies both engines must report the identical enriched
     exhaustion context (same trace position, same fault count)."""
     from repro.errors import MemoryExhaustedError
     from repro.sim.runner import resolve_policy
@@ -389,19 +386,16 @@ def test_engines_agree_at_capacity_exhaustion_boundary(
         except MemoryExhaustedError as exc:
             return ("exhausted", dict(exc.context))
 
-    outcomes = {engine: run_one(engine) for engine in ENGINE_TRIPLET}
-    staged_kind, staged_value = outcomes["staged"]
-    for engine in ("batched", "fused"):
-        kind, value = outcomes[engine]
-        assert kind == staged_kind, (
-            f"{engine} {kind} but staged {staged_kind}"
-        )
-        if kind == "completed":
-            assert value == staged_value
-            assert value.to_dict() == staged_value.to_dict()
-            assert value.faults_dropped == staged_value.faults_dropped
-        else:
-            assert value == staged_value
+    (staged_kind, staged_value), (kind, value) = (
+        run_one(engine) for engine in ENGINE_PAIR
+    )
+    assert kind == staged_kind, f"batched {kind} but staged {staged_kind}"
+    if kind == "completed":
+        assert value == staged_value
+        assert value.to_dict() == staged_value.to_dict()
+        assert value.faults_dropped == staged_value.faults_dropped
+    else:
+        assert value == staged_value
 
 
 # --- telemetry differential: staged and batched snapshots agree -------

@@ -159,7 +159,7 @@ class TestSimResultSerialization:
         absent: they describe how the run was computed (staged vs
         batched replay, generated vs store-attached trace), not what it
         computed, so they stay out of the cached payload — cached,
-        staged, batched and fused results of one cell must remain equal.
+        staged and batched results of one cell must remain equal.
         """
         from dataclasses import fields
 

@@ -5,10 +5,8 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.config import baseline_config
 from repro.sim.coordinator import CoordinatorConfig
 from repro.sim.parallel import SweepCell, SweepRunner
-from repro.sim.xbatch import trace_group_key
 from repro.trace.store import (
     TraceStore,
     resolve_trace_store,
@@ -38,14 +36,6 @@ class TestFingerprint:
         assert trace_fingerprint(spec, 4, 8) != base
         other = make_spec(partitioned(size=8 * MB))
         assert trace_fingerprint(other, 4, 7) != base
-
-    def test_matches_fused_group_key(self, spec):
-        """The store filename IS the fused-replay grouping key."""
-        cell = SweepCell(spec, "CLAP", seed=7)
-        config = baseline_config()
-        assert trace_group_key(cell) == trace_fingerprint(
-            spec, config.num_chiplets, cell.seed
-        )
 
 
 class TestResolve:
@@ -190,7 +180,7 @@ class TestSweepIntegration:
             SweepCell("STE", "CLAP", seed=3),
         ]
 
-    @pytest.mark.parametrize("engine", ["staged", "batched", "fused"])
+    @pytest.mark.parametrize("engine", ["staged", "batched"])
     def test_store_on_matches_store_off(
         self, spec, tmp_path, monkeypatch, engine
     ):
