@@ -4,8 +4,8 @@
 Prints a per-cell table of staged/batched wall time (best of
 ``--repeats``), the batched speedup over staged, and the batched
 engine's ``fast_path_fraction`` / ``fault_batch_fraction`` (share of
-the trace replayed through vectorized steady-state windows, and share
-of page faults resolved by the vectorized fault path).  Both engines
+accesses that needed no fault lookup, and share of page faults
+resolved by the bulk fault path).  Both engines
 are bit-identical in results — asserted here on every measured cell —
 so the table is purely a wall time comparison.
 

@@ -2,24 +2,23 @@
 at lint time, not in the fuzz suite.
 
 DESIGN.md section 7 argues the batched engine is *bit-identical* to the
-staged pipeline because its inlined fallback sequences mirror the
-staged stages statement for statement.  That argument decays the first
-time someone edits one copy — ``sim/batch.py`` holds three inlined
-copies of the data path (``scalar_one``, ``small_window``,
-``vec_window``) against one staged original
-(``DataStage.process``) — and until now only the 30-case differential
-fuzz property stood between a one-sided edit and silently divergent
-results.
+staged pipeline because its inlined data paths mirror the staged
+stages statement for statement.  That argument decays the first time
+someone edits one copy — ``sim/batch.py`` holds two inlined copies of
+the data path (``small_window``, ``vec_window``) against one staged
+original (``DataStage.process``) — and without this rule only the
+differential fuzz property would stand between a one-sided edit and
+silently divergent results.
 
 This rule extracts a *normalized memory-path sequence* from each copy
 and diffs them:
 
 * every identifier the functions touch is classified into a channel
   (L1, REMOTE_CACHE, RING, L2, DRAM) via an explicit token table;
-* per function, tokens are ordered by source position, collapsed, and
-  reduced to first-occurrence order — the order in which the copy
-  consults the memory hierarchy;
-* all four copies must report the identical channel order (canonically
+* per function, tokens are ordered by source position and reduced to
+  first-occurrence order — the order in which the copy consults the
+  memory hierarchy;
+* all three copies must report the identical channel order (canonically
   L1 → REMOTE_CACHE → L2 → RING → DRAM: the remote-cache *hit* pays L2
   latency before any ring traversal is costed) — or, for a batched
   copy that *tallies* each access by (home, requester) pair instead of
@@ -29,28 +28,21 @@ and diffs them:
 Three auxiliary parity checks ride along: the ring transfer payload
 constant must agree between the staged literal and ``_TRANSFER_BYTES``;
 ``policy.on_epoch`` may only fire through the shared ``close_epoch``
-(both engines must share one epoch semantics); and the batched
-translation copies must route through ``translate_head`` or replicate
-its exact TLB sequence.
+(both engines must share one epoch semantics); and both batched copies
+must route translation through the one ``translate_head``.
 
-A fourth check covers the vectorized fault path: when ``batch_faults``
-exists it must route every fault through the staged ``FaultStage``
-binding (``fault``) — never call ``place`` / ``map_single`` /
-``map_page`` / ``map_into_region`` / ``ensure_region`` directly, and
-never touch a data-path channel.  The bit-identity argument for fault
-batching rests entirely on *orchestrating* the staged fault sequence,
-not reimplementing it; a direct placement call or an inlined cost model
-in that function is exactly the drift this rule exists to catch.
-
-One deliberate exception: the **bulk fault path** may inline the PTE
-install (a ``MappingRecord`` construction) — but only inside an ``if``
-fenced by ``bulk_proven``, and only when ``bulk_proven`` is derived
-from membership of the policy's unbound ``place`` in the audited
-``AUDITED_PLACE`` table (on top of ``fault_batch_eligible``).  The
-fence is what turns "reimplementation" back into a sound
-transformation: the inlined statements are provably the body ``place``
-would have executed.  An unfenced ``MappingRecord`` install, or a
-``bulk_proven`` that no longer references the audit table, is drift.
+A fourth check covers the bulk fault path.  ``batch_faults`` inlines
+the audited ``map_single`` sequence (frame pop, PTE install) with its
+own counter updates, so it must never call ``place`` / ``map_single`` /
+``map_page`` / ``map_into_region`` / ``ensure_region`` itself, and
+never touch a data-path channel.  The inlining is only sound for
+policies whose ``place`` is provably that sequence, so every
+``batch_faults(...)`` call must sit under an ``if`` whose test is
+``bulk_proven`` or an ``and`` chain with it as a direct operand, and
+``bulk_proven`` must be derived from membership of the policy's
+unbound ``place`` in the ``AUDITED_PLACE`` table (on top of
+``fault_batch_eligible``).  An unfenced call, or a ``bulk_proven``
+that no longer references the audit table, is drift.
 """
 
 from __future__ import annotations
@@ -147,29 +139,8 @@ DATA_CHANNELS: Dict[str, str] = {
 #: counts at run end, so it must use the shared payload constant.
 RING_FLUSH_FUNC = "flush_tallies"
 
-#: Identifier -> translation-path channel, for comparing the batched
-#: translation copies against ``translate_head``.
-TRANSLATION_CHANNELS: Dict[str, str] = {
-    "unit_for": "UNIT",
-    "unit_tuple": "UNIT",
-    "units": "UNIT",
-    "tlb_pairs": "TLB_PAIR",
-    "_tlbs": "TLB_PAIR",
-    "l1t": "L1_TLB",
-    "l2t": "L2_TLB",
-    "l2_tlb_latency": "L2_TLB",
-    "walk_inline": "WALK",
-    "walk_latency": "WALK",
-    "walker": "WALK",
-    "walkers": "WALK",
-    "walk": "WALK",
-    "window_mask": "MASK",
-    "valid_mask_for": "MASK",
-    "TLBEntry": "TLB_INSERT",
-}
-
 #: The batched data-path copies that must agree with the staged stage.
-BATCH_DATA_FUNCS = ("scalar_one", "small_window", "vec_window")
+BATCH_DATA_FUNCS = ("small_window", "vec_window")
 
 
 def _finding(
@@ -247,14 +218,6 @@ def _first_occurrence(stream: Sequence[str]) -> Tuple[str, ...]:
     return tuple(seen)
 
 
-def _collapse(stream: Sequence[str]) -> Tuple[str, ...]:
-    out: List[str] = []
-    for channel in stream:
-        if not out or out[-1] != channel:
-            out.append(channel)
-    return tuple(out)
-
-
 def _data_sequence(func: ast.FunctionDef) -> Tuple[str, ...]:
     return _first_occurrence(_tokens_in_order(_body_nodes(func),
                                               DATA_CHANNELS))
@@ -321,9 +284,10 @@ def _calls_function(func: ast.FunctionDef, callee: str) -> bool:
     )
 
 
-#: Placement primitives the vectorized fault path must never call
-#: directly: faults are *orchestrated* through the staged FaultStage
-#: binding, which owns the placement call and its error enrichment.
+#: Placement primitives the bulk fault path must never call: it inlines
+#: the audited ``map_single`` sequence and updates the page-table and
+#: fault counters itself, which a real placement call would bypass or
+#: double-count.
 FAULT_PLACEMENT_CALLS = (
     "place",
     "map_single",
@@ -333,8 +297,21 @@ FAULT_PLACEMENT_CALLS = (
 )
 
 
+def _test_requires(test: ast.expr, guard: str) -> bool:
+    """True when ``test`` can only be truthy if the name ``guard`` is:
+    the bare name, or an ``and`` chain with it as a direct operand.
+    Merely reading it (``not guard``, ``guard or x``) proves nothing."""
+    if isinstance(test, ast.Name):
+        return test.id == guard
+    if not (isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And)):
+        return False
+    return any(
+        isinstance(v, ast.Name) and v.id == guard for v in test.values
+    )
+
+
 def _guarded_node_ids(root: ast.AST, guard: str) -> set:
-    """ids of nodes under an ``if`` whose test reads ``guard``.
+    """ids of nodes under an ``if`` whose test requires ``guard``.
 
     Only ``if`` *bodies* count — the ``else`` branch of a guarded test
     is by construction the unguarded path.
@@ -343,11 +320,7 @@ def _guarded_node_ids(root: ast.AST, guard: str) -> set:
 
     def visit(node: ast.AST, active: bool) -> None:
         if isinstance(node, ast.If):
-            test_names = {
-                n.id for n in ast.walk(node.test)
-                if isinstance(n, ast.Name)
-            }
-            body_active = active or guard in test_names
+            body_active = active or _test_requires(node.test, guard)
             for child in node.body:
                 visit(child, body_active)
             for child in node.orelse:
@@ -383,26 +356,16 @@ def _bulk_proof_intact(source: Union[SourceFile, ast.AST]) -> bool:
 
 
 def _check_fault_batching(batch: SourceFile) -> Iterator[Finding]:
-    """``batch_faults`` (when present) must route through the staged
-    fault sequence: it may reorder and group faults, but each one must
-    resolve via the bound ``FaultStage.process`` (``fault``), with no
-    direct placement calls and no data-path channel touches — fault
-    batching is orchestration, not a fifth inlined copy.  The single
-    sanctioned exception is the bulk path's inlined PTE install
-    (``MappingRecord``), which must sit behind the ``bulk_proven``
-    fence, itself derived from the ``AUDITED_PLACE`` proof."""
+    """``batch_faults`` (when present) is the bulk fault path: it may
+    inline the audited placement sequence, but never call a placement
+    primitive or touch a data-path channel, and it may only run behind
+    the ``bulk_proven`` fence — every call sits under an ``if`` that
+    requires ``bulk_proven``, itself derived from the ``AUDITED_PLACE``
+    proof."""
     func = _find_function(batch, "batch_faults")
     if func is None:
         # Pre-fault-batching tree (or fixture): nothing to check.
         return
-    if not _calls_function(func, "fault"):
-        yield _finding(
-            batch,
-            func,
-            "batch_faults() does not route faults through the staged "
-            "FaultStage binding (fault); the vectorized fault path "
-            "must orchestrate the staged sequence, not replace it",
-        )
     for node in ast.walk(func):
         if isinstance(node, ast.Call):
             callee = (call_name(node) or "").split(".")[-1]
@@ -410,10 +373,10 @@ def _check_fault_batching(batch: SourceFile) -> Iterator[Finding]:
                 yield _finding(
                     batch,
                     node,
-                    f"batch_faults() calls {callee}() directly; "
-                    "placement belongs to the staged FaultStage "
-                    "(error enrichment, fault accounting, repair "
-                    "draining) and must not be inlined here",
+                    f"batch_faults() calls {callee}() directly; the "
+                    "bulk fault path inlines the audited map_single "
+                    "sequence with its own counter updates, which a "
+                    "placement call would bypass or double-count",
                 )
     touched = _tokens_in_order(_body_nodes(func), DATA_CHANNELS)
     if touched:
@@ -423,35 +386,32 @@ def _check_fault_batching(batch: SourceFile) -> Iterator[Finding]:
             "batch_faults() touches data-path channels "
             f"({' -> '.join(_first_occurrence(touched))}); the fault "
             "path resolves mappings only — replay cost accounting "
-            "stays in the window/scalar copies",
+            "stays in the window copies",
         )
-    installs = [
-        node
-        for node in ast.walk(func)
-        if isinstance(node, ast.Call)
-        and (call_name(node) or "").split(".")[-1] == "MappingRecord"
-    ]
-    if installs:
-        guarded = _guarded_node_ids(func, "bulk_proven")
-        for node in installs:
-            if id(node) not in guarded:
-                yield _finding(
-                    batch,
-                    node,
-                    "batch_faults() installs a PTE (MappingRecord) "
-                    "outside the bulk_proven fence; the inlined bulk "
-                    "fault path is only sound for policies whose "
-                    "place() passed the AUDITED_PLACE identity proof",
-                )
-        if not _bulk_proof_intact(batch):
+    guarded = _guarded_node_ids(batch.tree, "bulk_proven")
+    for node in batch.nodes():
+        if (
+            isinstance(node, ast.Call)
+            and (call_name(node) or "").split(".")[-1] == "batch_faults"
+            and id(node) not in guarded
+        ):
             yield _finding(
                 batch,
-                func,
-                "batch_faults() has a bulk PTE-install path but "
-                "bulk_proven is not derived from fault_batch_eligible "
-                "and the AUDITED_PLACE table; the fence no longer "
-                "proves the inlined placement matches the policy",
+                node,
+                "batch_faults() is called outside the bulk_proven "
+                "fence; the inlined bulk fault path is only sound for "
+                "policies whose place() passed the AUDITED_PLACE "
+                "identity proof",
             )
+    if not _bulk_proof_intact(batch):
+        yield _finding(
+            batch,
+            func,
+            "batch_faults() inlines placement but bulk_proven is not "
+            "derived from fault_batch_eligible and the AUDITED_PLACE "
+            "table; the fence no longer proves the inlined placement "
+            "matches the policy",
+        )
 
 
 def _check_epoch_routing(src: SourceFile) -> Iterator[Finding]:
@@ -486,7 +446,7 @@ def _check_epoch_routing(src: SourceFile) -> Iterator[Finding]:
 
 @register("RPR004", "engine-parity")
 def check_engine_parity(project: Project) -> Iterator[Finding]:
-    """The staged ``DataStage`` and the three inlined batched copies
+    """The staged ``DataStage`` and the two inlined batched copies
     must consult the memory hierarchy in the same normalized order,
     agree on the ring payload constant, route epochs through
     ``close_epoch``, and share one translation head (DESIGN.md §7)."""
@@ -521,7 +481,7 @@ def check_engine_parity(project: Project) -> Iterator[Finding]:
                 batch,
                 batch.tree,
                 f"batched data-path copy {name}() not found; the "
-                "DESIGN.md §7 parity argument names three inlined "
+                "DESIGN.md §7 parity argument names two inlined "
                 "copies",
             )
             continue
@@ -581,46 +541,18 @@ def check_engine_parity(project: Project) -> Iterator[Finding]:
         )
 
     # --- translation head sharing ---
-    translate_head = _find_function(batch, "translate_head")
-    if translate_head is not None:
-        head_seq = _collapse(
-            _tokens_in_order(
-                _body_nodes(translate_head), TRANSLATION_CHANNELS
+    for name in BATCH_DATA_FUNCS:
+        func = _find_function(batch, name)
+        if func is not None and not _calls_function(func, "translate_head"):
+            yield _finding(
+                batch,
+                func,
+                f"{name}() does not route translation through "
+                "translate_head(); a second inlined translation copy "
+                "breaks the parity argument",
             )
-        )
-        for name in ("small_window", "vec_window"):
-            func = _find_function(batch, name)
-            if func is not None and not _calls_function(
-                func, "translate_head"
-            ):
-                yield _finding(
-                    batch,
-                    func,
-                    f"{name}() does not route translation through "
-                    "translate_head(); a fourth inlined translation "
-                    "copy breaks the parity argument",
-                )
-        scalar = _find_function(batch, "scalar_one")
-        if scalar is not None and not _calls_function(
-            scalar, "translate_head"
-        ):
-            # scalar_one inlines the head (fault path); its translation
-            # prefix must replay the head's exact channel sequence.
-            full = _tokens_in_order(
-                _body_nodes(scalar), TRANSLATION_CHANNELS
-            )
-            scalar_seq = _collapse(full)[: len(head_seq)]
-            if scalar_seq != head_seq:
-                yield _finding(
-                    batch,
-                    scalar,
-                    "scalar_one()'s inlined translation sequence "
-                    f"({' -> '.join(scalar_seq)}) does not match "
-                    f"translate_head ({' -> '.join(head_seq)}); the "
-                    "fault-path copy has drifted",
-                )
 
-    # --- vectorized fault-path routing ---
+    # --- bulk fault path ---
     yield from _check_fault_batching(batch)
 
     # --- epoch routing, in both engine files ---

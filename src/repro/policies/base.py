@@ -118,9 +118,15 @@ class PlacementPolicy(abc.ABC):
         written, so the batched engine may resolve a run of first-touch
         faults ahead of the steady-state replay (first-touch owner per
         page unchanged, frame-allocation order unchanged) without any
-        observable difference.  Stateful placement (CLAP's selections,
-        Barre's chords, C-NUMA's adaptive block size) must keep the
-        default None and take the exact scalar fault path.
+        observable difference.  The hook is necessary but not
+        sufficient: the engine batches only when the unbound ``place``
+        is also one of the audited implementations in
+        ``repro.sim.batch.AUDITED_PLACE``, so a subclass that overrides
+        ``place`` faults one access at a time whatever this returns (and
+        should re-declare this hook, so the promise is about its body).
+        Stateful placement (CLAP's selections, Barre's chords, C-NUMA's
+        adaptive block size) must keep the default None and take the
+        exact scalar fault path.
         """
         return None
 

@@ -61,17 +61,20 @@ REQUIRED_HOOKS: Tuple[str, ...] = (
     "native_sizes",
 )
 
-#: Hooks a policy *may* expose.  ``fault_batch_size`` is the vectorized
-#: fault path's opt-in: a policy returning a page size ``s`` asserts
-#: that, for this run, ``place(vaddr, requester, allocation)`` is
-#: exactly ``pager.map_single(vaddr, s, requester, allocation.alloc_id,
+#: Hooks a policy *may* expose.  ``fault_batch_size`` is the bulk fault
+#: path's opt-in: a policy returning a page size ``s`` asserts that,
+#: for this run, ``place(vaddr, requester, allocation)`` is exactly
+#: ``pager.map_single(vaddr, s, requester, allocation.alloc_id,
 #: pool_for(allocation))`` — no policy state read or written — so the
 #: batched engine may hoist a run of first-touch faults ahead of the
-#: steady-state replay without changing any observable result.  Policies
-#: whose placement is stateful (CLAP, Barre, C-NUMA) return None and
-#: keep the exact scalar fault path.  Deliberately NOT part of
-#: :data:`CAPABILITY_FLAGS`: it is a pure engine-speed hint and must not
-#: perturb ``policy_fingerprint`` (result-cache keys).
+#: steady-state replay without changing any observable result.  The
+#: hook is necessary but not sufficient: batching also needs the
+#: policy's unbound ``place`` to be an audited implementation listed in
+#: ``repro.sim.batch.AUDITED_PLACE``.  Policies whose placement is
+#: stateful (CLAP, Barre, C-NUMA) return None and keep the exact scalar
+#: fault path.  Deliberately NOT part of :data:`CAPABILITY_FLAGS`: it is
+#: a pure engine-speed hint and must not perturb ``policy_fingerprint``
+#: (result-cache keys).
 OPTIONAL_HOOKS: Tuple[str, ...] = ("fault_batch_size",)
 
 
@@ -117,7 +120,7 @@ class PolicyCapabilities:
 
     ``fault_batch_size`` snapshots the optional hook of the same name
     (see :data:`OPTIONAL_HOOKS`): None means the policy did not opt into
-    the vectorized fault path.
+    the bulk fault path.
     """
 
     name: str

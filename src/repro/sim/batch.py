@@ -14,32 +14,35 @@ tightly fused Python loop over precomputed lists:
   and vectorized physical address / home-chiplet / set-index / DRAM-row
   derivation for every window access from the per-unique arrays;
 * **translation** — per-requester run-length compression over
-  translation units: the *head* of each run performs the exact
-  single-size-class translation sequence (TLB lookups and inserts,
-  page walks through the walk caches, Remote Tracker updates) inlined
-  from ``TranslationPath.access``/``PageWalker.walk``, and the tail is
-  bulk-accounted as guaranteed L1 TLB hits (the head leaves the entry
-  present, valid-bit set and MRU, and no other access of that
-  requester intervenes within the run);
+  translation units: the *head* of each run calls ``translate_head``,
+  the one inline of the single-size-class ``TranslationPath.access``
+  and ``PageWalker.walk`` (TLB probes, page walks through the walk
+  caches, Remote Tracker updates, fills through
+  ``SetAssociativeTLB.insert``), and the tail is bulk-accounted as
+  guaranteed L1 TLB hits (the head leaves the entry present, valid-bit
+  set and MRU, and no other access of that requester intervenes within
+  the run);
 * **data path** — a fused loop in global access order over pre-derived
   lists (L1 -> remote cache -> ring -> home L2 -> DRAM), mutating the
-  live LRU structures directly and flushing window-local counters into
-  the machine at window end;
+  live LRU structures directly;
 * **accounting** — ``np.bincount`` reductions for per-structure and
   per-page statistics, preserving first-touch insertion order of the
   page-stats dict (policies may iterate it).
 
-Anything that is not steady state is replayed exactly, one access at a
-time: faults resolve through the staged ``FaultStage.process`` (which
-also enriches exhaustion errors), the faulting access's translation,
-data and accounting then run through the same inlined sequences the
-windows use (identical operation order, no staged-closure dispatch),
-and epoch/kernel callbacks fire at chunk boundaries only (chunks are
+Windows shorter than ``MIN_VEC`` replay through ``small_window``, the
+same steps as plain Python loops.  Anything that is not steady state
+is replayed exactly, one access at a time, as the one-access window
+``small_window(rel, rel + 1)``: an access whose page key is unresolved
+goes through the staged ``FaultStage.process`` (which faults the page
+in through the policy and enriches exhaustion errors, or returns the
+live mapping of a page mapped below the granule), then through the
+same translation, data and accounting code as every short window.
+Epoch/kernel callbacks fire at chunk boundaries only (chunks are
 clipped so boundaries never fall inside a window).  Multi-page-TLB
 runs, and runs with a custom per-access ``Instrumentation``, use the
 staged pipeline entirely (see :mod:`repro.sim.engine`).
 
-**Tallies, not costs**: every copy of the data path counts *how* each
+**Tallies, not costs**: both copies of the data path count *how* each
 access was served — L1, remote cache, home L2, DRAM row hit or row
 miss — per ``(home, requester)`` chiplet pair instead of costing it on
 the spot.  ``flush_tallies`` turns the counts into data cycles, cache
@@ -53,49 +56,29 @@ with no per-access callbacks: faults report through the shared
 ``FaultStage`` (and, on the bulk path, one ``on_fault`` per fault),
 epochs through the shared ``close_epoch``.
 
-**The vectorized fault path** (``batch_faults``): when the policy opts
-in via ``fault_batch_size()`` (a contract promise that ``place`` is a
-stateless single-page ``map_single`` at exactly the replay granule) and
-the run has neither bounded capacity nor host eviction, a chunk's
-first-touch faults are resolved as a batch.  One ``np.unique`` over the
-not-yet-replayed tail of the chunk finds each unmapped page's *first*
-access — which is precisely the PMM first-touch owner sample — and the
-batch then drives the unmodified staged ``FaultStage.process`` once per
-page, in trace order of those first touches.  Because qualifying
-placement reads no policy state, touches no translation/data/cache
-state, and allocates frames in the same order the scalar path would,
-hoisting the faults ahead of the intervening steady-state accesses is
-unobservable; the fault buffers, fault counters and exhaustion
-enrichment all run through the very same staged code.  Each fault's
-events are drained and its key re-resolved as it fires, and the scan
-continues with the whole tail window-eligible.  If a batched fault
-resolves to something other than a granule-size mapping (a policy
-whose hook lied), the batch *aborts at that fault*: the path is
-disabled for the rest of the run and every position simply replays
-through the exact scalar fallback.  Nothing has been replayed twice,
-the faults fired so far match the staged order exactly (each resolved
-a full granule, so no other fault could have interleaved), and
-``faults_dropped`` / ``fast_path_fraction`` accounting stays
-consistent because replay accounting only ever happens in the windows
-and ``scalar_one``.
-
-**The bulk fault path**: routing every batched fault through
-``FaultStage.process`` pays the policy dispatch, two page-table
-lookups and a per-fault event drain purely to *verify* a promise.
-When the promise is a static fact — the policy's unbound ``place`` is
-literally one of the audited in-tree implementations listed in
+**The bulk fault path** (``batch_faults``): first-touch faults are
+resolved a chunk at a time when the run is ``bulk_proven``.  That takes
+three things.  The policy opts in via ``fault_batch_size()`` (a
+contract promise that ``place`` is a stateless single-page
+``map_single`` at exactly the replay granule).  Its unbound ``place``
+is literally one of the audited in-tree implementations listed in
 :data:`AUDITED_PLACE`, whose bodies are by inspection exactly
 ``pager.map_single(vaddr, granule, requester, alloc_id,
-pool_for(allocation))`` — no runtime verification is needed, and the
-batch instead inlines that sequence directly: log the fault buffer,
-pop a frame from the allocator free list, insert the PTE, drain the
-buffer.  Statement for statement the same machine mutations in the
-same order (allocation order included), minus the dispatch and the
-checks whose outcomes are already known.  Any subclass override of
-``place`` — however innocent-looking — fails the identity check and
-keeps the ``fault()``-per-fault path above, so a policy that lies
-about its contract still replays bit-identically through the abort
-protocol.
+pool_for(allocation))``.  And the run has no bounded capacity, no host
+eviction and no coalescing units.  One ``np.unique`` over the
+not-yet-replayed tail of the chunk then finds each unmapped page's
+*first* access — precisely the PMM first-touch owner sample — and the
+batch inlines the audited sequence per page, in trace order of those
+first touches: log the fault buffer, pop a frame from the allocator
+free list, insert the PTE, drain the buffer.  Statement for statement
+these are the machine mutations ``place`` would have made, in the same
+order (allocation order included), minus the policy dispatch and the
+checks whose outcomes are already known.  Because that placement reads
+no policy state and touches no translation/data/cache state, hoisting
+the faults ahead of the intervening steady-state accesses is
+unobservable.  Any other policy — a subclass override of ``place``
+included, however innocent-looking — faults one access at a time
+through the staged fault stage.
 
 **Why results stay bit-identical** (DESIGN.md section 7): within a
 window no page-table mutation can occur, so resolving records up front
@@ -124,7 +107,6 @@ from ..gmmu.walker import (
     PtePlacement,
 )
 from ..mem.dram import ROW_SIZE
-from ..tlb.tlb import TLBEntry
 from ..tlb.units import COALESCE_WINDOW_PAGES
 from ..units import PAGE_2M, PAGE_64K
 from ..vm.page_table import MappingRecord
@@ -148,13 +130,13 @@ _TRANSFER_BYTES = 160
 #: body is — by direct inspection — exactly the sequence the
 #: ``fault_batch_size`` contract promises: ``pager.map_single(vaddr,
 #: granule, requester, allocation.alloc_id, pool_for(allocation))`` with
-#: no other effect.  Only these may take ``batch_faults``'s bulk path,
-#: which inlines that sequence (frame allocation + page-table insert)
-#: without calling the policy at all.  A subclass override never matches
-#: (its ``__qualname__`` names the subclass), so contract-violating
-#: policies keep the per-fault verified path and its abort protocol.
-#: Adding an entry here asserts you have audited the method body against
-#: the contract comment in :mod:`repro.policies.contract`.
+#: no other effect.  Only these may take ``batch_faults``, which inlines
+#: that sequence (frame allocation + page-table insert) without calling
+#: the policy at all.  A subclass override never matches (its
+#: ``__qualname__`` names the subclass), so it faults through the staged
+#: fault stage one access at a time.  Adding an entry here asserts you
+#: have audited the method body against the contract comment in
+#: :mod:`repro.policies.contract`.
 AUDITED_PLACE = frozenset(
     {
         ("repro.policies.static_paging", "StaticPaging.place"),
@@ -166,17 +148,18 @@ AUDITED_PLACE = frozenset(
 
 
 class BatchedPipeline:
-    """Replays a trace through vectorized windows with staged fallback.
+    """Replays a trace through vectorized windows with exact
+    per-access fallback.
 
     Drop-in alternative to :class:`~repro.sim.pipeline.AccessPipeline`:
     same constructor state, same ``run()`` contract, bit-identical
     :class:`SimState` at the end and, given a ``telemetry`` collector,
     the same snapshot (filled from run-level counts, not per-access
-    hooks).  Additionally
-    exposes ``fast_path_fraction`` — the fraction of accesses replayed
-    through vectorized windows — and ``fault_batch_fraction`` — the
-    fraction of page faults resolved through the vectorized fault path
-    (None when the run was not eligible for it).
+    hooks).  Additionally exposes ``fast_path_fraction`` — the share of
+    accesses that needed no fault lookup (replayed in vectorized or
+    short windows over already-resolved pages) — and
+    ``fault_batch_fraction`` — the share of page faults resolved by the
+    bulk fault path (None when the run was not ``bulk_proven``).
     """
 
     def __init__(
@@ -476,6 +459,69 @@ class BatchedPipeline:
             walk_tally[cycles] = walk_tally.get(cycles, 0) + 1
             return cycles
 
+        def translate_head(
+            c: int,
+            unit: tuple,
+            rec,
+            va: int,
+            # Default-bound hot bindings (local loads instead of
+            # closure-cell dereferences).
+            paths=paths,
+            tlb_pairs=tlb_pairs,
+            window_mask=window_mask,
+            walk_inline=walk_inline,
+            l2_tlb_latency=l2_tlb_latency,
+        ) -> int:
+            """Translate ``va`` (translation unit ``unit`` of mapping
+            ``rec``) for chiplet ``c``; returns the latency.
+
+            An exact inline of the single-size-class
+            :meth:`TranslationPath.access` path (batched runs never use
+            multi-page TLBs): every hit/miss counter, LRU update, fill
+            and walk happens in the same order, but without per-call
+            lambda/result-object allocation.  The walk may be given any
+            vaddr of ``rec``'s page: no page exceeds the 2MB leaf span,
+            the finest span the walker reads, so they all walk alike.
+            """
+            kind, tag, coverage, size_class, pb = unit
+            path = paths[c]
+            pair = tlb_pairs.get((c, size_class))
+            if pair is None:
+                pair = path._tlbs(size_class)
+                tlb_pairs[(c, size_class)] = pair
+            l1t, l2t = pair
+            es = l1t._sets[(tag // l1t.index_granule) % l1t.num_sets]
+            e = es.get(tag)
+            if e is not None and e.valid_mask >> pb & 1:
+                es.move_to_end(tag)
+                l1t.hits += 1
+                path.l1_hits += 1
+                return 0
+            l1t.misses += 1
+            es2 = l2t._sets[(tag // l2t.index_granule) % l2t.num_sets]
+            e2 = es2.get(tag)
+            l2_hit = e2 is not None and e2.valid_mask >> pb & 1
+            if l2_hit:
+                es2.move_to_end(tag)
+                l2t.hits += 1
+                path.l2_hits += 1
+                latency = l2_tlb_latency
+            else:
+                l2t.misses += 1
+                latency = l2_tlb_latency + walk_inline(
+                    c, va, rec.alloc_id, rec.chiplet
+                )
+                path.walks += 1
+            mask = (
+                window_mask(kind, tag, coverage, size_class, pb, rec)
+                if kind
+                else 1
+            )
+            if not l2_hit:
+                l2t.insert(tag, coverage, mask)
+            l1t.insert(tag, coverage, mask)
+            return latency
+
         per_structure = state.per_structure
         alloc_ids_present = list(per_structure)
         n_alloc = max(alloc_ids_present, default=0) + 1
@@ -486,14 +532,14 @@ class BatchedPipeline:
 
         fault = self.fault_stage.process
 
-        # --- vectorized fault path eligibility ---
-        # The batch may only hoist faults when placement is provably a
-        # stateless granule-size map_single (the policy's contract
-        # promise), translation units never read the page table between
-        # faults (no coalescing windows), and allocation can neither
-        # evict (host eviction reorders under hoisting) nor exhaust
-        # mid-batch under bounded capacity (the enriched error must
-        # carry the exact staged access index and fault count).
+        # --- bulk fault path proof ---
+        # ``batch_faults`` may only hoist faults when placement is
+        # provably a stateless granule-size map_single (the policy's
+        # contract promise), translation units never read the page
+        # table between faults (no coalescing windows), and allocation
+        # can neither evict (host eviction reorders under hoisting) nor
+        # exhaust mid-batch under bounded capacity (the enriched error
+        # must carry the exact staged access index and fault count).
         fault_batch_eligible = (
             getattr(caps, "fault_batch_size", None) == granule
             and not coalescing
@@ -501,20 +547,12 @@ class BatchedPipeline:
             and machine.pager.eviction is None
             and machine.allocator.free_capacity(0) is None
         )
-        #: Flips to False when a batch aborts (the hook's promise was
-        #: observed broken); the exact scalar path takes over.
-        fault_batch_enabled = fault_batch_eligible
-        batched_faults = 0
-
-        # --- bulk fault path proof ---
-        # The bulk branch of ``batch_faults`` may only run when the
-        # policy's ``place`` is *literally* one of the audited in-tree
-        # implementations: equivalence to the contract's map_single
-        # sequence is then a static fact, not a runtime observation, so
-        # the policy call, the double page-table lookup and the
-        # per-fault verification all fold away.  Anything else —
-        # subclass overrides included — keeps the fault()-per-fault
-        # path, whose post-fault check catches even contract lies.
+        # On top of that, the policy's ``place`` must *literally* be one
+        # of the audited in-tree implementations: equivalence to the
+        # contract's map_single sequence is then a static fact, so the
+        # batch inlines that sequence instead of calling the policy.
+        # Anything else — subclass overrides included — faults through
+        # the staged fault stage, one access at a time.
         place_fn = type(state.policy).place
         bulk_proven = (
             fault_batch_eligible
@@ -544,202 +582,6 @@ class BatchedPipeline:
         acc_epoch_remote = 0
         acc_epoch_accesses = 0
         fast_accesses = 0
-
-        def scalar_one(
-            i: int,
-            # Default-bound bindings: local loads in the body instead of
-            # closure-cell dereferences (this runs once per page fault).
-            chiplets=chiplets,
-            vaddrs=vaddrs,
-            paths=paths,
-            tlb_pairs=tlb_pairs,
-            l1_sets=l1_sets,
-            l1_ns=l1_ns,
-            l1_ways=l1_ways,
-            l2_sets=l2_sets,
-            l2_ns=l2_ns,
-            l2_ways=l2_ways,
-            l2_tlb_latency=l2_tlb_latency,
-            use_rc=use_rc,
-            remote_caches=remote_caches,
-            rc_sets=rc_sets,
-            rc_ns=rc_ns,
-            rc_ways=rc_ways,
-            rc_insert_all=rc_insert_all,
-            open_row=open_row,
-            open_row_get=open_row_get,
-            ch_accesses=ch_accesses,
-            t_l1=t_l1,
-            t_rc=t_rc,
-            t_l2=t_l2,
-            t_rh=t_rh,
-            t_rm=t_rm,
-            per_structure=per_structure,
-            naive=naive,
-            nc=nc,
-            line_size=line_size,
-            cpc=cpc,
-            wants_stats=wants_stats,
-        ) -> None:
-            """One access through the exact staged fault stage, with
-            translation / data / accounting inlined.
-
-            ``FaultStage.process`` runs unmodified (fault buffering,
-            policy placement, error enrichment); the rest mirrors
-            ``TranslationStage.process`` / ``DataStage.process``
-            statement for statement — including passing the *raw* vaddr
-            to the page walker, which the staged stage does too — except
-            that the data path tallies the access's outcome instead of
-            costing it (``flush_tallies``).  Fault-path accesses thus
-            stay bit-identical without paying the staged closures'
-            dispatch and allocation overhead.
-            """
-            nonlocal vec_translation
-            nonlocal acc_remote_placement, acc_epoch_remote
-            nonlocal acc_epoch_accesses
-            c = int(chiplets[i])
-            va = int(vaddrs[i])
-            rec = fault(i, c, va)
-
-            # -- translation (TranslationStage.process, inlined) --
-            kind, tag, coverage, size_class, pb = unit_tuple(va, rec)
-            path = paths[c]
-            pair = tlb_pairs.get((c, size_class))
-            if pair is None:
-                pair = path._tlbs(size_class)
-                tlb_pairs[(c, size_class)] = pair
-            l1t, l2t = pair
-            es = l1t._sets[(tag // l1t.index_granule) % l1t.num_sets]
-            e = es.get(tag)
-            if e is not None and e.valid_mask >> pb & 1:
-                es.move_to_end(tag)
-                l1t.hits += 1
-                path.l1_hits += 1
-            else:
-                l1t.misses += 1
-                es2 = l2t._sets[
-                    (tag // l2t.index_granule) % l2t.num_sets
-                ]
-                e2 = es2.get(tag)
-                if e2 is not None and e2.valid_mask >> pb & 1:
-                    es2.move_to_end(tag)
-                    l2t.hits += 1
-                    path.l2_hits += 1
-                    mask = (
-                        window_mask(kind, tag, coverage, size_class, pb, rec)
-                        if kind
-                        else 1
-                    )
-                    if e is not None:
-                        if e.coverage != coverage:
-                            es[tag] = TLBEntry(tag, coverage, mask)
-                        else:
-                            e.valid_mask |= mask
-                            l1t.coalesced_merges += 1
-                        es.move_to_end(tag)
-                    else:
-                        if len(es) >= l1t.ways:
-                            es.popitem(last=False)
-                        es[tag] = TLBEntry(tag, coverage, mask)
-                    vec_translation += l2_tlb_latency
-                else:
-                    l2t.misses += 1
-                    walk_latency = walk_inline(
-                        c, va, rec.alloc_id, rec.chiplet
-                    )
-                    path.walks += 1
-                    mask = (
-                        window_mask(kind, tag, coverage, size_class, pb, rec)
-                        if kind
-                        else 1
-                    )
-                    if e2 is not None:
-                        if e2.coverage != coverage:
-                            es2[tag] = TLBEntry(tag, coverage, mask)
-                        else:
-                            e2.valid_mask |= mask
-                            l2t.coalesced_merges += 1
-                        es2.move_to_end(tag)
-                    else:
-                        if len(es2) >= l2t.ways:
-                            es2.popitem(last=False)
-                        es2[tag] = TLBEntry(tag, coverage, mask)
-                    if e is not None:
-                        if e.coverage != coverage:
-                            es[tag] = TLBEntry(tag, coverage, mask)
-                        else:
-                            e.valid_mask |= mask
-                            l1t.coalesced_merges += 1
-                        es.move_to_end(tag)
-                    else:
-                        if len(es) >= l1t.ways:
-                            es.popitem(last=False)
-                        es[tag] = TLBEntry(tag, coverage, mask)
-                    vec_translation += l2_tlb_latency + walk_latency
-
-            # -- data path (DataStage.process, inlined; tallied) --
-            pd = rec.paddr + (va - rec.va_base)
-            if naive:
-                hm = (pd // FINE_INTERLEAVE) % nc
-            else:
-                hm = rec.chiplet
-            rm = hm != c
-            pr = hm * nc + c
-            ln = pd // line_size
-            h = ((ln * 0x9E3779B1) & 0xFFFFFFFF) >> 16
-            entries = l1_sets[c][h % l1_ns]
-            if ln in entries:
-                entries.move_to_end(ln)
-                t_l1[pr] += 1
-            else:
-                if len(entries) >= l1_ways:
-                    entries.popitem(last=False)
-                entries[ln] = True
-                served_remote = False
-                if rm and use_rc:
-                    entries = rc_sets[c][h % rc_ns]
-                    if ln in entries:
-                        entries.move_to_end(ln)
-                        t_rc[pr] += 1
-                        served_remote = True
-                    elif rc_insert_all or remote_caches[c].should_insert(pd):
-                        if len(entries) >= rc_ways:
-                            entries.popitem(last=False)
-                        entries[ln] = True
-                if not served_remote:
-                    entries = l2_sets[hm][h % l2_ns]
-                    if ln in entries:
-                        entries.move_to_end(ln)
-                        t_l2[pr] += 1
-                    else:
-                        if len(entries) >= l2_ways:
-                            entries.popitem(last=False)
-                        entries[ln] = True
-                        cn = hm * cpc + (pd // FINE_INTERLEAVE) % cpc
-                        rw = pd // ROW_SIZE
-                        ch_accesses[cn] += 1
-                        if open_row_get(cn) == rw:
-                            t_rh[pr] += 1
-                        else:
-                            open_row[cn] = rw
-                            t_rm[pr] += 1
-
-            # -- accounting (AccountingStage.process, inlined) --
-            stats = per_structure[rec.alloc_id]
-            stats[0] += 1
-            if rm:
-                acc_remote_placement += 1
-                stats[1] += 1
-                acc_epoch_remote += 1
-            acc_epoch_accesses += 1
-            if wants_stats:
-                page_base = va & ~(PAGE_64K - 1)
-                page_stats = state.page_stats
-                counts = page_stats.get(page_base)
-                if counts is None:
-                    counts = [0] * nc
-                    page_stats[page_base] = counts
-                counts[c] += 1
 
         def run_chunk(start: int, end: int) -> None:  # noqa: C901
             nonlocal vec_translation
@@ -780,8 +622,9 @@ class BatchedPipeline:
                 vec_arrays = None
                 if rec is None or rec.page_size < granule:
                     # Unmapped (or mapped at sub-granule size, where one
-                    # key no longer identifies one record): the staged
-                    # fallback resolves these accesses exactly.
+                    # key no longer identifies one record): a one-access
+                    # ``small_window`` resolves each such access through
+                    # the staged fault stage.
                     recs[j] = None
                     units[j] = None
                     ok[j] = False
@@ -826,105 +669,6 @@ class BatchedPipeline:
                                 went_stale = True
                 last_gen = page_table.generation
                 return went_stale
-
-            def translate_head(
-                c: int,
-                j: int,
-                # Default-bound hot bindings, as in ``vec_window``.
-                units=units,
-                recs=recs,
-                uniq_list=uniq_list,
-                paths=paths,
-                tlb_pairs=tlb_pairs,
-                window_mask=window_mask,
-                walk_inline=walk_inline,
-                l2_tlb_latency=l2_tlb_latency,
-                shift=shift,
-                TLBEntry=TLBEntry,
-            ) -> int:
-                """One head translation of unique page ``j`` by chiplet
-                ``c``; returns the latency.
-
-                An exact inline of the single-size-class
-                :meth:`TranslationPath.access` path (batched runs never
-                use multi-page TLBs): every hit/miss counter, LRU
-                update, insert and walk happens in the same order, but
-                without per-call lambda/result-object allocation.
-                """
-                kind, tag, coverage, size_class, pb = units[j]
-                path = paths[c]
-                pair = tlb_pairs.get((c, size_class))
-                if pair is None:
-                    pair = path._tlbs(size_class)
-                    tlb_pairs[(c, size_class)] = pair
-                l1t, l2t = pair
-                es = l1t._sets[(tag // l1t.index_granule) % l1t.num_sets]
-                e = es.get(tag)
-                if e is not None and e.valid_mask >> pb & 1:
-                    es.move_to_end(tag)
-                    l1t.hits += 1
-                    path.l1_hits += 1
-                    return 0
-                l1t.misses += 1
-                rec = recs[j]
-                es2 = l2t._sets[
-                    (tag // l2t.index_granule) % l2t.num_sets
-                ]
-                e2 = es2.get(tag)
-                if e2 is not None and e2.valid_mask >> pb & 1:
-                    es2.move_to_end(tag)
-                    l2t.hits += 1
-                    path.l2_hits += 1
-                    mask = (
-                        window_mask(kind, tag, coverage, size_class, pb, rec)
-                        if kind
-                        else 1
-                    )
-                    if e is not None:
-                        if e.coverage != coverage:
-                            es[tag] = TLBEntry(tag, coverage, mask)
-                        else:
-                            e.valid_mask |= mask
-                            l1t.coalesced_merges += 1
-                        es.move_to_end(tag)
-                    else:
-                        if len(es) >= l1t.ways:
-                            es.popitem(last=False)
-                        es[tag] = TLBEntry(tag, coverage, mask)
-                    return l2_tlb_latency
-                l2t.misses += 1
-                walk_latency = walk_inline(
-                    c, uniq_list[j] << shift, rec.alloc_id, rec.chiplet
-                )
-                path.walks += 1
-                mask = (
-                    window_mask(kind, tag, coverage, size_class, pb, rec)
-                    if kind
-                    else 1
-                )
-                if e2 is not None:
-                    if e2.coverage != coverage:
-                        es2[tag] = TLBEntry(tag, coverage, mask)
-                    else:
-                        e2.valid_mask |= mask
-                        l2t.coalesced_merges += 1
-                    es2.move_to_end(tag)
-                else:
-                    if len(es2) >= l2t.ways:
-                        es2.popitem(last=False)
-                    es2[tag] = TLBEntry(tag, coverage, mask)
-                if e is not None:
-                    if e.coverage != coverage:
-                        es[tag] = TLBEntry(tag, coverage, mask)
-                    else:
-                        e.valid_mask |= mask
-                        l1t.coalesced_merges += 1
-                    es.move_to_end(tag)
-                else:
-                    if len(es) >= l1t.ways:
-                        es.popitem(last=False)
-                    es[tag] = TLBEntry(tag, coverage, mask)
-                return l2_tlb_latency + walk_latency
 
             def vec_window(
                 a: int,
@@ -996,7 +740,9 @@ class BatchedPipeline:
                     ).tolist()
                     path = paths[c]
                     for j, rl in zip(useq[head_pos].tolist(), run_lens):
-                        tcyc += translate_head(c, j)
+                        tcyc += translate_head(
+                            c, units[j], recs[j], uniq_list[j] << shift
+                        )
                         if rl > 1:
                             # The head left the L1 TLB entry present,
                             # valid-bit set and MRU; the tail is pure L1
@@ -1135,8 +881,10 @@ class BatchedPipeline:
                 line_size=line_size,
                 cpc=cpc,
                 wants_stats=wants_stats,
+                fault=fault,
+                translate_head=translate_head,
             ) -> None:
-                """Fused scalar replay of resolved accesses [a, b).
+                """Fused scalar replay of accesses [a, b).
 
                 Exactly the semantics of ``vec_window`` — run-compressed
                 translation, inlined data path, per-access accounting —
@@ -1144,6 +892,14 @@ class BatchedPipeline:
                 first-touch wave of a workload faults every handful of
                 accesses) skip both the staged closures' dispatch cost
                 and the fixed NumPy setup of a vectorized window.
+
+                An access whose key is unresolved — unmapped, or mapped
+                below the granule — first goes through the staged
+                ``fault`` binding (``FaultStage.process``), which faults
+                the page in or returns its live mapping, and translates
+                the exact unit of that mapping.  Such an access may
+                mutate the page table, so the scan only ever hands it
+                over as a one-access window.
                 """
                 nonlocal vec_translation
                 nonlocal acc_remote_placement, acc_epoch_remote
@@ -1160,7 +916,10 @@ class BatchedPipeline:
                     va = va_list[p]
                     j = inv_list[p]
                     rec = recs[j]
-                    if last_j[c] == j:
+                    if rec is None:
+                        rec = fault(start + p, c, va)
+                        tcyc += translate_head(c, unit_tuple(va, rec), rec, va)
+                    elif last_j[c] == j:
                         # Same unit as this requester's previous access
                         # in the window: a guaranteed zero-latency L1
                         # TLB hit (see vec_window's tail argument; the
@@ -1169,7 +928,7 @@ class BatchedPipeline:
                         tlb_pairs[(c, units[j][3])][0].hits += 1
                         path.l1_hits += 1
                     else:
-                        tcyc += translate_head(c, j)
+                        tcyc += translate_head(c, units[j], rec, va)
                         last_j[c] = j
                     pd = rec.paddr + (va - rec.va_base)
                     if naive:
@@ -1240,131 +999,80 @@ class BatchedPipeline:
                         counts[c] += 1
                 vec_translation += tcyc
 
-            def batch_faults(rel: int) -> int:
-                """Batch-resolve every first-touch fault in ``[rel, m)``.
+            def batch_faults(rel: int) -> None:
+                """Resolve every first-touch fault in ``[rel, m)`` in bulk.
 
                 One ``np.unique`` over the remaining positions yields,
                 per still-unmapped page, the index of its *first* access
-                — the PMM first-touch owner sample, vectorized.  Every
-                fault then routes through the unmodified staged
-                ``fault`` binding (``FaultStage.process``) in trace
-                order of those first touches: buffer logging, policy
-                placement, frame allocation order, fault counters and
-                exhaustion enrichment are exactly the scalar path's.
-                Returns the number of faults fired (0 = nothing to do).
-
-                The batch aborts at the *first* fault that breaks the
-                ``fault_batch_size`` promise (a stale key, or a mapping
-                smaller than the granule): the path is disabled for the
-                rest of the run and the caller falls back to exact
-                scalar replay.  Aborting per-fault — not after the whole
-                batch — is what keeps even a contract-violating run
-                bit-identical to staged: every fault fired so far
-                resolved a full granule, so between consecutive batched
-                first touches the staged engine would have faulted
-                nothing else, and the machine state at the abort point
-                is exactly the staged state at that fault.  The faults
-                already fired are *not* replayed (a repeat ``fault``
-                call is a pure lookup), so every access and every fault
-                is still processed exactly once.
-
-                When the run is ``bulk_proven`` (``place`` is an audited
-                implementation — see :data:`AUDITED_PLACE`), the batch
-                instead inlines the promised map_single sequence per
-                fault — buffer log, frame pop, PTE insert, buffer drain
-                — in the same order with the same counters, and no
-                verification or abort is needed: equivalence is static.
+                — the PMM first-touch owner sample, vectorized.  Each
+                fault then runs the audited placement sequence inline
+                (see :data:`AUDITED_PLACE`), in trace order of those
+                first touches: exactly ``FaultStage.process`` minus what
+                the proof makes redundant — the miss lookup (keys are
+                known unmapped), the policy dispatch (its body is the
+                inlined statements below), the post-place lookup and
+                granule check (we installed the PTE), and the per-fault
+                event drain (the resolved state is written directly).
+                Counter updates — buffer ``faults_logged``,
+                ``mapped_pages``, ``generation``, fault totals — are
+                identical.  Only sound when the run is ``bulk_proven``.
                 """
-                nonlocal fault_batch_enabled, batched_faults
                 nonlocal bulk_faults, last_gen, vec_arrays
                 seg_uniq, seg_first = np.unique(
                     inv[rel:], return_index=True
                 )
-                todo = [
-                    (rel + int(first), j)
+                todo = sorted(
+                    (rel + first, j)
                     for j, first in zip(seg_uniq.tolist(), seg_first.tolist())
-                    if unmapped[j] and not ok[j]
-                ]
-                if not todo:
-                    return 0
-                todo.sort()
-                if bulk_proven:
-                    # --- bulk path: statically-audited placement ---
-                    # Exactly FaultStage.process minus what the proof
-                    # makes redundant: the miss lookup (keys are known
-                    # unmapped), the policy dispatch (its body is the
-                    # inlined statements below), the post-place lookup
-                    # and granule check (we installed the PTE), and the
-                    # per-fault event drain (the resolved state is
-                    # written directly).  Counter updates — buffer
-                    # ``faults_logged``, ``mapped_pages``,
-                    # ``generation``, fault totals — are identical.
-                    table = page_table._table_for(granule)
-                    for pos, j in todo:
-                        v = va_list[pos]
-                        r = ch_list[pos]
-                        allocation = allocations[
-                            int(trace_alloc_ids[start + pos])
-                        ]
-                        buf_log[r](v, r)
-                        # Wall time feeds only the telemetry snapshot
-                        # (stripped before cache writes), as in FaultStage.
-                        t0 = perf_counter() if telem is not None else 0.0  # repro-lint: ignore[RPR001]
-                        pool = pool_for(allocation)
-                        fl = alloc_free.get((r, granule, pool))
-                        frame = (
-                            fl.pop()
-                            if fl
-                            else allocator_allocate(r, granule, pool)
-                        )
-                        page_base = v - (v % granule)
-                        vpn = page_base >> shift
-                        if vpn in table:
-                            raise ValueError(
-                                f"page at {page_base:#x} is already mapped"
-                            )
-                        rec = MappingRecord(
-                            page_base,
-                            granule,
-                            frame.paddr,
-                            frame.chiplet,
-                            allocation.alloc_id,
-                        )
-                        table[vpn] = rec
-                        if telem is not None:
-                            telem.on_fault(
-                                r, v, allocation.alloc_id,
-                                (perf_counter() - t0) * 1e6,  # repro-lint: ignore[RPR001]
-                            )
-                        buf_drain[r]()
-                        recs[j] = rec
-                        units[j] = unit_tuple(page_base, rec)
-                        ok[j] = True
-                        unmapped[j] = False
-                        delta[j] = frame.paddr - page_base
-                        homec[j] = frame.chiplet
-                        alloc[j] = allocation.alloc_id
-                    done = len(todo)
-                    page_table.mapped_pages += done
-                    page_table.generation += done
-                    last_gen = page_table.generation
-                    vec_arrays = None
-                    bulk_faults += done
-                    batched_faults += done
-                    return done
-                done = 0
+                    if unmapped[j]
+                )
+                table = page_table._table_for(granule)
                 for pos, j in todo:
-                    if ok[j]:
-                        # A previous fault over-mapped this key (only a
-                        # contract violation can): no fault to fire.
-                        continue
-                    fault(start + pos, ch_list[pos], va_list[pos])
-                    done += 1
-                    if drain_repairs() or not ok[j]:
-                        fault_batch_enabled = False
-                        break
-                batched_faults += done
-                return done
+                    v = va_list[pos]
+                    r = ch_list[pos]
+                    allocation = allocations[int(trace_alloc_ids[start + pos])]
+                    buf_log[r](v, r)
+                    # Wall time feeds only the telemetry snapshot
+                    # (stripped before cache writes), as in FaultStage.
+                    t0 = perf_counter() if telem is not None else 0.0  # repro-lint: ignore[RPR001]
+                    pool = pool_for(allocation)
+                    fl = alloc_free.get((r, granule, pool))
+                    frame = (
+                        fl.pop() if fl else allocator_allocate(r, granule, pool)
+                    )
+                    page_base = v - (v % granule)
+                    vpn = page_base >> shift
+                    if vpn in table:
+                        raise ValueError(
+                            f"page at {page_base:#x} is already mapped"
+                        )
+                    rec = MappingRecord(
+                        page_base,
+                        granule,
+                        frame.paddr,
+                        frame.chiplet,
+                        allocation.alloc_id,
+                    )
+                    table[vpn] = rec
+                    if telem is not None:
+                        telem.on_fault(
+                            r, v, allocation.alloc_id,
+                            (perf_counter() - t0) * 1e6,  # repro-lint: ignore[RPR001]
+                        )
+                    buf_drain[r]()
+                    recs[j] = rec
+                    units[j] = unit_tuple(page_base, rec)
+                    ok[j] = True
+                    unmapped[j] = False
+                    delta[j] = frame.paddr - page_base
+                    homec[j] = frame.chiplet
+                    alloc[j] = allocation.alloc_id
+                done = len(todo)
+                page_table.mapped_pages += done
+                page_table.generation += done
+                last_gen = page_table.generation
+                vec_arrays = None
+                bulk_faults += done
 
             # --- window scan over the chunk ---
             # Unresolved positions are computed once; faults only shrink
@@ -1395,19 +1103,20 @@ class BatchedPipeline:
                     fast_accesses += f
                     rel = nxt
                 if rel < m:
-                    if fault_batch_enabled and unmapped[inv_list[rel]]:
-                        # ``batch_faults`` drained its own events, so
-                        # the next drain_repairs() is a no-op; rebuild
-                        # the unresolved list from the resolved flags
-                        # (on abort, keys behind/ahead may have moved).
-                        if batch_faults(rel):
-                            ok_np = np.array(ok, dtype=bool)
-                            bad_list = (
-                                rel + np.flatnonzero(~ok_np[inv[rel:]])
-                            ).tolist()
-                            bp = 0
-                            continue
-                    scalar_one(start + rel)
+                    if bulk_proven and unmapped[inv_list[rel]]:
+                        # ``batch_faults`` resolves this key among the
+                        # rest and writes the resolved state directly,
+                        # so the next drain_repairs() is a no-op.  One
+                        # rebuild from the flags is cheaper than skipping
+                        # every newly resolved position one at a time.
+                        batch_faults(rel)
+                        ok_np = np.array(ok, dtype=bool)
+                        bad_list = (
+                            rel + np.flatnonzero(~ok_np[inv[rel:]])
+                        ).tolist()
+                        bp = 0
+                        continue
+                    small_window(rel, rel + 1)
                     rel += 1
 
         # --- chunk loop with kernel/epoch clipping ---
@@ -1467,9 +1176,9 @@ class BatchedPipeline:
                 telem.add_translations("walk", l2_tlb_latency + cycles, count)
             telem.on_run_end(machine)
         self.fast_path_fraction = fast_accesses / n if n else 1.0
-        if fault_batch_eligible:
+        if bulk_proven:
             self.fault_batch_fraction = (
-                batched_faults / state.faults if state.faults else 1.0
+                bulk_faults / state.faults if state.faults else 1.0
             )
         return state
 

@@ -107,15 +107,16 @@ class SimResult:
     #: ``REPRO_TELEMETRY`` (see repro.sim.telemetry); None when off.
     #: Already JSON-compatible, so it round-trips through to_dict as is.
     telemetry: Optional[Dict[str, object]] = None
-    #: Fraction of trace accesses the batched engine replayed through its
-    #: vectorized steady-state windows; None under the staged engine.
+    #: Fraction of trace accesses the batched engine replayed without a
+    #: fault lookup (vectorized or short windows over already-resolved
+    #: pages); None under the staged engine.
     #: Like wall time, this describes *how* the run was computed, not
     #: what it computed — it is excluded from equality and ``to_dict``
     #: so cached/staged/batched results of the same cell stay equal.
     fast_path_fraction: Optional[float] = field(default=None, compare=False)
     #: Fraction of page faults the batched engine resolved through its
-    #: vectorized fault path (``batch_faults``); None when the run was
-    #: not eligible (staged engine, stateful-placement policies,
+    #: bulk fault path (``batch_faults``); None when the run was not
+    #: eligible (staged engine, stateful or unaudited placement,
     #: bounded capacity, host eviction).  Computed-how metadata like
     #: ``fast_path_fraction``: excluded from equality and ``to_dict``.
     fault_batch_fraction: Optional[float] = field(default=None, compare=False)

@@ -1,8 +1,8 @@
 # ruff: noqa
 """Bad fixture: four distinct parity violations.
 
-* ``scalar_one`` consults DRAM before the ring (drifted memory-path
-  order);
+* ``vec_window``'s fused loop consults DRAM before the ring (drifted
+  memory-path order);
 * ``_TRANSFER_BYTES`` disagrees with the staged 32-byte payload;
 * ``small_window`` inlines its own translation instead of routing
   through ``translate_head``;
@@ -20,18 +20,6 @@ def translate_head(units, l1t, l2t, walkers):
     if l2t.hit(unit):
         return 2
     return walkers.walk(unit)
-
-
-def scalar_one(ctx, l1_caches, remote_caches, l2_latency, ring, dram,
-               units, l1t, l2t, walkers):
-    translate_head(units, l1t, l2t, walkers)
-    if l1_caches.lookup(ctx):
-        return 0
-    if remote_caches.lookup(ctx):
-        return l2_latency
-    cost = l2_latency + dram.access(ctx)
-    ring.hops(ctx)
-    return cost
 
 
 def small_window(window, l1_caches, remote_caches, l2_latency, ring, dram,
@@ -60,8 +48,8 @@ def vec_window(window, l1_sets, rc_sets, l2_sets, pair_counts, dram_acc,
         if rc_sets[i]:
             total += l2_sets[i]
             continue
-        total += l2_sets[i] + pair_counts[i]
         dram_acc[i] += 1
+        total += l2_sets[i] + pair_counts[i]
     return total
 
 

@@ -1,5 +1,5 @@
 # ruff: noqa
-"""Good fixture: three inlined batched copies whose normalized
+"""Good fixture: two inlined batched copies whose normalized
 memory-path order matches the staged DataStage.process, sharing one
 translation head and the staged epoch-closing sequence."""
 
@@ -13,18 +13,6 @@ def translate_head(units, l1t, l2t, walkers):
     if l2t.hit(unit):
         return 2
     return walkers.walk(unit)
-
-
-def scalar_one(ctx, l1_caches, remote_caches, l2_latency, ring, dram,
-               units, l1t, l2t, walkers):
-    translate_head(units, l1t, l2t, walkers)
-    if l1_caches.lookup(ctx):
-        return 0
-    if remote_caches.lookup(ctx):
-        return l2_latency
-    cost = l2_latency + ring.hops(ctx)
-    dram.access(ctx)
-    return cost
 
 
 def small_window(window, l1_caches, remote_caches, l2_latency, ring, dram,

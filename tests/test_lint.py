@@ -147,7 +147,7 @@ def test_engine_parity_bad_fixture_fires():
     findings = lint_fixture("engine_parity_bad", select=["RPR004"])
     assert codes(findings) == ["RPR004"]
     text = messages(findings)
-    assert "memory-path order of scalar_one()" in text
+    assert "memory-path order of vec_window()" in text
     assert "the engines have drifted" in text
     assert "ring transfer payload drifted" in text
     assert "small_window() does not route translation" in text
@@ -577,34 +577,43 @@ def test_ring_flush_without_payload_fails_lint(mutable_tree):
 
 
 def test_inlined_placement_in_batch_faults_fails_lint(mutable_tree):
-    # The drift the fault-batching check exists for: resolving batched
-    # faults by calling the placement primitive directly instead of
-    # routing through the staged FaultStage binding.
+    # The bulk fault path inlines the audited map_single sequence and
+    # bumps the page-table counters itself; a real placement call next
+    # to it would bypass or double-count them.
     reintroduce(
         mutable_tree / "sim" / "batch.py",
-        "fault(start + pos, ch_list[pos], va_list[pos])",
-        "machine.pager.map_single(va_list[pos], granule, "
-        "ch_list[pos], 0, None)",
+        "                    buf_log[r](v, r)\n",
+        "                    buf_log[r](v, r)\n"
+        "                    machine.pager.map_single(v, granule, r, 0, None)\n",
     )
     findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
-    assert any(
-        "does not route faults through the staged FaultStage"
-        in f.message
-        for f in findings
-    )
     assert any(
         "calls map_single() directly" in f.message for f in findings
     )
 
 
 def test_unfenced_bulk_install_fails_lint(mutable_tree):
-    # Weakening the bulk path's fence from the audited-place proof to
+    # Weakening the call-site fence from the audited-place proof to
     # the mere eligibility flag would run inlined placement for *any*
     # opted-in policy, including ones whose place() is overridden.
     reintroduce(
         mutable_tree / "sim" / "batch.py",
-        "                if bulk_proven:",
-        "                if fault_batch_enabled:",
+        "if bulk_proven and unmapped[",
+        "if fault_batch_eligible and unmapped[",
+    )
+    findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
+    assert any(
+        "outside the bulk_proven fence" in f.message for f in findings
+    )
+
+
+def test_negated_bulk_fence_fails_lint(mutable_tree):
+    # A test that merely *reads* bulk_proven is no fence: negating it
+    # runs inlined placement for exactly the unaudited policies.
+    reintroduce(
+        mutable_tree / "sim" / "batch.py",
+        "if bulk_proven and unmapped[",
+        "if not bulk_proven and unmapped[",
     )
     findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
     assert any(

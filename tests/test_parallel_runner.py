@@ -194,9 +194,13 @@ def test_cache_tolerates_corruption_and_schema_bumps(tmp_path):
     cache.put(key, result)
     assert cache.get(key) == result
 
-    # Corrupt entry: treated as a miss, not an error.
+    # Corrupt entry: treated as a miss, not an error, and quarantined
+    # with a warning so the operator learns about it.
     cache.path_for(key).write_text("{ not json")
-    assert cache.get(key) is None
+    with pytest.warns(
+        RuntimeWarning, match="quarantined corrupt result-cache entry"
+    ):
+        assert cache.get(key) is None
 
     # Wrong schema version: also a miss.
     cache.path_for(key).write_text(

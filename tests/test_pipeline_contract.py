@@ -14,20 +14,29 @@ Two guarantees of the AccessPipeline refactor:
 Two further engine gates live here: a twelve-cell *same-trace sweep
 fixture* — cells replaying one trace, swept through the real
 ``SweepRunner`` under both engines, per-cell results and fingerprints
-identical — and the vectorized fault path's abort regression, which
-forces a mid-batch contract violation and requires bit-identity plus
-consistent ``faults_dropped`` / ``fast_path_fraction`` /
-``fault_batch_fraction`` accounting anyway.  With telemetry on, the staged and batched engines
-must also record the same snapshot on the golden cells and across the
-abort.
+identical — and a lying policy that opts into fault batching with an
+unaudited ``place`` mapping pages below its promised granule: it must
+fault through the batched engine's exact per-access path (the
+below-granule branch of the one-access window) and still match the
+staged engine bit for bit, with consistent ``faults_dropped`` /
+``fast_path_fraction`` / ``fault_batch_fraction`` accounting.  With
+telemetry on, the staged and batched engines must also record the same
+snapshot on the golden cells and for the lying policy.  No in-tree
+policy may override ``place`` outside the audit table while inheriting
+an ancestor's fault-batching opt-in.
 """
 
+import importlib
 import json
+import pkgutil
 from pathlib import Path
 from typing import ClassVar
 
 import pytest
 
+import repro.core
+import repro.experiments
+import repro.policies
 from repro.arch.address import InterleavePolicy
 from repro.core.clap import ClapPolicy
 from repro.errors import PolicyContractError
@@ -39,6 +48,7 @@ from repro.policies import (
     StaticPaging,
     validate_policy,
 )
+from repro.sim.batch import AUDITED_PLACE
 from repro.sim.engine import run_simulation
 from repro.sim.errors import PolicyContractError as ReexportedError
 from repro.sim.runner import run_workload
@@ -364,12 +374,17 @@ def test_same_trace_sweep_bit_identical_to_staged(same_trace_sweeps):
         )
 
 
-# --- vectorized fault path: opt-in accounting and the abort gate ---
+# --- bulk fault path: opt-in accounting and the unaudited-place gate ---
 
 
 class _LyingPolicy(StaticPaging):
-    """Opts into 64KB fault batching but maps 4KB pages — the contract
-    violation the per-fault abort in ``batch_faults`` exists for."""
+    """Opts into 64KB fault batching but maps 4KB pages.
+
+    Its ``place`` override is not in ``batch.AUDITED_PLACE``, so the
+    batched engine never bulk-resolves its faults: each one goes
+    through the staged fault stage, and every access to a page mapped
+    below the 64KB granule replays through the exact per-access path.
+    """
 
     def __init__(self):
         super().__init__(PAGE_64K)
@@ -399,13 +414,49 @@ def test_fault_batch_fraction_reported_on_batchable_cells():
     assert clap.fault_batch_fraction is None
 
 
-def test_fault_batch_abort_keeps_results_and_accounting_consistent():
-    """Force a mid-vectorization abort and require bit-identity anyway.
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
 
-    The lying policy resolves its first batched fault at 4KB, below the
-    64KB granule it promised, so the batch aborts at that fault and the
-    rest of the run replays through the exact scalar fallback.  The
-    result must still match the staged engine field for field —
+
+def _owner(cls, attr):
+    return next(k for k in cls.__mro__ if attr in k.__dict__)
+
+
+def test_in_tree_place_overrides_redeclare_fault_batching():
+    """An in-tree policy that overrides ``place`` outside the audit
+    table must not silently inherit an ancestor's ``fault_batch_size``
+    opt-in: it keeps the base default or declares the hook itself, at
+    or below its ``place``, so the promise is made about that body."""
+    for package in (repro.core, repro.experiments, repro.policies):
+        for mod in pkgutil.walk_packages(
+            package.__path__, package.__name__ + "."
+        ):
+            importlib.import_module(mod.name)
+    checked = []
+    for cls in _subclasses(PlacementPolicy):
+        if not cls.__module__.startswith("repro."):
+            continue
+        place = cls.place
+        if (place.__module__, place.__qualname__) in AUDITED_PLACE:
+            continue
+        hook_owner = _owner(cls, "fault_batch_size")
+        assert hook_owner is PlacementPolicy or issubclass(
+            hook_owner, _owner(cls, "place")
+        ), f"{cls.__qualname__} inherits {hook_owner.__qualname__}'s opt-in"
+        checked.append(cls.__qualname__)
+    assert "_RoundRobinPaging" in checked and "ClapPolicy" in checked
+
+
+def test_lying_policy_keeps_results_and_accounting_consistent():
+    """An unaudited ``place`` faults through the scalar path, bit-identically.
+
+    The lying policy opts into 64KB fault batching but maps 4KB pages,
+    below the granule it promised.  Its ``place`` is not audited, so no
+    fault is bulk-resolved: every fault, and every access to a 4KB
+    page, replays through the one-access window's staged fault lookup.
+    The result must match the staged engine field for field —
     including ``faults_dropped`` — and both *how-computed* fractions
     must stay well-formed and outside the cache payload.
     """
@@ -415,11 +466,8 @@ def test_fault_batch_abort_keeps_results_and_accounting_consistent():
     assert staged == batched
     assert staged.to_dict() == batched.to_dict()
     assert batched.faults_dropped == staged.faults_dropped
-    # The abort really happened: the run was eligible (fraction is not
-    # None), at least one fault was batched before the violation was
-    # detected, and the scalar fallback carried the rest.
-    assert batched.fault_batch_fraction is not None
-    assert 0.0 < batched.fault_batch_fraction < 1.0
+    # Not bulk_proven: no fault batching, so no fraction to report.
+    assert batched.fault_batch_fraction is None
     assert staged.fault_batch_fraction is None
     assert batched.fast_path_fraction is not None
     assert 0.0 <= batched.fast_path_fraction <= 1.0
@@ -427,9 +475,9 @@ def test_fault_batch_abort_keeps_results_and_accounting_consistent():
     assert "fast_path_fraction" not in batched.to_dict()
 
 
-def test_fault_batch_abort_keeps_telemetry_identical():
-    """Across the abort, faults fired by the batch and by the scalar
-    fallback after it are each reported once, as in the staged run."""
+def test_lying_policy_keeps_telemetry_identical():
+    """Faults fired through the batched engine's scalar path are each
+    reported once, as in the staged run."""
     spec = workload_by_name("STE")
     staged = run_simulation(
         spec, _LyingPolicy(), engine="staged", telemetry=True
@@ -437,7 +485,13 @@ def test_fault_batch_abort_keeps_telemetry_identical():
     batched = run_simulation(
         spec, _LyingPolicy(), engine="batched", telemetry=True
     )
-    assert 0.0 < batched.fault_batch_fraction < 1.0
+    assert batched.fault_batch_fraction is None
+    # The snapshots time the host (place latencies), so compare the
+    # payload without them here and the snapshots below.
+    assert {**batched.to_dict(), "telemetry": None} == (
+        {**staged.to_dict(), "telemetry": None}
+    )
+    assert batched.faults_dropped == staged.faults_dropped
     assert comparable_telemetry(batched.telemetry) == (
         comparable_telemetry(staged.telemetry)
     )

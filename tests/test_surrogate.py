@@ -185,7 +185,10 @@ def test_iter_results_skips_corrupt_entries_without_raising(tmp_path):
     victim.write_bytes(b"\x00garbage payload")
     (tmp_path / "aa").mkdir(exist_ok=True)
     (tmp_path / "aa" / "not-an-entry.json").write_text("{}")
-    survivors = dict(cache.iter_results())
+    with pytest.warns(
+        RuntimeWarning, match="quarantined corrupt result-cache entry"
+    ):
+        survivors = dict(cache.iter_results())
     assert cell_fingerprint(cells[0]) not in survivors
     assert cell_fingerprint(cells[1]) in survivors
     # The corrupt entry was quarantined, not left to fail every scan.
