@@ -1,48 +1,24 @@
 #!/usr/bin/env python
 """Run every experiment and dump the measured numbers for EXPERIMENTS.md.
 
-Sweep-style experiments go through the parallel runner: ``--jobs``
-(default ``REPRO_JOBS`` or the CPU count) fans simulations out across
-processes, and repeated runs reuse the content-addressed result cache
+Every experiment goes through the parallel runner: ``--jobs`` (default
+``REPRO_JOBS`` or the CPU count) fans simulations out across processes,
+and repeated runs reuse the content-addressed result cache
 (``REPRO_CACHE_DIR`` or ``~/.cache/repro``; disable with ``--no-cache``).
 """
 
 import argparse
-import inspect
+import importlib
 import json
 import time
 
-from repro.experiments import (
-    fig01_page_size_intro,
-    fig02_remote_caching,
-    fig06_page_size_sweep,
-    fig08_structure_sensitivity,
-    fig10_chiplet_locality,
-    fig18_main,
-    fig19_static_analysis,
-    fig20_migration,
-    fig21_caching_synergy,
-    fig22_eight_chiplets,
-    sec26_interleaving,
-    table2_workloads,
-    table4_selected_sizes,
-)
+from repro.__main__ import _EXPERIMENTS
 from repro.sim.parallel import SweepRunner
 
+#: Every experiment ``repro experiment`` knows, in its listing order.
 MODULES = [
-    fig01_page_size_intro,
-    fig02_remote_caching,
-    sec26_interleaving,
-    fig06_page_size_sweep,
-    fig08_structure_sensitivity,
-    fig10_chiplet_locality,
-    table2_workloads,
-    fig18_main,
-    table4_selected_sizes,
-    fig19_static_analysis,
-    fig20_migration,
-    fig21_caching_synergy,
-    fig22_eight_chiplets,
+    importlib.import_module(f"repro.experiments.{name}")
+    for name in _EXPERIMENTS.values()
 ]
 
 
@@ -60,11 +36,8 @@ def main() -> None:
     runner = SweepRunner(jobs=args.jobs, use_cache=not args.no_cache)
     report = {}
     for module in MODULES:
-        kwargs = {"quick": args.quick}
-        if "runner" in inspect.signature(module.run).parameters:
-            kwargs["runner"] = runner
         start = time.time()
-        result = module.run(**kwargs)
+        result = module.run(quick=args.quick, runner=runner)
         elapsed = time.time() - start
         report[result.experiment] = {
             "summary": result.summary,

@@ -4,7 +4,6 @@ Sub-commands::
 
     python -m repro run STE --policy CLAP --policy S-64KB
     python -m repro sweep LPS
-    python -m repro sweep LPS --surrogate
     python -m repro explore STE LPS PR --budget 40
     python -m repro experiment fig18 --quick --jobs 4
     python -m repro report --quick --jobs 4
@@ -21,14 +20,6 @@ through the parallel runner; ``list`` shows the available workloads,
 policies and experiments.  Invoking ``python -m repro`` with only
 flags (e.g. ``python -m repro --quick --jobs 4``) is shorthand for
 ``report``.
-
-``--surrogate [on|off|BUDGET]`` (default: the ``REPRO_SURROGATE`` env
-flag) puts any sweep behind the corpus-trained cost model: cached
-results seed the model for free, a bounded exact budget (an integer
-sets it; default 20% of the grid) goes to the cells whose outcome is
-uncertain or decision-critical, and every other cell gets a
-:class:`~repro.surrogate.results.PredictedResult` carrying the model's
-error bar.  Predicted results never enter the result cache.
 
 ``experiment`` and ``report`` fan simulations out across processes
 (``--jobs``, default ``REPRO_JOBS`` or the CPU count) and reuse results
@@ -76,7 +67,7 @@ to the telemetry output.
 from __future__ import annotations
 
 import argparse
-import inspect
+import importlib
 import json
 import os
 import sys
@@ -164,62 +155,36 @@ def _make_runner(
     force_coordinator: bool = False,
     surrogate=None,
 ) -> SweepRunner:
-    """Build the runner the sweep-style commands share, honouring flags."""
-    if args.clear_cache:
-        removed = ResultCache().clear()
-        print(f"cleared {removed} cached result(s)")
-    from .surrogate import resolve_surrogate
+    """Build the runner the sweep-style commands share, honouring flags.
 
-    if surrogate is None:
-        surrogate = getattr(args, "surrogate", None)
-    try:
-        # Resolve flag/env spellings here so ``--surrogate off`` beats
-        # an ambient REPRO_SURROGATE=1 (None would re-read the env).
-        surrogate = resolve_surrogate(surrogate)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        raise SystemExit(2)
-    if surrogate is not None and args.telemetry:
-        print(
-            "--surrogate cannot record telemetry (predicted cells never "
-            "run the pipeline); drop --telemetry",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    coordinator = _coordinator_config(args, force=force_coordinator)
-    if coordinator is not None:
-        if args.no_cache:
-            print(
-                "--runners/--resume need the result cache (it is the "
-                "rendezvous point); drop --no-cache",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
-        if args.telemetry:
-            print(
-                "--runners/--resume cannot record telemetry; drop "
-                "--telemetry",
-                file=sys.stderr,
-            )
-            raise SystemExit(2)
+    ``SweepRunner`` rejects conflicting options once the environment is
+    resolved; that, or a malformed ``REPRO_*`` value, exits 2.
+    """
     trace_store = None
     if getattr(args, "no_trace_store", False):
         trace_store = False
     elif getattr(args, "trace_store", None) is not None:
         trace_store = args.trace_store
-    return SweepRunner(
-        jobs=args.jobs,
-        use_cache=not args.no_cache,
-        cell_timeout=args.cell_timeout,
-        on_error=args.on_error,
-        max_attempts=args.retries + 1,
-        telemetry=args.telemetry,
-        telemetry_dir=args.telemetry_dir,
-        coordinator=coordinator,
-        trace_store=trace_store,
-        # resolve_surrogate(False) is None again, without the env probe
-        surrogate=surrogate if surrogate is not None else False,
-    )
+    try:
+        runner = SweepRunner(
+            jobs=args.jobs,
+            use_cache=not args.no_cache,
+            cell_timeout=args.cell_timeout,
+            on_error=args.on_error,
+            max_attempts=args.retries + 1,
+            telemetry=args.telemetry,
+            telemetry_dir=args.telemetry_dir,
+            coordinator=_coordinator_config(args, force=force_coordinator),
+            trace_store=trace_store,
+            surrogate=surrogate,
+        )
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        raise SystemExit(2)
+    if args.clear_cache:
+        removed = ResultCache().clear()
+        print(f"cleared {removed} cached result(s)")
+    return runner
 
 
 def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
@@ -371,16 +336,13 @@ def _print_failures(runner: SweepRunner) -> None:
 
 
 def _run_experiment_module(module, args, runner):
-    """Call ``module.run``, passing the runner when it is supported."""
-    kwargs = {"quick": args.quick}
-    if "runner" in inspect.signature(module.run).parameters:
-        kwargs["runner"] = runner
+    """Run ``module`` on ``runner``, naming failed cells if it raises."""
     try:
-        return module.run(**kwargs)
+        return module.run(quick=args.quick, runner=runner)
     except Exception:
         # Under --on-error skip, failed cells yield None results the
         # aggregation cannot use; name the real culprits first.
-        if runner is not None and runner.stats.failures:
+        if runner.stats.failures:
             _print_failures(runner)
             print(
                 "experiment aggregation failed because the cells above "
@@ -563,13 +525,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"unknown experiment {args.name!r}; "
               f"available: {', '.join(_EXPERIMENTS)}", file=sys.stderr)
         return 2
-    module = getattr(
-        __import__(f"repro.experiments.{module_name}").experiments,
-        module_name,
-    )
-    # Figure aggregation needs full SimResults; surrogate mode (even an
-    # ambient REPRO_SURROGATE=1) stays off for paper reproduction.
-    runner = _make_runner(args, surrogate=False)
+    module = importlib.import_module(f"repro.experiments.{module_name}")
+    runner = _make_runner(args)
     result = _run_experiment_module(module, args, runner)
     if args.bars:
         print(render_bars(result))
@@ -582,12 +539,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    runner = _make_runner(args, surrogate=False)
+    runner = _make_runner(args)
     for key in _REPORT_EXPERIMENTS:
-        module_name = _EXPERIMENTS[key]
-        module = getattr(
-            __import__(f"repro.experiments.{module_name}").experiments,
-            module_name,
+        module = importlib.import_module(
+            f"repro.experiments.{_EXPERIMENTS[key]}"
         )
         result = _run_experiment_module(module, args, runner)
         print(result.format())
@@ -636,15 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", default=None, metavar="SWEEP_ID",
         help="resume the named coordinator sweep from its journal: "
              "completed cells are adopted, the rest re-run",
-    )
-    sweep_parser.add_argument(
-        "--surrogate", nargs="?", const="on", default=None,
-        metavar="on|off|BUDGET",
-        help="sweep through the corpus-trained surrogate: cached "
-             "results train the cost model, only uncertain or "
-             "decision-critical cells are simulated exactly and the "
-             "rest are predicted with error bars (an integer sets the "
-             "exact-cell budget; default: the REPRO_SURROGATE env flag)",
     )
     _add_runner_flags(sweep_parser)
 

@@ -8,24 +8,33 @@ Reports per-workload total energy normalised to S-64KB and the ring
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..core.clap import ClapPolicy
 from ..policies import StaticPaging
-from ..sim.runner import run_workload
+from ..sim.parallel import SweepRunner
 from ..units import PAGE_2M, PAGE_64K
-from .common import ExperimentResult, Row, gmean, pick_workloads
+from .common import ExperimentResult, Row, gmean, pick_workloads, run_cells
 
 WORKLOADS = ("STE", "LPS", "SC", "BLK", "GPT3")
 
+CONFIGS = (
+    ("S-64KB", lambda: StaticPaging(PAGE_64K)),
+    ("S-2MB", lambda: StaticPaging(PAGE_2M)),
+    ("CLAP", ClapPolicy),
+)
 
-def run(quick: bool = False) -> ExperimentResult:
+
+def run(
+    quick: bool = False, runner: Optional[SweepRunner] = None
+) -> ExperimentResult:
     rows = []
-    totals = {"S-64KB": [], "S-2MB": [], "CLAP": []}
-    for spec in pick_workloads(quick, WORKLOADS):
-        results = {
-            "S-64KB": run_workload(spec, StaticPaging(PAGE_64K)),
-            "S-2MB": run_workload(spec, StaticPaging(PAGE_2M)),
-            "CLAP": run_workload(spec, ClapPolicy()),
-        }
+    totals = {name: [] for name, _ in CONFIGS}
+    specs = pick_workloads(quick, WORKLOADS)
+    cells = [(spec, make()) for spec in specs for _, make in CONFIGS]
+    flat = iter(run_cells(cells, runner))
+    for spec in specs:
+        results = {name: next(flat) for name, _ in CONFIGS}
         baseline = results["S-64KB"].energy.total
         for name, result in results.items():
             energy = result.energy

@@ -10,22 +10,30 @@ average address-translation latency relative to 4KB pages.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..policies import StaticPaging
-from ..sim.runner import run_workload
+from ..sim.parallel import SweepRunner
 from ..units import NATIVE_PAGE_SIZES, PAGE_4K, size_label
-from .common import ExperimentResult, Row, pick_workloads
+from .common import ExperimentResult, Row, pick_workloads, run_cells
 
 WORKLOADS = ("STE", "3DC", "LPS", "SC", "SSSP", "DWT", "LUD", "GPT3")
 
 
-def run(quick: bool = False) -> ExperimentResult:
+def run(
+    quick: bool = False, runner: Optional[SweepRunner] = None
+) -> ExperimentResult:
     rows = []
     translation = {size: [] for size in NATIVE_PAGE_SIZES}
-    for spec in pick_workloads(quick, WORKLOADS):
-        results = {
-            size: run_workload(spec, StaticPaging(size))
-            for size in NATIVE_PAGE_SIZES
-        }
+    specs = pick_workloads(quick, WORKLOADS)
+    cells = [
+        (spec, StaticPaging(size))
+        for spec in specs
+        for size in NATIVE_PAGE_SIZES
+    ]
+    flat = iter(run_cells(cells, runner))
+    for spec in specs:
+        results = {size: next(flat) for size in NATIVE_PAGE_SIZES}
         baseline = results[PAGE_4K]
         for size, result in results.items():
             rows.append(

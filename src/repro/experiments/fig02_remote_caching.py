@@ -10,13 +10,16 @@ overwhelms any bounded cache.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..policies import StaticPaging
-from ..sim.runner import run_workload
+from ..sim.parallel import SweepCell, SweepRunner
 from ..units import PAGE_2M, PAGE_64K
-from .common import ExperimentResult, Row, gmean, pick_workloads
+from .common import ExperimentResult, Row, gmean, pick_workloads, run_cells
 
 WORKLOADS = ("STE", "3DC", "LPS", "PAF", "SC")
 
+#: The first configuration is the normalisation baseline.
 CONFIGS = (
     ("2MB_No_RC", PAGE_2M, None),
     ("2MB+NUBA", PAGE_2M, "NUBA"),
@@ -25,15 +28,24 @@ CONFIGS = (
 )
 
 
-def run(quick: bool = False) -> ExperimentResult:
+def run(
+    quick: bool = False, runner: Optional[SweepRunner] = None
+) -> ExperimentResult:
     rows = []
     speedups = {name: [] for name, _, _ in CONFIGS}
-    for spec in pick_workloads(quick, WORKLOADS):
-        baseline = run_workload(spec, StaticPaging(PAGE_2M))
-        for name, size, cache in CONFIGS:
-            result = run_workload(
-                spec, StaticPaging(size), remote_cache=cache
-            )
+    specs = pick_workloads(quick, WORKLOADS)
+    cells = [
+        SweepCell(spec, StaticPaging(size), remote_cache=cache)
+        for spec in specs
+        for _, size, cache in CONFIGS
+    ]
+    flat = iter(run_cells(cells, runner))
+    for spec in specs:
+        baseline = None
+        for name, _, _ in CONFIGS:
+            result = next(flat)
+            if baseline is None:
+                baseline = result
             speedup = result.performance / baseline.performance
             speedups[name].append(speedup)
             rows.append(

@@ -8,10 +8,12 @@ prefer different page sizes, the motivation for per-structure selection.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..policies import StaticPaging
-from ..sim.runner import run_workload
+from ..sim.parallel import SweepRunner
 from ..units import SWEEP_PAGE_SIZES, size_label
-from .common import ExperimentResult, Row
+from .common import ExperimentResult, Row, run_cells
 
 #: (workload, structures plotted) as in the paper's figure.
 TARGETS = (
@@ -20,12 +22,20 @@ TARGETS = (
 )
 
 
-def run(quick: bool = False) -> ExperimentResult:
+def run(
+    quick: bool = False, runner: Optional[SweepRunner] = None
+) -> ExperimentResult:
     rows = []
     targets = TARGETS[:1] if quick else TARGETS
+    cells = [
+        (abbr, StaticPaging(size))
+        for abbr, _ in targets
+        for size in SWEEP_PAGE_SIZES
+    ]
+    flat = iter(run_cells(cells, runner))
     for abbr, structures in targets:
         for size in SWEEP_PAGE_SIZES:
-            result = run_workload(abbr, StaticPaging(size))
+            result = next(flat)
             for structure in structures:
                 rows.append(
                     Row(

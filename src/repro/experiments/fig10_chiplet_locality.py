@@ -14,12 +14,13 @@ the paper.  The paper reports a 93.5% average.
 from __future__ import annotations
 
 from collections import Counter
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from ..config import baseline_config
 from ..core.mma import locality_level
+from ..sim.parallel import SweepRunner
 from ..trace.workload import Pattern, Workload
 from ..units import BLOCK_SIZE, PAGE_2M, PAGE_64K
 from .common import SEED, ExperimentResult, Row, pick_workloads
@@ -75,7 +76,10 @@ def structure_locality_proportion(owners: np.ndarray) -> float:
     return qualifying / len(degrees)
 
 
-def run(quick: bool = False) -> ExperimentResult:
+def run(
+    quick: bool = False, runner: Optional[SweepRunner] = None
+) -> ExperimentResult:
+    """Trace analysis only: ``runner`` is accepted and never used."""
     config = baseline_config()
     rows = []
     per_workload = []

@@ -9,13 +9,13 @@ CLAP-SA++ +23.7%/+21.0%, with the remote ratio cut to 13.6%.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.clap_sa import ClapSaPlusPolicy, ClapSaPolicy
 from ..policies import SaStaticPolicy
-from ..sim.runner import run_workload
+from ..sim.parallel import SweepRunner
 from ..units import PAGE_2M, PAGE_64K
-from .common import ExperimentResult, Row, gmean, pick_workloads
+from .common import ExperimentResult, Row, gmean, pick_workloads, run_cells
 
 CONFIGS: Tuple[Tuple[str, Callable], ...] = (
     ("SA-64KB", lambda: SaStaticPolicy(PAGE_64K)),
@@ -25,14 +25,19 @@ CONFIGS: Tuple[Tuple[str, Callable], ...] = (
 )
 
 
-def run(quick: bool = False) -> ExperimentResult:
+def run(
+    quick: bool = False, runner: Optional[SweepRunner] = None
+) -> ExperimentResult:
     rows = []
     normalized: Dict[str, List[float]] = {name: [] for name, _ in CONFIGS}
     remote: Dict[str, List[float]] = {name: [] for name, _ in CONFIGS}
-    for spec in pick_workloads(quick):
+    specs = pick_workloads(quick)
+    cells = [(spec, make()) for spec in specs for _, make in CONFIGS]
+    flat = iter(run_cells(cells, runner))
+    for spec in specs:
         baseline = None
-        for name, make in CONFIGS:
-            result = run_workload(spec, make())
+        for name, _ in CONFIGS:
+            result = next(flat)
             if baseline is None:
                 baseline = result
             value = result.performance / baseline.performance

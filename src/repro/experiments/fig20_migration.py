@@ -11,15 +11,15 @@ wins.
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 from ..core.clap import ClapPolicy
 from ..core.migration import ClapMigrationPolicy
 from ..policies import CNumaPolicy, GritPolicy, StaticPaging
-from ..sim.runner import run_workload
+from ..sim.parallel import SweepRunner
 from ..trace.suite import gemm_reuse_scenario
 from ..units import PAGE_2M, PAGE_64K
-from .common import ExperimentResult, Row
+from .common import ExperimentResult, Row, run_cells
 
 CONFIGS: Tuple[Tuple[str, Callable], ...] = (
     ("S-64KB", lambda: StaticPaging(PAGE_64K)),
@@ -31,13 +31,16 @@ CONFIGS: Tuple[Tuple[str, Callable], ...] = (
 )
 
 
-def run(quick: bool = False) -> ExperimentResult:
+def run(
+    quick: bool = False, runner: Optional[SweepRunner] = None
+) -> ExperimentResult:
     spec = gemm_reuse_scenario()
     rows = []
     baseline = None
     values = {}
-    for name, make in CONFIGS:
-        result = run_workload(spec, make())
+    flat = iter(run_cells([(spec, make()) for _, make in CONFIGS], runner))
+    for name, _ in CONFIGS:
+        result = next(flat)
         if baseline is None:
             baseline = result
         value = result.performance / baseline.performance

@@ -10,34 +10,40 @@ combined configurations reach the paper's ~24% band over the baseline.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.clap import ClapPolicy
 from ..policies import StaticPaging
-from ..sim.runner import run_workload
+from ..sim.parallel import SweepCell, SweepRunner
 from ..units import PAGE_2M
-from .common import ExperimentResult, Row, gmean, pick_workloads
+from .common import ExperimentResult, Row, gmean, pick_workloads, run_cells
 
-CONFIGS: Tuple[Tuple[str, str, Optional[str]], ...] = (
-    ("S-2MB", "static", None),
-    ("S-2MB+NUBA", "static", "NUBA"),
-    ("S-2MB+SAC", "static", "SAC"),
-    ("CLAP", "clap", None),
-    ("CLAP+NUBA", "clap", "NUBA"),
-    ("CLAP+SAC", "clap", "SAC"),
+CONFIGS: Tuple[Tuple[str, Callable, Optional[str]], ...] = (
+    ("S-2MB", lambda: StaticPaging(PAGE_2M), None),
+    ("S-2MB+NUBA", lambda: StaticPaging(PAGE_2M), "NUBA"),
+    ("S-2MB+SAC", lambda: StaticPaging(PAGE_2M), "SAC"),
+    ("CLAP", ClapPolicy, None),
+    ("CLAP+NUBA", ClapPolicy, "NUBA"),
+    ("CLAP+SAC", ClapPolicy, "SAC"),
 )
 
 
-def run(quick: bool = False) -> ExperimentResult:
+def run(
+    quick: bool = False, runner: Optional[SweepRunner] = None
+) -> ExperimentResult:
     rows = []
     normalized: Dict[str, List[float]] = {name: [] for name, _, _ in CONFIGS}
-    for spec in pick_workloads(quick):
+    specs = pick_workloads(quick)
+    cells = [
+        SweepCell(spec, make(), remote_cache=cache)
+        for spec in specs
+        for _, make, cache in CONFIGS
+    ]
+    flat = iter(run_cells(cells, runner))
+    for spec in specs:
         baseline = None
-        for name, kind, cache in CONFIGS:
-            policy = (
-                StaticPaging(PAGE_2M) if kind == "static" else ClapPolicy()
-            )
-            result = run_workload(spec, policy, remote_cache=cache)
+        for name, _, _ in CONFIGS:
+            result = next(flat)
             if baseline is None:
                 baseline = result
             value = result.performance / baseline.performance

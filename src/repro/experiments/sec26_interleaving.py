@@ -15,12 +15,14 @@ naive by ~42%.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..arch.address import InterleavePolicy
 from ..policies import StaticPaging
-from ..sim.runner import run_workload
+from ..sim.parallel import SweepRunner
 from ..units import PAGE_64K
 from ..vm.va_space import Allocation
-from .common import ExperimentResult, Row, gmean, pick_workloads
+from .common import ExperimentResult, Row, gmean, pick_workloads, run_cells
 
 
 class _RoundRobinPaging(StaticPaging):
@@ -45,36 +47,42 @@ class _RoundRobinPaging(StaticPaging):
         )
 
 
-def run(quick: bool = False) -> ExperimentResult:
+#: (name, policy factory, interleave); the first is the baseline.
+CONFIGS = (
+    ("naive", lambda: StaticPaging(PAGE_64K), InterleavePolicy.NAIVE),
+    # Placement-blind round-robin on the NUMA-aware layout: pages are
+    # spread uniformly, like the fine interleave but enforceable.
+    ("numa_no_opt", _RoundRobinPaging, InterleavePolicy.NUMA_AWARE),
+    ("numa_ft", lambda: StaticPaging(PAGE_64K), InterleavePolicy.NUMA_AWARE),
+)
+
+
+def run(
+    quick: bool = False, runner: Optional[SweepRunner] = None
+) -> ExperimentResult:
     rows = []
-    ratios = {"numa_no_opt": [], "numa_ft": []}
-    for spec in pick_workloads(quick):
-        naive = run_workload(
-            spec,
-            StaticPaging(PAGE_64K),
-            interleave=InterleavePolicy.NAIVE,
-        )
-        # Placement-blind round-robin on the NUMA-aware layout: pages are
-        # spread uniformly, like the fine interleave but enforceable.
-        no_opt = run_workload(spec, _RoundRobinPaging())
-        ft = run_workload(spec, StaticPaging(PAGE_64K))
-        for name, result in (
-            ("naive", naive),
-            ("numa_no_opt", no_opt),
-            ("numa_ft", ft),
-        ):
+    ratios = {name: [] for name, _, _ in CONFIGS}
+    specs = pick_workloads(quick)
+    cells = [
+        (spec, make(), None, interleave)
+        for spec in specs
+        for _, make, interleave in CONFIGS
+    ]
+    flat = iter(run_cells(cells, runner))
+    for spec in specs:
+        results = {name: next(flat) for name, _, _ in CONFIGS}
+        naive = results["naive"]
+        for name, result in results.items():
+            value = result.performance / naive.performance
+            ratios[name].append(value)
             rows.append(
                 Row(
                     workload=spec.abbr,
                     config=name,
-                    value=result.performance / naive.performance,
+                    value=value,
                     remote_ratio=result.remote_ratio,
                 )
             )
-        ratios["numa_no_opt"].append(
-            no_opt.performance / naive.performance
-        )
-        ratios["numa_ft"].append(ft.performance / naive.performance)
     return ExperimentResult(
         experiment="Section 2.6",
         description="interleaving policies (norm. to naive 256B interleave)",

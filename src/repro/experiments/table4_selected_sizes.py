@@ -10,9 +10,12 @@ entries structure by structure.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..core.clap import ClapPolicy
-from ..sim.runner import run_workload
-from .common import ExperimentResult, Row, pick_workloads
+from ..sim.parallel import SweepRunner
+from ..units import size_label
+from .common import ExperimentResult, Row, pick_workloads, run_cells
 
 #: The paper's Table 4, as (workload -> {structure: (size_label, via_olp)}).
 PAPER_TABLE4 = {
@@ -70,14 +73,16 @@ PAPER_TABLE4 = {
 }
 
 
-def run(quick: bool = False) -> ExperimentResult:
-    from ..units import size_label
-
+def run(
+    quick: bool = False, runner: Optional[SweepRunner] = None
+) -> ExperimentResult:
     rows = []
     matches = 0
     total = 0
-    for spec in pick_workloads(quick):
-        result = run_workload(spec, ClapPolicy())
+    specs = pick_workloads(quick)
+    flat = iter(run_cells([(spec, ClapPolicy()) for spec in specs], runner))
+    for spec in specs:
+        result = next(flat)
         expected = PAPER_TABLE4.get(spec.abbr, {})
         for name, selection in result.selections.items():
             label = size_label(selection.page_size)

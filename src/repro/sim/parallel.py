@@ -629,7 +629,8 @@ class SweepRunner:
         Seconds one cell may run before its worker is killed and the
         attempt counts as a (transient) failure.  Defaults to
         ``REPRO_CELL_TIMEOUT``; unset means no timeout.  Only enforced
-        for pool execution — an in-process cell cannot be preempted.
+        for pool execution — an in-process cell cannot be preempted —
+        and rejected in coordinator mode.
     on_error:
         ``raise`` (default), ``skip`` or ``retry``; see :class:`OnError`.
     max_attempts:
@@ -652,7 +653,8 @@ class SweepRunner:
         so ``--resume`` continues a killed sweep exactly where it left
         off (see :mod:`repro.sim.coordinator`).  Requires the result
         cache (it is the rendezvous point) and is mutually exclusive
-        with telemetry recording.
+        with telemetry recording and with ``cell_timeout`` (runners
+        enforce no per-cell deadline).
     trace_store:
         Shared zero-copy trace store.  ``True`` (or ``1``/``on``) uses
         the default root (``<cache>/traces``), a path uses that
@@ -733,29 +735,40 @@ class SweepRunner:
         self.coordinator = coordinator
         from ..surrogate.active import resolve_surrogate
 
-        #: surrogate-guided pruning (``--surrogate``/``REPRO_SURROGATE``):
-        #: when set, ``run_cells`` simulates only the cells the active
-        #: sampler deems decision-relevant and returns
+        #: surrogate-guided pruning (``repro explore``; off unless
+        #: passed): when set, ``run_cells`` simulates only the cells the
+        #: active sampler deems decision-relevant and returns
         #: :class:`~repro.surrogate.results.PredictedResult` for the rest
         self.surrogate = resolve_surrogate(surrogate)
+        # Conflicts are checked here, after the environment is resolved,
+        # and nowhere else; each message names the flag and variable.
         if self.surrogate is not None and self.telemetry:
             raise ValueError(
-                "surrogate mode cannot record telemetry: predicted "
-                "cells never simulate, so they have no stages to dump"
+                "surrogate mode (repro explore) cannot record telemetry "
+                "(--telemetry/REPRO_TELEMETRY): predicted cells never "
+                "simulate, so they have no stages to dump"
             )
         #: set after a coordinator run: the (possibly derived) sweep id
         #: a later ``--resume`` can name
         self.last_sweep_id: Optional[str] = None
         if coordinator is not None:
+            mode = "coordinator mode (--runners/REPRO_RUNNERS or --resume)"
             if self.cache is None:
                 raise ValueError(
-                    "coordinator mode requires the result cache: it is "
-                    "the rendezvous point runners share"
+                    f"{mode} requires the result cache, the rendezvous "
+                    "point runners share: drop --no-cache"
                 )
             if self.telemetry:
                 raise ValueError(
-                    "coordinator mode cannot record telemetry (results "
-                    "travel through the telemetry-free result cache)"
+                    f"{mode} cannot record telemetry "
+                    "(--telemetry/REPRO_TELEMETRY): results travel "
+                    "through the telemetry-free result cache"
+                )
+            if self.cell_timeout is not None:
+                raise ValueError(
+                    f"{mode} enforces no --cell-timeout/REPRO_CELL_TIMEOUT: "
+                    "its runners have no per-cell deadline, and a hung "
+                    "cell's heartbeat would keep its lease forever"
                 )
         self.stats = SweepStats()
         #: injectable for tests: how retry backoff actually waits

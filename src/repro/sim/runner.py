@@ -1,7 +1,7 @@
 """Convenience entry points for running suite workloads under policies.
 
 ``run_workload("STE", clap())`` is the one-liner the examples and the
-experiment modules build on; it resolves suite abbreviations, builds the
+sweep runner build on; it resolves suite abbreviations, builds the
 policy by name when given a string, and memoises nothing — every call is
 an independent simulation.
 """

@@ -34,7 +34,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -44,11 +43,8 @@ from .features import feature_matrix
 from .model import SurrogateModel
 from .results import PredictedResult
 
-#: Environment flag enabling surrogate mode for ``sweep``-style
-#: commands: ``0``/``off`` disables, ``1``/``on`` enables with the
-#: default budget, an integer > 1 is the exact-cell budget.
-SURROGATE_ENV = "REPRO_SURROGATE"
-
+#: On/off spellings :func:`resolve_surrogate` accepts besides booleans,
+#: integer budgets and a :class:`SurrogateConfig`.
 _FALSY = {"", "0", "off", "false", "no"}
 _TRUTHY = {"1", "on", "true", "yes"}
 
@@ -93,18 +89,16 @@ class SurrogateConfig:
 def resolve_surrogate(
     value: Union[None, bool, str, int, SurrogateConfig] = None,
 ) -> Optional[SurrogateConfig]:
-    """CLI/env spellings -> :class:`SurrogateConfig` (or None = off).
+    """Surrogate spellings -> :class:`SurrogateConfig` (or None = off).
 
-    ``None`` defers to ``REPRO_SURROGATE``; booleans and on/off strings
-    toggle the default configuration; an integer (or integer string)
-    greater than one is taken as the exact-cell budget.
+    ``None`` means off (the surrogate is never ambient); booleans and
+    on/off strings toggle the default configuration; an integer (or
+    integer string) greater than one is taken as the exact-cell budget.
     """
     if isinstance(value, SurrogateConfig):
         return value
     if value is None:
-        value = os.environ.get(SURROGATE_ENV)
-        if value is None:
-            return None
+        return None
     if isinstance(value, bool):
         return SurrogateConfig() if value else None
     if isinstance(value, int):

@@ -90,6 +90,37 @@ class TestCli:
     def test_unknown_experiment(self, capsys):
         assert main(["experiment", "nope"]) == 2
 
+    @pytest.mark.parametrize(
+        "env, argv",
+        [
+            ({"REPRO_TELEMETRY": "1"}, ["sweep", "STE", "--runners", "2"]),
+            ({"REPRO_TELEMETRY": "1"}, ["explore", "STE", "--budget", "3"]),
+            ({}, ["sweep", "STE", "--runners", "2", "--no-cache"]),
+            ({}, ["sweep", "STE", "--runners", "2", "--cell-timeout", "5"]),
+            ({"REPRO_CELL_TIMEOUT": "5"}, ["sweep", "STE", "--runners", "2"]),
+            ({"REPRO_LEASE_TTL": "soon"}, ["sweep", "STE", "--runners", "2"]),
+        ],
+        ids=[
+            "sweep-telemetry-env", "explore-telemetry-env", "no-cache",
+            "cell-timeout-flag", "cell-timeout-env", "bad-lease-ttl-env",
+        ],
+    )
+    def test_rejected_options_are_a_usage_error(
+        self, monkeypatch, capsys, tmp_path, env, argv
+    ):
+        """A conflict or a malformed value, from a flag or only from the
+        environment, exits 2 with one stderr line before anything runs."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "Traceback" not in captured.err
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -123,6 +123,22 @@ class TestCoordinatorEquivalence:
             SweepRunner(cache_dir=tmp_path, telemetry=True,
                         coordinator=CoordinatorConfig())
 
+    def test_rejects_a_cell_timeout(self, tmp_path, monkeypatch):
+        """Runners enforce no per-cell deadline, so a timeout from the
+        argument or the environment is refused before any spawns."""
+        monkeypatch.delenv("REPRO_CELL_TIMEOUT", raising=False)
+        with pytest.raises(ValueError, match="--cell-timeout"):
+            SweepRunner(cache_dir=tmp_path, telemetry=False,
+                        cell_timeout=5, coordinator=CoordinatorConfig())
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "5")
+        with pytest.raises(ValueError, match="REPRO_CELL_TIMEOUT"):
+            SweepRunner(cache_dir=tmp_path, telemetry=False,
+                        coordinator=CoordinatorConfig())
+        # A non-positive timeout means none at all.
+        runner = SweepRunner(cache_dir=tmp_path, telemetry=False,
+                             cell_timeout=0, coordinator=CoordinatorConfig())
+        assert runner.cell_timeout is None
+
 
 # ------------------------------------------------------ sweep identity
 

@@ -9,17 +9,31 @@ platform-level floating-point wiggle.
 
 If a change is *supposed* to move these numbers (a model fix, a
 calibration change), regenerate the constants and say so in the commit.
+
+Every experiment module runs its quick matrix once, on an explicit
+serial, cache-free :class:`SweepRunner`, and every pin below reads that
+one run: the same run also proves the module's cells reach the runner.
 """
+
+import functools
+import importlib
+import pkgutil
 
 import pytest
 
-from repro.experiments import (
-    fig06_page_size_sweep,
-    fig18_main,
-    table2_workloads,
-)
+import repro.experiments
+from repro.experiments import fig18_main
+from repro.sim import parallel
+from repro.sim.parallel import SweepRunner
 
 REL = 1e-6
+
+#: Every module under ``repro.experiments`` that exposes ``run``.
+EXPERIMENT_MODULES = sorted(
+    info.name
+    for info in pkgutil.iter_modules(repro.experiments.__path__)
+    if hasattr(importlib.import_module(f"repro.experiments.{info.name}"), "run")
+)
 
 #: (workload, size) -> (performance normalised to 64KB, remote ratio)
 FIG06_GOLDEN = {
@@ -53,6 +67,99 @@ FIG18_GOLDEN_SUMMARY = {
     "ideal_over_clap": 1.1432290515144274,
 }
 
+#: Quick-mode ``summary`` of every experiment module.  fig06, fig08 and
+#: table2 report rows only; their rows are pinned separately.
+QUICK_GOLDEN_SUMMARY = {
+    "energy": {
+        "gmean_energy_S-64KB": 1.0,
+        "gmean_energy_S-2MB": 1.5675732030472924,
+        "gmean_energy_CLAP": 1.0311745349300836,
+    },
+    "fig01_page_size_intro": {
+        "avg_translation_reduction_64KB": 0.56362391741495,
+        "avg_translation_reduction_2MB": 0.8210053252259415,
+    },
+    "fig02_remote_caching": {
+        "gmean_2MB_No_RC": 1.0,
+        "gmean_2MB+NUBA": 1.1725466869639543,
+        "gmean_2MB+SAC": 1.0,
+        "gmean_64KB_No_RC": 1.5851597879643984,
+    },
+    "fig06_page_size_sweep": {},
+    "fig08_structure_sensitivity": {},
+    "fig10_chiplet_locality": {"average": 1.0},
+    "fig18_main": {"gmean_S-64KB": 1.0, **FIG18_GOLDEN_SUMMARY},
+    "fig19_static_analysis": {
+        "gmean_SA-64KB": 1.0,
+        "gmean_SA-2MB": 0.984474682499898,
+        "gmean_CLAP-SA": 1.1822541128618127,
+        "gmean_CLAP-SA++": 1.1822541128618127,
+        "clap_sa_over_sa2mb": 1.2008984424664828,
+        "clap_sa_pp_over_sa2mb": 1.2008984424664828,
+        "avg_remote_clap_sa_pp": 0.15,
+    },
+    "fig20_migration": {
+        "perf_S-64KB": 1.0,
+        "perf_S-2MB": 1.2529764901510545,
+        "perf_CLAP": 1.2199908535276582,
+        "perf_Ideal_C-NUMA": 1.1362526743761021,
+        "perf_GRIT": 1.0718802698795555,
+        "perf_CLAP+migration": 1.310102822471046,
+    },
+    "fig21_caching_synergy": {
+        "gmean_S-2MB": 1.0,
+        "gmean_S-2MB+NUBA": 1.1243511420084458,
+        "gmean_S-2MB+SAC": 1.0198141819841784,
+        "gmean_CLAP": 1.1833795657901025,
+        "gmean_CLAP+NUBA": 1.2559576035497675,
+        "gmean_CLAP+SAC": 1.2117511179894882,
+    },
+    "fig22_eight_chiplets": {
+        "gmean_CLAP_over_S-64KB": 1.189077749881801,
+        "gmean_CLAP_over_S-2MB": 1.3123231589375293,
+    },
+    "sec26_interleaving": {
+        "gmean_numa_no_opt_vs_naive": 1.0269225536234896,
+        "gmean_numa_ft_vs_naive": 1.4017196955979223,
+    },
+    "table2_workloads": {},
+    "table4_selected_sizes": {
+        "matching_entries": 8.0,
+        "paper_entries": 8.0,
+    },
+}
+
+#: (workload.structure, size) -> remote ratio
+FIG08_GOLDEN = {
+    ("3DC.vol_in", "4KB"): 0.0,
+    ("3DC.vol_out", "4KB"): 0.0,
+    ("3DC.vol_in", "64KB"): 0.0,
+    ("3DC.vol_out", "64KB"): 0.0,
+    ("3DC.vol_in", "128KB"): 0.5,
+    ("3DC.vol_out", "128KB"): 0.5,
+    ("3DC.vol_in", "256KB"): 0.75,
+    ("3DC.vol_out", "256KB"): 0.75,
+    ("3DC.vol_in", "512KB"): 0.75,
+    ("3DC.vol_out", "512KB"): 0.75,
+    ("3DC.vol_in", "1MB"): 0.75,
+    ("3DC.vol_out", "1MB"): 0.75,
+    ("3DC.vol_in", "2MB"): 0.75,
+    ("3DC.vol_out", "2MB"): 0.75,
+}
+
+#: table4's summary only counts matches, so its rows are pinned too:
+#: (workload, structure) -> (selected size, decided via OLP)
+TABLE4_GOLDEN = {
+    ("STE", "grid_in"): ("256KB", False),
+    ("STE", "grid_out"): ("256KB", False),
+    ("BLK", "price"): ("2MB", False),
+    ("BLK", "strike"): ("2MB", False),
+    ("BLK", "opttime"): ("2MB", False),
+    ("GPT3", "matrix_A"): ("2MB", True),
+    ("GPT3", "matrix_B"): ("2MB", False),
+    ("GPT3", "matrix_C"): ("2MB", True),
+}
+
 #: (workload, size) -> (L2 TLB MPKI, L2$ MPKI)
 TABLE2_GOLDEN = {
     ("STE", "4KB"): (100.0, 100.0),
@@ -67,19 +174,68 @@ TABLE2_GOLDEN = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def quick_run(name):
+    """``(result, stats)`` of module ``name``'s quick run on its own
+    serial, cache-free runner (once per test session)."""
+    module = importlib.import_module(f"repro.experiments.{name}")
+    runner = SweepRunner(jobs=1, use_cache=False)
+    return module.run(quick=True, runner=runner), runner.stats
+
+
 @pytest.fixture(scope="module")
 def fig06_result():
-    return fig06_page_size_sweep.run(quick=True)
+    return quick_run("fig06_page_size_sweep")[0]
 
 
 @pytest.fixture(scope="module")
 def fig18_result():
-    return fig18_main.run(quick=True)
+    return quick_run("fig18_main")[0]
 
 
 @pytest.fixture(scope="module")
 def table2_result():
-    return table2_workloads.run(quick=True)
+    return quick_run("table2_workloads")[0]
+
+
+@pytest.mark.parametrize("name", EXPERIMENT_MODULES)
+def test_quick_run_goes_through_the_runner(name):
+    """Every experiment takes ``runner`` and simulates through it; only
+    fig10, a trace analysis, has no cells."""
+    result, stats = quick_run(name)
+    assert result.summary == pytest.approx(
+        QUICK_GOLDEN_SUMMARY[name], rel=REL
+    )
+    if name == "fig10_chiplet_locality":
+        assert stats.cells == 0
+    else:
+        assert stats.cells > 0
+
+
+def test_fig08_quick_golden():
+    result, _ = quick_run("fig08_structure_sensitivity")
+    rows = {(r.workload, r.config): r.value for r in result.rows}
+    assert rows == pytest.approx(FIG08_GOLDEN, abs=1e-9)
+
+
+def test_table4_quick_golden():
+    result, _ = quick_run("table4_selected_sizes")
+    rows = {
+        (r.workload, r.config): (r.extra["label"], r.extra["via_olp"])
+        for r in result.rows
+    }
+    assert rows == TABLE4_GOLDEN
+
+
+def test_ambient_surrogate_variable_changes_nothing(monkeypatch):
+    """``REPRO_SURROGATE`` is not read: a library call made under it
+    (default runner, built fresh here) still simulates every cell."""
+    monkeypatch.setenv("REPRO_SURROGATE", "1")
+    monkeypatch.setattr(parallel, "_default_runner", None)
+    summary = fig18_main.run(quick=True).summary
+    assert summary == pytest.approx(
+        QUICK_GOLDEN_SUMMARY["fig18_main"], rel=REL
+    )
 
 
 def test_fig06_quick_golden(fig06_result):

@@ -212,8 +212,7 @@ def test_cache_put_refuses_predicted_results(tmp_path):
 # --- resolve_surrogate spellings -------------------------------------
 
 
-def test_resolve_surrogate_spellings(monkeypatch):
-    monkeypatch.delenv("REPRO_SURROGATE", raising=False)
+def test_resolve_surrogate_spellings():
     assert resolve_surrogate(None) is None
     assert resolve_surrogate(False) is None
     assert resolve_surrogate("off") is None
@@ -225,10 +224,6 @@ def test_resolve_surrogate_spellings(monkeypatch):
     assert resolve_surrogate(config) is config
     with pytest.raises(ValueError):
         resolve_surrogate("sideways")
-    monkeypatch.setenv("REPRO_SURROGATE", "12")
-    assert resolve_surrogate(None).budget == 12
-    monkeypatch.setenv("REPRO_SURROGATE", "0")
-    assert resolve_surrogate(None) is None
 
 
 # --- the active-sampling loop ----------------------------------------
