@@ -12,45 +12,56 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced table and figure.
 """
 
-from .config import GPUConfig, baseline_config, eight_chiplet_config
-from .errors import (
-    ChaosError,
-    InvariantViolation,
-    MemoryExhaustedError,
-    PolicyMappingError,
-    SimulationError,
-    SweepError,
-    TraceFormatError,
-)
-from .core.clap import AllocationPhase, ClapPolicy
-from .core.clap_sa import ClapSaPlusPolicy, ClapSaPolicy
-from .core.migration import ClapMigrationPolicy
-from .policies import (
-    BarreChordPolicy,
-    CNumaPolicy,
-    GritPolicy,
-    IdealPolicy,
-    MgvmPolicy,
-    PlacementPolicy,
-    SaStaticPolicy,
-    StaticPaging,
-)
-from .sim.energy import EnergyBreakdown, EnergyParams, energy_report
-from .sim.engine import run_simulation
-from .sim.chaos import ChaosSchedule, FaultKind
-from .sim.parallel import (
-    CellFailure,
-    OnError,
-    ResultCache,
-    SweepCell,
-    SweepRunner,
-)
-from .sim.results import SimResult
-from .sim.runner import run_workload
-from .sim.validation import validate_machine
-from .trace.suite import SUITE, gemm_reuse_scenario, workload_by_name
-from .trace.workload import Workload, WorkloadSpec
-from .units import GB, KB, MB, PAGE_2M, PAGE_4K, PAGE_64K
+import importlib
+
+#: Where each public name lives.  Names resolve on first access
+#: (PEP 562), so ``import repro`` loads neither NumPy nor the replay
+#: engine; a command that only reads the result cache never pays for
+#: them.
+_EXPORTS = {
+    ".config": ("GPUConfig", "baseline_config", "eight_chiplet_config"),
+    ".errors": (
+        "ChaosError",
+        "InvariantViolation",
+        "MemoryExhaustedError",
+        "PolicyMappingError",
+        "SimulationError",
+        "SweepError",
+        "TraceFormatError",
+    ),
+    ".core.clap": ("AllocationPhase", "ClapPolicy"),
+    ".core.clap_sa": ("ClapSaPlusPolicy", "ClapSaPolicy"),
+    ".core.migration": ("ClapMigrationPolicy",),
+    ".policies": (
+        "BarreChordPolicy",
+        "CNumaPolicy",
+        "GritPolicy",
+        "IdealPolicy",
+        "MgvmPolicy",
+        "PlacementPolicy",
+        "SaStaticPolicy",
+        "StaticPaging",
+    ),
+    ".sim.energy": ("EnergyBreakdown", "EnergyParams", "energy_report"),
+    ".sim.engine": ("run_simulation",),
+    ".sim.chaos": ("ChaosSchedule", "FaultKind"),
+    ".sim.parallel": (
+        "CellFailure",
+        "OnError",
+        "ResultCache",
+        "SweepCell",
+        "SweepRunner",
+    ),
+    ".sim.results": ("SimResult",),
+    ".sim.runner": ("run_workload",),
+    ".sim.validation": ("validate_machine",),
+    ".trace.suite": ("SUITE", "gemm_reuse_scenario", "workload_by_name"),
+    ".trace.workload": ("Workload", "WorkloadSpec"),
+    ".units": ("GB", "KB", "MB", "PAGE_2M", "PAGE_4K", "PAGE_64K"),
+}
+_MODULE_OF = {
+    name: module for module, names in _EXPORTS.items() for name in names
+}
 
 __version__ = "1.0.0"
 
@@ -104,3 +115,16 @@ __all__ = [
     "PAGE_64K",
     "PAGE_2M",
 ]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

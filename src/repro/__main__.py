@@ -72,21 +72,17 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .render import render_bars
-from .sim.coordinator import (
-    CoordinatorConfig,
-    load_cells,
-    resolve_lease_ttl,
-    resolve_runners,
-    resolve_sweep_id,
-)
 from .sim.durability import atomic_write
-from .sim.engine import ENGINES, resolve_engine
 from .sim.parallel import ResultCache, SweepCell, SweepRunner
-from .sim.runner import resolve_policy, run_workload
+from .sim.runner import ENGINES, resolve_engine, resolve_policy, run_workload
 from .trace.suite import SUITE, workload_by_name
 from .units import SWEEP_PAGE_SIZES, size_label
+
+if TYPE_CHECKING:
+    from .sim.coordinator import CoordinatorConfig
 
 _EXPERIMENTS = {
     "fig1": "fig01_page_size_intro",
@@ -137,11 +133,19 @@ def _coordinator_config(
     ``--runners`` (or ``REPRO_RUNNERS``) switches sweep execution to
     the lease-based work-stealing coordinator; ``force`` (used by
     ``sweep --resume``) enables it with the default runner count even
-    when neither was given.
+    when neither was given.  The coordinator module loads only then.
     """
-    runners = resolve_runners(getattr(args, "runners", None))
-    if runners is None and not force:
+    requested = getattr(args, "runners", None)
+    if requested is None and not os.environ.get("REPRO_RUNNERS") and not force:
         return None
+    from .sim.coordinator import (
+        CoordinatorConfig,
+        resolve_lease_ttl,
+        resolve_runners,
+        resolve_sweep_id,
+    )
+
+    runners = resolve_runners(requested)
     return CoordinatorConfig(
         sweep_id=resolve_sweep_id(getattr(args, "sweep_id", None)),
         runners=runners if runners is not None else 2,
@@ -400,6 +404,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.resume:
         # Resuming names an existing sweep directory; its pickled cells
         # are the workload, so no positional argument is needed.
+        from .sim.coordinator import load_cells
+
         args.sweep_id = args.resume
         runner = _make_runner(args, force_coordinator=True)
         sweep_dir = runner.cache.root / "sweeps" / args.resume

@@ -18,7 +18,6 @@ from .baseline import (
     write_baseline,
 )
 from .cli import default_scan_root
-from .core import Finding, Project, all_rules, run_lint
 
 __all__ = [
     "DEFAULT_BASELINE_NAME",
@@ -31,3 +30,15 @@ __all__ = [
     "run_lint",
     "write_baseline",
 ]
+
+#: Loaded on first use, so the CLI can build its ``lint`` parser without
+#: importing the rule framework.
+_CORE_NAMES = ("Finding", "Project", "all_rules", "run_lint")
+
+
+def __getattr__(name: str):
+    if name in _CORE_NAMES:
+        from . import core
+
+        return getattr(core, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

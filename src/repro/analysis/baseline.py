@@ -15,9 +15,10 @@ import json
 from collections import Counter
 from pathlib import Path
 from typing import Counter as CounterT
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from .core import Finding
+if TYPE_CHECKING:
+    from .core import Finding
 
 BASELINE_VERSION = 1
 
@@ -46,7 +47,7 @@ def write_baseline(findings: Sequence[Finding], path: Path) -> None:
     """Persist ``findings`` as the new baseline at ``path``."""
     entries: List[Dict[str, str]] = [
         {"code": f.code, "path": f.rel, "message": f.message}
-        for f in sorted(findings, key=Finding.fingerprint)
+        for f in sorted(findings, key=lambda f: f.fingerprint())
     ]
     payload = {"version": BASELINE_VERSION, "findings": entries}
     path.write_text(

@@ -23,7 +23,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from .baseline import (
     DEFAULT_BASELINE_NAME,
@@ -31,7 +31,9 @@ from .baseline import (
     load_baseline,
     write_baseline,
 )
-from .core import Finding, Project, all_rules, run_lint
+
+if TYPE_CHECKING:
+    from .core import Finding
 
 
 def default_scan_root() -> Path:
@@ -167,6 +169,8 @@ def _emit_github(
 
 
 def run_lint_command(args: argparse.Namespace) -> int:
+    from .core import Project, all_rules, run_lint
+
     if args.list_rules:
         for code, rule in sorted(all_rules().items()):
             first_line = rule.doc.splitlines()[0] if rule.doc else ""

@@ -8,20 +8,6 @@
 * :mod:`repro.core.clap_sa` — CLAP-SA / CLAP-SA++ (static-analysis
   profiling, Section 5.2);
 * :mod:`repro.core.migration` — the CLAP+migration extension (Figure 20).
+
+The package re-exports nothing; import the submodules.
 """
-
-from .mma import level_scores, locality_level, select_page_size
-from .clap import AllocationPhase, ClapPolicy
-from .clap_sa import ClapSaPolicy, ClapSaPlusPolicy
-from .migration import ClapMigrationPolicy
-
-__all__ = [
-    "level_scores",
-    "locality_level",
-    "select_page_size",
-    "AllocationPhase",
-    "ClapPolicy",
-    "ClapSaPolicy",
-    "ClapSaPlusPolicy",
-    "ClapMigrationPolicy",
-]

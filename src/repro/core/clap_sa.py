@@ -16,12 +16,9 @@ shared structures keep the zero-overhead static path.
 
 from __future__ import annotations
 
-from typing import ClassVar, Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, ClassVar, Dict, Optional
 
 from ..sched.static_analysis import StaticPlacementOracle
-from ..sim.machine import Machine
 from ..sim.results import SelectionInfo
 from ..trace.workload import Workload
 from ..units import BLOCK_SIZE, PAGE_2M, PAGE_64K, align_down
@@ -29,6 +26,11 @@ from ..vm.va_space import Allocation
 from ..policies.base import PlacementPolicy
 from .clap import ClapPolicy
 from .mma import select_page_size
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from ..sim.machine import Machine
 
 
 class ClapSaPolicy(PlacementPolicy):

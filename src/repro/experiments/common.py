@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from ..sim.parallel import (  # noqa: F401  (re-exported for experiments)
     CellFailure,
     OnError,
@@ -100,6 +98,11 @@ class ExperimentResult:
 
 def gmean(values: Sequence[float]) -> float:
     """Geometric mean (the paper's averaging convention for speedups)."""
+    # Imported here: on a cached report this is the only NumPy use.  It
+    # stays NumPy because np.log/np.mean are not bit-identical to
+    # math.log/math.fsum, and the printed figures must not move.
+    import numpy as np
+
     arr = np.asarray(list(values), dtype=float)
     if len(arr) == 0:
         raise ValueError("gmean of an empty sequence")

@@ -14,9 +14,7 @@ the paper.  The paper reports a 93.5% average.
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from ..config import baseline_config
 from ..core.mma import locality_level
@@ -24,6 +22,9 @@ from ..sim.parallel import SweepRunner
 from ..trace.workload import Pattern, Workload
 from ..units import BLOCK_SIZE, PAGE_2M, PAGE_64K
 from .common import SEED, ExperimentResult, Row, pick_workloads
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Pages per full 2MB block.
 _SLOTS = BLOCK_SIZE // PAGE_64K
@@ -35,6 +36,8 @@ def first_touch_owners(workload: Workload, name: str) -> np.ndarray:
     Derived directly from the trace: the chiplet issuing the first access
     to each page is where first-touch demand paging places it.
     """
+    import numpy as np
+
     trace = workload.build_trace(SEED)
     allocation = workload.allocations[name]
     mask = trace.alloc_ids == allocation.alloc_id
@@ -64,7 +67,7 @@ def structure_locality_proportion(owners: np.ndarray) -> float:
     blocks: List[List[int]] = []
     for start in range(0, len(owners) - _SLOTS + 1, _SLOTS):
         block = owners[start:start + _SLOTS]
-        if np.any(block < 0):
+        if (block < 0).any():
             continue
         blocks.append([int(o) for o in block])
     if not blocks:

@@ -20,10 +20,9 @@ it as long as they pass validation.
 from __future__ import annotations
 
 import abc
-from typing import ClassVar, Dict, Optional, Set
+from typing import TYPE_CHECKING, ClassVar, Dict, Optional, Set
 
 from ..gmmu.walker import PtePlacement
-from ..sim.machine import Machine
 from ..sim.results import SelectionInfo
 from ..trace.workload import Workload
 from ..units import PAGE_2M, PAGE_64K
@@ -36,6 +35,9 @@ from .contract import (  # noqa: F401  (re-exported: the policy surface)
     REQUIRED_HOOKS,
     validate_policy,
 )
+
+if TYPE_CHECKING:
+    from ..sim.machine import Machine
 
 
 class PlacementPolicy(abc.ABC):

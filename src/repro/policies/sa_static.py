@@ -10,14 +10,15 @@ owners — the motivation for CLAP-SA.
 
 from __future__ import annotations
 
-from typing import Dict, Set
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Set
 
 from ..sched.static_analysis import StaticPlacementOracle
 from ..units import PAGE_2M, PAGE_64K, align_down, is_pow2, size_label
 from ..vm.va_space import Allocation
 from .base import PlacementPolicy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class SaStaticPolicy(PlacementPolicy):

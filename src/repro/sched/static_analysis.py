@@ -12,10 +12,13 @@ profiling (Section 5.2).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..trace.workload import Pattern, StructureSpec, Workload
 from ..units import BLOCK_SIZE, PAGE_64K
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Pages per 2MB VA block: granularity of the fallback round-robin guess.
 _PAGES_PER_BLOCK = BLOCK_SIZE // PAGE_64K
@@ -44,6 +47,8 @@ class StaticPlacementOracle:
         block-granular round-robin spread — the best placement-neutral
         default the driver can apply without runtime information.
         """
+        import numpy as np
+
         pages = structure.num_pages
         if self.is_predictable(structure):
             return np.fromiter(

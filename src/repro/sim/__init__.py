@@ -1,19 +1,6 @@
-"""Trace-driven simulation: machine state, engine, timing, results."""
+"""Trace-driven simulation: machine state, engine, timing, results.
 
-from .machine import Machine
-from .timing import TimingParams
-from .results import SimResult
-from .engine import run_simulation
-from .runner import run_workload
-from .parallel import ResultCache, SweepCell, SweepRunner
-
-__all__ = [
-    "Machine",
-    "TimingParams",
-    "SimResult",
-    "run_simulation",
-    "run_workload",
-    "SweepRunner",
-    "SweepCell",
-    "ResultCache",
-]
+Import the submodules directly (``repro.sim.engine``,
+``repro.sim.parallel``, ...): the package itself loads nothing, so
+reading the result cache never pulls in the replay engine.
+"""

@@ -739,6 +739,10 @@ class Coordinator:
     # - supervision loop -
 
     def _spawn(self, sequence: int) -> multiprocessing.Process:
+        # Load the replay modules before forking, so every runner
+        # inherits them instead of importing NumPy and the engine itself.
+        from . import engine  # noqa: F401
+
         runner = self._runner
         process = multiprocessing.Process(
             target=_runner_process,

@@ -18,8 +18,10 @@ that component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .machine import Machine
+if TYPE_CHECKING:
+    from .machine import Machine
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ collection (``--telemetry`` / ``REPRO_TELEMETRY``) in
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Union
 
 from ..arch.address import InterleavePolicy
@@ -29,32 +28,13 @@ from .energy import energy_report
 from .machine import Machine
 from .pipeline import AccessPipeline, SimState
 from .results import SimResult
+from .runner import ENGINES, resolve_engine  # noqa: F401  (re-exported)
 from .telemetry import (
     Instrumentation,
     TelemetryCollector,
     resolve_instrumentation,
 )
 from .timing import TimingParams, total_cycles
-
-#: Valid values for the ``engine`` argument / ``REPRO_ENGINE`` variable.
-ENGINES = ("staged", "batched")
-
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """Normalize an engine request: argument > ``REPRO_ENGINE`` > batched.
-
-    Both engines produce bit-identical results (asserted by the golden
-    and differential-fuzz suites), so the choice only affects wall time.
-    """
-    if engine is None:
-        engine = os.environ.get("REPRO_ENGINE") or "batched"
-    engine = engine.strip().lower()
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of: "
-            f"{', '.join(ENGINES)}"
-        )
-    return engine
 
 
 def run_simulation(

@@ -62,8 +62,6 @@ import random
 import shutil
 import time
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -82,7 +80,6 @@ from ..arch.address import InterleavePolicy
 from ..config import GPUConfig, baseline_config
 from ..errors import SweepError
 from ..policies.contract import CAPABILITY_FLAGS
-from ..trace.store import TraceStore, resolve_trace_store
 from ..trace.suite import workload_by_name
 from ..trace.workload import Trace, WorkloadSpec
 from .chaos import ChaosDirective, ChaosSchedule, apply_chaos
@@ -93,6 +90,10 @@ from .telemetry import telemetry_enabled_by_env
 from .timing import TimingParams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from concurrent.futures import ProcessPoolExecutor
+
+    from ..surrogate.active import SurrogateConfig
+    from ..trace.store import TraceStore
     from .coordinator import CoordinatorConfig
 
 #: Bump when the cache entry layout or :meth:`SimResult.to_dict` schema
@@ -590,6 +591,8 @@ def _run_cell_worker(
     apply_chaos(directive, in_process=in_process)
     trace = None
     if trace_ref is not None:
+        from ..trace.store import TraceStore
+
         root, fingerprint = trace_ref
         trace = TraceStore(root).attach(fingerprint)
     return _run_cell(cell, trace=trace)
@@ -702,14 +705,20 @@ class SweepRunner:
         self.cache: Optional[ResultCache] = (
             ResultCache(cache_dir) if use_cache else None
         )
-        store_root = resolve_trace_store(trace_store)
         #: shared trace store (``--trace-store``/``REPRO_TRACE_STORE``):
         #: the parent materializes each distinct trace once and workers
         #: attach zero-copy by fingerprint; None means every worker
         #: regenerates its own trace (the default)
-        self.trace_store: Optional[TraceStore] = (
-            TraceStore(store_root) if store_root is not None else None
-        )
+        self.trace_store: Optional[TraceStore] = None
+        if trace_store is not False and (
+            trace_store is not None or "REPRO_TRACE_STORE" in os.environ
+        ):
+            # The store (and NumPy with it) loads only when asked for.
+            from ..trace.store import TraceStore, resolve_trace_store
+
+            store_root = resolve_trace_store(trace_store)
+            if store_root is not None:
+                self.trace_store = TraceStore(store_root)
         #: pending-cell index -> (store root, trace fingerprint) for the
         #: current ``run_cells`` batch; workers attach through these
         self._trace_refs: Dict[int, Tuple[str, str]] = {}
@@ -733,13 +742,15 @@ class SweepRunner:
         self.backoff_seed = backoff_seed
         self.chaos = chaos
         self.coordinator = coordinator
-        from ..surrogate.active import resolve_surrogate
-
         #: surrogate-guided pruning (``repro explore``; off unless
         #: passed): when set, ``run_cells`` simulates only the cells the
         #: active sampler deems decision-relevant and returns
         #: :class:`~repro.surrogate.results.PredictedResult` for the rest
-        self.surrogate = resolve_surrogate(surrogate)
+        self.surrogate: Optional[SurrogateConfig] = None
+        if surrogate is not None:
+            from ..surrogate.active import resolve_surrogate
+
+            self.surrogate = resolve_surrogate(surrogate)
         # Conflicts are checked here, after the environment is resolved,
         # and nowhere else; each message names the flag and variable.
         if self.surrogate is not None and self.telemetry:
@@ -976,6 +987,13 @@ class SweepRunner:
         results: List[Optional[SimResult]],
     ) -> None:
         """Per-cell futures with timeout, retry and pool-rebuild."""
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
+
+        # Load the replay modules before the pool forks, so every worker
+        # inherits them instead of importing NumPy and the engine itself.
+        from . import engine  # noqa: F401
+
         workers = min(self.jobs, len(indices))
         queue: "collections.deque[Tuple[int, int]]" = collections.deque(
             (i, 1) for i in indices
@@ -1112,6 +1130,8 @@ class SweepRunner:
     def _rebuild_pool(
         self, pool: ProcessPoolExecutor, workers: int
     ) -> ProcessPoolExecutor:
+        from concurrent.futures import ProcessPoolExecutor
+
         self._kill_pool(pool)
         return ProcessPoolExecutor(max_workers=workers)
 

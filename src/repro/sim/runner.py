@@ -4,19 +4,44 @@
 sweep runner build on; it resolves suite abbreviations, builds the
 policy by name when given a string, and memoises nothing — every call is
 an independent simulation.
+
+This module also owns the engine names (:data:`ENGINES`,
+:func:`resolve_engine`) and does not import the engine itself until a
+simulation runs, so the CLI can parse and check ``--engine`` and build
+cells without loading NumPy or the replay modules.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Optional, Union
 
 from ..arch.address import InterleavePolicy
 from ..config import GPUConfig
 from ..trace.suite import workload_by_name
 from ..trace.workload import Trace, WorkloadSpec
-from .engine import run_simulation
 from .results import SimResult
 from .timing import TimingParams
+
+#: Valid values for the ``engine`` argument / ``REPRO_ENGINE`` variable.
+ENGINES = ("staged", "batched")
+
+
+def resolve_engine(engine: Optional[str]) -> str:
+    """Normalize an engine request: argument > ``REPRO_ENGINE`` > batched.
+
+    Both engines produce bit-identical results (asserted by the golden
+    and differential-fuzz suites), so the choice only affects wall time.
+    """
+    if engine is None:
+        engine = os.environ.get("REPRO_ENGINE") or "batched"
+    engine = engine.strip().lower()
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of: "
+            f"{', '.join(ENGINES)}"
+        )
+    return engine
 
 
 def resolve_policy(policy):
@@ -80,6 +105,8 @@ def run_workload(
     it must match ``(workload, config.num_chiplets, seed)``, which the
     determinism invariant makes exact.
     """
+    from .engine import run_simulation
+
     spec = workload_by_name(workload) if isinstance(workload, str) else workload
     return run_simulation(
         spec,

@@ -1,27 +1,5 @@
-"""Synthetic workload traces with explicit chiplet-locality structure."""
+"""Synthetic workload traces with explicit chiplet-locality structure.
 
-from .workload import (
-    KernelSpec,
-    Pattern,
-    Scan,
-    StructureSpec,
-    StructureUsage,
-    Trace,
-    Workload,
-    WorkloadSpec,
-)
-from .suite import SUITE, gemm_reuse_scenario, workload_by_name
-
-__all__ = [
-    "Pattern",
-    "Scan",
-    "StructureSpec",
-    "StructureUsage",
-    "KernelSpec",
-    "WorkloadSpec",
-    "Workload",
-    "Trace",
-    "SUITE",
-    "workload_by_name",
-    "gemm_reuse_scenario",
-]
+The package re-exports nothing; import the submodules
+(``repro.trace.workload``, ``repro.trace.suite``, ...).
+"""

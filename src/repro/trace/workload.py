@@ -26,12 +26,13 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..units import PAGE_64K, pages_in
 from ..vm.va_space import Allocation, VASpace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Pattern(enum.Enum):
@@ -198,6 +199,8 @@ class Trace:
     source: str = "generated"
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         from . import arena as _arena
 
         n = len(self.vaddrs)
@@ -239,6 +242,8 @@ class Workload:
         va_space: Optional[VASpace] = None,
         seed: int = 7,
     ) -> None:
+        import numpy as np
+
         if num_chiplets < 1:
             raise ValueError("num_chiplets must be >= 1")
         self.spec = spec
@@ -274,6 +279,8 @@ class Workload:
         cached = self._first_touch_owner.get(structure.name)
         if cached is not None:
             return cached
+        import numpy as np
+
         pages = structure.num_pages
         if structure.pattern is Pattern.SHARED:
             # zlib.crc32, not hash(): string hashes are salted per
