@@ -32,17 +32,19 @@ constant must agree between the staged literal and ``_TRANSFER_BYTES``;
 must route translation through the one ``translate_head``.
 
 A fourth check covers the bulk fault path.  ``batch_faults`` inlines
-the audited ``map_single`` sequence (frame pop, PTE install) with its
-own counter updates, so it must never call ``place`` / ``map_single`` /
-``map_page`` / ``map_into_region`` / ``ensure_region`` itself, and
-never touch a data-path channel.  The inlining is only sound for
-policies whose ``place`` is provably that sequence, so every
+the audited ``map_single`` and reservation sequences (frame pop, region
+reservation, PTE install) with its own counter updates, so it must
+never call ``place`` / ``map_single`` / ``map_page`` /
+``map_into_region`` / ``ensure_region`` itself, and never touch a
+data-path channel.  The inlining is only sound for policies whose
+``place`` is provably one of those sequences, so every
 ``batch_faults(...)`` call must sit under an ``if`` whose test is
 ``bulk_proven`` or an ``and`` chain with it as a direct operand, and
-``bulk_proven`` must be derived from membership of the policy's
-unbound ``place`` in the ``AUDITED_PLACE`` table (on top of
-``fault_batch_eligible``).  An unfenced call, or a ``bulk_proven``
-that no longer references the audit table, is drift.
+every assignment to ``bulk_proven`` must be derived from membership of
+the policy's unbound ``place`` in the ``AUDITED_PLACE`` table (on top
+of ``fault_batch_eligible``).  An unfenced call, or any binding of
+``bulk_proven`` that does not reference the audit table (a later
+``bulk_proven = True`` included), is drift.
 """
 
 from __future__ import annotations
@@ -285,9 +287,9 @@ def _calls_function(func: ast.FunctionDef, callee: str) -> bool:
 
 
 #: Placement primitives the bulk fault path must never call: it inlines
-#: the audited ``map_single`` sequence and updates the page-table and
-#: fault counters itself, which a real placement call would bypass or
-#: double-count.
+#: the audited ``map_single`` and reservation sequences and updates the
+#: page-table, region and fault counters itself, which a real placement
+#: call would bypass or double-count.
 FAULT_PLACEMENT_CALLS = (
     "place",
     "map_single",
@@ -335,24 +337,48 @@ def _guarded_node_ids(root: ast.AST, guard: str) -> set:
     return guarded
 
 
-def _bulk_proof_intact(source: Union[SourceFile, ast.AST]) -> bool:
-    """True when ``bulk_proven`` is assigned from an expression that
-    reads both ``fault_batch_eligible`` and the ``AUDITED_PLACE`` audit
-    table — the static proof the bulk fault path's fence relies on."""
+#: Names every assignment to ``bulk_proven`` must read: the capability
+#: gate and the audit table of ``place`` implementations.
+BULK_PROOF_NAMES = frozenset({"fault_batch_eligible", "AUDITED_PLACE"})
+
+
+def _bulk_proof_gap(
+    source: Union[SourceFile, ast.AST]
+) -> Optional[ast.AST]:
+    """None when ``bulk_proven`` is assigned and *every* binding of it
+    is an assignment from an expression that reads both
+    ``fault_batch_eligible`` and the ``AUDITED_PLACE`` audit table — the
+    static proof the bulk fault path's fence relies on.  Otherwise the
+    first binding that breaks the proof (a bare ``bulk_proven = True``
+    after it voids it), or the source itself when there is no proof."""
+    proven: set = set()
+    bindings: List[ast.AST] = []
     for node in _nodes(source):
-        if not isinstance(node, ast.Assign):
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(
+            node, (ast.AugAssign, ast.AnnAssign, ast.NamedExpr)
+        ):
+            targets, value = [node.target], node.value
+        elif (
+            isinstance(node, ast.Name)
+            and node.id == "bulk_proven"
+            and isinstance(node.ctx, ast.Store)
+        ) or (isinstance(node, ast.arg) and node.arg == "bulk_proven"):
+            bindings.append(node)
             continue
-        targets = {
-            t.id for t in node.targets if isinstance(t, ast.Name)
-        }
-        if "bulk_proven" not in targets:
+        else:
             continue
         names = {
-            n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)
-        }
-        if {"fault_batch_eligible", "AUDITED_PLACE"} <= names:
-            return True
-    return False
+            n.id for n in ast.walk(value) if isinstance(n, ast.Name)
+        } if value is not None else set()
+        if BULK_PROOF_NAMES <= names:
+            proven.update(
+                id(n) for t in targets for n in ast.walk(t)
+            )
+    if not bindings:
+        return source if isinstance(source, ast.AST) else source.tree
+    return next((n for n in bindings if id(n) not in proven), None)
 
 
 def _check_fault_batching(batch: SourceFile) -> Iterator[Finding]:
@@ -403,14 +429,15 @@ def _check_fault_batching(batch: SourceFile) -> Iterator[Finding]:
                 "policies whose place() passed the AUDITED_PLACE "
                 "identity proof",
             )
-    if not _bulk_proof_intact(batch):
+    gap = _bulk_proof_gap(batch)
+    if gap is not None:
         yield _finding(
             batch,
-            func,
+            func if gap is batch.tree else gap,
             "batch_faults() inlines placement but bulk_proven is not "
             "derived from fault_batch_eligible and the AUDITED_PLACE "
-            "table; the fence no longer proves the inlined placement "
-            "matches the policy",
+            "table at every assignment; the fence no longer proves the "
+            "inlined placement matches the policy",
         )
 
 

@@ -18,8 +18,9 @@ A purely SM-side model is placement-blind and cannot show that effect.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import OrderedDict
-from typing import List
+from typing import Iterable, List, Tuple
 
 from ..units import CACHE_LINE, is_pow2
 
@@ -85,20 +86,46 @@ class SetAssociativeCache:
 
     def invalidate_range(self, paddr: int, size: int) -> int:
         """Drop all lines in ``[paddr, paddr+size)`` (migration flush)."""
-        first = paddr // self.line_size
-        last = (paddr + size - 1) // self.line_size
+        return self.invalidate_ranges(((paddr, size),))
+
+    def invalidate_ranges(self, ranges: Iterable[Tuple[int, int]]) -> int:
+        """Drop every line in the union of the ``(paddr, size)`` ranges;
+        returns the number of lines dropped.
+
+        The ranges may come in any order and may overlap, touch or
+        repeat.  Removing lines leaves the survivors' LRU order as it
+        was, so one call equals one :meth:`invalidate_range` per range.
+        """
+        starts: List[int] = []
+        lasts: List[int] = []
+        for first, last in sorted(
+            (paddr // self.line_size, (paddr + size - 1) // self.line_size)
+            for paddr, size in ranges
+        ):
+            if lasts and first <= lasts[-1] + 1:
+                lasts[-1] = max(lasts[-1], last)
+            else:
+                starts.append(first)
+                lasts.append(last)
         dropped = 0
-        if last - first + 1 > self.capacity_lines:
-            # Large range (e.g. a 2MB page): scanning resident entries is
-            # cheaper than probing every line in the range.
+        union = sum(last - first + 1 for first, last in zip(starts, lasts))
+        if union > self.capacity_lines:
+            # The union outsizes the cache (e.g. a 2MB page): scanning
+            # resident entries once is cheaper than probing every line.
             for entries in self._sets:
-                for line in [e for e in entries if first <= e <= last]:
+                doomed = []
+                for line in entries:
+                    k = bisect_right(starts, line)
+                    if k and line <= lasts[k - 1]:
+                        doomed.append(line)
+                for line in doomed:
                     del entries[line]
-                    dropped += 1
+                dropped += len(doomed)
             return dropped
-        for line in range(first, last + 1):
-            if self._set_of(line).pop(line, None) is not None:
-                dropped += 1
+        for first, last in zip(starts, lasts):
+            for line in range(first, last + 1):
+                if self._set_of(line).pop(line, None) is not None:
+                    dropped += 1
         return dropped
 
     def flush(self) -> None:

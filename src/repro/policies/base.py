@@ -116,10 +116,13 @@ class PlacementPolicy(abc.ABC):
 
         Returning a size ``s`` promises that :meth:`place` is *exactly*
         ``pager.map_single(vaddr, s, requester, allocation.alloc_id,
-        self.pool_for(allocation))`` with no policy state read or
-        written, so the batched engine may resolve a run of first-touch
-        faults ahead of the steady-state replay (first-touch owner per
-        page unchanged, frame-allocation order unchanged) without any
+        self.pool_for(allocation))``, or the reservation sequence that
+        maps ``s``-sized pages into a region reserved on the first
+        touch (``region_at``/``ensure_region``, then
+        ``map_into_region``), with no policy state read or written, so
+        the batched engine may resolve a run of first-touch faults ahead
+        of the steady-state replay (first-touch owner per page
+        unchanged, frame-allocation order unchanged) without any
         observable difference.  The hook is necessary but not
         sufficient: the engine batches only when the unbound ``place``
         is also one of the audited implementations in

@@ -63,16 +63,21 @@ REQUIRED_HOOKS: Tuple[str, ...] = (
 
 #: Hooks a policy *may* expose.  ``fault_batch_size`` is the bulk fault
 #: path's opt-in: a policy returning a page size ``s`` asserts that,
-#: for this run, ``place(vaddr, requester, allocation)`` is exactly
+#: for this run, ``place(vaddr, requester, allocation)`` is exactly one
+#: of two sequences, with no policy state read or written:
 #: ``pager.map_single(vaddr, s, requester, allocation.alloc_id,
-#: pool_for(allocation))`` — no policy state read or written — so the
-#: batched engine may hoist a run of first-touch faults ahead of the
-#: steady-state replay without changing any observable result.  The
-#: hook is necessary but not sufficient: batching also needs the
-#: policy's unbound ``place`` to be an audited implementation listed in
-#: ``repro.sim.batch.AUDITED_PLACE``.  Policies whose placement is
-#: stateful (CLAP, Barre, C-NUMA) return None and keep the exact scalar
-#: fault path.  Deliberately NOT part of :data:`CAPABILITY_FLAGS`: it is
+#: pool_for(allocation))``, or the reservation sequence of Figure 5 —
+#: ``region_at(base)``, else ``ensure_region(base, size, s, requester,
+#: pool_for(allocation))``, then ``map_into_region(vaddr, region,
+#: allocation.alloc_id)`` for a fixed region size above ``s``.  The
+#: batched engine may then hoist a run of first-touch faults ahead of
+#: the steady-state replay without changing any observable result; a
+#: fault that fills its region, and so promotes it, stays at its own
+#: trace position.  The hook is necessary but not sufficient: batching
+#: also needs the policy's unbound ``place`` to be an audited
+#: implementation listed in ``repro.sim.batch.AUDITED_PLACE``.  Policies
+#: whose placement is stateful (CLAP, Barre, C-NUMA) return None and
+#: keep the exact scalar fault path.  Deliberately NOT part of :data:`CAPABILITY_FLAGS`: it is
 #: a pure engine-speed hint and must not perturb ``policy_fingerprint``
 #: (result-cache keys).
 OPTIONAL_HOOKS: Tuple[str, ...] = ("fault_batch_size",)

@@ -50,11 +50,11 @@ class StaticPaging(PlacementPolicy):
         return {self.base_size, self.page_size}
 
     def fault_batch_size(self) -> Optional[int]:
-        """Base-page sizes map one page per fault with no policy state;
-        larger sizes go through region reservation and stay scalar."""
-        if self.page_size <= PAGE_64K:
-            return self.page_size
-        return None
+        """Every fault maps one base page with no policy state: on its
+        own at base-page sizes, into the region reserved at its first
+        touch above 64KB.  The fault that fills a region promotes it,
+        which the batched engine leaves on the scalar path."""
+        return self.base_size
 
     def place(self, vaddr: int, requester: int, allocation: Allocation) -> None:
         pager = self.machine.pager

@@ -59,26 +59,35 @@ epochs through the shared ``close_epoch``.
 **The bulk fault path** (``batch_faults``): first-touch faults are
 resolved a chunk at a time when the run is ``bulk_proven``.  That takes
 three things.  The policy opts in via ``fault_batch_size()`` (a
-contract promise that ``place`` is a stateless single-page
-``map_single`` at exactly the replay granule).  Its unbound ``place``
-is literally one of the audited in-tree implementations listed in
-:data:`AUDITED_PLACE`, whose bodies are by inspection exactly
-``pager.map_single(vaddr, granule, requester, alloc_id,
-pool_for(allocation))``.  And the run has no bounded capacity, no host
-eviction and no coalescing units.  One ``np.unique`` over the
-not-yet-replayed tail of the chunk then finds each unmapped page's
-*first* access — precisely the PMM first-touch owner sample — and the
-batch inlines the audited sequence per page, in trace order of those
-first touches: log the fault buffer, pop a frame from the allocator
-free list, insert the PTE, drain the buffer.  Statement for statement
-these are the machine mutations ``place`` would have made, in the same
-order (allocation order included), minus the policy dispatch and the
-checks whose outcomes are already known.  Because that placement reads
-no policy state and touches no translation/data/cache state, hoisting
-the faults ahead of the intervening steady-state accesses is
-unobservable.  Any other policy — a subclass override of ``place``
-included, however innocent-looking — faults one access at a time
-through the staged fault stage.
+contract promise that ``place`` maps one page of exactly the replay
+granule, on its own or into a reserved region, and keeps no policy
+state).  Its unbound
+``place`` is literally one of the audited in-tree implementations
+listed in :data:`AUDITED_PLACE`, whose bodies are by inspection one of
+two sequences: ``pager.map_single(vaddr, granule, requester, alloc_id,
+pool_for(allocation))``, or, for static paging above the granule, the
+reservation of Figure 5 (``region_at``, else ``ensure_region`` on the
+requester, then ``map_into_region``).  And the run has no bounded
+capacity, no host eviction and no coalescing units.  One ``np.unique``
+over the not-yet-replayed tail of the chunk then finds each unmapped
+page's *first* access — precisely the PMM first-touch owner sample —
+and the batch inlines the audited sequence per page, in trace order of
+those first touches: log the fault buffer, pop a frame from the
+allocator free list (a region's frame at the region's first touch),
+insert the PTE, drain the buffer.  Statement for statement these are
+the machine mutations ``place`` would have made, in the same order
+(allocation order included), minus the policy dispatch and the checks
+whose outcomes are already known.  Because that placement reads no
+policy state and touches no translation/data/cache state, hoisting the
+faults ahead of the intervening steady-state accesses is unobservable:
+without coalescing a page's translation unit is its own PTE, and no
+access reaches a page before its first touch.  The one effect that
+crosses pages, promotion, is never hoisted: a fault that would fill
+its region is *deferred* to the one-access window at its own trace
+position, where ``FaultStage.process`` promotes the region.  Any other
+policy — a subclass override of ``place`` included, however
+innocent-looking — faults one access at a time through the staged
+fault stage.
 
 **Why results stay bit-identical** (DESIGN.md section 7): within a
 window no page-table mutation can occur, so resolving records up front
@@ -109,7 +118,7 @@ from ..gmmu.walker import (
 from ..mem.dram import ROW_SIZE
 from ..tlb.units import COALESCE_WINDOW_PAGES
 from ..units import PAGE_2M, PAGE_64K
-from ..vm.page_table import MappingRecord
+from ..vm.page_table import MappingRecord, Region
 from .pipeline import FaultStage, SimState, close_epoch
 from .telemetry import TelemetryCollector
 
@@ -127,12 +136,16 @@ MIN_VEC = 24
 _TRANSFER_BYTES = 160
 
 #: ``(module, qualname)`` of every unbound ``place`` implementation whose
-#: body is — by direct inspection — exactly the sequence the
-#: ``fault_batch_size`` contract promises: ``pager.map_single(vaddr,
-#: granule, requester, allocation.alloc_id, pool_for(allocation))`` with
-#: no other effect.  Only these may take ``batch_faults``, which inlines
-#: that sequence (frame allocation + page-table insert) without calling
-#: the policy at all.  A subclass override never matches (its
+#: body is — by direct inspection — exactly a sequence the
+#: ``fault_batch_size`` contract promises, with no other effect:
+#: ``pager.map_single(vaddr, granule, requester, allocation.alloc_id,
+#: pool_for(allocation))``, or (``StaticPaging.place`` above the
+#: granule) the reservation sequence ``region_at(base)``, else
+#: ``ensure_region(base, page_size, granule, requester,
+#: pool_for(allocation))``, then ``map_into_region(vaddr, region,
+#: allocation.alloc_id)``.  Only these may take ``batch_faults``, which
+#: inlines that sequence (frame allocation + page-table insert) without
+#: calling the policy at all.  A subclass override never matches (its
 #: ``__qualname__`` names the subclass), so it faults through the staged
 #: fault stage one access at a time.  Adding an entry here asserts you
 #: have audited the method body against the contract comment in
@@ -564,6 +577,17 @@ class BatchedPipeline:
         )
         bulk_faults = 0
         if bulk_proven:
+            # The frame a first touch allocates.  Above the granule the
+            # audited StaticPaging.place reserves a region of the
+            # policy's page size (Figure 5); every other audited body
+            # maps one granule page on its own.
+            frame_size = (
+                state.policy.page_size
+                if place_fn.__qualname__ == "StaticPaging.place"
+                else granule
+            )
+            reserving = frame_size > granule
+            regions = machine.pager._regions
             pool_for = state.policy.pool_for
             allocations = state.allocations
             trace_alloc_ids = trace.alloc_ids
@@ -610,6 +634,10 @@ class BatchedPipeline:
             #: "mapped at sub-granule size": only truly unmapped keys
             #: are first-touch faults the batch path may resolve.
             unmapped = [False] * n_uniq
+            #: True for an unmapped key whose fault would fill its
+            #: region: ``batch_faults`` leaves it to the one-access
+            #: window, whose fault promotes the region in trace order.
+            deferred = [False] * n_uniq
             delta = [0] * n_uniq
             homec = [0] * n_uniq
             alloc = [0] * n_uniq
@@ -1014,8 +1042,12 @@ class BatchedPipeline:
                 granule check (we installed the PTE), and the per-fault
                 event drain (the resolved state is written directly).
                 Counter updates — buffer ``faults_logged``,
-                ``mapped_pages``, ``generation``, fault totals — are
-                identical.  Only sound when the run is ``bulk_proven``.
+                ``mapped_pages``, ``generation``, ``region.mapped``,
+                fault totals — are identical.  A fault that would fill
+                its region is left unmapped and marked ``deferred``: the
+                scan hands it to the staged fault stage at its own
+                position, which promotes the region.  Only sound when
+                the run is ``bulk_proven``.
                 """
                 nonlocal bulk_faults, last_gen, vec_arrays
                 seg_uniq, seg_first = np.unique(
@@ -1024,23 +1056,46 @@ class BatchedPipeline:
                 todo = sorted(
                     (rel + first, j)
                     for j, first in zip(seg_uniq.tolist(), seg_first.tolist())
-                    if unmapped[j]
+                    if unmapped[j] and not deferred[j]
                 )
                 table = page_table._table_for(granule)
+                done = 0
                 for pos, j in todo:
                     v = va_list[pos]
                     r = ch_list[pos]
+                    page_base = v - (v % granule)
+                    # The region's base when reserving, else page_base.
+                    frame_base = v - (v % frame_size)
+                    region = regions.get(frame_base) if reserving else None
+                    if (
+                        region is not None
+                        and region.mapped == region.capacity - 1
+                    ):
+                        deferred[j] = True
+                        continue
                     allocation = allocations[int(trace_alloc_ids[start + pos])]
                     buf_log[r](v, r)
                     # Wall time feeds only the telemetry snapshot
                     # (stripped before cache writes), as in FaultStage.
                     t0 = perf_counter() if telem is not None else 0.0  # repro-lint: ignore[RPR001]
                     pool = pool_for(allocation)
-                    fl = alloc_free.get((r, granule, pool))
-                    frame = (
-                        fl.pop() if fl else allocator_allocate(r, granule, pool)
-                    )
-                    page_base = v - (v % granule)
+                    if region is None:
+                        # One granule page, or a region's whole frame at
+                        # the region's first touch.
+                        fl = alloc_free.get((r, frame_size, pool))
+                        frame = (
+                            fl.pop()
+                            if fl
+                            else allocator_allocate(r, frame_size, pool)
+                        )
+                        if reserving:
+                            region = Region(
+                                frame_base, frame_size, frame, granule, pool
+                            )
+                            regions[frame_base] = region
+                    else:
+                        frame = region.frame
+                    paddr = frame.paddr + (page_base - frame_base)
                     vpn = page_base >> shift
                     if vpn in table:
                         raise ValueError(
@@ -1049,11 +1104,14 @@ class BatchedPipeline:
                     rec = MappingRecord(
                         page_base,
                         granule,
-                        frame.paddr,
+                        paddr,
                         frame.chiplet,
                         allocation.alloc_id,
+                        region,
                     )
                     table[vpn] = rec
+                    if region is not None:
+                        region.mapped += 1
                     if telem is not None:
                         telem.on_fault(
                             r, v, allocation.alloc_id,
@@ -1064,10 +1122,10 @@ class BatchedPipeline:
                     units[j] = unit_tuple(page_base, rec)
                     ok[j] = True
                     unmapped[j] = False
-                    delta[j] = frame.paddr - page_base
+                    delta[j] = paddr - page_base
                     homec[j] = frame.chiplet
                     alloc[j] = allocation.alloc_id
-                done = len(todo)
+                    done += 1
                 page_table.mapped_pages += done
                 page_table.generation += done
                 last_gen = page_table.generation
@@ -1103,12 +1161,15 @@ class BatchedPipeline:
                     fast_accesses += f
                     rel = nxt
                 if rel < m:
-                    if bulk_proven and unmapped[inv_list[rel]]:
+                    j = inv_list[rel]
+                    if bulk_proven and unmapped[j] and not deferred[j]:
                         # ``batch_faults`` resolves this key among the
                         # rest and writes the resolved state directly,
                         # so the next drain_repairs() is a no-op.  One
                         # rebuild from the flags is cheaper than skipping
                         # every newly resolved position one at a time.
+                        # A key it defers comes back here and, no longer
+                        # passing this test, faults one access at a time.
                         batch_faults(rel)
                         ok_np = np.array(ok, dtype=bool)
                         bad_list = (

@@ -9,7 +9,8 @@ architecture (Figure 3, Table 1).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional, Tuple
 
 from ..arch.address import AddressLayout, InterleavePolicy
 from ..arch.topology import RingTopology
@@ -108,6 +109,9 @@ class Machine:
             dram_clock_mhz=config.dram_clock_mhz,
             core_clock_mhz=config.clock_mhz,
         )
+        #: ``(paddr, size)`` ranges flushed inside an open
+        #: :meth:`flush_batch`; None outside one.
+        self._deferred_flush: Optional[List[Tuple[int, int]]] = None
 
     @property
     def num_chiplets(self) -> int:
@@ -134,11 +138,37 @@ class Machine:
             path.shootdown(tag, size_class)
 
     def flush_data_caches_range(self, paddr: int, size: int) -> None:
-        """Drop cached lines for a migrated physical range."""
-        for cache in self.l1_caches:
+        """Drop cached lines for a migrated physical range.
+
+        Immediate outside :meth:`flush_batch`; inside one, the range is
+        recorded and dropped when the batch exits.
+        """
+        if self._deferred_flush is not None:
+            self._deferred_flush.append((paddr, size))
+            return
+        for cache in self.l1_caches + self.l2_caches:
             cache.invalidate_range(paddr, size)
-        for cache in self.l2_caches:
-            cache.invalidate_range(paddr, size)
+
+    @contextmanager
+    def flush_batch(self) -> Iterator[None]:
+        """Defer data-cache flushes to the end of the ``with`` block.
+
+        On exit each L1 and L2 drops the union of the recorded ranges in
+        one pass.  The result equals flushing each range on the spot as
+        long as no data cache is read or filled inside the block: the
+        epoch callback, where every migration happens, is such a block
+        (DESIGN.md section 7).
+        """
+        if self._deferred_flush is not None:
+            raise RuntimeError("flush batches do not nest")
+        self._deferred_flush = []
+        try:
+            yield
+        finally:
+            ranges, self._deferred_flush = self._deferred_flush, None
+            if ranges:
+                for cache in self.l1_caches + self.l2_caches:
+                    cache.invalidate_ranges(ranges)
 
     @property
     def l2_misses(self) -> int:

@@ -147,13 +147,19 @@ def close_epoch(state: SimState, telem: Optional[Instrumentation]) -> None:
     epoch-index advance, and the page-stats reset must be identical in
     both engines for results to stay bit-identical.  The caller must
     have synced ``state.epoch_remote`` / ``state.epoch_accesses`` first.
+
+    ``on_epoch`` runs inside the machine's flush batch: every migration
+    it makes drops its data-cache lines when the callback returns, one
+    pass per cache, which is exact because no data cache is read or
+    filled inside the callback.
     """
     ratio = (
         state.epoch_remote / state.epoch_accesses
         if state.epoch_accesses
         else 0.0
     )
-    state.policy.on_epoch(state.epoch_index, state.page_stats, ratio)
+    with state.machine.flush_batch():
+        state.policy.on_epoch(state.epoch_index, state.page_stats, ratio)
     if telem is not None:
         telem.on_epoch(state.epoch_index, ratio, state.per_structure)
     state.epoch_index += 1

@@ -117,7 +117,9 @@ class SimResult:
     #: Fraction of page faults the batched engine resolved through its
     #: bulk fault path (``batch_faults``); None when the run was not
     #: eligible (staged engine, stateful or unaudited placement,
-    #: bounded capacity, host eviction).  Computed-how metadata like
+    #: bounded capacity, host eviction).  Below 1.0 for the reservation
+    #: sizes S-128KB…S-2MB, whose region-filling faults stay scalar:
+    #: 1 - regions/faults.  Computed-how metadata like
     #: ``fast_path_fraction``: excluded from equality and ``to_dict``.
     fault_batch_fraction: Optional[float] = field(default=None, compare=False)
     #: Where the replayed trace came from: ``"generated"`` (built in the

@@ -1,5 +1,7 @@
 """Tests for the data caches and remote-caching schemes."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from repro.cache.remote_cache import (
     make_remote_cache,
 )
 from repro.config import baseline_config
+from repro.sim.machine import Machine
 
 
 class TestSetAssociativeCache:
@@ -77,6 +80,102 @@ class TestSetAssociativeCache:
             cache.access(line * 128)
         resident = sum(len(s) for s in cache._sets)
         assert resident <= cache.capacity_lines
+
+
+def _filled_cache():
+    """A 64-line, 16-set cache filled past capacity in a scrambled
+    order, so sets hold lines in a non-trivial LRU order."""
+    cache = SetAssociativeCache(64 * 128, ways=4)
+    for i in range(400):
+        cache.access(((i * 37) % 200) * 128)
+    return cache
+
+
+def _lines(first, count):
+    return (first * 128, count * 128)
+
+
+#: Unsorted, overlapping, adjacent and duplicate ranges whose union is
+#: 21 lines (probe branch) or 115 lines (scan branch) of a 64-line cache.
+FLUSH_CASES = {
+    "probe": [
+        _lines(20, 4), _lines(0, 8), _lines(4, 8), _lines(12, 2),
+        _lines(0, 8), _lines(150, 3),
+    ],
+    "scan": [
+        _lines(100, 50), _lines(0, 30), _lines(20, 20), _lines(40, 20),
+        _lines(0, 30), _lines(190, 5),
+    ],
+}
+
+
+class TestInvalidateRanges:
+    @pytest.mark.parametrize("branch", sorted(FLUSH_CASES))
+    def test_matches_one_flush_per_range(self, branch):
+        ranges = FLUSH_CASES[branch]
+        batched = _filled_cache()
+        union = {
+            line
+            for paddr, size in ranges
+            for line in range(paddr // 128, (paddr + size) // 128)
+        }
+        assert (len(union) > batched.capacity_lines) == (branch == "scan")
+        one_by_one = copy.deepcopy(batched)
+        dropped = sum(one_by_one.invalidate_range(*r) for r in ranges)
+        assert dropped > 0
+        assert batched.invalidate_ranges(ranges) == dropped
+        assert [list(s) for s in batched._sets] == [
+            list(s) for s in one_by_one._sets
+        ]
+
+    @given(
+        ranges=st.lists(
+            st.tuples(st.integers(0, 220), st.integers(1, 60)),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_matches_one_flush_per_range(self, ranges):
+        ranges = [_lines(first, count) for first, count in ranges]
+        batched = _filled_cache()
+        one_by_one = copy.deepcopy(batched)
+        dropped = sum(one_by_one.invalidate_range(*r) for r in ranges)
+        assert batched.invalidate_ranges(ranges) == dropped
+        assert [list(s) for s in batched._sets] == [
+            list(s) for s in one_by_one._sets
+        ]
+
+
+class TestMachineFlushBatch:
+    def _filled_machine(self):
+        machine = Machine(baseline_config())
+        for cache in machine.l1_caches + machine.l2_caches:
+            for line in range(64):
+                cache.access(line * 128)
+        return machine
+
+    def _resident(self, machine, paddr):
+        return [c.probe(paddr) for c in machine.l1_caches + machine.l2_caches]
+
+    def test_flush_outside_a_batch_is_immediate(self):
+        machine = self._filled_machine()
+        machine.flush_data_caches_range(0, 4096)
+        assert not any(self._resident(machine, 0))
+        assert all(self._resident(machine, 4096))
+
+    def test_flush_inside_a_batch_waits_for_the_exit(self):
+        machine = self._filled_machine()
+        with machine.flush_batch():
+            machine.flush_data_caches_range(0, 4096)
+            machine.flush_data_caches_range(6144, 128)
+            assert all(self._resident(machine, 0))
+            assert all(self._resident(machine, 6144))
+        assert not any(self._resident(machine, 0))
+        assert not any(self._resident(machine, 6144))
+        assert all(self._resident(machine, 4096))
+        # The batch is closed: the next flush is immediate again.
+        machine.flush_data_caches_range(4096, 128)
+        assert not any(self._resident(machine, 4096))
 
 
 class TestRemoteCaches:

@@ -598,8 +598,8 @@ def test_unfenced_bulk_install_fails_lint(mutable_tree):
     # opted-in policy, including ones whose place() is overridden.
     reintroduce(
         mutable_tree / "sim" / "batch.py",
-        "if bulk_proven and unmapped[",
-        "if fault_batch_eligible and unmapped[",
+        "if bulk_proven and unmapped[j] and not deferred[j]:",
+        "if fault_batch_eligible and unmapped[j] and not deferred[j]:",
     )
     findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
     assert any(
@@ -612,8 +612,8 @@ def test_negated_bulk_fence_fails_lint(mutable_tree):
     # runs inlined placement for exactly the unaudited policies.
     reintroduce(
         mutable_tree / "sim" / "batch.py",
-        "if bulk_proven and unmapped[",
-        "if not bulk_proven and unmapped[",
+        "if bulk_proven and unmapped[j] and not deferred[j]:",
+        "if not bulk_proven and unmapped[j] and not deferred[j]:",
     )
     findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
     assert any(
@@ -628,6 +628,20 @@ def test_bulk_proof_without_audit_table_fails_lint(mutable_tree):
         mutable_tree / "sim" / "batch.py",
         "            in AUDITED_PLACE\n        )",
         "            in frozenset()\n        )",
+    )
+    findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
+    assert any(
+        "bulk_proven is not derived from" in f.message for f in findings
+    )
+
+
+def test_bulk_proof_overwritten_after_the_proof_fails_lint(mutable_tree):
+    # One derived assignment is not a proof when a later one discards
+    # it: every binding of bulk_proven must carry the audit.
+    reintroduce(
+        mutable_tree / "sim" / "batch.py",
+        "            in AUDITED_PLACE\n        )\n",
+        "            in AUDITED_PLACE\n        )\n        bulk_proven = True\n",
     )
     findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
     assert any(

@@ -32,6 +32,7 @@ import pkgutil
 from pathlib import Path
 from typing import ClassVar
 
+import numpy as np
 import pytest
 
 import repro.core
@@ -53,7 +54,9 @@ from repro.sim.engine import run_simulation
 from repro.sim.errors import PolicyContractError as ReexportedError
 from repro.sim.runner import run_workload
 from repro.trace.suite import workload_by_name
-from repro.units import PAGE_4K, PAGE_64K
+from repro.trace.workload import Pattern, StructureSpec, Trace, WorkloadSpec
+from repro.units import KB, MB, PAGE_4K, PAGE_64K
+from repro.vm.va_space import VASpace
 
 from .conftest import comparable_telemetry
 
@@ -401,7 +404,7 @@ class _LyingPolicy(StaticPaging):
 
 
 def test_fault_batch_fraction_reported_on_batchable_cells():
-    """Opted-in policies report full batch coverage; the staged engine
+    """Opted-in policies report their batch coverage; the staged engine
     and non-eligible policies report None; and like
     ``fast_path_fraction`` the metric never enters the cache payload."""
     batched = run_workload("STE", "S-64KB", engine="batched")
@@ -412,6 +415,94 @@ def test_fault_batch_fraction_reported_on_batchable_cells():
     # CLAP coalesces translations: ineligible by the capability gate.
     clap = run_workload("STE", "CLAP", engine="batched")
     assert clap.fault_batch_fraction is None
+    # Reservation sizes batch every fault but the one that fills (and
+    # promotes) each region: STE fills all its regions, so the fraction
+    # is exactly 1 - 1/(64KB sub-pages per region).
+    s2m = run_workload("STE", "S-2MB", engine="batched")
+    assert s2m.fault_batch_fraction == 31 / 32
+    s128k = run_workload("STE", "S-128KB", engine="batched")
+    assert s128k.fault_batch_fraction == 1 / 2
+
+
+class _OneEpochPaging(StaticPaging):
+    """Static paging with a single epoch, so a short trace is one chunk."""
+
+    num_epochs: ClassVar[int] = 1
+
+
+def _promotion_boundary_trace():
+    """A 256KB-paging trace whose hoisted faults and region-filling
+    faults are separated by re-accesses of the already-mapped pages.
+
+    Region 0 holds 64KB pages 0-3 and region 1 pages 4-7.  Pages 0-2 and
+    4-6 are first touched (and so bulk-mapped) ahead of pages 3 and 7,
+    whose faults fill, and promote, their regions; every page mapped so
+    far is re-read between those faults and after them.
+    """
+    spec = WorkloadSpec(
+        abbr="PROM",
+        title="promotion boundary",
+        structures=(
+            StructureSpec("a", 2 * MB, 2 * MB, Pattern.PARTITIONED),
+        ),
+        tb_count=4,
+    )
+    allocation = VASpace().allocate("a", 2 * MB)
+    chiplets, vaddrs = [], []
+
+    def touch(page, chiplet, lines=1):
+        for k in range(lines):
+            chiplets.append(chiplet)
+            vaddrs.append(allocation.base + page * PAGE_64K + k * 128)
+
+    def reread(pages):
+        for i, page in enumerate(pages):
+            touch(page, (page + i) % 4, lines=8)
+
+    touch(0, 0)
+    touch(1, 1)
+    reread([0, 1])
+    touch(4, 2)
+    touch(2, 3)
+    reread([0, 1, 2, 4])
+    touch(3, 0)  # fills region 0
+    reread([0, 1, 2, 3, 4])
+    touch(5, 1)
+    touch(6, 2)
+    reread([4, 5, 6, 0])
+    touch(7, 3)  # fills region 1
+    reread(range(8))
+    n = len(vaddrs)
+    trace = Trace(
+        chiplets=np.array(chiplets, dtype=np.int8),
+        vaddrs=np.array(vaddrs, dtype=np.int64),
+        alloc_ids=np.full(n, allocation.alloc_id, dtype=np.int16),
+        kernel_starts=[0],
+        n_warp_instructions=n,
+    )
+    return spec, trace
+
+
+def test_region_filling_fault_promotes_at_its_own_position():
+    """The bulk path maps a region's sub-pages ahead of time but leaves
+    the fault that fills the region, and so promotes it, at its own
+    trace position: re-reads before it translate through the 64KB PTEs,
+    re-reads after it through the promoted page, as in the staged run."""
+    spec, trace = _promotion_boundary_trace()
+    runs = {}
+    for engine in ("staged", "batched"):
+        policy = _OneEpochPaging(256 * KB)
+        result = run_simulation(spec, policy, trace=trace, engine=engine)
+        runs[engine] = (result, policy.machine.page_table.promotions)
+    (staged, staged_promotions), (batched, promotions) = (
+        runs["staged"], runs["batched"]
+    )
+    assert batched == staged
+    assert batched.to_dict() == staged.to_dict()
+    assert promotions == staged_promotions == 2
+    # Six faults were hoisted; the two region-filling ones were not.
+    assert batched.page_faults == 8
+    assert batched.fault_batch_fraction == 6 / 8
 
 
 def _subclasses(cls):
