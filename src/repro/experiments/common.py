@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -98,17 +99,15 @@ class ExperimentResult:
 
 def gmean(values: Sequence[float]) -> float:
     """Geometric mean (the paper's averaging convention for speedups)."""
-    # Imported here: on a cached report this is the only NumPy use.  It
-    # stays NumPy because np.log/np.mean are not bit-identical to
-    # math.log/math.fsum, and the printed figures must not move.
-    import numpy as np
-
-    arr = np.asarray(list(values), dtype=float)
-    if len(arr) == 0:
+    # Plain ``math`` on purpose.  NumPy's float64 log/exp run through
+    # SIMD kernels chosen for the CPU at hand, so its mean could move
+    # with the host; libm's scalar log/exp and the exactly rounded fsum
+    # do not.  A report read from the cache then loads no NumPy at all.
+    if not values:
         raise ValueError("gmean of an empty sequence")
-    if np.any(arr <= 0):
+    if any(v <= 0 for v in values):
         raise ValueError("gmean requires positive values")
-    return float(np.exp(np.mean(np.log(arr))))
+    return math.exp(math.fsum(map(math.log, values)) / len(values))
 
 
 def pick_workloads(

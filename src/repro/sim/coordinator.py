@@ -104,7 +104,7 @@ class CoordinatorConfig:
 
 def resolve_runners(value: Optional[int] = None) -> Optional[int]:
     """Runner count: explicit value, else ``REPRO_RUNNERS``, else None
-    (coordinator mode off)."""
+    (coordinator mode off).  ``SweepRunner`` rejects a count below 1."""
     if value is None:
         env = os.environ.get("REPRO_RUNNERS")
         if not env:
@@ -115,7 +115,7 @@ def resolve_runners(value: Optional[int] = None) -> Optional[int]:
             raise ValueError(
                 f"REPRO_RUNNERS must be an integer, got {env!r}"
             ) from exc
-    return max(1, int(value))
+    return int(value)
 
 
 def resolve_lease_ttl(value: Optional[float] = None) -> float:
@@ -781,8 +781,8 @@ class Coordinator:
         cache: ResultCache = runner.cache
         offset = journal.size()
         spawned = 0
-        respawn_budget = self.config.runners + len(key_to_index) * max(
-            1, runner.max_attempts
+        respawn_budget = (
+            self.config.runners + len(key_to_index) * runner.max_attempts
         )
         children: List[multiprocessing.Process] = []
         torn_since: Optional[float] = None

@@ -736,7 +736,7 @@ class SweepRunner:
         self._telemetry_write_disabled = False
         self.cell_timeout = resolve_cell_timeout(cell_timeout)
         self.on_error = resolve_on_error(on_error)
-        self.max_attempts = max(1, int(max_attempts))
+        self.max_attempts = int(max_attempts)
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self.backoff_seed = backoff_seed
@@ -753,6 +753,11 @@ class SweepRunner:
             self.surrogate = resolve_surrogate(surrogate)
         # Conflicts are checked here, after the environment is resolved,
         # and nowhere else; each message names the flag and variable.
+        if self.max_attempts < 1:
+            raise ValueError(
+                "--retries must be at least 0 (max_attempts at least 1), "
+                f"got max_attempts={self.max_attempts}"
+            )
         if self.surrogate is not None and self.telemetry:
             raise ValueError(
                 "surrogate mode (repro explore) cannot record telemetry "
@@ -764,6 +769,11 @@ class SweepRunner:
         self.last_sweep_id: Optional[str] = None
         if coordinator is not None:
             mode = "coordinator mode (--runners/REPRO_RUNNERS or --resume)"
+            if coordinator.runners < 1:
+                raise ValueError(
+                    "--runners/REPRO_RUNNERS must be at least 1, "
+                    f"got {coordinator.runners}"
+                )
             if self.cache is None:
                 raise ValueError(
                     f"{mode} requires the result cache, the rendezvous "

@@ -99,10 +99,14 @@ class TestCli:
             ({}, ["sweep", "STE", "--runners", "2", "--cell-timeout", "5"]),
             ({"REPRO_CELL_TIMEOUT": "5"}, ["sweep", "STE", "--runners", "2"]),
             ({"REPRO_LEASE_TTL": "soon"}, ["sweep", "STE", "--runners", "2"]),
+            ({"REPRO_RUNNERS": "0"}, ["sweep", "STE"]),
+            ({}, ["sweep", "STE", "--runners", "0"]),
+            ({}, ["sweep", "STE", "--retries", "-1"]),
         ],
         ids=[
             "sweep-telemetry-env", "explore-telemetry-env", "no-cache",
             "cell-timeout-flag", "cell-timeout-env", "bad-lease-ttl-env",
+            "zero-runners-env", "zero-runners-flag", "negative-retries",
         ],
     )
     def test_rejected_options_are_a_usage_error(

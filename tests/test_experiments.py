@@ -5,7 +5,16 @@ ratios move — on reduced workload sets so the test suite stays fast.
 The full-matrix numbers live in the benchmarks and EXPERIMENTS.md.
 """
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import (
     fig01_page_size_intro,
@@ -24,14 +33,46 @@ from repro.experiments import (
 )
 from repro.experiments.common import ExperimentResult, Row, gmean
 
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+#: Loads ``gmean`` in a fresh interpreter and reports whether NumPy came too.
+_GMEAN_PROBE = """
+import sys
+from repro.experiments.common import gmean
+assert gmean([1.25, 2.0, 0.5]) > 0
+print("numpy" in sys.modules)
+"""
+
 
 class TestCommon:
     def test_gmean(self):
         assert gmean([1.0, 4.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            gmean([])
-        with pytest.raises(ValueError):
-            gmean([1.0, -1.0])
+        speedups = [1.37, 0.82, 2.5, 1.0, 0.125, 3.0e2]
+        assert gmean(speedups) == math.exp(
+            math.fsum(map(math.log, speedups)) / len(speedups)
+        )
+        for bad in ([], [1.0, -1.0], [0.0]):
+            with pytest.raises(ValueError):
+                gmean(bad)
+
+        @settings(max_examples=200, deadline=None)
+        @given(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=20))
+        def agrees_with_numpy(values):
+            g = gmean(values)
+            # exp(log(x)) need not round back to x: allow a few ulps.
+            assert min(values) * (1 - 1e-14) <= g <= max(values) * (1 + 1e-14)
+            ref = float(np.exp(np.mean(np.log(np.asarray(values)))))
+            assert g == pytest.approx(ref, rel=1e-12)
+
+        agrees_with_numpy()
+
+        env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+        proc = subprocess.run(
+            [sys.executable, "-c", _GMEAN_PROBE], env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_result_accessors(self):
         result = ExperimentResult(

@@ -1,8 +1,9 @@
 """What a command loads: the describe-and-read path stays light.
 
-Building cells, fingerprinting them, reading the result cache and
-printing need neither NumPy nor the replay engine, so ``import repro``,
-``repro list`` and a sweep answered from the cache must not load them
+Building cells, fingerprinting them, reading the result cache,
+summarising and printing need neither NumPy nor the replay engine, so
+``import repro``, ``repro list`` and a sweep or an experiment answered
+from the cache must not load them
 (or the coordinator, the surrogate, the lint framework or the process
 pool).  Each command runs in a fresh interpreter under ``-X importtime``,
 which names every module the process imports.
@@ -83,11 +84,20 @@ def test_describe_commands_load_no_simulator(args, tmp_path):
     assert sorted(names.intersection(HEAVY)) == []
 
 
-def test_cached_sweep_loads_no_simulator(tmp_path):
+@pytest.mark.parametrize(
+    "command, simulated",
+    [
+        (["sweep", "STE"], 7),
+        # Summarises with gmean: the summary step loads no NumPy either.
+        (["experiment", "fig22", "--quick"], 9),
+    ],
+    ids=["sweep", "experiment-fig22"],
+)
+def test_cached_sweep_loads_no_simulator(command, simulated, tmp_path):
     env = _env(tmp_path)
-    sweep = ["-m", "repro", "sweep", "STE", "--jobs", "2"]
+    sweep = ["-m", "repro", *command, "--jobs", "2"]
     first = _run(sweep, env, tmp_path)
-    assert "7 simulated" in first.stdout
+    assert f"{simulated} simulated" in first.stdout
     out, names = _loaded(sweep, env, tmp_path)
     assert "cache hits (100.0%)" in out
     assert sorted(names.intersection(HEAVY)) == []
