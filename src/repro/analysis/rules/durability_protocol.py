@@ -2,16 +2,17 @@
 mutated through the blessed crash-safe helpers.
 
 The coordinator's crash-safety argument (PR 7) rests on a handful of
-primitives: lease files are created with ``O_CREAT|O_EXCL`` and stolen
-by atomic rename-over (``_acquire_lease``/``_write_lease``/
-``_release_lease``), journal records go through the CRC-framed
-single-``write`` appender (``Journal.append``; tail truncation belongs
-to ``Journal.recover``/``Coordinator._supervise``), and trace-store
-repair is ``TraceStore._quarantine``'s rename.  Any other code path
-writing those files — directly, or by handing a lease/journal path to
-a function that writes its path argument (``atomic_write`` included) —
-reintroduces exactly the torn-write/race windows the helpers exist to
-close.  This subsumes RPR006's surface check with call-graph reach:
+primitives: lease files are created with ``O_CREAT|O_EXCL``
+(``durability.create_exclusive``) and stolen by atomic rename-over
+(``_acquire_lease``/``_write_lease``/``_release_lease``), journal
+records go through the CRC-framed single-``write`` appender
+(``Journal.append``; tail truncation belongs to ``Journal.truncate``,
+which ``Journal.recover`` and the coordinator's tailing loop call), and
+trace-store repair is ``DurableDir.quarantine``'s rename.  Any other
+code path writing those files — directly, or by handing a lease/journal
+path to a function that writes its path argument (``atomic_write``
+included) — reintroduces exactly the torn-write/race windows the
+helpers exist to close.  This subsumes RPR006's surface check with call-graph reach:
 the write does not have to be textually inside the protocol file's
 helper to be caught, only *reachable* from protocol code.
 
@@ -40,17 +41,13 @@ PROTOCOL_FILES = ("sim/coordinator.py", "trace/store.py")
 #: The blessed implementation layer: these modules *are* the helpers.
 BLESSED_MODULES = ("sim/durability.py", "sim/journal.py")
 
-#: Qualnames allowed to touch protocol state, per protocol file.
+#: Qualnames allowed to touch protocol state, per protocol file.  The
+#: trace store has none: it writes and quarantines archives through
+#: :mod:`repro.sim.durability`.
 BLESSED_FUNCTIONS = {
     "sim/coordinator.py": frozenset(
-        {
-            "_write_lease",
-            "_acquire_lease",
-            "_release_lease",
-            "Coordinator._supervise",
-        }
+        {"_write_lease", "_acquire_lease", "_release_lease"}
     ),
-    "trace/store.py": frozenset({"TraceStore._quarantine"}),
 }
 
 #: Callees that are themselves the sanctioned route (calling them with
@@ -62,10 +59,9 @@ BLESSED_CALLEES = frozenset(
         "_release_lease",
         "Journal.append",
         "Journal.recover",
+        "Journal.truncate",
         "Journal.read_from",
         "Journal.replay",
-        "Coordinator._supervise",
-        "TraceStore._quarantine",
     }
 )
 
@@ -77,12 +73,11 @@ _CATEGORY_REMEDY = {
     ),
     "journal": (
         "journal records may only be appended through the CRC-framed "
-        "Journal.append (tail truncation belongs to Journal.recover/"
-        "Coordinator._supervise)"
+        "Journal.append (tail truncation belongs to Journal.truncate)"
     ),
     "trace": (
-        "trace archives may only be repaired through "
-        "TraceStore._quarantine's atomic rename"
+        "trace archives may only be written through the durability "
+        "module (atomic_write) and repaired through DurableDir.quarantine"
     ),
 }
 

@@ -32,12 +32,6 @@ class _RoundRobinPaging(StaticPaging):
         super().__init__(PAGE_64K)
         self.name = "RR-64KB"
 
-    def fault_batch_size(self) -> None:
-        """Opt out of bulk faulting: ``place`` maps on a round-robin
-        chiplet, not the requester's, so it is not the hook's promised
-        ``map_single`` sequence."""
-        return None
-
     def place(self, vaddr: int, requester: int, allocation: Allocation) -> None:
         page_index = (vaddr - allocation.base) // PAGE_64K
         chiplet = page_index % self.machine.num_chiplets

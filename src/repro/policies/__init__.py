@@ -19,7 +19,6 @@ CLAP itself lives in :mod:`repro.core`; this package holds the baselines:
 from .base import PlacementPolicy
 from .contract import (
     CAPABILITY_FLAGS,
-    OPTIONAL_HOOKS,
     PolicyCapabilities,
     PolicyProtocol,
     validate_policy,
@@ -37,7 +36,6 @@ __all__ = [
     "PolicyProtocol",
     "PolicyCapabilities",
     "CAPABILITY_FLAGS",
-    "OPTIONAL_HOOKS",
     "validate_policy",
     "StaticPaging",
     "IdealPolicy",

@@ -29,7 +29,6 @@ from ..units import PAGE_2M, PAGE_64K
 from ..vm.va_space import Allocation
 from .contract import (  # noqa: F401  (re-exported: the policy surface)
     CAPABILITY_FLAGS,
-    OPTIONAL_HOOKS,
     PolicyCapabilities,
     PolicyProtocol,
     REQUIRED_HOOKS,
@@ -110,30 +109,6 @@ class PlacementPolicy(abc.ABC):
 
     def on_kernel(self, kernel_index: int) -> None:
         """Called at each kernel boundary (multi-kernel scenarios)."""
-
-    def fault_batch_size(self) -> Optional[int]:
-        """Page size at which faults may be batch-resolved, or None.
-
-        Returning a size ``s`` promises that :meth:`place` is *exactly*
-        ``pager.map_single(vaddr, s, requester, allocation.alloc_id,
-        self.pool_for(allocation))``, or the reservation sequence that
-        maps ``s``-sized pages into a region reserved on the first
-        touch (``region_at``/``ensure_region``, then
-        ``map_into_region``), with no policy state read or written, so
-        the batched engine may resolve a run of first-touch faults ahead
-        of the steady-state replay (first-touch owner per page
-        unchanged, frame-allocation order unchanged) without any
-        observable difference.  The hook is necessary but not
-        sufficient: the engine batches only when the unbound ``place``
-        is also one of the audited implementations in
-        ``repro.sim.batch.AUDITED_PLACE``, so a subclass that overrides
-        ``place`` faults one access at a time whatever this returns (and
-        should re-declare this hook, so the promise is about its body).
-        Stateful placement (CLAP's selections, Barre's chords, C-NUMA's
-        adaptive block size) must keep the default None and take the
-        exact scalar fault path.
-        """
-        return None
 
     # --- reporting ---
 

@@ -28,7 +28,6 @@ from typing import (
     Any,
     Dict,
     List,
-    Optional,
     Protocol,
     Set,
     Tuple,
@@ -60,27 +59,6 @@ REQUIRED_HOOKS: Tuple[str, ...] = (
     "selection_report",
     "native_sizes",
 )
-
-#: Hooks a policy *may* expose.  ``fault_batch_size`` is the bulk fault
-#: path's opt-in: a policy returning a page size ``s`` asserts that,
-#: for this run, ``place(vaddr, requester, allocation)`` is exactly one
-#: of two sequences, with no policy state read or written:
-#: ``pager.map_single(vaddr, s, requester, allocation.alloc_id,
-#: pool_for(allocation))``, or the reservation sequence of Figure 5 —
-#: ``region_at(base)``, else ``ensure_region(base, size, s, requester,
-#: pool_for(allocation))``, then ``map_into_region(vaddr, region,
-#: allocation.alloc_id)`` for a fixed region size above ``s``.  The
-#: batched engine may then hoist a run of first-touch faults ahead of
-#: the steady-state replay without changing any observable result; a
-#: fault that fills its region, and so promotes it, stays at its own
-#: trace position.  The hook is necessary but not sufficient: batching
-#: also needs the policy's unbound ``place`` to be an audited
-#: implementation listed in ``repro.sim.batch.AUDITED_PLACE``.  Policies
-#: whose placement is stateful (CLAP, Barre, C-NUMA) return None and
-#: keep the exact scalar fault path.  Deliberately NOT part of :data:`CAPABILITY_FLAGS`: it is
-#: a pure engine-speed hint and must not perturb ``policy_fingerprint``
-#: (result-cache keys).
-OPTIONAL_HOOKS: Tuple[str, ...] = ("fault_batch_size",)
 
 
 @runtime_checkable
@@ -121,12 +99,7 @@ class PolicyProtocol(Protocol):
 
 @dataclass(frozen=True)
 class PolicyCapabilities:
-    """Immutable snapshot of a policy's capability flags for one run.
-
-    ``fault_batch_size`` snapshots the optional hook of the same name
-    (see :data:`OPTIONAL_HOOKS`): None means the policy did not opt into
-    the bulk fault path.
-    """
+    """Immutable snapshot of a policy's capability flags for one run."""
 
     name: str
     coalescing: bool
@@ -135,7 +108,6 @@ class PolicyCapabilities:
     pte_placement: PtePlacement
     wants_page_stats: bool
     num_epochs: int
-    fault_batch_size: Optional[int] = None
 
 
 def validate_policy(policy: Any) -> PolicyCapabilities:
@@ -188,7 +160,6 @@ def validate_policy(policy: Any) -> PolicyCapabilities:
             context={"policy_class": type(policy).__name__,
                      "num_epochs": num_epochs},
         )
-    fault_batch_size = _snapshot_fault_batch_size(policy)
     return PolicyCapabilities(
         name=policy.name,
         coalescing=policy.coalescing,
@@ -197,37 +168,7 @@ def validate_policy(policy: Any) -> PolicyCapabilities:
         pte_placement=policy.pte_placement,
         wants_page_stats=policy.wants_page_stats,
         num_epochs=num_epochs,
-        fault_batch_size=fault_batch_size,
     )
-
-
-def _snapshot_fault_batch_size(policy: Any) -> Optional[int]:
-    """Evaluate the optional ``fault_batch_size`` hook, if declared.
-
-    Duck-typed policies that predate the hook simply do not opt in; a
-    policy that *does* declare it must return None or a positive
-    power-of-two page size.
-    """
-    hook = getattr(policy, "fault_batch_size", None)
-    if hook is None or not callable(hook):
-        return None
-    value = hook()
-    if value is None:
-        return None
-    if (
-        not isinstance(value, int)
-        or isinstance(value, bool)
-        or value <= 0
-        or value & (value - 1)
-    ):
-        raise PolicyContractError(
-            f"policy {policy.name!r} returned {value!r} from "
-            "fault_batch_size(); must be None or a positive power-of-two "
-            "page size",
-            context={"policy_class": type(policy).__name__,
-                     "fault_batch_size": value},
-        )
-    return value
 
 
 class _Missing:

@@ -34,11 +34,6 @@ class GritPolicy(PlacementPolicy):
     #: contract override: per-page history drives epoch migrations
     wants_page_stats: ClassVar[bool] = True
 
-    def fault_batch_size(self) -> int:
-        """Placement itself is stateless 64KB first-touch; migration only
-        runs between chunks (``on_epoch``), outside any fault batch."""
-        return PAGE_64K
-
     def place(self, vaddr: int, requester: int, allocation: Allocation) -> None:
         self.machine.pager.map_single(
             vaddr,

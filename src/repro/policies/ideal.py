@@ -22,10 +22,6 @@ class IdealPolicy(PlacementPolicy):
     #: contract override: magic 2MB reach at 64KB placement granularity
     ideal_translation: ClassVar[bool] = True
 
-    def fault_batch_size(self) -> int:
-        """Stateless 64KB first-touch: faults may be batch-resolved."""
-        return PAGE_64K
-
     def place(self, vaddr: int, requester: int, allocation: Allocation) -> None:
         self.machine.pager.map_single(
             vaddr,

@@ -28,10 +28,6 @@ class MgvmPolicy(PlacementPolicy):
     #: contract override: every page-walk step served chiplet-locally
     pte_placement: ClassVar[PtePlacement] = PtePlacement.LOCAL
 
-    def fault_batch_size(self) -> int:
-        """Stateless 64KB first-touch: faults may be batch-resolved."""
-        return PAGE_64K
-
     def place(self, vaddr: int, requester: int, allocation: Allocation) -> None:
         self.machine.pager.map_single(
             vaddr,

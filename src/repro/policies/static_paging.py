@@ -16,7 +16,7 @@ native page of that size.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Set
 
 from ..units import PAGE_2M, PAGE_4K, PAGE_64K, align_down, is_pow2, size_label
 from ..vm.va_space import Allocation
@@ -48,13 +48,6 @@ class StaticPaging(PlacementPolicy):
 
     def native_sizes(self) -> Set[int]:
         return {self.base_size, self.page_size}
-
-    def fault_batch_size(self) -> Optional[int]:
-        """Every fault maps one base page with no policy state: on its
-        own at base-page sizes, into the region reserved at its first
-        touch above 64KB.  The fault that fills a region promotes it,
-        which the batched engine leaves on the scalar path."""
-        return self.base_size
 
     def place(self, vaddr: int, requester: int, allocation: Allocation) -> None:
         pager = self.machine.pager

@@ -58,17 +58,14 @@ epochs through the shared ``close_epoch``.
 
 **The bulk fault path** (``batch_faults``): first-touch faults are
 resolved a chunk at a time when the run is ``bulk_proven``.  That takes
-three things.  The policy opts in via ``fault_batch_size()`` (a
-contract promise that ``place`` maps one page of exactly the replay
-granule, on its own or into a reserved region, and keeps no policy
-state).  Its unbound
-``place`` is literally one of the audited in-tree implementations
-listed in :data:`AUDITED_PLACE`, whose bodies are by inspection one of
-two sequences: ``pager.map_single(vaddr, granule, requester, alloc_id,
-pool_for(allocation))``, or, for static paging above the granule, the
-reservation of Figure 5 (``region_at``, else ``ensure_region`` on the
-requester, then ``map_into_region``).  And the run has no bounded
-capacity, no host eviction and no coalescing units.  One ``np.unique``
+two things.  The policy's unbound ``place`` is literally one of the
+audited in-tree implementations listed in :data:`AUDITED_PLACE`, whose
+bodies are by inspection one of two sequences, with no policy state
+read or written: ``pager.map_single(vaddr, granule, requester,
+alloc_id, pool_for(allocation))``, or, for static paging above the
+granule, the reservation of Figure 5 (``region_at``, else
+``ensure_region`` on the requester, then ``map_into_region``).  And the
+run has no bounded capacity, no host eviction and no coalescing units.  One ``np.unique``
 over the not-yet-replayed tail of the chunk then finds each unmapped
 page's *first* access — precisely the PMM first-touch owner sample —
 and the batch inlines the audited sequence per page, in trace order of
@@ -136,20 +133,23 @@ MIN_VEC = 24
 _TRANSFER_BYTES = 160
 
 #: ``(module, qualname)`` of every unbound ``place`` implementation whose
-#: body is — by direct inspection — exactly a sequence the
-#: ``fault_batch_size`` contract promises, with no other effect:
+#: body is — by direct inspection — exactly one of two sequences, with
+#: no policy state read or written and no other effect:
 #: ``pager.map_single(vaddr, granule, requester, allocation.alloc_id,
 #: pool_for(allocation))``, or (``StaticPaging.place`` above the
 #: granule) the reservation sequence ``region_at(base)``, else
 #: ``ensure_region(base, page_size, granule, requester,
 #: pool_for(allocation))``, then ``map_into_region(vaddr, region,
-#: allocation.alloc_id)``.  Only these may take ``batch_faults``, which
+#: allocation.alloc_id)``.  ``granule`` is the run's
+#: ``min(native_sizes())``, so the audit covers the class's own
+#: ``native_sizes`` too (64KB for Ideal, MGvm and GRIT, ``base_size``
+#: for static paging).  This table is the one proof that a policy's
+#: faults may be batched: only these may take ``batch_faults``, which
 #: inlines that sequence (frame allocation + page-table insert) without
 #: calling the policy at all.  A subclass override never matches (its
 #: ``__qualname__`` names the subclass), so it faults through the staged
 #: fault stage one access at a time.  Adding an entry here asserts you
-#: have audited the method body against the contract comment in
-#: :mod:`repro.policies.contract`.
+#: have audited the method body against the sequences above.
 AUDITED_PLACE = frozenset(
     {
         ("repro.policies.static_paging", "StaticPaging.place"),
@@ -546,26 +546,25 @@ class BatchedPipeline:
         fault = self.fault_stage.process
 
         # --- bulk fault path proof ---
-        # ``batch_faults`` may only hoist faults when placement is
-        # provably a stateless granule-size map_single (the policy's
-        # contract promise), translation units never read the page
-        # table between faults (no coalescing windows), and allocation
-        # can neither evict (host eviction reorders under hoisting) nor
-        # exhaust mid-batch under bounded capacity (the enriched error
-        # must carry the exact staged access index and fault count).
+        # ``batch_faults`` may only hoist faults when translation units
+        # never read the page table between faults (no coalescing
+        # windows) and allocation can neither evict (host eviction
+        # reorders under hoisting) nor exhaust mid-batch under bounded
+        # capacity (the enriched error must carry the exact staged
+        # access index and fault count).
         fault_batch_eligible = (
-            getattr(caps, "fault_batch_size", None) == granule
-            and not coalescing
+            not coalescing
             and not pattern
             and machine.pager.eviction is None
             and machine.allocator.free_capacity(0) is None
         )
         # On top of that, the policy's ``place`` must *literally* be one
-        # of the audited in-tree implementations: equivalence to the
-        # contract's map_single sequence is then a static fact, so the
-        # batch inlines that sequence instead of calling the policy.
-        # Anything else — subclass overrides included — faults through
-        # the staged fault stage, one access at a time.
+        # of the audited in-tree implementations: equivalence to a
+        # stateless granule-size map_single (or the reservation
+        # sequence) is then a static fact, so the batch inlines that
+        # sequence instead of calling the policy.  Anything else —
+        # subclass overrides included — faults through the staged fault
+        # stage, one access at a time.
         place_fn = type(state.policy).place
         bulk_proven = (
             fault_batch_eligible

@@ -21,7 +21,8 @@ pool was rebuilt.  A directive makes the worker
   release, no journal record — the failure mode the coordinator's
   lease-expiry stealing exists for;
 * ``CORRUPT_WRITE`` — complete the cell, then tear or bit-flip its
-  just-written cache entry (:func:`corrupt_file`), exercising the
+  just-written cache entry
+  (:func:`~repro.sim.durability.corrupt_file`), exercising the
   checksum-quarantine path in :class:`~repro.sim.parallel.ResultCache`;
 * ``STALE_LEASE`` — keep computing but stop renewing the cell's lease,
   so a sibling runner observes an expired lease on a live process and
@@ -29,9 +30,12 @@ pool was rebuilt.  A directive makes the worker
 
 ``CORRUPT_WRITE`` and ``STALE_LEASE`` modulate the durability layer
 *around* the simulation rather than the simulation itself, so
-:func:`apply_chaos` treats them as pre-run no-ops; the coordinator
-runner (:mod:`repro.sim.coordinator`) interprets them at the
-appropriate points.  When the runner executes an attempt in-process
+:func:`apply_chaos` treats them as pre-run no-ops.  ``CORRUPT_WRITE``
+acts in every mode, where the cell's cache entry is published
+(:func:`repro.sim.parallel._publish`); ``STALE_LEASE`` means something
+only to a coordinator runner (:mod:`repro.sim.coordinator`), and
+:class:`~repro.sim.parallel.SweepRunner` rejects a schedule holding it
+in any other mode.  When the runner executes an attempt in-process
 (serial mode, unpicklable cells, or the final serial-fallback attempt),
 ``HANG``, ``DIE`` and ``DIE_HARD`` are downgraded to ``RAISE`` — chaos
 must never hang or kill the test process itself.
@@ -44,9 +48,8 @@ import os
 import random
 import signal
 import time
-import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ChaosError
 
@@ -55,7 +58,6 @@ __all__ = [
     "ChaosDirective",
     "ChaosSchedule",
     "apply_chaos",
-    "corrupt_file",
 ]
 
 
@@ -73,8 +75,8 @@ class FaultKind(str, enum.Enum):
     STALE_LEASE = "stale_lease"
 
 
-#: Kinds that are no-ops at attempt start; the coordinator interprets
-#: them around the durability layer instead.
+#: Kinds that are no-ops at attempt start; they act around the
+#: durability layer instead (cache publish, lease renewal).
 DEFERRED_KINDS = frozenset({FaultKind.CORRUPT_WRITE, FaultKind.STALE_LEASE})
 
 
@@ -120,35 +122,6 @@ def apply_chaos(
     # DIE: bypass every exception handler and atexit hook, exactly like
     # the kernel's OOM killer would.
     os._exit(13)
-
-
-def corrupt_file(path, salt: str = "") -> bool:
-    """Deterministically damage ``path``: bit-flip or truncate.
-
-    The damage mode and position derive purely from the file size and
-    ``salt`` (usually the cell tag), so a chaos run is exactly
-    repeatable: even ``salt`` hashes truncate the file to half its
-    length (a torn write), odd ones flip a single payload bit (bit
-    rot).  Returns False when the file is missing or empty — nothing
-    to corrupt.
-    """
-    try:
-        size = os.stat(path).st_size
-    except OSError:
-        return False
-    if size == 0:
-        return False
-    digest = zlib.crc32(salt.encode("utf-8")) & 0xFFFFFFFF
-    if digest % 2 == 0:
-        os.truncate(path, size // 2)
-        return True
-    position = digest % size
-    with open(path, "r+b") as fh:
-        fh.seek(position)
-        byte = fh.read(1)
-        fh.seek(position)
-        fh.write(bytes([byte[0] ^ 0x40]))
-    return True
 
 
 #: Plan entries accept enum members or their string values.
@@ -218,6 +191,15 @@ class ChaosSchedule:
         if kind is None:
             return None
         return ChaosDirective(kind, hang_seconds=self.hang_seconds)
+
+    def kinds(self) -> FrozenSet[FaultKind]:
+        """Every fault kind the plan injects somewhere."""
+        return frozenset(
+            kind
+            for kinds in self._plan.values()
+            for kind in kinds
+            if kind is not None
+        )
 
     def faulty_tags(self) -> Tuple[str, ...]:
         """Tags with at least one scheduled fault (for test assertions)."""

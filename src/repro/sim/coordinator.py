@@ -8,7 +8,8 @@ several machines at one shared journal/cache directory, across machines
 — with the content-addressed result cache as the rendezvous point:
 
 * **Leases.**  A runner claims a cell by creating
-  ``leases/<fingerprint>.lease`` with ``O_CREAT | O_EXCL`` (an atomic
+  ``leases/<fingerprint>.lease`` with ``O_CREAT | O_EXCL``
+  (:func:`~repro.sim.durability.create_exclusive`, an atomic
   test-and-set on any POSIX filesystem) and renews it from a heartbeat
   thread while the cell simulates.  A lease whose ``renewed`` stamp is
   older than its TTL belongs to a dead (or stalled) runner; any other
@@ -30,8 +31,9 @@ several machines at one shared journal/cache directory, across machines
 The parent process (the :class:`Coordinator`) is itself stateless
 between polls: it spawns runners, tails the journal, respawns dead
 runners while work remains, and repairs a torn journal tail that no
-live writer claims.  Killing it with SIGKILL at any point loses nothing
-but the in-flight cells' wall time.
+live writer claims (:meth:`~repro.sim.journal.Journal.truncate`).
+Killing it with SIGKILL at any point loses nothing but the in-flight
+cells' wall time.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..config import baseline_config
 from ..errors import SweepError
 from ..trace.store import TraceStore
-from .chaos import ChaosSchedule, FaultKind, apply_chaos, corrupt_file
-from .durability import atomic_write
+from .chaos import ChaosSchedule, FaultKind, apply_chaos
+from .durability import atomic_write, create_exclusive
 from .journal import Journal, Record
 from .parallel import (
     CellFailure,
@@ -60,6 +62,7 @@ from .parallel import (
     SweepCell,
     _format_exception_chain,
     _picklable,
+    _publish,
     _run_cell,
     cell_fingerprint,
 )
@@ -218,26 +221,23 @@ def _acquire_lease(
     lease, everyone else lost.
     """
     path = lease_dir / f"{key}.lease"
+    if create_exclusive(path):
+        _write_lease(path, token, ttl)
+        return _Claim(path, token)
+    state = _lease_state(path, ttl)
+    if state is None:
+        return None  # released between our check and read; next pass
+    holder, renewed, holder_ttl = state
+    if time.time() - renewed < holder_ttl:
+        return None  # live lease
     try:
-        fd = os.open(str(path), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        state = _lease_state(path, ttl)
-        if state is None:
-            return None  # released between our check and read; next pass
-        holder, renewed, holder_ttl = state
-        if time.time() - renewed < holder_ttl:
-            return None  # live lease
-        try:
-            _write_lease(path, token, ttl)  # atomic rename-over
-        except OSError:
-            return None
-        winner = _lease_state(path, ttl)
-        if winner is None or winner[0] != token:
-            return None  # a concurrent thief re-stole it
-        return _Claim(path, token, stolen_from=holder)
-    os.close(fd)
-    _write_lease(path, token, ttl)
-    return _Claim(path, token)
+        _write_lease(path, token, ttl)  # atomic rename-over
+    except OSError:
+        return None
+    winner = _lease_state(path, ttl)
+    if winner is None or winner[0] != token:
+        return None  # a concurrent thief re-stole it
+    return _Claim(path, token, stolen_from=holder)
 
 
 def _release_lease(claim: _Claim) -> None:
@@ -457,10 +457,6 @@ def _runner_process(
                     directive is not None
                     and directive.kind is FaultKind.STALE_LEASE
                 )
-                corrupt = (
-                    directive is not None
-                    and directive.kind is FaultKind.CORRUPT_WRITE
-                )
                 apply_chaos(directive)  # deferred kinds no-op here
                 heartbeat = None
                 if stale:
@@ -501,17 +497,11 @@ def _runner_process(
                 finally:
                     if heartbeat is not None:
                         heartbeat.stop()
-                if result.telemetry is not None:
-                    result = dataclasses.replace(result, telemetry=None)
-                cache.put(key, result)
+                _publish(cache, key, result, cells[i], directive)
                 if cache.write_disabled:
                     raise SweepError(
                         "coordinator runner cannot write the result "
                         f"cache at {cache.root}; the rendezvous is broken"
-                    )
-                if corrupt:
-                    corrupt_file(
-                        cache.path_for(key), salt=cells[i].tag or key
                     )
                 journal.append(
                     {
@@ -808,10 +798,7 @@ class Coordinator:
                     if torn_since is None:
                         torn_since = now
                     elif now - torn_since > max(self.config.lease_ttl, 1.0):
-                        try:
-                            os.truncate(journal.path, offset)
-                        except OSError:
-                            pass
+                        journal.truncate(offset)
                         torn_since = None
                 if not pending_keys:
                     break

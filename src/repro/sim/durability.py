@@ -1,24 +1,30 @@
-"""Torn-write-proof persistence primitives.
+"""The one durability surface: how sweep state is published, verified,
+moved aside and claimed.
 
-Every durable artifact the sweep machinery writes — result-cache
-entries, coordinator journals, telemetry dumps — goes through this
-module, because a sweep that survives SIGKILL (:mod:`repro.sim.
-coordinator`) is only as crash-safe as its weakest write.  Two
-primitives carry that guarantee:
+A sweep that survives SIGKILL (:mod:`repro.sim.coordinator`) is only as
+crash-safe as its weakest write, so each of these decisions is made
+here, once:
 
 * :func:`atomic_write` — write-to-temp + flush + ``fsync`` + atomic
   rename (plus a best-effort directory fsync), so a reader never
-  observes a half-written file and a crash between any two syscalls
-  leaves either the old contents or the new, never a mix;
+  observes a half-written file.  Result-cache entries, trace archives,
+  telemetry dumps, lease files and sweep manifests all go through it;
 * checksummed *entries* (:func:`frame_entry` / :func:`parse_entry`) — a
-  one-line JSON header carrying the payload's length and CRC32 ahead of
-  the payload bytes, so truncation, bit rot and torn writes that slip
-  past the filesystem are detected on read and the entry can be
-  quarantined instead of silently poisoning a sweep.
+  one-line JSON header carrying the payload's length and CRC32, so
+  truncation, bit rot and torn writes are detected on read;
+* :class:`DurableDir` — quarantine of an artifact that fails
+  verification, and the rule that the first failed write disables a
+  writer with one warning (result cache, trace store, telemetry dumps);
+* :func:`create_exclusive` — the ``O_CREAT | O_EXCL`` claim of a lease;
+* :func:`corrupt_file` — the damage the ``corrupt_write`` chaos kind
+  injects into a just-published cache entry, in every execution mode.
 
-repro-lint rule RPR006 statically enforces the routing: durable-state
-modules may not call ``open(..., "w")`` / ``write_bytes`` / ``np.save``
-directly.
+The coordinator journal (:mod:`repro.sim.journal`) keeps its own
+single-``write`` ``O_APPEND`` frames and torn-tail repair.  repro-lint
+rules RPR006 and RPR009 enforce the routing: durable-state modules may
+not call ``open(..., "w")`` / ``write_bytes`` / ``np.save`` directly,
+and the protocol files write lease, journal and trace state only
+through this module, the journal and the lease helpers.
 """
 
 from __future__ import annotations
@@ -26,14 +32,18 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import warnings
 import zlib
 from pathlib import Path
-from typing import Dict, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Sequence, Tuple, Union
 
 __all__ = [
     "atomic_write",
+    "corrupt_file",
+    "create_exclusive",
     "frame_entry",
     "parse_entry",
+    "DurableDir",
     "EntryCorrupt",
 ]
 
@@ -59,7 +69,8 @@ def atomic_write(
     into a throwaway copy first.
 
     Raises ``OSError`` on storage failure; callers with a degradation
-    path (the result cache) catch it, everyone else propagates.
+    path write through :meth:`DurableDir.write`, everyone else
+    propagates.
     """
     target = Path(path)
     if isinstance(data, str):
@@ -107,6 +118,122 @@ def _fsync_dir(directory: Path) -> None:
         pass
     finally:
         os.close(dir_fd)
+
+
+def create_exclusive(path: Union[str, Path]) -> bool:
+    """Create ``path`` empty, or return False when it already exists.
+
+    An atomic test-and-set on any POSIX filesystem: of several processes
+    racing for one path, exactly one wins.  Other ``OSError``s propagate.
+    """
+    try:
+        fd = os.open(str(path), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return False
+    os.close(fd)
+    return True
+
+
+class DurableDir:
+    """A directory of durable artifacts and the two failure rules its
+    writer keeps, each with one warning: the first failed :meth:`write`
+    disables the rest, and :meth:`quarantine` moves an artifact that
+    failed verification to :attr:`corrupt_dir`.  A broken disk or a
+    damaged file then costs a recompute, never a wrong or failed sweep.
+
+    The warnings read "<name> at <root> is not writable (<error>);
+    <unwritable>" and "quarantined corrupt <artifact> <file> (<reason>)
+    to <corrupt_dir>; <recovery>".
+    """
+
+    def __init__(
+        self, root: Union[str, Path], *, name: str, unwritable: str,
+        artifact: str = "artifact", recovery: str = "it will be recomputed",
+    ) -> None:
+        self.root = Path(root)
+        self._name, self._unwritable = name, unwritable
+        self._artifact, self._recovery = artifact, recovery
+        #: set after the first failed write; no further writes attempted
+        self.write_disabled = False
+        #: corrupt artifacts moved aside by this instance (monotonic)
+        self.quarantined = 0
+        self._quarantine_warned = False
+
+    @property
+    def corrupt_dir(self) -> Path:
+        return self.root / "corrupt"
+
+    def write(
+        self, writer: Callable[..., object], *args: Any, **kwargs: Any
+    ) -> bool:
+        """``writer(*args, **kwargs)`` unless writes are disabled; True
+        when it wrote.  An ``OSError`` disables all later writes."""
+        if self.write_disabled:
+            return False
+        try:
+            writer(*args, **kwargs)
+        except OSError as exc:
+            self.write_disabled = True
+            warnings.warn(
+                f"{self._name} at {self.root} is not writable ({exc}); "
+                f"{self._unwritable}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return False
+        return True
+
+    def quarantine(self, path: Path, reason: str) -> None:
+        """Move a failed artifact to ``corrupt/`` (fall back to deleting)."""
+        self.quarantined += 1
+        dest = self.corrupt_dir / path.name
+        try:
+            self.corrupt_dir.mkdir(parents=True, exist_ok=True)
+            if dest.exists():
+                dest = self.corrupt_dir / f"{path.name}.{self.quarantined}"
+            os.replace(path, dest)
+        except OSError:
+            try:
+                path.unlink()
+            except OSError:
+                pass
+        if not self._quarantine_warned:
+            self._quarantine_warned = True
+            warnings.warn(
+                f"quarantined corrupt {self._artifact} {path.name} "
+                f"({reason}) to {self.corrupt_dir}; {self._recovery}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+
+
+def corrupt_file(path: Union[str, Path], salt: str = "") -> bool:
+    """Deterministically damage ``path``: bit-flip or truncate.
+
+    The damage mode and position derive purely from the file size and
+    ``salt`` (usually the cell tag), so a chaos run is exactly
+    repeatable: even ``salt`` hashes truncate the file to half its
+    length (a torn write), odd ones flip a single payload bit (bit
+    rot).  Returns False when the file is missing or empty — nothing
+    to corrupt.
+    """
+    try:
+        size = os.stat(path).st_size
+    except OSError:
+        return False
+    if size == 0:
+        return False
+    digest = zlib.crc32(salt.encode("utf-8")) & 0xFFFFFFFF
+    if digest % 2 == 0:
+        os.truncate(path, size // 2)
+        return True
+    position = digest % size
+    with open(path, "r+b") as fh:
+        fh.seek(position)
+        byte = fh.read(1)
+        fh.seek(position)
+        fh.write(bytes([byte[0] ^ 0x40]))
+    return True
 
 
 class EntryCorrupt(ValueError):

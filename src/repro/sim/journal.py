@@ -17,7 +17,9 @@ run — crashed or killed — left off.  The format is built for that job:
   checksum-failing final frame.  :meth:`Journal.recover` detects it,
   truncates the file back to the last good frame, and returns the valid
   records — the at-most-one lost record is simply recomputed, never
-  half-trusted.
+  half-trusted.  :meth:`Journal.truncate` is that repair on its own,
+  for a tailing reader that already knows where the last good frame
+  ends.
 
 Readers tail the journal incrementally with :meth:`Journal.read_from`,
 which stops cleanly at an incomplete tail (an in-flight append) and
@@ -142,14 +144,18 @@ class Journal:
         produce a well-formed journal again.
         """
         records, good_offset, clean = self.read_from(0)
-        dropped = 0
-        if not clean:
-            try:
-                dropped = os.path.getsize(self.path) - good_offset
-                os.truncate(self.path, good_offset)
-            except OSError:
-                dropped = 0
-        return records, dropped
+        return records, 0 if clean else self.truncate(good_offset)
+
+    def truncate(self, offset: int) -> int:
+        """Cut the torn tail past ``offset``, the end of the last valid
+        frame; returns the bytes dropped (0 when the file cannot be
+        truncated — the next reader stops at the same tail)."""
+        try:
+            dropped = os.path.getsize(self.path) - offset
+            os.truncate(self.path, offset)
+        except OSError:
+            return 0
+        return dropped
 
     def size(self) -> int:
         """Current byte length (0 when the file does not exist yet)."""

@@ -61,7 +61,6 @@ import pickle
 import random
 import shutil
 import time
-import warnings
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -82,8 +81,9 @@ from ..errors import SweepError
 from ..policies.contract import CAPABILITY_FLAGS
 from ..trace.suite import workload_by_name
 from ..trace.workload import Trace, WorkloadSpec
-from .chaos import ChaosDirective, ChaosSchedule, apply_chaos
-from .durability import EntryCorrupt, atomic_write, frame_entry, parse_entry
+from .chaos import ChaosDirective, ChaosSchedule, FaultKind, apply_chaos
+from .durability import DurableDir, EntryCorrupt, atomic_write, corrupt_file
+from .durability import frame_entry, parse_entry
 from .results import SimResult
 from .runner import resolve_policy, run_workload
 from .telemetry import telemetry_enabled_by_env
@@ -211,7 +211,7 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-class ResultCache:
+class ResultCache(DurableDir):
     """Content-addressed on-disk store of :class:`SimResult` entries.
 
     Entries are checksummed (header line carrying length + CRC32 ahead
@@ -225,23 +225,19 @@ class ResultCache:
     write (read-only cache dir, disk full) emits one warning and flips
     the cache to read-only degraded mode for the rest of the run —
     simulations keep their results, they just stop being persisted.
+    Both rules are :class:`~repro.sim.durability.DurableDir`'s.
     """
 
     def __init__(self, root: Optional[Union[str, Path]] = None) -> None:
-        self.root = Path(root) if root is not None else default_cache_dir()
-        #: set after the first failed write; no further writes attempted
-        self.write_disabled = False
-        #: corrupt entries moved aside by this instance (monotonic)
-        self.quarantined = 0
-        self._quarantine_warned = False
+        super().__init__(
+            root if root is not None else default_cache_dir(),
+            name="result cache",
+            unwritable="caching disabled for the rest of this run",
+            artifact="result-cache entry",
+        )
 
     def path_for(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
-
-    @property
-    def corrupt_dir(self) -> Path:
-        """Where verification failures are moved for post-mortems."""
-        return self.root / "corrupt"
 
     def get(self, key: str) -> Optional[SimResult]:
         """The cached result for ``key``, or None.
@@ -261,7 +257,7 @@ class ResultCache:
             # line; recognise them as a schema miss, not corruption.
             if self._is_legacy_entry(data):
                 return None
-            self._quarantine(path, str(exc))
+            self.quarantine(path, str(exc))
             return None
         if header.get("schema") != CACHE_SCHEMA_VERSION:
             return None
@@ -270,7 +266,7 @@ class ResultCache:
         except (ValueError, KeyError, TypeError) as exc:
             # The checksum passed but the payload does not decode: the
             # entry lies about itself — quarantine rather than trust it.
-            self._quarantine(path, f"undecodable payload: {exc}")
+            self.quarantine(path, f"undecodable payload: {exc}")
             return None
 
     @staticmethod
@@ -280,30 +276,6 @@ class ResultCache:
         except (ValueError, UnicodeDecodeError):
             return False
         return isinstance(entry, dict) and "schema" in entry
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a failed entry to ``corrupt/`` (fall back to deleting)."""
-        self.quarantined += 1
-        dest = self.corrupt_dir / path.name
-        try:
-            self.corrupt_dir.mkdir(parents=True, exist_ok=True)
-            if dest.exists():
-                dest = self.corrupt_dir / f"{path.name}.{self.quarantined}"
-            os.replace(path, dest)
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        if not self._quarantine_warned:
-            self._quarantine_warned = True
-            warnings.warn(
-                f"quarantined corrupt result-cache entry {path.name} "
-                f"({reason}) to {self.corrupt_dir}; it will be "
-                "recomputed",
-                RuntimeWarning,
-                stacklevel=3,
-            )
 
     def iter_results(self) -> "Iterator[Tuple[str, SimResult]]":
         """Yield ``(fingerprint, result)`` for every readable entry.
@@ -338,23 +310,9 @@ class ResultCache:
                 f"got {type(result).__name__} (predicted or foreign "
                 "results must never enter the cache)"
             )
-        if self.write_disabled:
-            return
-        try:
-            self._put(key, result)
-        except OSError as exc:
-            self.write_disabled = True
-            warnings.warn(
-                f"result cache at {self.root} is not writable ({exc}); "
-                "caching disabled for the rest of this run",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    def _put(self, key: str, result: SimResult) -> None:
         payload = json.dumps(result.to_dict()).encode("utf-8")
         entry = frame_entry({"schema": CACHE_SCHEMA_VERSION}, payload)
-        atomic_write(self.path_for(key), entry)
+        self.write(atomic_write, self.path_for(key), entry)
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
@@ -541,19 +499,24 @@ class SweepStats:
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit value, else ``REPRO_JOBS``, else CPU count."""
+    """Worker count: explicit value, else ``REPRO_JOBS``, else CPU count.
+
+    A count below 1 is a usage error, not a request for serial mode.
+    """
     if jobs is None:
         env = os.environ.get("REPRO_JOBS")
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError as exc:
-                raise ValueError(
-                    f"REPRO_JOBS must be an integer, got {env!r}"
-                ) from exc
-        else:
-            jobs = os.cpu_count() or 1
-    return max(1, int(jobs))
+        if not env:
+            return os.cpu_count() or 1
+        try:
+            jobs = int(env)
+        except ValueError as exc:
+            raise ValueError(
+                f"--jobs/REPRO_JOBS must be an integer, got {env!r}"
+            ) from exc
+    jobs = int(jobs)
+    if jobs < 1:
+        raise ValueError(f"--jobs/REPRO_JOBS must be at least 1, got {jobs}")
+    return jobs
 
 
 def _run_cell(
@@ -596,6 +559,26 @@ def _run_cell_worker(
         root, fingerprint = trace_ref
         trace = TraceStore(root).attach(fingerprint)
     return _run_cell(cell, trace=trace)
+
+
+def _publish(
+    cache: ResultCache, key: str, result: SimResult, cell: SweepCell,
+    directive: Optional[ChaosDirective],
+) -> None:
+    """Cache a finished cell's result, telemetry (a recording of this
+    run) stripped: the one place an entry is published, in serial, pool
+    and coordinator mode.  A ``corrupt_write`` directive then damages
+    the entry; the caller keeps the result it computed, and the next
+    read quarantines the entry and recomputes it."""
+    if result.telemetry is not None:
+        result = dataclasses.replace(result, telemetry=None)
+    cache.put(key, result)
+    if (
+        directive is not None
+        and directive.kind is FaultKind.CORRUPT_WRITE
+        and not cache.write_disabled
+    ):
+        corrupt_file(cache.path_for(key), salt=cell.tag or key)
 
 
 def _picklable(cell: SweepCell) -> bool:
@@ -647,7 +630,8 @@ class SweepRunner:
         off identically.
     chaos:
         Optional :class:`~repro.sim.chaos.ChaosSchedule` injecting
-        faults by cell tag (tests only).
+        faults by cell tag (tests only).  ``stale_lease`` needs
+        ``coordinator``: only coordinator runners hold leases.
     coordinator:
         A :class:`~repro.sim.coordinator.CoordinatorConfig` switches
         cell execution to the lease-based work-stealing coordinator:
@@ -732,8 +716,13 @@ class SweepRunner:
             if telemetry_dir is not None
             else os.environ.get("REPRO_TELEMETRY_DIR", "telemetry")
         )
-        #: set after the first failed telemetry dump; no further attempts
-        self._telemetry_write_disabled = False
+        #: where per-cell telemetry dumps go; a failed dump warns once
+        #: and disables the rest, like the result cache
+        self.telemetry_dumps = DurableDir(
+            self.telemetry_dir,
+            name="telemetry dir",
+            unwritable="telemetry dumps disabled for this run",
+        )
         self.cell_timeout = resolve_cell_timeout(cell_timeout)
         self.on_error = resolve_on_error(on_error)
         self.max_attempts = int(max_attempts)
@@ -763,6 +752,16 @@ class SweepRunner:
                 "surrogate mode (repro explore) cannot record telemetry "
                 "(--telemetry/REPRO_TELEMETRY): predicted cells never "
                 "simulate, so they have no stages to dump"
+            )
+        if (
+            chaos is not None
+            and coordinator is None
+            and FaultKind.STALE_LEASE in chaos.kinds()
+        ):
+            raise ValueError(
+                "the stale_lease chaos kind needs coordinator mode "
+                "(--runners/REPRO_RUNNERS): only coordinator runners hold "
+                "leases"
             )
         #: set after a coordinator run: the (possibly derived) sweep id
         #: a later ``--resume`` can name
@@ -1075,7 +1074,8 @@ class SweepRunner:
                         )
                     else:
                         self._complete(info.index, keys[info.index],
-                                       result, results, cells[info.index])
+                                       result, results, cells[info.index],
+                                       info.attempt)
                 if broken:
                     # A dead worker poisons every sibling future; keep
                     # any that completed in the meantime, treat the rest
@@ -1095,7 +1095,8 @@ class SweepRunner:
                                 self._complete(info.index,
                                                keys[info.index],
                                                result, results,
-                                               cells[info.index])
+                                               cells[info.index],
+                                               info.attempt)
                         else:
                             self._attempt_failed(
                                 cells, keys, info, "worker-died",
@@ -1190,7 +1191,7 @@ class SweepRunner:
                 return
             else:
                 self._complete(index, keys[index], result, results,
-                               cells[index])
+                               cells[index], attempt)
                 return
 
     # --- failure handling ---
@@ -1262,7 +1263,8 @@ class SweepRunner:
         key: str,
         result: SimResult,
         results: List[Optional[SimResult]],
-        cell: Optional[SweepCell] = None,
+        cell: SweepCell,
+        attempt: int,
     ) -> None:
         """Store a finished cell and flush it to the cache immediately,
         so an abort later in the sweep never discards it."""
@@ -1271,14 +1273,12 @@ class SweepRunner:
         if result.trace_source == "store":
             self.stats.traces_attached += 1
             self.stats.trace_bytes_shared += self._trace_nbytes.get(index, 0)
-        if result.telemetry is not None and cell is not None:
+        if result.telemetry is not None:
             self._dump_telemetry(key, cell, result)
         if self.cache is not None:
-            if result.telemetry is not None:
-                # Telemetry is a recording of *this* run, not part of the
-                # deterministic result — cache the result without it.
-                result = dataclasses.replace(result, telemetry=None)
-            self.cache.put(key, result)
+            _publish(
+                self.cache, key, result, cell, self._directive(cell, attempt)
+            )
 
     def _dump_telemetry(
         self, key: str, cell: SweepCell, result: SimResult
@@ -1288,8 +1288,6 @@ class SweepRunner:
         Like the result cache, a failed write warns once and disables
         further dumps instead of failing the sweep.
         """
-        if self._telemetry_write_disabled:
-            return
         payload = {
             "fingerprint": key,
             "workload": result.workload,
@@ -1298,16 +1296,9 @@ class SweepRunner:
             "telemetry": result.telemetry,
         }
         path = self.telemetry_dir / f"{result.workload}-{result.policy}-{key[:12]}.json"
-        try:
-            atomic_write(path, json.dumps(payload, indent=2), fsync=False)
-        except OSError as exc:
-            self._telemetry_write_disabled = True
-            warnings.warn(
-                f"telemetry dir {self.telemetry_dir} is not writable "
-                f"({exc}); telemetry dumps disabled for this run",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        self.telemetry_dumps.write(
+            atomic_write, path, json.dumps(payload, indent=2), fsync=False
+        )
 
     # --- retry pacing / chaos ---
 
@@ -1385,8 +1376,7 @@ def default_runner() -> SweepRunner:
     """
     global _default_runner
     if _default_runner is None:
-        env_jobs = os.environ.get("REPRO_JOBS")
-        jobs = resolve_jobs(int(env_jobs)) if env_jobs else 1
+        jobs = resolve_jobs() if os.environ.get("REPRO_JOBS") else 1
         use_cache = bool(
             os.environ.get("REPRO_CACHE_DIR")
             or os.environ.get("REPRO_CACHE", "") not in ("", "0", "false")

@@ -15,12 +15,13 @@ the archive's data section, zero copies, all processes sharing one set
 of physical pages through the kernel page cache.  Per-worker trace
 residency drops from ``nbytes`` to roughly ``nbytes / jobs``.
 
-Robustness mirrors the result cache: archives are CRC-verified on
-attach, a corrupt or truncated archive is quarantined to
-``<root>/corrupt/`` and reported as a miss (the caller regenerates —
-never trusts, never crashes), and concurrent materializations of the
-same fingerprint race benignly because both writers produce identical
-bytes and the atomic rename makes the last one win.
+Robustness is the result cache's (:class:`~repro.sim.durability.
+DurableDir`): archives are CRC-verified on attach, a corrupt or
+truncated archive is quarantined to ``<root>/corrupt/`` and reported as
+a miss (the caller regenerates — never trusts, never crashes), and
+concurrent materializations of the same fingerprint race benignly
+because both writers produce identical bytes and the atomic rename
+makes the last one win.
 
 Every failure path degrades to regeneration: a sweep with a broken
 store is slower, never wrong.
@@ -31,11 +32,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import warnings
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
 from ..errors import TraceFormatError
+from ..sim.durability import DurableDir
 from .io import load_trace, save_trace_v2
 from .workload import Trace, Workload, WorkloadSpec
 
@@ -105,39 +106,36 @@ def resolve_trace_store(
     return Path(text)
 
 
-class TraceStore:
+class TraceStore(DurableDir):
     """A directory of format-v2 trace archives keyed by fingerprint.
 
     One instance per process; counters record what this instance did
     (the sweep machinery folds them into :class:`~repro.sim.parallel.
     SweepStats`).  All writes go through the atomic v2 writer, all
-    reads CRC-verify before any view is handed out.
+    reads CRC-verify before any view is handed out.  After the first
+    failed write the store degrades to regeneration (``write_disabled``).
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
-        self.root = Path(root) if root is not None else default_store_dir()
+        super().__init__(
+            root if root is not None else default_store_dir(),
+            name="trace store",
+            unwritable="workers will regenerate traces for the rest of "
+            "this run",
+            artifact="trace archive",
+            recovery="the trace will be regenerated",
+        )
         #: traces this instance built and wrote into the store
         self.materialized = 0
         #: traces this instance attached zero-copy (mmap) from the store
         self.attached = 0
         #: arena bytes of attached traces — memory *not* privately held
         self.bytes_shared = 0
-        #: corrupt archives moved aside by this instance
-        self.quarantined = 0
-        #: set after the first failed write; the store then degrades to
-        #: regeneration (a broken disk must never break a sweep)
-        self.write_disabled = False
-        self._quarantine_warned = False
 
     # --- addressing ---
 
     def path_for(self, fingerprint: str) -> Path:
         return self.root / f"{fingerprint}.trace"
-
-    @property
-    def corrupt_dir(self) -> Path:
-        """Where archives failing verification are moved for post-mortems."""
-        return self.root / "corrupt"
 
     # --- attach (read side) ---
 
@@ -157,36 +155,12 @@ class TraceStore:
         try:
             trace = load_trace(path)
         except TraceFormatError as exc:
-            self._quarantine(path, str(exc))
+            self.quarantine(path, str(exc))
             return None
         trace.source = "store"
         self.attached += 1
         self.bytes_shared += trace.nbytes
         return trace
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a failed archive to ``corrupt/`` (fall back to deleting)."""
-        self.quarantined += 1
-        dest = self.corrupt_dir / path.name
-        try:
-            self.corrupt_dir.mkdir(parents=True, exist_ok=True)
-            if dest.exists():
-                dest = self.corrupt_dir / f"{path.name}.{self.quarantined}"
-            os.replace(path, dest)
-        except OSError:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        if not self._quarantine_warned:
-            self._quarantine_warned = True
-            warnings.warn(
-                f"quarantined corrupt trace archive {path.name} "
-                f"({reason}) to {self.corrupt_dir}; the trace will be "
-                "regenerated",
-                RuntimeWarning,
-                stacklevel=3,
-            )
 
     # --- materialize (write side) ---
 
@@ -210,20 +184,9 @@ class TraceStore:
         if path.exists():
             return fingerprint, self._stored_nbytes(path), False
         trace = Workload(workload, num_chiplets, seed=seed).build_trace(seed)
-        if not self.write_disabled:
-            try:
-                save_trace_v2(trace, path)
-                self.materialized += 1
-                return fingerprint, trace.nbytes, True
-            except OSError as exc:
-                self.write_disabled = True
-                warnings.warn(
-                    f"trace store at {self.root} is not writable ({exc}); "
-                    "workers will regenerate traces for the rest of this "
-                    "run",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+        if self.write(save_trace_v2, trace, path):
+            self.materialized += 1
+            return fingerprint, trace.nbytes, True
         return fingerprint, trace.nbytes, False
 
     @staticmethod

@@ -1,5 +1,5 @@
 # ruff: noqa
-"""Bad fixture: trace files removed outside TraceStore._quarantine."""
+"""Bad fixture: trace files removed outside the durability module."""
 
 import os
 

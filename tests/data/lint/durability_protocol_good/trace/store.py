@@ -1,15 +1,9 @@
 # ruff: noqa
-"""Good fixture: damaged traces move only through _quarantine."""
+"""Good fixture: damaged traces move only through the durability module."""
 
-import os
+from ..sim.durability import DurableDir
 
 
-class TraceStore:
-    def __init__(self, root):
-        self.root = root
-
-    def _quarantine(self, path, reason):
-        os.replace(path, str(path) + ".quarantined")
-
+class TraceStore(DurableDir):
     def evict(self, path):
-        self._quarantine(path, "evicted")
+        self.quarantine(path, "evicted")

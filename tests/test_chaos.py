@@ -23,8 +23,8 @@ from repro.sim.chaos import (
     ChaosSchedule,
     FaultKind,
     apply_chaos,
-    corrupt_file,
 )
+from repro.sim.durability import corrupt_file
 from repro.sim.parallel import (
     CellFailure,
     OnError,
@@ -291,12 +291,45 @@ class TestChaosHarness:
         assert FaultKind("die_hard") is FaultKind.DIE_HARD
 
     def test_deferred_kinds_are_noops_in_apply_chaos(self):
-        """CORRUPT_WRITE and STALE_LEASE act at the coordinator layer
-        (after the result exists / around lease renewal); the worker
-        entry point must pass them through untouched."""
+        """CORRUPT_WRITE and STALE_LEASE act around the durability layer
+        (after the result is published / around lease renewal); the
+        worker entry point must pass them through untouched."""
         for kind in DEFERRED_KINDS:
             apply_chaos(ChaosDirective(kind))  # must not raise or exit
             apply_chaos(ChaosDirective(kind), in_process=True)
+
+
+class TestChaosReachesEveryMode:
+    """``corrupt_write`` acts wherever a cell's entry is published, and
+    a kind the mode cannot honour is rejected up front."""
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
+    def test_corrupt_write_is_found_by_the_next_read(self, tmp_path, jobs):
+        cells = chaos_cells(4)
+        keys = [cell_fingerprint(cell) for cell in cells]
+        clean = make_runner(jobs=jobs).run_cells(chaos_cells(4))
+        chaos = ChaosSchedule({"c02": (FaultKind.CORRUPT_WRITE,)})
+        chaotic = make_runner(tmp_path, jobs=jobs, chaos=chaos)
+        # The sweep returns what it computed; only the entry is damaged.
+        assert chaotic.run_cells(cells) == clean
+        assert chaotic.stats.entries_quarantined == 0
+
+        again = make_runner(tmp_path, jobs=jobs)
+        with pytest.warns(
+            RuntimeWarning, match="quarantined corrupt result-cache entry"
+        ):
+            assert again.run_cells(chaos_cells(4)) == clean
+        assert again.stats.entries_quarantined == 1
+        assert again.stats.simulated == 1
+        assert again.stats.cache_hits == 3
+        corrupt = ResultCache(tmp_path).corrupt_dir
+        assert [p.name for p in corrupt.iterdir()] == [f"{keys[2]}.json"]
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
+    def test_stale_lease_needs_a_coordinator(self, jobs):
+        chaos = ChaosSchedule({"c00": (None, FaultKind.STALE_LEASE)})
+        with pytest.raises(ValueError, match="stale_lease.*coordinator"):
+            make_runner(jobs=jobs, chaos=chaos)
 
 
 class TestCorruptFile:

@@ -102,11 +102,15 @@ class TestCli:
             ({"REPRO_RUNNERS": "0"}, ["sweep", "STE"]),
             ({}, ["sweep", "STE", "--runners", "0"]),
             ({}, ["sweep", "STE", "--retries", "-1"]),
+            ({}, ["sweep", "STE", "--jobs", "0"]),
+            ({}, ["sweep", "STE", "--jobs", "-3"]),
+            ({"REPRO_JOBS": "0"}, ["sweep", "STE"]),
         ],
         ids=[
             "sweep-telemetry-env", "explore-telemetry-env", "no-cache",
             "cell-timeout-flag", "cell-timeout-env", "bad-lease-ttl-env",
             "zero-runners-env", "zero-runners-flag", "negative-retries",
+            "zero-jobs-flag", "negative-jobs-flag", "zero-jobs-env",
         ],
     )
     def test_rejected_options_are_a_usage_error(

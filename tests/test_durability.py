@@ -1,21 +1,29 @@
 """Torn-write-proof persistence primitives (``repro.sim.durability``).
 
 These are the building blocks the crash-safety claims rest on:
-``atomic_write`` must never expose a half-written file, and the framed
+``atomic_write`` must never expose a half-written file, the framed
 entry format must detect every flavour of on-disk damage (truncation,
-bit rot, header loss) rather than decode garbage.
+bit rot, header loss) rather than decode garbage, exclusive create is
+a test-and-set, and every writer that degrades on a failed write
+(result cache, trace store, telemetry dumps) does so the same way.
 """
 
 import os
+import warnings
 
 import pytest
 
 from repro.sim.durability import (
     EntryCorrupt,
     atomic_write,
+    create_exclusive,
     frame_entry,
     parse_entry,
 )
+from repro.sim.parallel import SweepCell, SweepRunner
+from repro.units import MB
+
+from .conftest import make_spec, partitioned
 
 
 class TestAtomicWrite:
@@ -102,3 +110,71 @@ class TestFramedEntries:
     def test_header_missing_checksum_detected(self):
         with pytest.raises(EntryCorrupt, match="missing length/crc32"):
             parse_entry(b'{"schema": 4}\npayload')
+
+
+class TestCreateExclusive:
+    def test_exactly_one_create_wins(self, tmp_path):
+        target = tmp_path / "claim"
+        assert create_exclusive(target)
+        assert not create_exclusive(target)
+        assert target.read_bytes() == b""
+
+    def test_other_errors_propagate(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            create_exclusive(tmp_path / "missing-dir" / "claim")
+
+
+def _writer_cells():
+    """Three cells with three distinct traces (so three store writes)."""
+    return [
+        SweepCell(
+            make_spec(partitioned(size=8 * MB, waves=2), abbr=f"D{i}"),
+            "S-64KB",
+            seed=i,
+        )
+        for i in range(3)
+    ]
+
+
+#: (runner options given an unwritable root, the writer that degrades)
+WRITERS = {
+    "result-cache": (
+        lambda root: {"cache_dir": root, "telemetry": False},
+        lambda runner: runner.cache,
+    ),
+    "trace-store": (
+        lambda root: {"use_cache": False, "trace_store": root,
+                      "telemetry": False},
+        lambda runner: runner.trace_store,
+    ),
+    "telemetry": (
+        lambda root: {"use_cache": False, "telemetry": True,
+                      "telemetry_dir": root},
+        lambda runner: runner.telemetry_dumps,
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_degrades_once_and_the_sweep_completes(
+    tmp_path, writer
+):
+    """A root under a regular file cannot be created, so the first write
+    fails: one warning, ``write_disabled`` set, no further attempts, and
+    every cell still returns its result."""
+    options, pick = WRITERS[writer]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    runner = SweepRunner(jobs=1, **options(blocker / "root"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = runner.run_cells(_writer_cells())
+    unwritable = [
+        w for w in caught
+        if issubclass(w.category, RuntimeWarning)
+        and "not writable" in str(w.message)
+    ]
+    assert len(unwritable) == 1
+    assert pick(runner).write_disabled
+    assert all(result is not None for result in results)
+    assert runner.stats.simulated == 3 and not runner.stats.failures

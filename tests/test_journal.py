@@ -102,6 +102,18 @@ class TestRecovery:
         assert dropped > 0
         assert journal.replay() == [{"i": 0}]
 
+    def test_truncate_cuts_at_a_known_good_offset(self, tmp_path):
+        # A tailing reader already knows where the last good frame ends.
+        journal = make_journal(tmp_path, [{"i": 0}, {"i": 1}])
+        with open(journal.path, "ab") as fh:
+            fh.write(b"\x40\x00torn")
+        _, offset, clean = journal.read_from(0)
+        assert not clean
+        assert journal.truncate(offset) == 6
+        assert journal.size() == offset
+        assert journal.read_from(0)[2]
+        assert journal.truncate(offset) == 0
+
     def test_clean_journal_recovers_without_drops(self, tmp_path):
         journal = make_journal(tmp_path, [{"i": 0}])
         records, dropped = journal.recover()

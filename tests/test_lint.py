@@ -275,8 +275,8 @@ def test_durability_protocol_bad_fixture_fires():
 
 
 def test_durability_protocol_good_fixture_clean():
-    # The blessed helpers themselves, the CRC appender module and
-    # TraceStore._quarantine are exempt — as are calls into them.
+    # The blessed helpers themselves, the CRC appender module and the
+    # durability module's quarantine are exempt — as are calls into them.
     assert lint_fixture("durability_protocol_good", select=["RPR009"]) == []
 
 
@@ -595,7 +595,7 @@ def test_inlined_placement_in_batch_faults_fails_lint(mutable_tree):
 def test_unfenced_bulk_install_fails_lint(mutable_tree):
     # Weakening the call-site fence from the audited-place proof to
     # the mere eligibility flag would run inlined placement for *any*
-    # opted-in policy, including ones whose place() is overridden.
+    # eligible policy, including ones whose place() is overridden.
     reintroduce(
         mutable_tree / "sim" / "batch.py",
         "if bulk_proven and unmapped[j] and not deferred[j]:",
@@ -720,6 +720,39 @@ def test_raw_lease_write_reintroduction_fails_lint(mutable_tree):
     )
 
 
+@pytest.mark.parametrize(
+    "rel, anchor, mutation, expected",
+    [
+        (
+            "sim/coordinator.py",
+            "journal.truncate(offset)",
+            "os.truncate(journal.path, offset)",
+            "raw os.truncate write touches journal state in "
+            "Coordinator._supervise()",
+        ),
+        (
+            "trace/store.py",
+            "    # --- materialize (write side) ---\n",
+            "    def _quarantine(self, path, reason):\n"
+            "        os.replace(path, self.corrupt_dir / path.name)\n\n"
+            "    # --- materialize (write side) ---\n",
+            "raw os.replace write touches trace state in "
+            "TraceStore._quarantine()",
+        ),
+    ],
+    ids=["supervise-truncates-journal", "trace-store-own-quarantine"],
+)
+def test_protocol_repair_outside_the_durability_surface_fails_lint(
+    mutable_tree, rel, anchor, mutation, expected
+):
+    # The two repairs the protocol files used to carry themselves: a
+    # torn journal tail is cut by Journal.truncate and a corrupt archive
+    # moved by DurableDir.quarantine, so neither function is blessed.
+    reintroduce(mutable_tree / rel, anchor, mutation)
+    findings = run_lint(Project(root=mutable_tree), select=["RPR009"])
+    assert any(expected in f.message for f in findings)
+
+
 def test_swallowed_worker_failure_reintroduction_fails_lint(mutable_tree):
     # The RPR010 shape: dropping the typed-failure conversion from the
     # serial worker's broad handler makes errors vanish silently.
@@ -756,7 +789,7 @@ def test_torn_cache_write_reintroduction_fails_lint(mutable_tree):
     # open(..., "w") instead of the atomic staged write.
     reintroduce(
         mutable_tree / "sim" / "parallel.py",
-        "        atomic_write(self.path_for(key), entry)",
+        "        self.write(atomic_write, self.path_for(key), entry)",
         '''        with open(self.path_for(key), "wb") as fh:
             fh.write(entry)''',
     )

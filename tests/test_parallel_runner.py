@@ -21,7 +21,9 @@ from repro.sim.parallel import (
     SweepCell,
     SweepRunner,
     cell_fingerprint,
+    default_runner,
     resolve_jobs,
+    set_default_runner,
 )
 from repro.sim.timing import TimingParams
 from repro.trace.suite import workload_by_name
@@ -234,13 +236,28 @@ def test_cache_respects_env_dir(tmp_path, monkeypatch):
 def test_resolve_jobs(monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     assert resolve_jobs(4) == 4
-    assert resolve_jobs(0) == 1
+    # A count below 1 is a usage error, not a request for serial mode.
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="--jobs/REPRO_JOBS"):
+            resolve_jobs(jobs)
     assert resolve_jobs() >= 1
     monkeypatch.setenv("REPRO_JOBS", "3")
     assert resolve_jobs() == 3
-    monkeypatch.setenv("REPRO_JOBS", "nope")
-    with pytest.raises(ValueError):
-        resolve_jobs()
+    for env in ("nope", "0"):
+        monkeypatch.setenv("REPRO_JOBS", env)
+        with pytest.raises(ValueError, match="--jobs/REPRO_JOBS"):
+            resolve_jobs()
+
+
+@pytest.mark.parametrize("env", ["0", "nope"])
+def test_default_runner_rejects_a_bad_repro_jobs(monkeypatch, env):
+    monkeypatch.setenv("REPRO_JOBS", env)
+    set_default_runner(None)
+    try:
+        with pytest.raises(ValueError, match="--jobs/REPRO_JOBS"):
+            default_runner()
+    finally:
+        set_default_runner(None)
 
 
 def test_summary_line_reports_accounting(tmp_path):

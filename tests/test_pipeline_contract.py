@@ -14,30 +14,24 @@ Two guarantees of the AccessPipeline refactor:
 Two further engine gates live here: a twelve-cell *same-trace sweep
 fixture* — cells replaying one trace, swept through the real
 ``SweepRunner`` under both engines, per-cell results and fingerprints
-identical — and a lying policy that opts into fault batching with an
-unaudited ``place`` mapping pages below its promised granule: it must
-fault through the batched engine's exact per-access path (the
-below-granule branch of the one-access window) and still match the
-staged engine bit for bit, with consistent ``faults_dropped`` /
-``fast_path_fraction`` / ``fault_batch_fraction`` accounting.  With
-telemetry on, the staged and batched engines must also record the same
-snapshot on the golden cells and for the lying policy.  No in-tree
-policy may override ``place`` outside the audit table while inheriting
-an ancestor's fault-batching opt-in.
+identical — and a lying policy that inherits static 64KB paging but
+overrides ``place`` (outside the audit table) to map pages below that
+granule: it must fault through the batched engine's exact per-access
+path (the below-granule branch of the one-access window) and still
+match the staged engine bit for bit, with consistent
+``faults_dropped`` / ``fast_path_fraction`` / ``fault_batch_fraction``
+accounting.  With telemetry on, the staged and batched engines must
+also record the same snapshot on the golden cells and for the lying
+policy.
 """
 
-import importlib
 import json
-import pkgutil
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 import pytest
 
-import repro.core
-import repro.experiments
-import repro.policies
 from repro.arch.address import InterleavePolicy
 from repro.core.clap import ClapPolicy
 from repro.errors import PolicyContractError
@@ -49,7 +43,6 @@ from repro.policies import (
     StaticPaging,
     validate_policy,
 )
-from repro.sim.batch import AUDITED_PLACE
 from repro.sim.engine import run_simulation
 from repro.sim.errors import PolicyContractError as ReexportedError
 from repro.sim.runner import run_workload
@@ -377,11 +370,11 @@ def test_same_trace_sweep_bit_identical_to_staged(same_trace_sweeps):
         )
 
 
-# --- bulk fault path: opt-in accounting and the unaudited-place gate ---
+# --- bulk fault path: accounting and the unaudited-place gate ---
 
 
 class _LyingPolicy(StaticPaging):
-    """Opts into 64KB fault batching but maps 4KB pages.
+    """Inherits 64KB static paging but maps 4KB pages.
 
     Its ``place`` override is not in ``batch.AUDITED_PLACE``, so the
     batched engine never bulk-resolves its faults: each one goes
@@ -404,7 +397,7 @@ class _LyingPolicy(StaticPaging):
 
 
 def test_fault_batch_fraction_reported_on_batchable_cells():
-    """Opted-in policies report their batch coverage; the staged engine
+    """Audited policies report their batch coverage; the staged engine
     and non-eligible policies report None; and like
     ``fast_path_fraction`` the metric never enters the cache payload."""
     batched = run_workload("STE", "S-64KB", engine="batched")
@@ -505,46 +498,11 @@ def test_region_filling_fault_promotes_at_its_own_position():
     assert batched.fault_batch_fraction == 6 / 8
 
 
-def _subclasses(cls):
-    for sub in cls.__subclasses__():
-        yield sub
-        yield from _subclasses(sub)
-
-
-def _owner(cls, attr):
-    return next(k for k in cls.__mro__ if attr in k.__dict__)
-
-
-def test_in_tree_place_overrides_redeclare_fault_batching():
-    """An in-tree policy that overrides ``place`` outside the audit
-    table must not silently inherit an ancestor's ``fault_batch_size``
-    opt-in: it keeps the base default or declares the hook itself, at
-    or below its ``place``, so the promise is made about that body."""
-    for package in (repro.core, repro.experiments, repro.policies):
-        for mod in pkgutil.walk_packages(
-            package.__path__, package.__name__ + "."
-        ):
-            importlib.import_module(mod.name)
-    checked = []
-    for cls in _subclasses(PlacementPolicy):
-        if not cls.__module__.startswith("repro."):
-            continue
-        place = cls.place
-        if (place.__module__, place.__qualname__) in AUDITED_PLACE:
-            continue
-        hook_owner = _owner(cls, "fault_batch_size")
-        assert hook_owner is PlacementPolicy or issubclass(
-            hook_owner, _owner(cls, "place")
-        ), f"{cls.__qualname__} inherits {hook_owner.__qualname__}'s opt-in"
-        checked.append(cls.__qualname__)
-    assert "_RoundRobinPaging" in checked and "ClapPolicy" in checked
-
-
 def test_lying_policy_keeps_results_and_accounting_consistent():
     """An unaudited ``place`` faults through the scalar path, bit-identically.
 
-    The lying policy opts into 64KB fault batching but maps 4KB pages,
-    below the granule it promised.  Its ``place`` is not audited, so no
+    The lying policy inherits a 64KB granule but maps 4KB pages below
+    it.  Its ``place`` is not audited, so no
     fault is bulk-resolved: every fault, and every access to a 4KB
     page, replays through the one-access window's staged fault lookup.
     The result must match the staged engine field for field —

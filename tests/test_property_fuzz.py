@@ -167,11 +167,11 @@ _any_policy = st.sampled_from(
     ]
 )
 
-#: Policies that opt into the vectorized fault path (``fault_batch_size``
-#: == their granule): these exercise ``batch_faults`` itself, not just
-#: the eligibility gate.  S-128KB and S-2MB take its reservation branch;
-#: S-128KB regions hold two pages, so every other first touch fills a
-#: region and stays on the scalar path.
+#: Policies whose ``place`` is in ``batch.AUDITED_PLACE``: these
+#: exercise ``batch_faults`` itself, not just the eligibility gate.
+#: S-128KB and S-2MB take its reservation branch; S-128KB regions hold
+#: two pages, so every other first touch fills a region and stays on
+#: the scalar path.
 _batchable_policy = st.sampled_from(
     ["S-4KB", "S-64KB", "S-128KB", "S-2MB", "Ideal", "MGvm", "GRIT"]
 )
