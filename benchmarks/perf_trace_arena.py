@@ -42,7 +42,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.sim.parallel import SweepCell, SweepRunner  # noqa: E402
-from repro.trace.store import TraceStore  # noqa: E402
+from repro.trace.store import TraceStore, trace_fingerprint  # noqa: E402
 from repro.trace.workload import (  # noqa: E402
     Pattern,
     StructureSpec,
@@ -122,12 +122,14 @@ def _residency_worker(mode, root, spec, chiplets, seed, barrier, queue):
     mappings that exist *now*), the second keeps the mapping alive
     until everyone has measured.
     """
+    trace = None
     if mode == "store":
-        trace = TraceStore(root).get_or_materialize(spec, chiplets, seed)
-        attached = trace.source == "store"
-    else:
+        # The parent materialized the archive; a worker only attaches.
+        fingerprint = trace_fingerprint(spec, chiplets, seed)
+        trace = TraceStore(root).attach(fingerprint)
+    attached = trace is not None
+    if trace is None:
         trace = Workload(spec, chiplets, seed=seed).build_trace(seed)
-        attached = False
     # Touch all three columns so every arena page is resident.
     checksum = (
         int(trace.vaddrs.sum())

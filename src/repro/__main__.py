@@ -44,12 +44,13 @@ run, or fixed up front with ``--sweep-id`` / ``REPRO_SWEEP_ID``) with
 bit-identical final results.
 
 ``--trace-store [DIR]`` (default: the ``REPRO_TRACE_STORE`` env flag,
-else off; ``--no-trace-store`` forces it off) materializes each
-distinct trace once into a shared, mmap-attachable store (default
-``<cache>/traces``); sweep workers — and coordinator runners across
-machines — attach traces zero-copy by fingerprint instead of each
-regenerating a private copy, cutting per-worker trace residency to
-roughly ``1/jobs`` with bit-identical results.
+else off; ``--no-trace-store`` forces it off) has the sweep parent
+materialize each distinct trace once into a shared, mmap-attachable
+store (default ``<cache>/traces``), under ``--jobs`` and ``--runners``
+alike; sweep workers — and coordinator runners across machines —
+attach traces zero-copy by fingerprint instead of each regenerating a
+private copy, cutting per-worker trace residency to roughly ``1/jobs``
+with bit-identical results.
 
 ``--telemetry`` (default: the ``REPRO_TELEMETRY`` env flag) records
 per-stage pipeline telemetry and writes one JSON file per simulation

@@ -36,7 +36,7 @@ from ..core import Finding, Project, SourceFile, register
 
 #: Modules that persist sweep state and therefore must write atomically.
 #: ``sim/durability.py`` itself is deliberately absent: it implements
-#: the sanctioned mechanism (mkstemp + os.write + rename).
+#: the sanctioned mechanism (exclusive temp file + os.write + rename).
 DURABLE_FILES = (
     "sim/parallel.py",
     "sim/journal.py",

@@ -15,9 +15,11 @@ several machines at one shared journal/cache directory, across machines
   older than its TTL belongs to a dead (or stalled) runner; any other
   runner may *steal* it — arbitration is an atomic rename, so exactly
   one thief wins.
-* **Journal.**  Completions, failures, steals and quarantines are
-  appended to a per-sweep CRC-framed journal (:mod:`repro.sim.
-  journal`).  Results themselves live in the
+* **Journal.**  Attempt starts, completions, failures, steals and
+  quarantines are appended to a per-sweep CRC-framed journal
+  (:mod:`repro.sim.journal`), the one record of what happened to each
+  cell: attempts are counted from its ``start`` records.  Results
+  themselves live in the
   :class:`~repro.sim.parallel.ResultCache`; a ``done`` record means
   "the cache holds this fingerprint", and the parent verifies that on
   read — a corrupt entry is quarantined and the cell requeued.
@@ -28,10 +30,12 @@ several machines at one shared journal/cache directory, across machines
   single-shot run (cells are deterministic in their inputs; which
   process computes them cannot matter).
 
-The parent process (the :class:`Coordinator`) is itself stateless
-between polls: it spawns runners, tails the journal, respawns dead
-runners while work remains, and repairs a torn journal tail that no
-live writer claims (:meth:`~repro.sim.journal.Journal.truncate`).
+The parent process (the :class:`Coordinator`) materializes the pending
+cells' traces into the shared trace store (when it is on), exactly as
+pool mode does, and is otherwise stateless between polls: it spawns
+runners, tails the journal, respawns dead runners while work remains,
+and repairs a torn journal tail that no live writer claims
+(:meth:`~repro.sim.journal.Journal.truncate`).
 Killing it with SIGKILL at any point loses nothing but the in-flight
 cells' wall time.
 """
@@ -49,9 +53,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..config import baseline_config
 from ..errors import SweepError
-from ..trace.store import TraceStore
 from .chaos import ChaosSchedule, FaultKind, apply_chaos
 from .durability import atomic_write, create_exclusive
 from .journal import Journal, Record
@@ -60,6 +62,7 @@ from .parallel import (
     OnError,
     ResultCache,
     SweepCell,
+    _attach_trace,
     _format_exception_chain,
     _picklable,
     _publish,
@@ -84,6 +87,9 @@ MANIFEST_SCHEMA_VERSION = 1
 #: Default seconds before an unrenewed lease may be stolen.
 DEFAULT_LEASE_TTL = 30.0
 
+#: Seconds a runner or the parent sleeps when a poll found nothing new.
+POLL_INTERVAL = 0.05
+
 
 @dataclasses.dataclass(frozen=True)
 class CoordinatorConfig:
@@ -91,18 +97,13 @@ class CoordinatorConfig:
 
     ``sweep_id=None`` derives a content-addressed id from the cell
     fingerprints, so re-issuing the same sweep automatically resumes
-    it.  ``root=None`` places sweep state under ``<cache>/sweeps`` —
-    sharing the cache directory across machines therefore shares the
-    rendezvous too.
+    it.  Sweep state lives under ``<cache>/sweeps`` — sharing the cache
+    directory across machines therefore shares the rendezvous too.
     """
 
     sweep_id: Optional[str] = None
     runners: int = 2
     lease_ttl: float = DEFAULT_LEASE_TTL
-    #: lease renewal period; default ``lease_ttl / 4``
-    heartbeat_interval: Optional[float] = None
-    poll_interval: float = 0.05
-    root: Optional[Union[str, Path]] = None
 
 
 def resolve_runners(value: Optional[int] = None) -> Optional[int]:
@@ -252,14 +253,13 @@ def _release_lease(claim: _Claim) -> None:
 
 
 class _Heartbeat:
-    """Background lease renewal while a cell simulates."""
+    """Background lease renewal, four times per TTL, while a cell
+    simulates."""
 
-    def __init__(
-        self, claim: _Claim, ttl: float, interval: float
-    ) -> None:
+    def __init__(self, claim: _Claim, ttl: float) -> None:
         self._claim = claim
         self._ttl = ttl
-        self._interval = interval
+        self._interval = ttl / 4.0
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._loop, daemon=True)
 
@@ -281,46 +281,21 @@ class _Heartbeat:
                 return
 
 
-# --- attempt accounting -------------------------------------------------
-
-
-def _attempts_path(attempts_dir: Path, key: str) -> Path:
-    return attempts_dir / f"{key}.json"
-
-
-def _bump_attempts(attempts_dir: Path, key: str) -> int:
-    """Durably increment the cross-process attempt counter for ``key``.
-
-    Only the lease holder calls this, so the read-modify-write cannot
-    race.  The counter is what keeps chaos injection deterministic per
-    (tag, attempt) across steals, restarts and machines — and what
-    bounds a cell that SIGKILLs every runner that touches it.
-    """
-    path = _attempts_path(attempts_dir, key)
-    try:
-        attempt = int(json.loads(path.read_text())["attempt"])
-    except (OSError, ValueError, KeyError, TypeError):
-        attempt = 0
-    attempt += 1
-    atomic_write(path, json.dumps({"attempt": attempt}))
-    return attempt
-
-
-def _reset_attempts(attempts_dir: Path, key: str) -> None:
-    try:
-        os.unlink(_attempts_path(attempts_dir, key))
-    except OSError:
-        pass
-
-
 # --- journal bookkeeping ------------------------------------------------
 
 
-def _fold_settled(
-    settled: Dict[str, Record], records: List[Record]
+def _fold(
+    settled: Dict[str, Record], starts: Dict[str, int],
+    records: List[Record],
 ) -> None:
     """Apply journal records to the settled map (done/failed add a key,
-    requeue removes it)."""
+    requeue removes it) and to ``starts``, the attempt ledger.
+
+    ``starts[key]`` counts ``key``'s ``start`` records since its last
+    ``requeue`` with ``reset``; the next attempt is one more.  Attempts
+    are counted here and nowhere else.  Other kinds (among them an older
+    runner's ``trace`` records) are ignored.
+    """
     for record in records:
         kind = record.get("kind")
         key = record.get("fp")
@@ -328,8 +303,12 @@ def _fold_settled(
             continue
         if kind in ("done", "failed"):
             settled[key] = record
+        elif kind == "start":
+            starts[key] = starts.get(key, 0) + 1
         elif kind == "requeue":
             settled.pop(key, None)
+            if record.get("reset"):
+                starts.pop(key, None)
 
 
 # --- the runner process -------------------------------------------------
@@ -340,8 +319,6 @@ def _runner_process(
     cache_dir: str,
     runner_id: str,
     lease_ttl: float,
-    heartbeat_interval: float,
-    poll_interval: float,
     max_attempts: int,
     on_error: str,
     chaos: Optional[ChaosSchedule],
@@ -349,25 +326,22 @@ def _runner_process(
 ) -> None:
     """Entry point of one independent runner process.
 
-    Loops until every cell is settled: claim an unleased cell, simulate
-    it, flush the result to the shared cache, journal the completion.
-    Everything it knows comes off the shared directory, so a runner can
-    join, die, or be started on another machine at any time.
+    Loops until every cell is settled, doing four things only: claim a
+    cell's lease, attach its trace, simulate it (flushing the result to
+    the shared cache), and journal the outcome.  Everything it knows
+    comes off the shared directory, so a runner can join, die, or be
+    started on another machine at any time.
 
-    With ``trace_store_root`` set, the first runner to win a lease on a
-    cell of each distinct trace materializes that trace into the shared
-    store (journaling a ``trace`` record); every later cell — in this
-    runner or any sibling, on any machine sharing the directory —
-    attaches it zero-copy.  The store is the same cross-machine
-    rendezvous the result cache is, with the same degradation rule: any
-    store failure falls back to private regeneration.
+    Before computing, the lease holder journals a ``start`` record, its
+    attempt one more than :func:`_fold` has counted.  With
+    ``trace_store_root`` set, the runner attaches the trace the parent
+    materialized, as pool workers do (:func:`~repro.sim.parallel.
+    _attach_trace`): it never writes the store, and a missing or
+    quarantined archive means private regeneration.
     """
     sweep = Path(sweep_dir)
     cells = load_cells(sweep)
     keys = [cell_fingerprint(cell) for cell in cells]
-    store = (
-        TraceStore(trace_store_root) if trace_store_root is not None else None
-    )
     leaders: List[int] = []
     seen = set()
     for i, key in enumerate(keys):
@@ -376,19 +350,19 @@ def _runner_process(
             leaders.append(i)
     journal = Journal(sweep / "journal.bin")
     lease_dir = sweep / "leases"
-    attempts_dir = sweep / "attempts"
     cache = ResultCache(cache_dir)
     token = f"{runner_id}:{os.getpid()}"
     retry = OnError(on_error) is OnError.RETRY
 
     settled: Dict[str, Record] = {}
+    starts: Dict[str, int] = {}
     offset = 0
     quarantines_reported = 0
 
     def refresh() -> None:
         nonlocal offset
         records, offset, _ = journal.read_from(offset)
-        _fold_settled(settled, records)
+        _fold(settled, starts, records)
 
     def note_quarantines() -> None:
         # Quarantines happen inside this process's cache instance; the
@@ -436,7 +410,9 @@ def _runner_process(
                         }
                     )
                     continue
-                attempt = _bump_attempts(attempts_dir, key)
+                # Counted by the fold, never here: the next refresh()
+                # reads this runner's own start record back.
+                attempt = starts.get(key, 0) + 1
                 if attempt > max_attempts:
                     journal.append(
                         _failed_record(
@@ -448,6 +424,14 @@ def _runner_process(
                         )
                     )
                     continue
+                journal.append(
+                    {
+                        "kind": "start",
+                        "fp": key,
+                        "runner": runner_id,
+                        "attempt": attempt,
+                    }
+                )
                 directive = (
                     chaos.directive_for(cells[i].tag, attempt)
                     if chaos is not None
@@ -465,35 +449,13 @@ def _runner_process(
                     # a sibling legitimately steals the cell.
                     time.sleep(2.5 * lease_ttl)
                 else:
-                    heartbeat = _Heartbeat(
-                        claim, lease_ttl, heartbeat_interval
-                    )
+                    heartbeat = _Heartbeat(claim, lease_ttl)
                     heartbeat.start()
                 try:
-                    trace = None
-                    if store is not None:
-                        config = (
-                            cells[i].config
-                            if cells[i].config is not None
-                            else baseline_config()
-                        )
-                        materialized_before = store.materialized
-                        trace = store.get_or_materialize(
-                            cells[i].workload,
-                            config.num_chiplets,
-                            cells[i].seed,
-                        )
-                        if store.materialized > materialized_before:
-                            journal.append(
-                                {
-                                    "kind": "trace",
-                                    "event": "materialized",
-                                    "fp": key,
-                                    "runner": runner_id,
-                                    "bytes": int(trace.nbytes),
-                                }
-                            )
-                    result = _run_cell(cells[i], trace=trace)
+                    result = _run_cell(
+                        cells[i],
+                        trace=_attach_trace(cells[i], trace_store_root),
+                    )
                 finally:
                     if heartbeat is not None:
                         heartbeat.stop()
@@ -510,12 +472,6 @@ def _runner_process(
                         "runner": runner_id,
                         "attempt": attempt,
                         "trace": result.trace_source,
-                        "trace_bytes": (
-                            int(trace.nbytes)
-                            if result.trace_source == "store"
-                            and trace is not None
-                            else 0
-                        ),
                     }
                 )
             # Failure accounting happens through the journal, not a
@@ -546,7 +502,7 @@ def _runner_process(
             finally:
                 _release_lease(claim)
         if not progressed:
-            time.sleep(poll_interval)
+            time.sleep(POLL_INTERVAL)
 
 
 def _failed_record(
@@ -579,8 +535,9 @@ class Coordinator:
     """Parent-side orchestration of one coordinator sweep.
 
     Owns the sweep directory (manifest + pickled cells + journal +
-    leases), spawns and babysits the runner processes, and folds
-    journal records into the :class:`~repro.sim.parallel.SweepRunner`'s
+    leases), materializes the pending cells' traces through the
+    :class:`~repro.sim.parallel.SweepRunner`, spawns and babysits the
+    runner processes, and folds journal records into the runner's
     results and stats.  All of its own state is reconstructible from
     the directory, which is what makes the sweep coordinator-crash-safe.
     """
@@ -593,11 +550,6 @@ class Coordinator:
 
     # - setup -
 
-    def _root(self) -> Path:
-        if self.config.root is not None:
-            return Path(self.config.root)
-        return self._runner.cache.root / "sweeps"
-
     def _prepare_dir(
         self, cells: List[SweepCell], keys: List[str], indices: List[int]
     ) -> None:
@@ -605,10 +557,9 @@ class Coordinator:
         fingerprints = sorted({keys[i] for i in indices})
         if self.sweep_id is None:
             self.sweep_id = derive_sweep_id(fingerprints)
-        self.sweep_dir = self._root() / self.sweep_id
+        self.sweep_dir = self._runner.cache.root / "sweeps" / self.sweep_id
         self.sweep_dir.mkdir(parents=True, exist_ok=True)
         (self.sweep_dir / "leases").mkdir(exist_ok=True)
-        (self.sweep_dir / "attempts").mkdir(exist_ok=True)
         manifest_path = self.sweep_dir / "manifest.json"
         if manifest_path.exists():
             try:
@@ -669,6 +620,7 @@ class Coordinator:
                 results[i] = hit
                 stats.cache_hits += 1
             else:
+                runner._prepare_traces(cells, [i])
                 runner._run_serial(cells, keys, i, results)
         if not distributed:
             return
@@ -684,7 +636,7 @@ class Coordinator:
         # request to try again).
         records, _ = journal.recover()
         settled: Dict[str, Record] = {}
-        _fold_settled(settled, records)
+        _fold(settled, {}, records)
         for key, record in settled.items():
             if key not in pending_keys:
                 continue
@@ -696,14 +648,15 @@ class Coordinator:
                     pending_keys.discard(key)
                     continue
                 # Entry vanished or failed verification: recompute.  The
-                # attempt counter survives, so a chaos directive that
+                # attempt count survives, so a chaos directive that
                 # corrupted attempt N does not fire again on the retry.
                 journal.append({"kind": "requeue", "fp": key, "by": "parent"})
                 continue
             # A previously *failed* cell: an explicit resume is a request
             # to try again, with a fresh attempt budget.
-            journal.append({"kind": "requeue", "fp": key, "by": "parent"})
-            _reset_attempts(self.sweep_dir / "attempts", key)
+            journal.append(
+                {"kind": "requeue", "fp": key, "by": "parent", "reset": True}
+            )
         # Cells this sweep never journaled may still be in the shared
         # cache (another sweep computed them): classify as plain hits
         # and journal the completion so a resume adopts them directly.
@@ -723,7 +676,11 @@ class Coordinator:
                 )
         if not pending_keys:
             return
-
+        # As in pool mode, the parent materializes each distinct trace
+        # once; runners only attach.
+        runner._prepare_traces(
+            cells, [i for i in distributed if keys[i] in pending_keys]
+        )
         self._supervise(journal, cells, key_to_index, pending_keys, results)
 
     # - supervision loop -
@@ -741,17 +698,10 @@ class Coordinator:
                 str(runner.cache.root),
                 f"r{sequence}",
                 self.config.lease_ttl,
-                self.config.heartbeat_interval
-                or self.config.lease_ttl / 4.0,
-                self.config.poll_interval,
                 runner.max_attempts,
                 runner.on_error.value,
                 runner.chaos,
-                (
-                    str(runner.trace_store.root)
-                    if runner.trace_store is not None
-                    else None
-                ),
+                runner._store_root,
             ),
             daemon=True,
         )
@@ -816,7 +766,7 @@ class Coordinator:
                         f"{len(pending_keys)} cell(s) unfinished"
                     )
                 if not records:
-                    time.sleep(self.config.poll_interval)
+                    time.sleep(POLL_INTERVAL)
         finally:
             for child in children:
                 if child.is_alive():
@@ -848,11 +798,6 @@ class Coordinator:
         if kind == "error":
             stats.retries += 1
             return
-        if kind == "trace":
-            # A runner materialized a trace into the shared store.
-            if record.get("event") == "materialized":
-                stats.traces_materialized += 1
-            return
         key = record.get("fp")
         if not isinstance(key, str) or key not in pending_keys:
             return
@@ -873,11 +818,9 @@ class Coordinator:
                 stats.simulated += 1
             else:
                 stats.cache_hits += 1
-            if record.get("trace") == "store":
-                stats.traces_attached += 1
-                stats.trace_bytes_shared += int(
-                    record.get("trace_bytes", 0) or 0
-                )
+            self._runner._count_trace(
+                key_to_index[key], record.get("trace")
+            )
             pending_keys.discard(key)
             return
         if kind == "failed":

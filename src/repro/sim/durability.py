@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import warnings
 import zlib
 from pathlib import Path
@@ -80,9 +79,11 @@ def atomic_write(
     else:
         buffers = data
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(target.parent), prefix=f".{target.name}.", suffix=".tmp"
-    )
+    # Mode 0o666 lets the kernel apply the umask (``mkstemp`` publishes
+    # 0600, unreadable to other uids sharing a cache directory); the
+    # umask is never flipped, since the heartbeat thread writes leases.
+    tmp = str(target.parent / f".{target.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         try:
             for buffer in buffers:

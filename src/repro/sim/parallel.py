@@ -536,29 +536,40 @@ def _run_cell(
     )
 
 
+def _trace_inputs(cell: SweepCell) -> Tuple[WorkloadSpec, int, int]:
+    """``(workload, num_chiplets, seed)``, all a cell's trace depends on."""
+    config = cell.config if cell.config is not None else baseline_config()
+    return cell.workload, config.num_chiplets, cell.seed
+
+
+def _attach_trace(
+    cell: SweepCell, store_root: Optional[str]
+) -> Optional[Trace]:
+    """The cell's trace attached zero-copy from the store at
+    ``store_root``, or None: pool workers, serial attempts and
+    coordinator runners all attach here and never write the store.  On
+    a miss (store off, archive missing or quarantined) the engine
+    regenerates the trace privately, so the store can only make a cell
+    cheaper, never break it."""
+    if store_root is None:
+        return None
+    from ..trace.store import TraceStore, trace_fingerprint
+
+    return TraceStore(store_root).attach(
+        trace_fingerprint(*_trace_inputs(cell))
+    )
+
+
 def _run_cell_worker(
     cell: SweepCell,
     directive: Optional[ChaosDirective] = None,
     in_process: bool = False,
-    trace_ref: Optional[Tuple[str, str]] = None,
+    store_root: Optional[str] = None,
 ) -> SimResult:
-    """Process-pool worker entry point, with optional chaos injection.
-
-    ``trace_ref`` is ``(store_root, fingerprint)`` naming a trace the
-    parent already materialized: the worker attaches it zero-copy
-    (mmap, shared pages) instead of regenerating.  Any attach failure —
-    missing archive, quarantined corruption — falls back to private
-    regeneration inside the engine, so the store can only make a cell
-    cheaper, never break it.
-    """
+    """Process-pool worker entry point, with optional chaos injection;
+    the trace comes from :func:`_attach_trace`."""
     apply_chaos(directive, in_process=in_process)
-    trace = None
-    if trace_ref is not None:
-        from ..trace.store import TraceStore
-
-        root, fingerprint = trace_ref
-        trace = TraceStore(root).attach(fingerprint)
-    return _run_cell(cell, trace=trace)
+    return _run_cell(cell, trace=_attach_trace(cell, store_root))
 
 
 def _publish(
@@ -644,17 +655,18 @@ class SweepRunner:
         enforce no per-cell deadline).
     trace_store:
         Shared zero-copy trace store.  ``True`` (or ``1``/``on``) uses
-        the default root (``<cache>/traces``), a path uses that
+        ``<cache>/traces``, where ``<cache>`` is ``cache_dir`` when
+        given and the default cache root otherwise; a path uses that
         directory, ``None`` defers to ``REPRO_TRACE_STORE``, and
         ``False`` (or an unset environment) disables sharing.  When on,
-        the parent — or, in coordinator mode, the first runner to win a
-        lease — materializes each distinct ``(workload, chiplets,
-        seed)`` trace into a format-v2 arena archive once, and every
-        worker attaches it by fingerprint via ``np.memmap``: all
-        processes share one set of physical pages instead of each
-        holding a private trace copy.  Results are bit-identical with
-        the store on or off (the trace bytes are the same; only where
-        they live changes), and any store failure degrades to private
+        the parent materializes each distinct ``(workload, chiplets,
+        seed)`` trace into a format-v2 arena archive once, in every
+        mode, coordinator included; every pool worker and runner then
+        attaches it by fingerprint via ``np.memmap``: all processes
+        share one set of physical pages instead of each holding a
+        private trace copy.  Results are bit-identical with the store
+        on or off (the trace bytes are the same; only where they live
+        changes), and any store failure degrades to private
         regeneration.
     telemetry, telemetry_dir:
         ``telemetry=True`` (default: the ``REPRO_TELEMETRY`` env flag)
@@ -691,21 +703,21 @@ class SweepRunner:
         )
         #: shared trace store (``--trace-store``/``REPRO_TRACE_STORE``):
         #: the parent materializes each distinct trace once and workers
-        #: attach zero-copy by fingerprint; None means every worker
-        #: regenerates its own trace (the default)
+        #: and runners attach zero-copy by fingerprint; None means every
+        #: worker regenerates its own trace (the default)
         self.trace_store: Optional[TraceStore] = None
         if trace_store is not False and (
             trace_store is not None or "REPRO_TRACE_STORE" in os.environ
         ):
-            # The store (and NumPy with it) loads only when asked for.
+            # The store module loads only when asked for.
             from ..trace.store import TraceStore, resolve_trace_store
 
-            store_root = resolve_trace_store(trace_store)
+            store_root = resolve_trace_store(
+                trace_store,
+                Path(cache_dir) if cache_dir is not None else None,
+            )
             if store_root is not None:
                 self.trace_store = TraceStore(store_root)
-        #: pending-cell index -> (store root, trace fingerprint) for the
-        #: current ``run_cells`` batch; workers attach through these
-        self._trace_refs: Dict[int, Tuple[str, str]] = {}
         #: pending-cell index -> arena bytes of that cell's trace
         self._trace_nbytes: Dict[int, int] = {}
         self.telemetry = (
@@ -960,31 +972,35 @@ class SweepRunner:
     ) -> None:
         """Materialize every pending cell's trace into the store once.
 
-        Content addressing dedupes across cells: the first cell of each
-        distinct ``(workload, chiplets, seed)`` builds and writes the
-        archive, the rest just stat it.  Workers then attach by the
-        ``(root, fingerprint)`` refs recorded here.  With the store off
-        this only resets the per-batch ref maps.
+        The parent does this in every mode, coordinator included, so
+        workers and runners only ever attach.  Content addressing
+        dedupes across cells: the first cell of each distinct
+        ``(workload, chiplets, seed)`` builds and writes the archive,
+        the rest just read its header.  With the store off this only
+        resets the per-batch byte counts.
         """
-        self._trace_refs = {}
         self._trace_nbytes = {}
         store = self.trace_store
         if store is None or not pending:
             return
         materialized_before = store.materialized
         for i in pending:
-            cell = cells[i]
-            config = (
-                cell.config if cell.config is not None else baseline_config()
-            )
-            fingerprint, nbytes, _ = store.ensure(
-                cell.workload, config.num_chiplets, cell.seed
-            )
-            self._trace_refs[i] = (str(store.root), fingerprint)
+            _, nbytes, _ = store.ensure(*_trace_inputs(cells[i]))
             self._trace_nbytes[i] = nbytes
         self.stats.traces_materialized += (
             store.materialized - materialized_before
         )
+
+    @property
+    def _store_root(self) -> Optional[str]:
+        store = self.trace_store
+        return str(store.root) if store is not None else None
+
+    def _count_trace(self, index: int, source: Optional[str]) -> None:
+        """Account a simulated cell's trace, whatever mode ran it."""
+        if source == "store":
+            self.stats.traces_attached += 1
+            self.stats.trace_bytes_shared += self._trace_nbytes.get(index, 0)
 
     # --- pool scheduling ---
 
@@ -1038,7 +1054,7 @@ class SweepRunner:
                     try:
                         future = pool.submit(
                             _run_cell_worker, cells[index], directive,
-                            trace_ref=self._trace_refs.get(index),
+                            store_root=self._store_root,
                         )
                     except (BrokenProcessPool, RuntimeError):
                         # Pool died between completions; rebuild and
@@ -1175,7 +1191,7 @@ class SweepRunner:
             try:
                 result = _run_cell_worker(
                     cells[index], directive, in_process=True,
-                    trace_ref=self._trace_refs.get(index),
+                    store_root=self._store_root,
                 )
             except Exception as exc:
                 if (
@@ -1270,9 +1286,7 @@ class SweepRunner:
         so an abort later in the sweep never discards it."""
         results[index] = result
         self.stats.simulated += 1
-        if result.trace_source == "store":
-            self.stats.traces_attached += 1
-            self.stats.trace_bytes_shared += self._trace_nbytes.get(index, 0)
+        self._count_trace(index, result.trace_source)
         if result.telemetry is not None:
             self._dump_telemetry(key, cell, result)
         if self.cache is not None:
@@ -1371,15 +1385,19 @@ def default_runner() -> SweepRunner:
     environment (``REPRO_JOBS`` for fan-out, ``REPRO_CACHE=1`` or an
     explicit ``REPRO_CACHE_DIR`` for caching), so importing code — and
     the deterministic test suite — never reads stale results by
-    surprise.  The CLI and report script construct their own runners
-    with caching on by default.
+    surprise.  ``REPRO_CACHE`` takes the trace store's on/off
+    spellings: ``0``, ``false``, ``off`` and ``no`` (any case) are off.
+    The CLI and report script construct their own runners with caching
+    on by default.
     """
     global _default_runner
     if _default_runner is None:
+        from ..trace.store import _FALSY
+
         jobs = resolve_jobs() if os.environ.get("REPRO_JOBS") else 1
         use_cache = bool(
             os.environ.get("REPRO_CACHE_DIR")
-            or os.environ.get("REPRO_CACHE", "") not in ("", "0", "false")
+            or os.environ.get("REPRO_CACHE", "").strip().lower() not in _FALSY
         )
         _default_runner = SweepRunner(jobs=jobs, use_cache=use_cache)
     return _default_runner

@@ -155,6 +155,18 @@ def save_trace_v2(trace: Trace, path: Union[str, os.PathLike]) -> None:
     atomic_write(path, [_v2_header_bytes(trace), memoryview(trace.arena)])
 
 
+def v2_data_length(path: Union[str, os.PathLike]) -> int:
+    """Arena bytes of the v2 archive at ``path``: the file size minus
+    the header block its magic line declares (``OSError`` if unreadable,
+    ``ValueError`` if not v2)."""
+    with open(path, "rb") as handle:
+        magic_line = handle.read(_V2_MAGIC_LINE_LEN)
+        size = os.fstat(handle.fileno()).st_size
+    if not magic_line.startswith(_V2_MAGIC):
+        raise ValueError(f"{os.fspath(path)!r} is not a v2 trace archive")
+    return size - int(magic_line[len(_V2_MAGIC):-1])
+
+
 def _check_stream(report, name: str, array) -> None:
     """One access-stream array must be 1-D and integer-typed."""
     if array.ndim != 1:

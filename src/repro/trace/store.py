@@ -8,20 +8,23 @@ scales as trace-bytes × ``--jobs``.
 
 The store is the fix: a directory of format-v2 arena archives keyed by
 :func:`trace_fingerprint`, living beside the result cache.  The sweep
-parent (or the first distributed runner to win a lease) *materializes*
-each distinct trace — builds it once and writes the archive atomically
-— and every other worker *attaches* by fingerprint: ``np.memmap`` of
-the archive's data section, zero copies, all processes sharing one set
-of physical pages through the kernel page cache.  Per-worker trace
-residency drops from ``nbytes`` to roughly ``nbytes / jobs``.
+parent *materializes* each distinct trace — builds it once and writes
+the archive atomically — in every execution mode, the lease
+coordinator's included; every pool worker and coordinator runner then
+*attaches* by fingerprint: ``np.memmap`` of the archive's data section,
+zero copies, all processes sharing one set of physical pages through
+the kernel page cache.  Per-worker trace residency drops from
+``nbytes`` to roughly ``nbytes / jobs``.  Workers and runners never
+write the store: a missing or quarantined archive means they
+regenerate the trace privately.
 
 Robustness is the result cache's (:class:`~repro.sim.durability.
 DurableDir`): archives are CRC-verified on attach, a corrupt or
 truncated archive is quarantined to ``<root>/corrupt/`` and reported as
 a miss (the caller regenerates — never trusts, never crashes), and
-concurrent materializations of the same fingerprint race benignly
-because both writers produce identical bytes and the atomic rename
-makes the last one win.
+concurrent materializations of the same fingerprint (two sweeps
+sharing one store) race benignly because both writers produce
+identical bytes and the atomic rename makes the last one win.
 
 Every failure path degrades to regeneration: a sweep with a broken
 store is slower, never wrong.
@@ -37,7 +40,6 @@ from typing import Optional, Tuple, Union
 
 from ..errors import TraceFormatError
 from ..sim.durability import DurableDir
-from .io import load_trace, save_trace_v2
 from .workload import Trace, Workload, WorkloadSpec
 
 __all__ = [
@@ -75,34 +77,41 @@ def trace_fingerprint(
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def default_store_dir() -> Path:
-    """``<result-cache root>/traces`` — beside the result cache."""
-    from ..sim.parallel import default_cache_dir  # lazy: avoids cycle
+def default_store_dir(cache_root: Optional[Path] = None) -> Path:
+    """``<cache_root>/traces`` — beside the result cache, whose default
+    root (``REPRO_CACHE_DIR`` or ``~/.cache/repro``) stands in for
+    ``cache_root=None``."""
+    if cache_root is None:
+        from ..sim.parallel import default_cache_dir  # lazy: avoids cycle
 
-    return default_cache_dir() / "traces"
+        cache_root = default_cache_dir()
+    return cache_root / "traces"
 
 
 def resolve_trace_store(
     value: Union[None, bool, str, "os.PathLike[str]"] = None,
+    cache_root: Optional[Path] = None,
 ) -> Optional[Path]:
     """The store root to use, or None when the store is off.
 
     ``value`` (CLI flag) wins over :data:`TRACE_STORE_ENV`; both accept
-    on/off spellings or an explicit directory.  The default — no flag,
-    no env — is **off**: sharing changes how traces reach workers, so
-    it is opt-in per run (and per CI matrix axis), never ambient.
+    on/off spellings or an explicit directory, and "on" means
+    :func:`default_store_dir` of ``cache_root``.  The default — no
+    flag, no env — is **off**: sharing changes how traces reach
+    workers, so it is opt-in per run (and per CI matrix axis), never
+    ambient.
     """
     if value is None:
         value = os.environ.get(TRACE_STORE_ENV)
         if value is None:
             return None
     if isinstance(value, bool):
-        return default_store_dir() if value else None
+        return default_store_dir(cache_root) if value else None
     text = str(os.fspath(value)).strip()
     if text.lower() in _FALSY:
         return None
     if text.lower() in _TRUTHY:
-        return default_store_dir()
+        return default_store_dir(cache_root)
     return Path(text)
 
 
@@ -149,6 +158,8 @@ class TraceStore(DurableDir):
         inspection.  The returned trace carries ``source="store"`` and
         read-only columns backed by the shared mapping.
         """
+        from .io import load_trace  # lazy: importing the store loads no NumPy
+
         path = self.path_for(fingerprint)
         if not path.exists():
             return None
@@ -171,51 +182,31 @@ class TraceStore(DurableDir):
 
         Returns ``(fingerprint, arena_nbytes, created)``.  When the
         archive already exists it is left alone (content-addressing:
-        same key, same bytes).  When the write fails, the store
-        degrades — the fingerprint is still returned so callers can
-        attempt attaches, which will miss and regenerate.
+        same key, same bytes) and its arena length is read from its
+        header, so a warm store reports the bytes a cold one does.
+        When the write fails, the store degrades — the fingerprint is
+        still returned so callers can attempt attaches, which will miss
+        and regenerate.
 
         Safe to race: two processes materializing the same fingerprint
         both build the identical trace (determinism invariant) and the
         atomic rename serializes the writes.
         """
+        from .io import save_trace_v2, v2_data_length
+
         fingerprint = trace_fingerprint(workload, num_chiplets, seed)
         path = self.path_for(fingerprint)
         if path.exists():
-            return fingerprint, self._stored_nbytes(path), False
+            try:
+                nbytes = max(0, v2_data_length(path))
+            except (OSError, ValueError):
+                nbytes = 0  # unreadable: the attach will quarantine it
+            return fingerprint, nbytes, False
         trace = Workload(workload, num_chiplets, seed=seed).build_trace(seed)
         if self.write(save_trace_v2, trace, path):
             self.materialized += 1
             return fingerprint, trace.nbytes, True
         return fingerprint, trace.nbytes, False
-
-    @staticmethod
-    def _stored_nbytes(path: Path) -> int:
-        """Arena bytes of an existing archive (file size minus header)."""
-        try:
-            size = path.stat().st_size
-        except OSError:
-            return 0
-        # The v2 header occupies at least one aligned block; the exact
-        # split does not matter for stats, so report the data-dominant
-        # file size.
-        return max(0, int(size))
-
-    def get_or_materialize(
-        self, workload: WorkloadSpec, num_chiplets: int, seed: int
-    ) -> Trace:
-        """Attach the stored trace, materializing it first if needed.
-
-        Always returns a usable trace: if the store cannot be written
-        or the archive cannot be attached (corrupt, quarantined,
-        vanished), the trace is generated privately — correctness never
-        depends on the store.
-        """
-        fingerprint, _, _ = self.ensure(workload, num_chiplets, seed)
-        trace = self.attach(fingerprint)
-        if trace is not None:
-            return trace
-        return Workload(workload, num_chiplets, seed=seed).build_trace(seed)
 
     def __len__(self) -> int:
         if not self.root.is_dir():

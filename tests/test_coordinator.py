@@ -23,12 +23,18 @@ from repro.sim.chaos import ChaosSchedule, FaultKind
 from repro.sim.coordinator import (
     CoordinatorConfig,
     _acquire_lease,
+    _fold,
     _release_lease,
     derive_sweep_id,
     load_cells,
 )
 from repro.sim.journal import Journal
-from repro.sim.parallel import SweepCell, SweepRunner, cell_fingerprint
+from repro.sim.parallel import (
+    ResultCache,
+    SweepCell,
+    SweepRunner,
+    cell_fingerprint,
+)
 from repro.units import MB
 
 from .conftest import make_spec, partitioned
@@ -94,6 +100,23 @@ class TestCoordinatorEquivalence:
         assert runner.stats.simulated == CELL_COUNT
         assert runner.stats.cells_resumed == 0
         assert runner.last_sweep_id is not None
+
+    def test_sweep_dir_holds_journal_and_leases_only(self, tmp_path):
+        """Attempts live in the journal, one ``start`` record each; the
+        sweep directory keeps no other per-cell file."""
+        cells = coord_cells(4)
+        runner = coord_runner(tmp_path / "cache", sweep_id="lean")
+        runner.run_cells(cells)
+        sweep_dir = tmp_path / "cache" / "sweeps" / "lean"
+        assert sorted(p.name for p in sweep_dir.iterdir()) == [
+            "cells.pkl", "journal.bin", "leases", "manifest.json",
+        ]
+        records, _, _ = Journal(sweep_dir / "journal.bin").read_from(0)
+        starts = [r for r in records if r.get("kind") == "start"]
+        assert sorted(r["fp"] for r in starts) == sorted(
+            cell_fingerprint(c) for c in cells
+        )
+        assert all(r["attempt"] == 1 for r in starts)
 
     def test_second_run_resumes_everything(self, tmp_path, reference):
         cells = coord_cells(6)
@@ -169,6 +192,64 @@ class TestSweepIdentity:
         ]
         with pytest.raises(SweepError, match="cells.pkl"):
             load_cells(tmp_path / "cache" / "sweeps" / "nope")
+
+
+# ------------------------------------------------------ attempt ledger
+
+
+class TestAttemptLedger:
+    def test_fold_counts_starts_until_a_resetting_requeue(self):
+        settled, starts = {}, {}
+        _fold(settled, starts, [
+            {"kind": "start", "fp": "a", "attempt": 1},
+            {"kind": "error", "fp": "a", "attempt": 1},
+            {"kind": "start", "fp": "a", "attempt": 2},
+            {"kind": "done", "fp": "a", "attempt": 2},
+            {"kind": "trace", "event": "materialized", "fp": "a"},
+        ])
+        assert starts == {"a": 2} and "a" in settled
+        # A corrupt ``done`` requeues without a reset: the spent
+        # attempts still count.
+        _fold(settled, starts, [{"kind": "requeue", "fp": "a"}])
+        assert starts == {"a": 2} and "a" not in settled
+        # Resuming a failed cell resets its budget.
+        _fold(settled, starts, [
+            {"kind": "failed", "fp": "a", "attempt": 3},
+            {"kind": "requeue", "fp": "a", "reset": True},
+        ])
+        assert starts == {} and "a" not in settled
+
+    def test_sweep_dir_from_before_the_ledger_resumes(
+        self, tmp_path, reference
+    ):
+        """A journal without ``start`` records starts each cell at
+        attempt 1, and a leftover ``trace`` record and ``attempts/``
+        directory are ignored."""
+        cells = coord_cells(3)
+        cache = tmp_path / "cache"
+        coord_runner(cache, sweep_id="legacy").run_cells(cells)
+        lost = cell_fingerprint(cells[1])
+        sweep_dir = cache / "sweeps" / "legacy"
+        journal_path = sweep_dir / "journal.bin"
+        records, _, _ = Journal(journal_path).read_from(0)
+        journal_path.unlink()
+        journal = Journal(journal_path)
+        for record in records:
+            if record.get("kind") != "start" and record.get("fp") != lost:
+                journal.append(record)
+        journal.append({"kind": "trace", "event": "materialized",
+                        "fp": lost, "runner": "r0", "bytes": 1})
+        (sweep_dir / "attempts").mkdir(exist_ok=True)
+        (sweep_dir / "attempts" / f"{lost}.json").write_text(
+            '{"attempt": 3}'
+        )
+        ResultCache(cache).path_for(lost).unlink()
+
+        resumed = coord_runner(cache, sweep_id="legacy", max_attempts=3)
+        assert resumed.run_cells(cells) == reference[:3]
+        assert resumed.stats.cells_resumed == 2
+        assert resumed.stats.simulated == 1
+        assert resumed.stats.failures == []
 
 
 # ------------------------------------------------------------- leases
@@ -263,6 +344,26 @@ class TestCoordinatorChaos:
         failure = runner.stats.failures[0]
         assert failure.tag == "c02" and failure.attempts == 3
         assert "ChaosError" in failure.error
+
+    def test_killer_cell_settles_after_the_attempt_budget(
+        self, tmp_path, reference
+    ):
+        """A cell that SIGKILLs every runner that starts it settles as
+        one ``worker-died`` failure once ``max_attempts`` are spent."""
+        cells = coord_cells(4)
+        chaos = ChaosSchedule({"c01": (FaultKind.DIE_HARD,) * 3})
+        runner = coord_runner(tmp_path / "cache", chaos=chaos,
+                              lease_ttl=1.0, on_error="skip",
+                              max_attempts=3)
+        results = runner.run_cells(cells)
+        assert len(runner.stats.failures) == 1
+        failure = runner.stats.failures[0]
+        assert failure.tag == "c01"
+        assert failure.kind == "worker-died" and failure.attempts == 3
+        assert results[1] is None
+        assert [r for i, r in enumerate(results) if i != 1] == [
+            r for i, r in enumerate(reference[:4]) if i != 1
+        ]
 
     def test_failure_under_raise_aborts_with_sweep_error(self, tmp_path):
         cells = coord_cells(3)

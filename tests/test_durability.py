@@ -9,6 +9,7 @@ a test-and-set, and every writer that degrades on a failed write
 """
 
 import os
+import stat
 import warnings
 
 import pytest
@@ -64,6 +65,18 @@ class TestAtomicWrite:
             atomic_write(target, Boom())  # type: ignore[arg-type]
         assert target.read_text() == "previous"
         assert os.listdir(tmp_path) == ["entry.json"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o002, 0o664)])
+    def test_published_file_honours_the_umask(self, tmp_path, umask, mode):
+        """A cache directory shared between uids stays readable: the
+        published mode is 0o666 filtered by the umask, not 0o600."""
+        target = tmp_path / "entry.json"
+        previous = os.umask(umask)
+        try:
+            atomic_write(target, "x")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(target.stat().st_mode) == mode
 
 
 class TestFramedEntries:
@@ -136,10 +149,13 @@ def _writer_cells():
     ]
 
 
-#: (runner options given an unwritable root, the writer that degrades)
+#: (runner options given an unwritable root, the writer that degrades);
+#: the result cache's case turns the store off, which would otherwise
+#: follow ``REPRO_TRACE_STORE`` into the same unwritable root
 WRITERS = {
     "result-cache": (
-        lambda root: {"cache_dir": root, "telemetry": False},
+        lambda root: {"cache_dir": root, "telemetry": False,
+                      "trace_store": False},
         lambda runner: runner.cache,
     ),
     "trace-store": (

@@ -375,3 +375,16 @@ def test_surrogate_summary_line_reports_predictions(tmp_path):
     line = runner.summary_line()
     assert f"{runner.stats.cells_predicted} predicted" in line
     assert "surrogate rounds" in line
+
+
+@pytest.mark.parametrize("value", ["off", "no", "False", "OFF", " No "])
+def test_default_runner_reads_repro_cache_off_spellings(monkeypatch, value):
+    """``REPRO_CACHE`` takes the trace store's off spellings, in any case."""
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.delenv("REPRO_JOBS", raising=False)
+    monkeypatch.setenv("REPRO_CACHE", value)
+    set_default_runner(None)
+    try:
+        assert default_runner().cache is None
+    finally:
+        set_default_runner(None)

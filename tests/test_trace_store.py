@@ -1,6 +1,7 @@
 """Tests for the shared zero-copy trace store."""
 
 import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,24 @@ class TestResolve:
         assert resolve_trace_store(False) is None
         assert resolve_trace_store("off") is None
 
+    @pytest.mark.parametrize("source", ["argument", "env"])
+    def test_default_root_follows_the_runner_cache_dir(
+        self, tmp_path, monkeypatch, source
+    ):
+        """"On" means ``<cache>/traces`` of the runner's own cache root,
+        not of the default one."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
+        if source == "env":
+            monkeypatch.setenv("REPRO_TRACE_STORE", "1")
+            runner = SweepRunner(jobs=1, cache_dir=tmp_path / "cacheX")
+        else:
+            monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
+            runner = SweepRunner(
+                jobs=1, cache_dir=tmp_path / "cacheX", trace_store=True
+            )
+        assert runner.trace_store is not None
+        assert runner.trace_store.root == tmp_path / "cacheX" / "traces"
+
 
 class TestStore:
     def test_materialize_then_attach(self, spec, tmp_path):
@@ -90,7 +109,8 @@ class TestStore:
         from repro.trace.workload import Workload
 
         store = TraceStore(tmp_path)
-        trace = store.get_or_materialize(spec, 4, 7)
+        fingerprint, _, _ = store.ensure(spec, 4, 7)
+        trace = store.attach(fingerprint)
         direct = Workload(spec, 4, seed=7).build_trace(7)
         assert np.array_equal(trace.chiplets, direct.chiplets)
         assert np.array_equal(trace.vaddrs, direct.vaddrs)
@@ -113,9 +133,21 @@ class TestStore:
         assert not path.exists()
         assert any(store.corrupt_dir.iterdir())
 
-        # get_or_materialize re-materializes and succeeds.
-        trace = store.get_or_materialize(spec, 4, 7)
+        # The next ensure re-materializes, and the attach succeeds.
+        _, _, created = store.ensure(spec, 4, 7)
+        assert created
+        trace = store.attach(fingerprint)
         assert trace is not None and len(trace) > 0
+
+    def test_warm_ensure_reports_the_arena_bytes(self, spec, tmp_path):
+        """An existing archive reports its arena length, not its file
+        size (which adds the page-aligned header block)."""
+        store = TraceStore(tmp_path)
+        fingerprint, cold, _ = store.ensure(spec, 4, 7)
+        _, warm, created = store.ensure(spec, 4, 7)
+        assert not created
+        assert warm == cold == store.attach(fingerprint).nbytes
+        assert store.path_for(fingerprint).stat().st_size > warm
 
     def test_unwritable_root_degrades_to_generation(
         self, spec, tmp_path, monkeypatch
@@ -125,24 +157,26 @@ class TestStore:
         def broken_writer(trace, path):
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(
-            "repro.trace.store.save_trace_v2", broken_writer
-        )
+        monkeypatch.setattr("repro.trace.io.save_trace_v2", broken_writer)
         store = TraceStore(tmp_path)
         with pytest.warns(RuntimeWarning, match="not writable"):
-            trace = store.get_or_materialize(spec, 4, 7)
-        assert store.write_disabled
-        assert trace is not None and trace.source == "generated"
-        # Subsequent calls regenerate silently (warned once, no writes).
-        again = store.get_or_materialize(spec, 4, 7)
-        assert again.source == "generated"
+            fingerprint, _, created = store.ensure(spec, 4, 7)
+        assert store.write_disabled and not created
+        # The attach misses, so the caller regenerates privately.
+        assert store.attach(fingerprint) is None
+        # Subsequent calls stay silent (warned once, no writes).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not store.ensure(spec, 4, 7)[2]
+        assert store.attach(fingerprint) is None
         assert len(store) == 0
 
 
 def _materialize_worker(root, abbr, chiplets, seed, queue):
     spec = workload_by_name(abbr)
     store = TraceStore(root)
-    trace = store.get_or_materialize(spec, chiplets, seed)
+    fingerprint, _, _ = store.ensure(spec, chiplets, seed)
+    trace = store.attach(fingerprint)
     queue.put((store.materialized, len(trace), int(trace.vaddrs[-1])))
 
 
@@ -197,6 +231,18 @@ class TestSweepIntegration:
         assert runner.stats.traces_attached == 3
         assert runner.stats.trace_bytes_shared > 0
 
+    def test_shared_bytes_are_equal_on_a_cold_and_a_warm_store(
+        self, spec, tmp_path
+    ):
+        shared = []
+        for _ in range(2):
+            runner = SweepRunner(
+                jobs=1, use_cache=False, trace_store=tmp_path / "traces"
+            )
+            runner.run_cells(self._cells(spec))
+            shared.append(runner.stats.trace_bytes_shared)
+        assert shared[0] == shared[1] > 0
+
     def test_pool_workers_attach(self, spec, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "batched")
         runner = SweepRunner(
@@ -227,7 +273,7 @@ class TestSweepIntegration:
             jobs=1,
             cache_dir=tmp_path / "cache",
             trace_store=tmp_path / "traces",
-            coordinator=CoordinatorConfig(runners=2, root=tmp_path / "sweeps"),
+            coordinator=CoordinatorConfig(runners=2),
         )
         cells = [
             SweepCell("STE", "CLAP", seed=3),
@@ -235,11 +281,9 @@ class TestSweepIntegration:
         ]
         results = runner.run_cells(cells)
         assert all(r is not None for r in results)
-        # One distinct fingerprint.  Usually the first lease winner
-        # materializes it and the other runner attaches; if both runners
-        # start before the archive lands, both materialize — the benign
-        # race — so the journal may fold in one or two records.
-        assert runner.stats.traces_materialized in (1, 2)
+        # One distinct fingerprint: the parent materializes it before
+        # spawning, and both runners attach.
+        assert runner.stats.traces_materialized == 1
         assert runner.stats.traces_attached == 2
         assert len(TraceStore(tmp_path / "traces")) == 1
         baseline = SweepRunner(jobs=1, use_cache=False).run_cells(
