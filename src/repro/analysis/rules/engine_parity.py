@@ -2,36 +2,43 @@
 at lint time, not in the fuzz suite.
 
 DESIGN.md section 7 argues the batched engine is *bit-identical* to the
-staged pipeline because its inlined data paths mirror the staged
-stages statement for statement.  That argument decays the first time
-someone edits one copy — ``sim/batch.py`` holds two inlined copies of
-the data path (``small_window``, ``vec_window``) against one staged
-original (``DataStage.process``) — and without this rule only the
-differential fuzz property would stand between a one-sided edit and
-silently divergent results.
+staged pipeline because its data path mirrors the staged stage
+statement for statement.  That argument decays the first time someone
+edits one side — ``sim/batch.py`` holds one batched copy of the data
+path, the per-chunk pass ``data_pass``, against one staged original
+(``DataStage.process``) — and without this rule only the differential
+fuzz property would stand between a one-sided edit and silently
+divergent results.
 
-This rule extracts a *normalized memory-path sequence* from each copy
+This rule extracts a *normalized memory-path sequence* from each side
 and diffs them:
 
 * every identifier the functions touch is classified into a channel
   (L1, REMOTE_CACHE, RING, L2, DRAM) via an explicit token table;
 * per function, tokens are ordered by source position and reduced to
   first-occurrence order — the order in which the copy consults the
-  memory hierarchy;
-* all three copies must report the identical channel order (canonically
+  memory hierarchy.  For the pass that is its fused loop over the
+  gathered set lists and everything after it (the DRAM row outcomes and
+  the tallies); the gathering above the loop consults channels in
+  construction order, not access order;
+* both sides must report the identical channel order (canonically
   L1 → REMOTE_CACHE → L2 → RING → DRAM: the remote-cache *hit* pays L2
-  latency before any ring traversal is costed) — or, for a batched
-  copy that *tallies* each access by (home, requester) pair instead of
-  costing it, that order without RING, provided the engine's
-  ``flush_tallies`` charges the ring with ``_TRANSFER_BYTES``.
+  latency before any ring traversal is costed) — or, for a pass that
+  *tallies* each access by (home, requester) pair instead of costing
+  it, that order without RING, provided the engine's ``flush_tallies``
+  charges the ring with ``_TRANSFER_BYTES``.
 
-Three auxiliary parity checks ride along: the ring transfer payload
-constant must agree between the staged literal and ``_TRANSFER_BYTES``;
-``policy.on_epoch`` may only fire through the shared ``close_epoch``
-(both engines must share one epoch semantics); and both batched copies
-must route translation through the one ``translate_head``.
+The pass is the *only* batched copy: the replay windows
+(``small_window``, ``vec_window``) record each access's address and
+home for it and must touch no data-path channel and no tally
+themselves.  Three auxiliary parity checks ride along: the ring
+transfer payload constant must agree between the staged literal and
+``_TRANSFER_BYTES``; ``policy.on_epoch`` may only fire through the
+shared ``close_epoch`` (both engines must share one epoch semantics);
+and both windows must route translation through the one
+``translate_head``.
 
-A fourth check covers the bulk fault path.  ``batch_faults`` inlines
+A further check covers the bulk fault path.  ``batch_faults`` inlines
 the audited ``map_single`` and reservation sequences (frame pop, region
 reservation, PTE install) with its own counter updates, so it must
 never call ``place`` / ``map_single`` / ``map_page`` /
@@ -84,10 +91,14 @@ DATA_CHANNELS: Dict[str, str] = {
     "l1_hit": "L1",
     "l1_miss": "L1",
     "l1_ways": "L1",
+    "l1_set": "L1",
+    "l1_table": "L1",
     # remote cache
     "remote_caches": "REMOTE_CACHE",
     "rc_sets": "REMOTE_CACHE",
     "rc_ways": "REMOTE_CACHE",
+    "rc_set": "REMOTE_CACHE",
+    "rc_table": "REMOTE_CACHE",
     "rc_insert_all": "REMOTE_CACHE",
     "rc_look": "REMOTE_CACHE",
     "rc_hit": "REMOTE_CACHE",
@@ -116,6 +127,8 @@ DATA_CHANNELS: Dict[str, str] = {
     "l2_hit": "L2",
     "l2_miss": "L2",
     "l2_ways": "L2",
+    "l2_set": "L2",
+    "l2_table": "L2",
     # DRAM
     "dram": "DRAM",
     "open_row": "DRAM",
@@ -135,14 +148,24 @@ DATA_CHANNELS: Dict[str, str] = {
     "t_rm": "DRAM",
 }
 
-#: The batched engine's tally flush.  A data-path copy that tallies
-#: each access by (home, requester) pair instead of costing it touches
-#: no RING token per access; the flush charges the ring for the pair
+#: The batched engine's tally flush.  A data pass that tallies each
+#: access by (home, requester) pair instead of costing it touches no
+#: RING token per access; the flush charges the ring for the pair
 #: counts at run end, so it must use the shared payload constant.
 RING_FLUSH_FUNC = "flush_tallies"
 
-#: The batched data-path copies that must agree with the staged stage.
-BATCH_DATA_FUNCS = ("small_window", "vec_window")
+#: The batched engine's one copy of the data path, which must agree
+#: with the staged stage.
+BATCH_DATA_FUNC = "data_pass"
+
+#: The batched replay windows: they translate through
+#: ``translate_head`` and leave the data path to the pass.
+WINDOW_FUNCS = ("small_window", "vec_window")
+
+#: What a window may not touch: any data-path channel, or the pass's
+#: per-pair service counts (a window that does has become a second
+#: data-path copy).
+WINDOW_FORBIDDEN: Dict[str, str] = {**DATA_CHANNELS, "tally": "TALLY"}
 
 
 def _finding(
@@ -226,17 +249,32 @@ def _data_sequence(func: ast.FunctionDef) -> Tuple[str, ...]:
 
 
 def _fused_loop(func: ast.FunctionDef) -> Optional[ast.For]:
-    """``vec_window``'s fused data loop: the ``for`` whose body touches
-    ``l1_sets`` (array-derivation prep above it consults channels in
-    construction order, not access order, so only the loop is the
-    data-path copy; its tallies are folded into the machine after the
-    replay, by ``flush_tallies``)."""
+    """The pass's fused loop: the ``for`` that names ``l1_set``, the
+    L1 set of each access (the set lists are gathered above it in
+    construction order, not access order)."""
     for node in ast.walk(func):
         if isinstance(node, ast.For):
             for sub in ast.walk(node):
-                if isinstance(sub, ast.Name) and sub.id == "l1_sets":
+                if isinstance(sub, ast.Name) and sub.id == "l1_set":
                     return node
     return None
+
+
+def _pass_sequence(func: ast.FunctionDef) -> Optional[Tuple[str, ...]]:
+    """First-occurrence channel order of the pass's fused loop body and
+    of everything after the loop: the body serves the caches, the
+    statements after it the DRAM rows and the tallies.  The loop's
+    target names the gathered sets in zip order, not access order, so
+    it does not count.  None when there is no fused loop."""
+    loop = _fused_loop(func)
+    if loop is None:
+        return None
+    end = (loop.end_lineno or loop.lineno, loop.end_col_offset or 0)
+    nodes = [n for stmt in loop.body for n in iter_nodes_in_order(stmt)]
+    nodes += [
+        n for n in _body_nodes(func) if (n.lineno, n.col_offset) >= end
+    ]
+    return _first_occurrence(_tokens_in_order(nodes, DATA_CHANNELS))
 
 
 def _flush_charges_ring(batch: SourceFile) -> bool:
@@ -412,7 +450,7 @@ def _check_fault_batching(batch: SourceFile) -> Iterator[Finding]:
             "batch_faults() touches data-path channels "
             f"({' -> '.join(_first_occurrence(touched))}); the fault "
             "path resolves mappings only — replay cost accounting "
-            "stays in the window copies",
+            "stays in the data pass",
         )
     guarded = _guarded_node_ids(batch.tree, "bulk_proven")
     for node in batch.nodes():
@@ -473,10 +511,11 @@ def _check_epoch_routing(src: SourceFile) -> Iterator[Finding]:
 
 @register("RPR004", "engine-parity")
 def check_engine_parity(project: Project) -> Iterator[Finding]:
-    """The staged ``DataStage`` and the two inlined batched copies
-    must consult the memory hierarchy in the same normalized order,
-    agree on the ring payload constant, route epochs through
-    ``close_epoch``, and share one translation head (DESIGN.md §7)."""
+    """The staged ``DataStage`` and the batched data pass must consult
+    the memory hierarchy in the same normalized order, the windows must
+    leave the data path to the pass and share one translation head,
+    both engines must agree on the ring payload constant and route
+    epochs through ``close_epoch`` (DESIGN.md §7)."""
     pipeline = project.source(PIPELINE_FILE)
     batch = project.source(BATCH_FILE)
     if pipeline is None or batch is None:
@@ -500,56 +539,62 @@ def check_engine_parity(project: Project) -> Iterator[Finding]:
     ring_deferred = tuple(ch for ch in reference if ch != "RING")
     flush_charges_ring = _flush_charges_ring(batch)
 
-    # --- batched copies ---
-    for name in BATCH_DATA_FUNCS:
-        func = _find_function(batch, name)
-        if func is None:
+    # --- the batched copy: the per-chunk data pass ---
+    func = _find_function(batch, BATCH_DATA_FUNC)
+    if func is None:
+        yield _finding(
+            batch,
+            batch.tree,
+            f"batched data pass {BATCH_DATA_FUNC}() not found; the "
+            "DESIGN.md §7 parity argument names one per-chunk pass",
+        )
+    else:
+        sequence = _pass_sequence(func)
+        if sequence is None:
             yield _finding(
                 batch,
-                batch.tree,
-                f"batched data-path copy {name}() not found; the "
-                "DESIGN.md §7 parity argument names two inlined "
-                "copies",
+                func,
+                f"{BATCH_DATA_FUNC}() has no fused loop over l1_set; "
+                "cannot extract its memory-path sequence",
             )
-            continue
-        if name == "vec_window":
-            loop = _fused_loop(func)
-            if loop is None:
-                yield _finding(
-                    batch,
-                    func,
-                    "vec_window has no fused data loop touching "
-                    "l1_sets; cannot extract its memory-path sequence",
-                )
-                continue
-            stream = _tokens_in_order(
-                iter_nodes_in_order(loop), DATA_CHANNELS
-            )
-            sequence = _first_occurrence(stream)
-        else:
-            sequence = _data_sequence(func)
-        if sequence == reference:
-            continue
-        if sequence == ring_deferred:
-            # A tallying copy: the flush charges the ring per pair.
+        elif sequence == ring_deferred:
+            # A tallying pass: the flush charges the ring per pair.
             if not flush_charges_ring:
                 yield _finding(
                     batch,
                     func,
-                    f"{name}() defers ring accounting to "
+                    f"{BATCH_DATA_FUNC}() defers ring accounting to "
                     f"{RING_FLUSH_FUNC}(), which is missing or never "
                     "charges _TRANSFER_BYTES; remote transfers would "
                     "vanish from the ring",
                 )
+        elif sequence != reference:
+            yield _finding(
+                batch,
+                func,
+                f"memory-path order of {BATCH_DATA_FUNC}() is "
+                f"{' -> '.join(sequence)} but the staged "
+                f"DataStage.process order is {' -> '.join(reference)}; "
+                "the engines have drifted (DESIGN.md §7 bit-identity)",
+            )
+
+    # --- the windows leave the data path to the pass ---
+    for name in WINDOW_FUNCS:
+        func = _find_function(batch, name)
+        if func is None:
             continue
-        yield _finding(
-            batch,
-            func,
-            f"memory-path order of {name}() is "
-            f"{' -> '.join(sequence)} but the staged "
-            f"DataStage.process order is {' -> '.join(reference)}; "
-            "the engines have drifted (DESIGN.md §7 bit-identity)",
+        touched = _first_occurrence(
+            _tokens_in_order(_body_nodes(func), WINDOW_FORBIDDEN)
         )
+        if touched:
+            yield _finding(
+                batch,
+                func,
+                f"{name}() touches data-path state "
+                f"({' -> '.join(touched)}); windows record each "
+                f"access's address and home for {BATCH_DATA_FUNC}(), "
+                "the one batched copy of the data path",
+            )
 
     # --- ring payload constant ---
     staged_payload = _ring_payload_literal(staged_process)
@@ -568,7 +613,7 @@ def check_engine_parity(project: Project) -> Iterator[Finding]:
         )
 
     # --- translation head sharing ---
-    for name in BATCH_DATA_FUNCS:
+    for name in WINDOW_FUNCS:
         func = _find_function(batch, name)
         if func is not None and not _calls_function(func, "translate_head"):
             yield _finding(

@@ -19,14 +19,20 @@ A purely SM-side model is placement-blind and cannot show that effect.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import OrderedDict
 from typing import Iterable, List, Tuple
 
 from ..units import CACHE_LINE, is_pow2
 
 
 class SetAssociativeCache:
-    """LRU set-associative cache indexed by physical line address."""
+    """LRU set-associative cache indexed by physical line address.
+
+    Each set is a plain list of line numbers, least recently used
+    first: a probe is ``in``, a hit moves the line to the end
+    (``remove`` plus ``append``) and a fill into a full set drops
+    ``s[0]``.  At 8 and 16 ways that beats an ``OrderedDict`` per set,
+    and the batched engine's data pass walks the same lists.
+    """
 
     def __init__(
         self,
@@ -43,9 +49,7 @@ class SetAssociativeCache:
         ways = max(1, min(ways, total_lines))
         self.num_sets = max(1, total_lines // ways)
         self.ways = ways
-        self._sets: List["OrderedDict[int, bool]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
         self.hits = 0
         self.misses = 0
 
@@ -53,7 +57,7 @@ class SetAssociativeCache:
     def capacity_lines(self) -> int:
         return self.num_sets * self.ways
 
-    def _set_of(self, line: int) -> "OrderedDict[int, bool]":
+    def _set_of(self, line: int) -> List[int]:
         # GPU L2s hash their set index; a Fibonacci multiplicative hash
         # disperses both page-strided streams and physically contiguous
         # CLAP regions uniformly (a plain modulo or XOR-fold thrashes a
@@ -70,13 +74,14 @@ class SetAssociativeCache:
         line = paddr // self.line_size
         entries = self._set_of(line)
         if line in entries:
-            entries.move_to_end(line)
+            entries.remove(line)
+            entries.append(line)
             self.hits += 1
             return True
         self.misses += 1
         if len(entries) >= self.ways:
-            entries.popitem(last=False)
-        entries[line] = True
+            del entries[0]
+        entries.append(line)
         return False
 
     def probe(self, paddr: int) -> bool:
@@ -119,12 +124,14 @@ class SetAssociativeCache:
                     if k and line <= lasts[k - 1]:
                         doomed.append(line)
                 for line in doomed:
-                    del entries[line]
+                    entries.remove(line)
                 dropped += len(doomed)
             return dropped
         for first, last in zip(starts, lasts):
             for line in range(first, last + 1):
-                if self._set_of(line).pop(line, None) is not None:
+                entries = self._set_of(line)
+                if line in entries:
+                    entries.remove(line)
                     dropped += 1
         return dropped
 

@@ -56,15 +56,16 @@ class RemoteCachingScheme:
         line = paddr // self.cache.line_size
         entries = self.cache._set_of(line)
         if line in entries:
-            entries.move_to_end(line)
+            entries.remove(line)
+            entries.append(line)
             self.cache.hits += 1
             self.remote_hits += 1
             return True
         self.cache.misses += 1
         if self.should_insert(paddr):
             if len(entries) >= self.cache.ways:
-                entries.popitem(last=False)
-            entries[line] = True
+                del entries[0]
+            entries.append(line)
         return False
 
     @property

@@ -22,9 +22,11 @@ tightly fused Python loop over precomputed lists:
   guaranteed L1 TLB hits (the head leaves the entry present, valid-bit
   set and MRU, and no other access of that requester intervenes within
   the run);
-* **data path** — a fused loop in global access order over pre-derived
-  lists (L1 -> remote cache -> ring -> home L2 -> DRAM), mutating the
-  live LRU structures directly;
+* **data path** — recorded, not replayed: each window writes the
+  physical address and home chiplet of its accesses into per-chunk
+  buffers, and at the end of the chunk one :class:`DataPass` serves
+  the whole chunk in trace order (L1 -> remote cache -> home L2 ->
+  DRAM), mutating the live LRU sets directly;
 * **accounting** — ``np.bincount`` reductions for per-structure and
   per-page statistics, preserving first-touch insertion order of the
   page-stats dict (policies may iterate it).
@@ -36,19 +38,29 @@ is replayed exactly, one access at a time, as the one-access window
 goes through the staged ``FaultStage.process`` (which faults the page
 in through the policy and enriches exhaustion errors, or returns the
 live mapping of a page mapped below the granule), then through the
-same translation, data and accounting code as every short window.
+same translation and accounting code as every short window.
 Epoch/kernel callbacks fire at chunk boundaries only (chunks are
 clipped so boundaries never fall inside a window).  Multi-page-TLB
 runs, and runs with a custom per-access ``Instrumentation``, use the
 staged pipeline entirely (see :mod:`repro.sim.engine`).
 
-**Tallies, not costs**: both copies of the data path count *how* each
-access was served — L1, remote cache, home L2, DRAM row hit or row
-miss — per ``(home, requester)`` chiplet pair instead of costing it on
-the spot.  ``flush_tallies`` turns the counts into data cycles, cache
-and DRAM hit counters and ring traffic once, at run end: each is a sum
-over accesses whose terms depend only on the pair and the outcome, so
-regrouping it is integer-exact.  The same counts, the TLB path counters
+**One data pass per chunk**: inside a chunk nothing but the data path
+reads or fills a data cache or a DRAM row — migrations flush in
+``close_epoch``, between chunks, inside ``Machine.flush_batch()`` — so
+serving the chunk's accesses after its translation and faults, in the
+same trace order, leaves every set and open row as per-access replay
+would.  A flush that does come mid-chunk (a policy migrating from its
+``place``) first has the pass serve the accesses replayed so far
+(``Machine.before_flush``), and an abort serves the accesses before the
+failing one, as the staged pipeline costs them.
+
+**Tallies, not costs**: the data pass counts *how* each access was
+served — L1, remote cache, home L2, DRAM row hit or row miss — per
+``(home, requester)`` chiplet pair instead of costing it on the spot.
+``flush_tallies`` turns the counts into data cycles, cache and DRAM hit
+counters and ring traffic once, at run end: each is a sum over accesses
+whose terms depend only on the pair and the outcome, so regrouping it
+is integer-exact.  The same counts, the TLB path counters
 and a walk-latency tally give the built-in
 :class:`~repro.sim.telemetry.TelemetryCollector` every number of its
 snapshot, so a ``--telemetry`` run replays through the same windows
@@ -89,8 +101,8 @@ fault stage.
 **Why results stay bit-identical** (DESIGN.md section 7): within a
 window no page-table mutation can occur, so resolving records up front
 equals resolving them per access; translation, data and accounting
-touch disjoint machine state, so replaying a window stage-major equals
-replaying it access-major; run tails are provably L1 TLB hits with zero
+touch disjoint machine state, so replaying a window stage-major — and
+the data path chunk-major — equals replaying it access-major; run tails are provably L1 TLB hits with zero
 latency; and every counter flush is integer-exact.  The page table's
 ``generation``/event log guarantees staleness is *detected* rather than
 assumed away: any mutation between windows re-resolves exactly the
@@ -100,12 +112,14 @@ affected page keys.
 from __future__ import annotations
 
 import gc
+from itertools import count, repeat
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..arch.address import FINE_INTERLEAVE, InterleavePolicy
+from ..cache.cache import SetAssociativeCache
 from ..cache.remote_cache import RemoteCachingScheme
 from ..gmmu.walker import (
     _LEVEL_SPANS,
@@ -116,6 +130,7 @@ from ..mem.dram import ROW_SIZE
 from ..tlb.units import COALESCE_WINDOW_PAGES
 from ..units import PAGE_2M, PAGE_64K
 from ..vm.page_table import MappingRecord, Region
+from .machine import Machine
 from .pipeline import FaultStage, SimState, close_epoch
 from .telemetry import TelemetryCollector
 
@@ -158,6 +173,248 @@ AUDITED_PLACE = frozenset(
         ("repro.policies.grit", "GritPolicy.place"),
     }
 )
+
+
+def _set_table(
+    caches: Sequence[SetAssociativeCache], spare: bool = False
+) -> np.ndarray:
+    """Every LRU set of ``caches``, cache-major, in an object array, so
+    one fancy index gathers the set list of each access of a chunk;
+    ``spare`` appends a ``None`` slot for accesses that skip the level."""
+    sets = [s for cache in caches for s in cache._sets]
+    table = np.empty(len(sets) + spare, dtype=object)
+    for k, entries in enumerate(sets):
+        table[k] = entries
+    return table
+
+
+class DataPass:
+    """The batched engine's one copy of the data path.
+
+    ``data_pass(ch, pd, hm)`` serves a run of accesses, given as the
+    requester, physical address and home chiplet of each, in trace
+    order: the requester's L1, then — for a remote line, under remote
+    caching — the requester's remote cache, then the home L2, and the
+    DRAM open row on an L2 miss.  It counts how each access was served
+    per ``(home, requester)`` pair instead of costing it (see "Tallies,
+    not costs" above); ``flush_tallies()`` folds those counts into the
+    machine's counters once, at run end.
+
+    The caches are probed and filled in one loop over the set lists
+    gathered up front.  DRAM comes after the loop: an L2 miss is a row
+    hit exactly when its row is the one its channel last opened, so a
+    stable sort of the misses by channel, seeded from ``open_row``,
+    decides every row outcome at once.
+    """
+
+    def __init__(
+        self, machine: Machine, telem: Optional[TelemetryCollector]
+    ) -> None:
+        config = machine.config
+        nc = config.num_chiplets
+        l1_caches = machine.l1_caches
+        l2_caches = machine.l2_caches
+        remote_caches = machine.remote_caches
+        ring = machine.ring
+        dram = machine.dram
+        l1_latency = config.l1_latency
+        l2_latency = config.l2_latency
+        line_size = config.cache_line
+        cpc = machine.layout.channels_per_chiplet
+
+        l1_ns = l1_caches[0].num_sets
+        l2_ns = l2_caches[0].num_sets
+        l1_ways = l1_caches[0].ways
+        l2_ways = l2_caches[0].ways
+        l1_table = _set_table(l1_caches)
+        l2_table = _set_table(l2_caches)
+        # Without remote caches no access reaches the ``rc_*`` names.
+        use_rc = remote_caches is not None
+        if use_rc:
+            rc_ns = remote_caches[0].cache.num_sets
+            rc_ways = remote_caches[0].cache.ways
+            rc_table = _set_table([rc.cache for rc in remote_caches], True)
+            #: The spare slot: a local line never probes the remote cache.
+            rc_local = len(rc_table) - 1
+            rc_insert_all = (
+                type(remote_caches[0]).should_insert
+                is RemoteCachingScheme.should_insert
+            )
+
+        hops_tab = [[ring.hops(s, d) for d in range(nc)] for s in range(nc)]
+        ring_traffic = ring.traffic_bytes
+        ring_traffic_get = ring_traffic.get
+        rcost_tab = [[2 * ring.hop_cycles * h for h in row]
+                     for row in hops_tab]
+        open_row = dram._open_row
+        open_row_get = open_row.get
+        ch_accesses = dram.channel_accesses
+        row_hit_c = dram.row_hit_cycles
+        row_miss_c = dram.row_miss_cycles
+
+        # --- service tallies: how each access was served, per pair ---
+        #: ``tally[outcome * n_pairs + home * nc + requester]``, with
+        #: outcomes L1 hit, remote-cache hit, home-L2 hit, DRAM row hit
+        #: and DRAM row miss, in that order.
+        n_pairs = nc * nc
+        tally = np.zeros(5 * n_pairs, dtype=np.int64)
+
+        def data_pass(ch: np.ndarray, pd: np.ndarray, hm: np.ndarray) -> None:
+            """Serve the accesses ``(ch[k], pd[k], hm[k])`` in order."""
+            nonlocal tally
+            line = pd // line_size
+            hashed = (
+                (
+                    line.astype(np.uint64) * np.uint64(0x9E3779B1)
+                    & np.uint64(0xFFFFFFFF)
+                )
+                >> np.uint64(16)
+            ).astype(np.int64)
+            l1_list = l1_table[ch * l1_ns + hashed % l1_ns].tolist()
+            l2_list = l2_table[hm * l2_ns + hashed % l2_ns].tolist()
+            if use_rc:
+                rc_list = rc_table[
+                    np.where(hm != ch, ch * rc_ns + hashed % rc_ns, rc_local)
+                ].tolist()
+                ch_l = ch.tolist()
+                pd_l = pd.tolist()
+            else:
+                rc_list = repeat(None)
+            # Positions served by the L1 or the remote cache, and those
+            # that missed the home L2; every other access hit the L2.
+            l1_hit: List[int] = []
+            rc_hit: List[int] = []
+            l2_miss: List[int] = []
+            for k, ln, l1_set, rc_set, l2_set in zip(
+                count(), line.tolist(), l1_list, rc_list, l2_list
+            ):
+                if ln in l1_set:
+                    l1_set.remove(ln)
+                    l1_set.append(ln)
+                    l1_hit.append(k)
+                    continue
+                if len(l1_set) >= l1_ways:
+                    del l1_set[0]
+                l1_set.append(ln)
+                if rc_set is not None:
+                    if ln in rc_set:
+                        rc_set.remove(ln)
+                        rc_set.append(ln)
+                        rc_hit.append(k)
+                        continue
+                    if rc_insert_all or remote_caches[ch_l[k]].should_insert(
+                        pd_l[k]
+                    ):
+                        if len(rc_set) >= rc_ways:
+                            del rc_set[0]
+                        rc_set.append(ln)
+                if ln in l2_set:
+                    l2_set.remove(ln)
+                    l2_set.append(ln)
+                else:
+                    if len(l2_set) >= l2_ways:
+                        del l2_set[0]
+                    l2_set.append(ln)
+                    l2_miss.append(k)
+
+            outcome = np.full(len(line), 2, dtype=np.int64)
+            if l1_hit:
+                outcome[l1_hit] = 0
+            if rc_hit:
+                outcome[rc_hit] = 1
+            if l2_miss:
+                miss = np.array(l2_miss, dtype=np.int64)
+                pm = pd[miss]
+                chan = hm[miss] * cpc + (pm // FINE_INTERLEAVE) % cpc
+                order = np.argsort(chan, kind="stable")
+                chan = chan[order]
+                row = (pm // ROW_SIZE)[order]
+                head = np.empty(len(chan), dtype=bool)
+                head[0] = True
+                np.not_equal(chan[1:], chan[:-1], out=head[1:])
+                heads = np.flatnonzero(head)
+                chans = chan[heads].tolist()
+                # Each miss finds open the row of the channel's previous
+                # miss; the first finds the row left open before.
+                prev = np.empty_like(row)
+                prev[1:] = row[:-1]
+                prev[heads] = [open_row_get(c, -1) for c in chans]
+                outcome[miss[order]] = np.where(row == prev, 3, 4)
+                tails = np.append(heads[1:], len(chan))
+                # Channels in order of first miss, so a newly opened
+                # channel enters ``open_row`` where per-access replay
+                # would have put it.
+                first = np.argsort(order[heads], kind="stable").tolist()
+                lasts = row[tails - 1].tolist()
+                sizes = (tails - heads).tolist()
+                for g in first:
+                    c = chans[g]
+                    open_row[c] = lasts[g]
+                    ch_accesses[c] += sizes[g]
+            tally += np.bincount(
+                outcome * n_pairs + hm * nc + ch, minlength=5 * n_pairs
+            )
+
+        def flush_tallies() -> Tuple[int, int]:
+            """Fold the tallies into the machine's cache, DRAM and ring
+            counters (and the telemetry collector, if any) and clear
+            them; returns the run's ``(data_cycles, remote_on_ring)``.
+
+            Per pair, an L1 miss went on to the remote cache (remote
+            pairs, under remote caching) and, unless served there, to
+            the home L2 and maybe DRAM; whatever got past the remote
+            cache of a remote pair crossed the ring.  The cycles are
+            ``DataStage``'s per-access costs grouped by pair and
+            outcome.
+            """
+            t_l1, t_rc, t_l2, t_rh, t_rm = tally.reshape(5, n_pairs).tolist()
+            data = 0
+            on_ring = 0
+            for pr in range(n_pairs):
+                l1h, rch, l2h = t_l1[pr], t_rc[pr], t_l2[pr]
+                rh, rmiss = t_rh[pr], t_rm[pr]
+                beyond = l2h + rh + rmiss
+                if not (l1h or rch or beyond):
+                    continue
+                hm, c = divmod(pr, nc)
+                l1_caches[c].hits += l1h
+                l1_caches[c].misses += rch + beyond
+                if hm != c:
+                    if use_rc:
+                        rc = remote_caches[c]
+                        rc.remote_lookups += rch + beyond
+                        rc.remote_hits += rch
+                        rc.cache.hits += rch
+                        rc.cache.misses += beyond
+                    if beyond:
+                        nbytes = _TRANSFER_BYTES * beyond
+                        key = (hm, c)
+                        ring_traffic[key] = ring_traffic_get(key, 0) + nbytes
+                        ring.total_bytes += nbytes
+                        ring.hop_bytes += hops_tab[hm][c] * nbytes
+                        on_ring += beyond
+                    if telem is not None:
+                        telem.add_ring_transfers(c, hm, l1h + rch + beyond)
+                l2_caches[hm].hits += l2h
+                l2_caches[hm].misses += rh + rmiss
+                dram.accesses += rh + rmiss
+                dram.row_hits += rh
+                via_l2 = rcost_tab[c][hm] + l2_latency
+                for served, cost, n in (
+                    ("l1", l1_latency, l1h),
+                    ("remote_cache", l2_latency, rch),
+                    ("home_l2", via_l2, l2h),
+                    ("dram", via_l2 + row_hit_c, rh),
+                    ("dram", via_l2 + row_miss_c, rmiss),
+                ):
+                    data += cost * n
+                    if telem is not None:
+                        telem.add_data(served, cost, n)
+            tally[:] = 0
+            return data, on_ring
+
+        self.data_pass = data_pass
+        self.flush_tallies = flush_tallies
 
 
 class BatchedPipeline:
@@ -209,117 +466,14 @@ class BatchedPipeline:
         pt_lookup = page_table.lookup
         paths = machine.paths
         walkers = machine.walkers
-        l1_caches = machine.l1_caches
-        l2_caches = machine.l2_caches
-        remote_caches = machine.remote_caches
-        ring = machine.ring
-        dram = machine.dram
-        l1_latency = config.l1_latency
         l2_latency = config.l2_latency
         l2_tlb_latency = config.l2_tlb.latency
         #: (chiplet, size_class) -> that path's (L1, L2) TLB pair, so the
         #: inlined head translation skips the lazy-creation lookup.
         tlb_pairs = {}
-        line_size = config.cache_line
-        cpc = machine.layout.channels_per_chiplet
         naive = state.interleave is InterleavePolicy.NAIVE
-
-        l1_sets = [c._sets for c in l1_caches]
-        l2_sets = [c._sets for c in l2_caches]
-        l1_ns = l1_caches[0].num_sets
-        l2_ns = l2_caches[0].num_sets
-        l1_ways = l1_caches[0].ways
-        l2_ways = l2_caches[0].ways
-        use_rc = remote_caches is not None
-        if use_rc:
-            rc_sets = [rc.cache._sets for rc in remote_caches]
-            rc_ns = remote_caches[0].cache.num_sets
-            rc_ways = remote_caches[0].cache.ways
-            rc_insert_all = (
-                type(remote_caches[0]).should_insert
-                is RemoteCachingScheme.should_insert
-            )
-        else:
-            rc_sets = None
-            rc_ns = 1
-            rc_ways = 0
-            rc_insert_all = True
-
-        hops_tab = [[ring.hops(s, d) for d in range(nc)] for s in range(nc)]
-        ring_traffic = ring.traffic_bytes
-        ring_traffic_get = ring_traffic.get
-        rcost_tab = [[2 * ring.hop_cycles * h for h in row]
-                     for row in hops_tab]
-        open_row = dram._open_row
-        open_row_get = open_row.get
-        ch_accesses = dram.channel_accesses
-        row_hit_c = dram.row_hit_cycles
-        row_miss_c = dram.row_miss_cycles
-
-        # --- service tallies (see "Tallies, not costs" above) ---
-        #: Indexed by ``pr = home * nc + requester``.
-        n_pairs = nc * nc
-        t_l1 = [0] * n_pairs  # L1 data-cache hits
-        t_rc = [0] * n_pairs  # remote-cache hits
-        t_l2 = [0] * n_pairs  # home-L2 hits
-        t_rh = [0] * n_pairs  # DRAM row-buffer hits
-        t_rm = [0] * n_pairs  # DRAM row-buffer misses
-
-        def flush_tallies() -> Tuple[int, int]:
-            """Fold the tallies into the machine's cache, DRAM and ring
-            counters (and the telemetry collector, if any); returns the
-            run's ``(data_cycles, remote_on_ring)``.
-
-            Per pair, an L1 miss went on to the remote cache (remote
-            pairs, under remote caching) and, unless served there, to
-            the home L2 and maybe DRAM; whatever got past the remote
-            cache of a remote pair crossed the ring.  The cycles are
-            ``DataStage``'s per-access costs grouped by pair and
-            outcome.
-            """
-            data = 0
-            on_ring = 0
-            for pr in range(n_pairs):
-                l1h, rch, l2h = t_l1[pr], t_rc[pr], t_l2[pr]
-                rh, rmiss = t_rh[pr], t_rm[pr]
-                beyond = l2h + rh + rmiss
-                if not (l1h or rch or beyond):
-                    continue
-                hm, c = divmod(pr, nc)
-                l1_caches[c].hits += l1h
-                l1_caches[c].misses += rch + beyond
-                if hm != c:
-                    if use_rc:
-                        rc = remote_caches[c]
-                        rc.remote_lookups += rch + beyond
-                        rc.remote_hits += rch
-                        rc.cache.hits += rch
-                        rc.cache.misses += beyond
-                    if beyond:
-                        nbytes = _TRANSFER_BYTES * beyond
-                        key = (hm, c)
-                        ring_traffic[key] = ring_traffic_get(key, 0) + nbytes
-                        ring.total_bytes += nbytes
-                        ring.hop_bytes += hops_tab[hm][c] * nbytes
-                        on_ring += beyond
-                    if telem is not None:
-                        telem.add_ring_transfers(c, hm, l1h + rch + beyond)
-                l2_caches[hm].hits += l2h
-                l2_caches[hm].misses += rh + rmiss
-                dram.accesses += rh + rmiss
-                dram.row_hits += rh
-                via_l2 = rcost_tab[c][hm] + l2_latency
-                for served, cost, count in (
-                    ("l1", l1_latency, l1h),
-                    ("remote_cache", l2_latency, rch),
-                    ("home_l2", via_l2, l2h),
-                    ("dram", via_l2 + row_hit_c, rh),
-                    ("dram", via_l2 + row_miss_c, rmiss),
-                ):
-                    data += cost * count
-                    if telem is not None:
-                        telem.add_data(served, cost, count)
-            return data, on_ring
+        data = DataPass(machine, telem)
+        data_pass = data.data_pass
 
         # --- translation-unit flags and page granule ---
         coalescing = caps.coalescing
@@ -641,6 +795,10 @@ class BatchedPipeline:
             homec = [0] * n_uniq
             alloc = [0] * n_uniq
             vec_arrays = None
+            #: Physical address and home chiplet of each access the
+            #: windows replayed, for the chunk's one data pass.
+            pd_buf = np.empty(m, dtype=np.int64)
+            hm_buf = np.empty(m, dtype=np.int64)
 
             def resolve_j(j: int) -> None:
                 nonlocal vec_arrays
@@ -697,29 +855,7 @@ class BatchedPipeline:
                 last_gen = page_table.generation
                 return went_stale
 
-            def vec_window(
-                a: int,
-                b: int,
-                # Default-bound hot bindings (local loads in the fused
-                # data loop instead of closure-cell dereferences).
-                l1_sets=l1_sets,
-                l1_ways=l1_ways,
-                l2_sets=l2_sets,
-                l2_ways=l2_ways,
-                use_rc=use_rc,
-                rc_sets=rc_sets,
-                rc_ways=rc_ways,
-                rc_insert_all=rc_insert_all,
-                remote_caches=remote_caches,
-                open_row=open_row,
-                open_row_get=open_row_get,
-                ch_accesses=ch_accesses,
-                t_l1=t_l1,
-                t_rc=t_rc,
-                t_l2=t_l2,
-                t_rh=t_rh,
-                t_rm=t_rm,
-            ) -> None:
+            def vec_window(a: int, b: int) -> None:
                 """Replay resolved accesses ``[start+a, start+b)``."""
                 nonlocal vec_translation
                 nonlocal acc_remote_placement, acc_epoch_remote
@@ -744,11 +880,8 @@ class BatchedPipeline:
                 else:
                     home = homec_np[inv_seg]
                 remote = home != ch_seg
-                line = paddr // line_size
-                hashed = (
-                    line.astype(np.uint64) * np.uint64(0x9E3779B1)
-                    & np.uint64(0xFFFFFFFF)
-                ) >> np.uint64(16)
+                pd_buf[a:b] = paddr
+                hm_buf[a:b] = home
 
                 # -- translation: per-requester run compression --
                 tcyc = 0
@@ -779,60 +912,6 @@ class BatchedPipeline:
                             tlb_pairs[(c, units[j][3])][0].hits += tails
                             path.l1_hits += tails
                 vec_translation += tcyc
-
-                # -- data path: fused loop in global order, tallied --
-                ch_l = ch_seg.tolist()
-                pd_l = paddr.tolist()
-                ln_l = line.tolist()
-                hm_l = home.tolist()
-                rm_l = remote.tolist()
-                i1_l = (hashed % np.uint64(l1_ns)).tolist()
-                i2_l = (hashed % np.uint64(l2_ns)).tolist()
-                ri_l = (hashed % np.uint64(rc_ns)).tolist()
-                cn_l = (
-                    home * cpc + (paddr // FINE_INTERLEAVE) % cpc
-                ).tolist()
-                rw_l = (paddr // ROW_SIZE).tolist()
-                pr_l = (home * nc + ch_seg).tolist()
-
-                for c, pd, ln, hm, rm, i1, i2, ri, cn, rw, pr in zip(
-                    ch_l, pd_l, ln_l, hm_l, rm_l, i1_l, i2_l, ri_l,
-                    cn_l, rw_l, pr_l,
-                ):
-                    entries = l1_sets[c][i1]
-                    if ln in entries:
-                        entries.move_to_end(ln)
-                        t_l1[pr] += 1
-                        continue
-                    if len(entries) >= l1_ways:
-                        entries.popitem(last=False)
-                    entries[ln] = True
-                    if rm and use_rc:
-                        entries = rc_sets[c][ri]
-                        if ln in entries:
-                            entries.move_to_end(ln)
-                            t_rc[pr] += 1
-                            continue
-                        if rc_insert_all or remote_caches[c].should_insert(
-                            pd
-                        ):
-                            if len(entries) >= rc_ways:
-                                entries.popitem(last=False)
-                            entries[ln] = True
-                    entries = l2_sets[hm][i2]
-                    if ln in entries:
-                        entries.move_to_end(ln)
-                        t_l2[pr] += 1
-                    else:
-                        if len(entries) >= l2_ways:
-                            entries.popitem(last=False)
-                        entries[ln] = True
-                        ch_accesses[cn] += 1
-                        if open_row_get(cn) == rw:
-                            t_rh[pr] += 1
-                        else:
-                            open_row[cn] = rw
-                            t_rm[pr] += 1
 
                 # -- accounting: bincount reductions --
                 aid_seg = alloc_np[inv_seg]
@@ -876,49 +955,30 @@ class BatchedPipeline:
             def small_window(
                 a: int,
                 b: int,
-                # Default-bound hot bindings, as in ``vec_window``.
+                # Default-bound hot bindings (local loads instead of
+                # closure-cell dereferences).
                 ch_list=ch_list,
                 va_list=va_list,
                 inv_list=inv_list,
                 paths=paths,
                 tlb_pairs=tlb_pairs,
-                l1_sets=l1_sets,
-                l1_ns=l1_ns,
-                l1_ways=l1_ways,
-                l2_sets=l2_sets,
-                l2_ns=l2_ns,
-                l2_ways=l2_ways,
-                use_rc=use_rc,
-                remote_caches=remote_caches,
-                rc_sets=rc_sets,
-                rc_ns=rc_ns,
-                rc_ways=rc_ways,
-                rc_insert_all=rc_insert_all,
-                open_row=open_row,
-                open_row_get=open_row_get,
-                ch_accesses=ch_accesses,
-                t_l1=t_l1,
-                t_rc=t_rc,
-                t_l2=t_l2,
-                t_rh=t_rh,
-                t_rm=t_rm,
+                pd_buf=pd_buf,
+                hm_buf=hm_buf,
                 per_structure=per_structure,
                 naive=naive,
                 nc=nc,
-                line_size=line_size,
-                cpc=cpc,
                 wants_stats=wants_stats,
                 fault=fault,
                 translate_head=translate_head,
             ) -> None:
-                """Fused scalar replay of accesses [a, b).
+                """Scalar replay of accesses [a, b).
 
                 Exactly the semantics of ``vec_window`` — run-compressed
-                translation, inlined data path, per-access accounting —
-                but in plain Python, so short fault-to-fault runs (the
-                first-touch wave of a workload faults every handful of
-                accesses) skip both the staged closures' dispatch cost
-                and the fixed NumPy setup of a vectorized window.
+                translation, recorded data-path inputs, per-access
+                accounting — but in plain Python, so short
+                fault-to-fault runs (the first-touch wave of a workload
+                faults every handful of accesses) skip the fixed NumPy
+                setup of a vectorized window.
 
                 An access whose key is unresolved — unmapped, or mapped
                 below the granule — first goes through the staged
@@ -962,55 +1022,14 @@ class BatchedPipeline:
                         hm = (pd // FINE_INTERLEAVE) % nc
                     else:
                         hm = rec.chiplet
-                    rm = hm != c
-                    pr = hm * nc + c
-                    ln = pd // line_size
-                    h = ((ln * 0x9E3779B1) & 0xFFFFFFFF) >> 16
-                    entries = l1_sets[c][h % l1_ns]
-                    if ln in entries:
-                        entries.move_to_end(ln)
-                        t_l1[pr] += 1
-                    else:
-                        if len(entries) >= l1_ways:
-                            entries.popitem(last=False)
-                        entries[ln] = True
-                        served_remote = False
-                        if rm and use_rc:
-                            entries = rc_sets[c][h % rc_ns]
-                            if ln in entries:
-                                entries.move_to_end(ln)
-                                t_rc[pr] += 1
-                                served_remote = True
-                            elif rc_insert_all or remote_caches[c].should_insert(pd):
-                                if len(entries) >= rc_ways:
-                                    entries.popitem(last=False)
-                                entries[ln] = True
-                        if not served_remote:
-                            entries = l2_sets[hm][h % l2_ns]
-                            if ln in entries:
-                                entries.move_to_end(ln)
-                                t_l2[pr] += 1
-                            else:
-                                if len(entries) >= l2_ways:
-                                    entries.popitem(last=False)
-                                entries[ln] = True
-                                cn = (
-                                    hm * cpc
-                                    + (pd // FINE_INTERLEAVE) % cpc
-                                )
-                                rw = pd // ROW_SIZE
-                                ch_accesses[cn] += 1
-                                if open_row_get(cn) == rw:
-                                    t_rh[pr] += 1
-                                else:
-                                    open_row[cn] = rw
-                                    t_rm[pr] += 1
+                    pd_buf[p] = pd
+                    hm_buf[p] = hm
                     aid = rec.alloc_id
                     if aid != last_aid:
                         stats = per_structure[aid]
                         last_aid = aid
                     stats[0] += 1
-                    if rm:
+                    if hm != c:
                         acc_remote_placement += 1
                         stats[1] += 1
                         acc_epoch_remote += 1
@@ -1139,6 +1158,23 @@ class BatchedPipeline:
             bad_list = np.flatnonzero(~ok_np[inv]).tolist()
             bp = 0
             rel = 0
+            #: Accesses the data pass has served; ``[served, rel)`` are
+            #: replayed but not yet served.
+            served = 0
+
+            def serve() -> None:
+                nonlocal served
+                if rel > served:
+                    data_pass(
+                        ch_chunk[served:rel],
+                        pd_buf[served:rel],
+                        hm_buf[served:rel],
+                    )
+                    served = rel
+
+            # A flush from a fault's placement, or an abort, serves the
+            # accesses replayed so far (see "One data pass per chunk").
+            machine.before_flush = serve
             while rel < m:
                 if drain_repairs():
                     ok_np = np.array(ok, dtype=bool)
@@ -1178,6 +1214,7 @@ class BatchedPipeline:
                         continue
                     small_window(rel, rel + 1)
                     rel += 1
+            serve()
 
         # --- chunk loop with kernel/epoch clipping ---
         ks_i = 0
@@ -1212,13 +1249,18 @@ class BatchedPipeline:
             if gc_was_enabled:
                 gc.enable()
             # Publish even on an abort so error enrichment and
-            # post-mortems see true totals (mirrors AccessPipeline.run).
+            # post-mortems see true totals (mirrors AccessPipeline.run):
+            # the failing chunk's pass serves the accesses before the
+            # failing one, as the staged pipeline costs them.
+            if machine.before_flush is not None:
+                machine.before_flush()
+            machine.before_flush = None
             self.fault_stage.finish()
             # Bulk-path faults bypass FaultStage entirely; fold them
             # into the same total its finish() just published.
             state.faults += bulk_faults
             state.translation_cycles = vec_translation
-            state.data_cycles, state.remote_on_ring = flush_tallies()
+            state.data_cycles, state.remote_on_ring = data.flush_tallies()
             state.remote_placement = acc_remote_placement
             state.epoch_remote = acc_epoch_remote
             state.epoch_accesses = acc_epoch_accesses

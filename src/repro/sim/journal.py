@@ -13,13 +13,16 @@ run — crashed or killed — left off.  The format is built for that job:
   other;
 * every append is fsynced by default — a record that was observed is a
   record that survives power loss;
-* a process killed mid-append leaves a *torn tail*: an incomplete or
-  checksum-failing final frame.  :meth:`Journal.recover` detects it,
-  truncates the file back to the last good frame, and returns the valid
-  records — the at-most-one lost record is simply recomputed, never
-  half-trusted.  :meth:`Journal.truncate` is that repair on its own,
-  for a tailing reader that already knows where the last good frame
-  ends.
+* a process killed mid-append leaves a *torn frame*: incomplete or
+  checksum-failing bytes.  Other runners keep appending after it, so
+  the torn bytes need not be the tail: a reader skips them to the next
+  frame that passes the length, CRC and JSON checks, and only a torn
+  frame with no valid frame after it is a *torn tail*.
+  :meth:`Journal.recover` truncates that tail back to the last good
+  frame and returns the valid records — the at-most-one lost record is
+  simply recomputed, never half-trusted.  :meth:`Journal.truncate` is
+  that repair on its own, for a tailing reader that already knows where
+  the last good frame ends.
 
 Readers tail the journal incrementally with :meth:`Journal.read_from`,
 which stops cleanly at an incomplete tail (an in-flight append) and
@@ -33,7 +36,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 __all__ = ["Journal", "MAX_RECORD_BYTES"]
 
@@ -46,6 +49,28 @@ MAX_RECORD_BYTES = 1 << 20
 Record = Dict[str, object]
 
 
+def _frame_at(data: bytes, pos: int) -> Optional[Tuple[Record, int]]:
+    """The record of the frame at ``pos`` and the offset after it, or
+    None when the bytes there fail the length, CRC or JSON check."""
+    if pos + _FRAME.size > len(data):
+        return None
+    length, crc = _FRAME.unpack_from(data, pos)
+    end = pos + _FRAME.size + length
+    # A length beyond the bound is frame corruption, not a record.
+    if length > MAX_RECORD_BYTES or end > len(data):
+        return None
+    payload = data[pos + _FRAME.size:end]
+    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+        return None
+    try:
+        record = json.loads(payload.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        return None
+    if not isinstance(record, dict):
+        return None
+    return record, end
+
+
 class Journal:
     """One append-only journal file of CRC32-framed JSON records."""
 
@@ -54,6 +79,9 @@ class Journal:
     ) -> None:
         self.path = Path(path)
         self.fsync = fsync
+        #: Torn-frame bytes this instance's reads skipped to reach a
+        #: later valid frame.
+        self.skipped_bytes = 0
 
     # --- writing ---
 
@@ -94,9 +122,13 @@ class Journal:
         Returns ``(records, new_offset, clean)`` where ``new_offset``
         is the position after the last *complete valid* frame and
         ``clean`` is False when trailing bytes exist past it (either an
-        append in flight or a torn tail from a crash).  Callers tailing
-        a live journal simply poll again from ``new_offset``; recovery
-        callers use :meth:`recover` to truncate the tail instead.
+        append in flight or a torn tail from a crash).  A frame that
+        fails its checks but has a valid frame somewhere after it is
+        torn, not in flight: its bytes are skipped (and counted in
+        :attr:`skipped_bytes`) and reading goes on from that frame.
+        Callers tailing a live journal simply poll again from
+        ``new_offset``; recovery callers use :meth:`recover` to
+        truncate the tail instead.
         """
         try:
             with open(self.path, "rb") as fh:
@@ -108,27 +140,24 @@ class Journal:
         records: List[Record] = []
         pos = 0
         total = len(data)
-        while True:
-            if pos + _FRAME.size > total:
-                break
-            length, crc = _FRAME.unpack_from(data, pos)
-            if length > MAX_RECORD_BYTES:
-                # Garbage length field: frame corruption, not a record.
-                break
-            end = pos + _FRAME.size + length
-            if end > total:
-                break
-            payload = data[pos + _FRAME.size:end]
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-                break
-            try:
-                record = json.loads(payload.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                break
-            if not isinstance(record, dict):
-                break
+        while pos < total:
+            frame = _frame_at(data, pos)
+            if frame is None:
+                later = next(
+                    (
+                        q
+                        for q in range(pos + 1, total - _FRAME.size + 1)
+                        if _frame_at(data, q) is not None
+                    ),
+                    None,
+                )
+                if later is None:
+                    break
+                self.skipped_bytes += later - pos
+                pos = later
+                continue
+            record, pos = frame
             records.append(record)
-            pos = end
         return records, offset + pos, pos == total
 
     def replay(self) -> List[Record]:

@@ -10,7 +10,7 @@ architecture (Figure 3, Table 1).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..arch.address import AddressLayout, InterleavePolicy
 from ..arch.topology import RingTopology
@@ -112,6 +112,11 @@ class Machine:
         #: ``(paddr, size)`` ranges flushed inside an open
         #: :meth:`flush_batch`; None outside one.
         self._deferred_flush: Optional[List[Tuple[int, int]]] = None
+        #: Called before a flush outside :meth:`flush_batch`, by an
+        #: engine that replays the data path after the fact (the
+        #: batched engine's per-chunk pass): it serves the accesses
+        #: already replayed, so the flush still follows every one.
+        self.before_flush: Optional[Callable[[], None]] = None
 
     @property
     def num_chiplets(self) -> int:
@@ -146,6 +151,8 @@ class Machine:
         if self._deferred_flush is not None:
             self._deferred_flush.append((paddr, size))
             return
+        if self.before_flush is not None:
+            self.before_flush()
         for cache in self.l1_caches + self.l2_caches:
             cache.invalidate_range(paddr, size)
 

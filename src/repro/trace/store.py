@@ -118,11 +118,11 @@ def resolve_trace_store(
 class TraceStore(DurableDir):
     """A directory of format-v2 trace archives keyed by fingerprint.
 
-    One instance per process; counters record what this instance did
-    (the sweep machinery folds them into :class:`~repro.sim.parallel.
-    SweepStats`).  All writes go through the atomic v2 writer, all
-    reads CRC-verify before any view is handed out.  After the first
-    failed write the store degrades to regeneration (``write_disabled``).
+    ``materialized`` counts the traces this instance wrote (the sweep
+    parent folds it into :class:`~repro.sim.parallel.SweepStats`).  All
+    writes go through the atomic v2 writer, all reads CRC-verify before
+    any view is handed out.  After the first failed write the store
+    degrades to regeneration (``write_disabled``).
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
@@ -136,10 +136,6 @@ class TraceStore(DurableDir):
         )
         #: traces this instance built and wrote into the store
         self.materialized = 0
-        #: traces this instance attached zero-copy (mmap) from the store
-        self.attached = 0
-        #: arena bytes of attached traces — memory *not* privately held
-        self.bytes_shared = 0
 
     # --- addressing ---
 
@@ -169,8 +165,6 @@ class TraceStore(DurableDir):
             self.quarantine(path, str(exc))
             return None
         trace.source = "store"
-        self.attached += 1
-        self.bytes_shared += trace.nbytes
         return trace
 
     # --- materialize (write side) ---

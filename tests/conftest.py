@@ -63,6 +63,18 @@ def comparable_telemetry(snapshot):
     return data
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _isolated_home(tmp_path_factory):
+    """``HOME`` is a session temp directory, so a runner that falls back
+    to the default cache root (``~/.cache/repro``, e.g. under
+    ``REPRO_TRACE_STORE=1``) never writes the developer's cache.
+    ``REPRO_CACHE_DIR`` is left alone: ``default_runner()`` reads it as
+    "caching on"."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("HOME", str(tmp_path_factory.mktemp("home")))
+        yield
+
+
 @pytest.fixture
 def small_partitioned_spec():
     return make_spec(partitioned(size=16 * MB, waves=3, lines_per_touch=6))

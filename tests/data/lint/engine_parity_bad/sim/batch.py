@@ -1,11 +1,13 @@
 # ruff: noqa
-"""Bad fixture: four distinct parity violations.
+"""Bad fixture: five distinct parity violations.
 
-* ``vec_window``'s fused loop consults DRAM before the ring (drifted
-  memory-path order);
+* the data pass consults DRAM before the ring (drifted memory-path
+  order);
 * ``_TRANSFER_BYTES`` disagrees with the staged 32-byte payload;
 * ``small_window`` inlines its own translation instead of routing
   through ``translate_head``;
+* ``vec_window`` probes the L1 itself instead of leaving the data path
+  to the pass;
 * the epoch callback fires directly from ``run_chunk`` instead of
   going through ``close_epoch`` (which is never called at all).
 """
@@ -22,35 +24,35 @@ def translate_head(units, l1t, l2t, walkers):
     return walkers.walk(unit)
 
 
-def small_window(window, l1_caches, remote_caches, l2_latency, ring, dram,
-                 units, l1t, l2t, walkers):
-    total = 0
+def small_window(window, pd_buf, units, l1t, l2t, walkers):
     for ctx in window:
         unit = units.lookup()
         l1t.hit(unit)
-        if l1_caches.lookup(ctx):
-            continue
-        if remote_caches.lookup(ctx):
-            total += l2_latency
-            continue
-        total += l2_latency + ring.hops(ctx)
-        dram.access(ctx)
-    return total
+        pd_buf.append(ctx)
 
 
-def vec_window(window, l1_sets, rc_sets, l2_sets, pair_counts, dram_acc,
-               units, l1t, l2t, walkers):
+def vec_window(window, pd_buf, l1_sets, units, l1t, l2t, walkers):
     translate_head(units, l1t, l2t, walkers)
-    total = 0
     for i in window:
         if l1_sets[i]:
             continue
-        if rc_sets[i]:
-            total += l2_sets[i]
+        pd_buf.append(i)
+
+
+def data_pass(accesses, l1_table, rc_table, l2_table, open_row,
+              pair_counts):
+    gathered = zip(accesses, l1_table, rc_table, l2_table)
+    l2_miss = []
+    for k, l1_set, rc_set, l2_set in gathered:
+        if k in l1_set:
             continue
-        dram_acc[i] += 1
-        total += l2_sets[i] + pair_counts[i]
-    return total
+        if rc_set is not None and k in rc_set:
+            continue
+        if k not in l2_set:
+            l2_miss.append(k)
+    for k in l2_miss:
+        open_row[k] = k
+        pair_counts[k] += 1
 
 
 def run_chunk(policy, stats, ratio):

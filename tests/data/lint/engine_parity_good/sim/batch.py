@@ -1,7 +1,8 @@
 # ruff: noqa
-"""Good fixture: two inlined batched copies whose normalized
-memory-path order matches the staged DataStage.process, sharing one
-translation head and the staged epoch-closing sequence."""
+"""Good fixture: windows that translate through one head and record
+their accesses, and one data pass whose normalized memory-path order
+matches the staged DataStage.process (ring charged by the tally flush),
+with epochs through the staged epoch-closing sequence."""
 
 _TRANSFER_BYTES = 32
 
@@ -15,34 +16,34 @@ def translate_head(units, l1t, l2t, walkers):
     return walkers.walk(unit)
 
 
-def small_window(window, l1_caches, remote_caches, l2_latency, ring, dram,
-                 units, l1t, l2t, walkers):
-    total = 0
+def small_window(window, pd_buf, units, l1t, l2t, walkers):
     for ctx in window:
         translate_head(units, l1t, l2t, walkers)
-        if l1_caches.lookup(ctx):
-            continue
-        if remote_caches.lookup(ctx):
-            total += l2_latency
-            continue
-        total += l2_latency + ring.hops(ctx)
-        dram.access(ctx)
-    return total
+        pd_buf.append(ctx)
 
 
-def vec_window(window, l1_sets, rc_sets, l2_sets, pair_counts, dram_acc,
-               units, l1t, l2t, walkers):
+def vec_window(window, pd_buf, units, l1t, l2t, walkers):
     translate_head(units, l1t, l2t, walkers)
-    total = 0
-    for i in window:
-        if l1_sets[i]:
+    pd_buf.extend(window)
+
+
+def data_pass(accesses, l1_table, rc_table, l2_table, open_row, tally):
+    gathered = zip(accesses, l1_table, rc_table, l2_table)
+    l2_miss = []
+    for k, l1_set, rc_set, l2_set in gathered:
+        if k in l1_set:
             continue
-        if rc_sets[i]:
-            total += l2_sets[i]
+        if rc_set is not None and k in rc_set:
             continue
-        total += l2_sets[i] + pair_counts[i]
-        dram_acc[i] += 1
-    return total
+        if k not in l2_set:
+            l2_miss.append(k)
+    for k in l2_miss:
+        open_row[k] = k
+    tally.append(len(l2_miss))
+
+
+def flush_tallies(tally, ring):
+    ring.total_bytes += _TRANSFER_BYTES * sum(tally)
 
 
 def run_chunk(policy, stats, ratio):

@@ -1,6 +1,7 @@
 """Tests for the data caches and remote-caching schemes."""
 
 import copy
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
@@ -205,3 +206,113 @@ class TestRemoteCaches:
         assert isinstance(make_remote_cache("SAC", cfg), SacCache)
         with pytest.raises(ValueError):
             make_remote_cache("bogus", cfg)
+
+
+class _LruModel:
+    """Reference model: exact allocate-on-miss LRU with one
+    ``OrderedDict`` per set (oldest first) and the caches' set hash."""
+
+    def __init__(self, num_sets, ways):
+        self.ways = ways
+        self.sets = [OrderedDict() for _ in range(num_sets)]
+        self.hits = 0
+        self.misses = 0
+
+    def _set_of(self, line):
+        hashed = (line * 0x9E3779B1) & 0xFFFFFFFF
+        return self.sets[(hashed >> 16) % len(self.sets)]
+
+    def access(self, line, fill=True):
+        entries = self._set_of(line)
+        if line in entries:
+            entries.move_to_end(line)
+            self.hits += 1
+            return True
+        self.misses += 1
+        if fill:
+            if len(entries) >= self.ways:
+                entries.popitem(last=False)
+            entries[line] = True
+        return False
+
+    def invalidate(self, first, last):
+        for entries in self.sets:
+            for line in [x for x in entries if first <= x <= last]:
+                del entries[line]
+
+
+class _SacFilterModel:
+    """SAC's reuse filter: a line is inserted on its second miss among
+    the last ``entries`` distinct missing lines."""
+
+    def __init__(self, entries):
+        self.entries = entries
+        self.seen = OrderedDict()
+
+    def should_insert(self, line):
+        if line in self.seen:
+            self.seen.move_to_end(line)
+            return True
+        if len(self.seen) >= self.entries:
+            self.seen.popitem(last=False)
+        self.seen[line] = True
+        return False
+
+
+#: An access to one of 40 lines, or a flush of ``count`` lines from
+#: ``first``: few enough lines that four sets see hits, evictions and
+#: refreshes.
+cache_op = st.one_of(
+    st.tuples(st.just("access"), st.integers(0, 39)),
+    st.tuples(st.just("flush"), st.integers(0, 39), st.integers(1, 12)),
+)
+
+
+class TestListSetsMatchReferenceLru:
+    @given(ops=st.lists(cache_op, max_size=200))
+    @settings(max_examples=60, deadline=None)
+    def test_caches_match_an_ordered_dict_lru(self, ops):
+        plain = SetAssociativeCache(8 * 128, ways=2)
+        nuba = NubaCache(baseline_config())
+        sac = SacCache(baseline_config())
+        for scheme in (nuba, sac):
+            scheme.cache = SetAssociativeCache(12 * 128, ways=3)
+        # A filter smaller than the line pool, so it evicts too.
+        sac.FILTER_ENTRIES = 6
+        caches = {
+            "plain": (plain, _LruModel(4, 2)),
+            "nuba": (nuba.cache, _LruModel(4, 3)),
+            "sac": (sac.cache, _LruModel(4, 3)),
+        }
+        sac_filter = _SacFilterModel(6)
+        for op in ops:
+            if op[0] == "flush":
+                _, first, count = op
+                ranges = [(first * 128, count * 128)]
+                for cache, model in caches.values():
+                    cache.invalidate_ranges(ranges)
+                    model.invalidate(first, first + count - 1)
+            else:
+                line = op[1]
+                paddr = line * 128 + 5
+                _, model = caches["plain"]
+                assert plain.access(paddr) == model.access(line)
+                _, model = caches["nuba"]
+                assert nuba.access(paddr) == model.access(line)
+                _, model = caches["sac"]
+                in_model = line in model._set_of(line)
+                assert sac.access(paddr) == model.access(
+                    line,
+                    fill=in_model or sac_filter.should_insert(line),
+                )
+            for cache, model in caches.values():
+                assert (cache.hits, cache.misses) == (
+                    model.hits,
+                    model.misses,
+                )
+                assert cache._sets == [list(s) for s in model.sets]
+        assert list(sac._seen) == list(sac_filter.seen)
+        for scheme, key in ((nuba, "nuba"), (sac, "sac")):
+            model = caches[key][1]
+            assert scheme.remote_hits == model.hits
+            assert scheme.remote_lookups == model.hits + model.misses

@@ -496,6 +496,30 @@ def test_resume_recovers_torn_journal_tail(tmp_path, reference):
     assert resumed.stats.cells_resumed + resumed.stats.cache_hits == 5
 
 
+def test_resume_reads_past_a_torn_frame_mid_journal(tmp_path, reference):
+    """A runner that dies mid-append while others keep appending leaves
+    torn bytes in the middle of the journal; resume skips them and
+    adopts every later ``done`` record without re-simulating it."""
+    cells = coord_cells(5)
+    runner = coord_runner(tmp_path / "cache", sweep_id="torn-mid")
+    results = runner.run_cells(cells)
+    journal_path = tmp_path / "cache" / "sweeps" / "torn-mid" / "journal.bin"
+    records = Journal(journal_path).replay()
+    journal_path.unlink()
+    journal = Journal(journal_path)
+    journal.append(records[0])
+    with open(journal_path, "ab") as fh:
+        fh.write(b"\x40\x00\x00\x00\x12\x34")
+    for record in records[1:]:
+        journal.append(record)
+
+    resumed = coord_runner(tmp_path / "cache", sweep_id="torn-mid")
+    assert resumed.run_cells(cells) == results == reference[:5]
+    assert resumed.stats.cells_resumed == 5
+    assert resumed.stats.simulated == 0
+    assert Journal(journal_path).replay()[: len(records)] == records
+
+
 def test_cli_sweep_kill_and_resume(tmp_path):
     """The user-facing flow: ``repro sweep --runners`` killed with
     SIGKILL, continued by ``repro sweep --resume <id>``."""

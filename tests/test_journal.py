@@ -114,6 +114,36 @@ class TestRecovery:
         assert journal.read_from(0)[2]
         assert journal.truncate(offset) == 0
 
+    def test_torn_frame_before_later_records_hides_nothing(self, tmp_path):
+        # A writer died mid-frame and another kept appending after it:
+        # the torn bytes are skipped, not taken for the tail.
+        journal = make_journal(tmp_path, [{"kind": "done", "fp": "a"}])
+        with open(journal.path, "ab") as fh:
+            fh.write(b"\x40\x00\x00\x00\x12\x34")
+        journal.append({"kind": "done", "fp": "b"})
+        size = journal.size()
+        records, offset, clean = journal.read_from(0)
+        assert [r["fp"] for r in records] == ["a", "b"]
+        assert offset == size and clean
+        assert journal.skipped_bytes == 6
+        records, dropped = journal.recover()
+        assert [r["fp"] for r in records] == ["a", "b"]
+        assert dropped == 0 and journal.size() == size
+
+    def test_torn_tail_after_a_skipped_frame_is_still_cut(self, tmp_path):
+        journal = make_journal(tmp_path, [{"i": 0}])
+        with open(journal.path, "ab") as fh:
+            fh.write(b"\xff\xff\xff\xff")
+        journal.append({"i": 1})
+        good = journal.size()
+        with open(journal.path, "ab") as fh:
+            fh.write(b"\x40\x00torn")
+        records, offset, clean = journal.read_from(0)
+        assert [r["i"] for r in records] == [0, 1]
+        assert offset == good and not clean
+        assert journal.recover()[1] == 6
+        assert journal.size() == good
+
     def test_clean_journal_recovers_without_drops(self, tmp_path):
         journal = make_journal(tmp_path, [{"i": 0}])
         records, dropped = journal.recover()

@@ -147,13 +147,14 @@ def test_engine_parity_bad_fixture_fires():
     findings = lint_fixture("engine_parity_bad", select=["RPR004"])
     assert codes(findings) == ["RPR004"]
     text = messages(findings)
-    assert "memory-path order of vec_window()" in text
+    assert "memory-path order of data_pass()" in text
     assert "the engines have drifted" in text
     assert "ring transfer payload drifted" in text
     assert "small_window() does not route translation" in text
+    assert "vec_window() touches data-path state (L1)" in text
     assert "policy.on_epoch called outside close_epoch()" in text
     assert "never calls close_epoch()" in text
-    assert len(findings) == 5
+    assert len(findings) == 6
 
 
 def test_engine_parity_bad_names_both_orders():
@@ -564,9 +565,10 @@ def test_engine_drift_in_live_batch_fails_lint(mutable_tree):
 
 
 def test_ring_flush_without_payload_fails_lint(mutable_tree):
-    # The batched data-path copies tally per (home, requester) pair and
-    # leave ring traffic to flush_tallies(); a flush that stops charging
-    # the shared payload constant would drop or skew remote transfers.
+    # The batched data pass tallies per (home, requester) pair and
+    # leaves ring traffic to flush_tallies(); a flush that stops
+    # charging the shared payload constant would drop or skew remote
+    # transfers.
     reintroduce(
         mutable_tree / "sim" / "batch.py",
         "nbytes = _TRANSFER_BYTES * beyond",
@@ -574,6 +576,40 @@ def test_ring_flush_without_payload_fails_lint(mutable_tree):
     )
     findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
     assert any("defers ring accounting" in f.message for f in findings)
+
+
+def test_drifted_data_pass_in_live_batch_fails_lint(mutable_tree):
+    # Probing the home L2 before the remote cache reorders the pass
+    # against DataStage.process.
+    reintroduce(
+        mutable_tree / "sim" / "batch.py",
+        "                if rc_set is not None:\n",
+        "                if l2_set is None:\n"
+        "                    continue\n"
+        "                if rc_set is not None:\n",
+    )
+    findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
+    assert any(
+        "memory-path order of data_pass() is L1 -> L2 -> REMOTE_CACHE"
+        in f.message
+        for f in findings
+    )
+
+
+def test_data_cache_probe_in_a_live_window_fails_lint(mutable_tree):
+    # A window that probes a data cache itself would be a second copy
+    # of the data path beside the per-chunk pass.
+    reintroduce(
+        mutable_tree / "sim" / "batch.py",
+        "                pd_buf[a:b] = paddr\n",
+        "                pd_buf[a:b] = paddr\n"
+        "                machine.l2_caches[0].probe(0)\n",
+    )
+    findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
+    assert any(
+        "vec_window() touches data-path state (L2)" in f.message
+        for f in findings
+    )
 
 
 def test_inlined_placement_in_batch_faults_fails_lint(mutable_tree):

@@ -89,8 +89,7 @@ class TestStore:
         assert trace.source == "store"
         assert isinstance(trace.arena, np.memmap)
         assert not trace.vaddrs.flags.writeable
-        assert store.attached == 1
-        assert store.bytes_shared == trace.nbytes
+        assert trace.nbytes == nbytes
 
     def test_ensure_is_idempotent(self, spec, tmp_path):
         store = TraceStore(tmp_path)
@@ -219,9 +218,9 @@ class TestSweepIntegration:
         self, spec, tmp_path, monkeypatch, engine
     ):
         monkeypatch.setenv("REPRO_ENGINE", engine)
-        off = SweepRunner(jobs=1, use_cache=False).run_cells(
-            self._cells(spec)
-        )
+        off = SweepRunner(
+            jobs=1, use_cache=False, trace_store=False
+        ).run_cells(self._cells(spec))
         runner = SweepRunner(
             jobs=1, use_cache=False, trace_store=tmp_path / "traces"
         )
