@@ -1,13 +1,16 @@
 #!/usr/bin/env python
 """Benchmark: staged vs batched replay, plus the fault-heavy sweep.
 
-Prints a per-cell table of staged/batched wall time (best of
-``--repeats``), the batched speedup over staged, and the batched
-engine's ``fast_path_fraction`` / ``fault_batch_fraction`` (share of
-accesses that needed no fault lookup, and share of page faults
-resolved by the bulk fault path).  Both engines
-are bit-identical in results — asserted here on every measured cell —
-so the table is purely a wall time comparison.
+Prints a per-cell table of staged/batched wall time, the batched
+speedup over staged, and the batched engine's ``fast_path_fraction`` /
+``fault_batch_fraction`` (share of accesses that needed no fault
+lookup, and share of page faults resolved by the bulk fault path).
+Each of ``--repeats`` rounds times both engines back to back, in
+alternating order, so a change in host load hits both alike; the
+table gives the median and the q1-q3 range of the rounds, and the
+speedup is the median of the per-round ratios.  Both engines are
+bit-identical in results — asserted here on every measured cell — so
+the table is purely a wall time comparison.
 
 The second section measures the regime the vectorized fault path
 targets: a fault-heavy quick sweep (first-touch-dominated trace, six
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -110,10 +114,35 @@ def _best(measure, repeats: int) -> float:
     return best
 
 
+def _quartiles(samples) -> tuple:
+    """``(q1, median, q3)`` of ``samples``."""
+    if len(samples) < 2:
+        return (samples[0],) * 3
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def _alternating(measure, repeats: int) -> dict:
+    """Engine -> seconds of each round's ``measure(engine)``; the engine
+    that goes first alternates from round to round."""
+    times = {engine: [] for engine in ENGINES}
+    for round_index in range(repeats):
+        order = ENGINES if round_index % 2 == 0 else ENGINES[::-1]
+        for engine in order:
+            start = time.perf_counter()
+            measure(engine)
+            times[engine].append(time.perf_counter() - start)
+    return times
+
+
+def _spread(q: tuple, scale: float = 1e3) -> str:
+    return f"{q[1] * scale:.1f} ({q[0] * scale:.1f}-{q[2] * scale:.1f})"
+
+
 def _measure_cells(cells, repeats: int) -> dict:
     print(
-        f"{'cell':24s} {'staged':>9s} {'batched':>9s} "
-        f"{'speedup':>8s} {'fast-path':>10s} {'flt-batch':>10s}"
+        f"{'cell':20s} {'staged ms':>20s} {'batched ms':>20s} "
+        f"{'speedup':>17s} {'fast-path':>9s} {'flt-batch':>9s}"
     )
     rows = []
     totals = {engine: 0.0 for engine in ENGINES}
@@ -125,37 +154,39 @@ def _measure_cells(cells, repeats: int) -> dict:
         assert batched.to_dict() == staged.to_dict(), (
             f"{workload}/{policy}: batched diverged from staged"
         )
-        times = {
-            engine: _best(
-                lambda engine=engine: run_workload(
-                    workload, policy, engine=engine
-                ),
-                repeats,
-            )
-            for engine in ENGINES
-        }
+        times = _alternating(
+            lambda engine: run_workload(workload, policy, engine=engine),
+            repeats,
+        )
+        q = {engine: _quartiles(times[engine]) for engine in ENGINES}
+        speedup = _quartiles(
+            [s / b for s, b in zip(times["staged"], times["batched"])]
+        )
         for engine in ENGINES:
-            totals[engine] += times[engine]
+            totals[engine] += q[engine][1]
         fbf = batched.fault_batch_fraction
-        row = {
-            "cell": f"{workload}/{policy}",
-            **{f"{engine}_ms": times[engine] * 1e3 for engine in ENGINES},
-            "speedup": times["staged"] / times["batched"],
-            "fast_path_fraction": batched.fast_path_fraction,
-            "fault_batch_fraction": fbf,
-        }
+        row = {"cell": f"{workload}/{policy}"}
+        for engine in ENGINES:
+            row[f"{engine}_ms"] = q[engine][1] * 1e3
+            row[f"{engine}_q1_ms"] = q[engine][0] * 1e3
+            row[f"{engine}_q3_ms"] = q[engine][2] * 1e3
+        row.update(
+            speedup=speedup[1], speedup_q1=speedup[0], speedup_q3=speedup[2],
+            fast_path_fraction=batched.fast_path_fraction,
+            fault_batch_fraction=fbf,
+        )
         rows.append(row)
         print(
-            f"{row['cell']:24s} "
-            f"{row['staged_ms']:7.1f}ms {row['batched_ms']:7.1f}ms "
-            f"{row['speedup']:7.2f}x "
-            f"{row['fast_path_fraction']:10.3f} "
-            + (f"{fbf:10.3f}" if fbf is not None else f"{'-':>10s}")
+            f"{row['cell']:20s} {_spread(q['staged']):>20s} "
+            f"{_spread(q['batched']):>20s} "
+            f"{speedup[1]:5.2f}x ({speedup[0]:.2f}-{speedup[2]:.2f}) "
+            f"{row['fast_path_fraction']:9.3f} "
+            + (f"{fbf:9.3f}" if fbf is not None else f"{'-':>9s}")
         )
     print(
-        f"{'total':24s} "
-        f"{totals['staged'] * 1e3:7.1f}ms {totals['batched'] * 1e3:7.1f}ms "
-        f"{totals['staged'] / totals['batched']:7.2f}x"
+        f"{'total (of medians)':20s} {totals['staged'] * 1e3:20.1f} "
+        f"{totals['batched'] * 1e3:20.1f} "
+        f"{totals['staged'] / totals['batched']:5.2f}x"
     )
     return {
         "cells": rows,
@@ -218,7 +249,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--repeats", type=int, default=5,
-        help="timing repetitions per engine; the best pass counts",
+        help="timing rounds per engine: per cell, the median and "
+             "quartiles of the alternating rounds count; for the "
+             "fault-heavy sweep, the best round",
     )
     parser.add_argument(
         "--cells", nargs="+", default=DEFAULT_CELLS, metavar="WORKLOAD/POLICY",
@@ -246,7 +279,14 @@ def main(argv=None) -> int:
             parser.error(f"cell {text!r} is not WORKLOAD/POLICY")
         cells.append((workload, policy))
 
-    payload = {"schema": "repro/bench-batch/v2", "repeats": args.repeats}
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    payload = {
+        "schema": "repro/bench-batch/v3",
+        "repeats": args.repeats,
+        "cell_statistic": "median and q1-q3 of alternating rounds",
+        "sweep_statistic": "best round",
+    }
     if not args.skip_cells:
         payload.update(_measure_cells(cells, args.repeats))
     payload["fault_heavy_sweep"] = _measure_sweep(args.repeats)

@@ -77,7 +77,7 @@ from typing import TYPE_CHECKING
 
 from .render import render_bars
 from .sim.durability import atomic_write
-from .sim.parallel import ResultCache, SweepCell, SweepRunner
+from .sim.parallel import OnError, ResultCache, SweepCell, SweepRunner
 from .sim.runner import ENGINES, resolve_engine, resolve_policy, run_workload
 from .trace.suite import SUITE, workload_by_name
 from .units import SWEEP_PAGE_SIZES, size_label
@@ -346,8 +346,9 @@ def _run_experiment_module(module, args, runner):
         return module.run(quick=args.quick, runner=runner)
     except Exception:
         # Under --on-error skip, failed cells yield None results the
-        # aggregation cannot use; name the real culprits first.
-        if runner.stats.failures:
+        # aggregation cannot use; name the real culprits first.  Under
+        # raise, the SweepError itself names the failed cell.
+        if runner.stats.failures and runner.on_error is not OnError.RAISE:
             _print_failures(runner)
             print(
                 "experiment aggregation failed because the cells above "

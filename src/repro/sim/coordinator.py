@@ -58,12 +58,14 @@ from .chaos import ChaosSchedule, FaultKind, apply_chaos
 from .durability import atomic_write, create_exclusive
 from .journal import Journal, Record
 from .parallel import (
-    CellFailure,
     OnError,
     ResultCache,
     SweepCell,
+    SweepStats,
     _attach_trace,
-    _format_exception_chain,
+    _cache_get,
+    _failure_record,
+    _may_retry,
     _picklable,
     _publish,
     _run_cell,
@@ -217,9 +219,9 @@ def _acquire_lease(
     A steal atomically renames a fully-written lease *over* the expired
     one, so the path never disappears mid-theft — a third runner cannot
     slip in with a fresh ``O_EXCL`` create and win the cell without a
-    steal on record.  Concurrent thieves arbitrate by reading the file
-    back: whoever's token is on disk after the renames settle holds the
-    lease, everyone else lost.
+    steal on record.  Concurrent thieves of one expired lease arbitrate
+    by ``O_EXCL``-creating a marker named for its ``renewed`` stamp:
+    exactly one creates it, however their reads and renames interleave.
     """
     path = lease_dir / f"{key}.lease"
     if create_exclusive(path):
@@ -231,13 +233,12 @@ def _acquire_lease(
     holder, renewed, holder_ttl = state
     if time.time() - renewed < holder_ttl:
         return None  # live lease
+    if not create_exclusive(lease_dir / f"{key}.{renewed!r}.steal"):
+        return None  # another thief took this expired lease
     try:
         _write_lease(path, token, ttl)  # atomic rename-over
     except OSError:
         return None
-    winner = _lease_state(path, ttl)
-    if winner is None or winner[0] != token:
-        return None  # a concurrent thief re-stole it
     return _Claim(path, token, stolen_from=holder)
 
 
@@ -281,36 +282,6 @@ class _Heartbeat:
                 return
 
 
-# --- journal bookkeeping ------------------------------------------------
-
-
-def _fold(
-    settled: Dict[str, Record], starts: Dict[str, int],
-    records: List[Record],
-) -> None:
-    """Apply journal records to the settled map (done/failed add a key,
-    requeue removes it) and to ``starts``, the attempt ledger.
-
-    ``starts[key]`` counts ``key``'s ``start`` records since its last
-    ``requeue`` with ``reset``; the next attempt is one more.  Attempts
-    are counted here and nowhere else.  Other kinds (among them an older
-    runner's ``trace`` records) are ignored.
-    """
-    for record in records:
-        kind = record.get("kind")
-        key = record.get("fp")
-        if not isinstance(key, str):
-            continue
-        if kind in ("done", "failed"):
-            settled[key] = record
-        elif kind == "start":
-            starts[key] = starts.get(key, 0) + 1
-        elif kind == "requeue":
-            settled.pop(key, None)
-            if record.get("reset"):
-                starts.pop(key, None)
-
-
 # --- the runner process -------------------------------------------------
 
 
@@ -330,10 +301,12 @@ def _runner_process(
     cell's lease, attach its trace, simulate it (flushing the result to
     the shared cache), and journal the outcome.  Everything it knows
     comes off the shared directory, so a runner can join, die, or be
-    started on another machine at any time.
+    started on another machine at any time; its settled set and attempt
+    ledger are the journal's :class:`~repro.sim.parallel.SweepStats`.
 
     Before computing, the lease holder journals a ``start`` record, its
-    attempt one more than :func:`_fold` has counted.  With
+    attempt one more than the ledger has counted; a previous attempt
+    that left no outcome died with its runner (a transient failure).  With
     ``trace_store_root`` set, the runner attaches the trace the parent
     materialized, as pool workers do (:func:`~repro.sim.parallel.
     _attach_trace`): it never writes the store, and a missing or
@@ -352,29 +325,23 @@ def _runner_process(
     lease_dir = sweep / "leases"
     cache = ResultCache(cache_dir)
     token = f"{runner_id}:{os.getpid()}"
-    retry = OnError(on_error) is OnError.RETRY
+    policy = OnError(on_error)
 
-    settled: Dict[str, Record] = {}
-    starts: Dict[str, int] = {}
+    ledger = SweepStats()
     offset = 0
-    quarantines_reported = 0
 
     def refresh() -> None:
         nonlocal offset
         records, offset, _ = journal.read_from(offset)
-        _fold(settled, starts, records)
+        for record in records:
+            ledger.apply(record)
 
-    def note_quarantines() -> None:
-        # Quarantines happen inside this process's cache instance; the
-        # journal is how the parent's stats learn about them.
-        nonlocal quarantines_reported
-        while quarantines_reported < cache.quarantined:
-            quarantines_reported += 1
-            journal.append({"kind": "quarantine", "runner": runner_id})
+    def append(record: Record) -> None:
+        journal.append({**record, "runner": runner_id})
 
     while True:
         refresh()
-        todo = [i for i in leaders if keys[i] not in settled]
+        todo = [i for i in leaders if keys[i] not in ledger.settled]
         if not todo:
             return
         progressed = False
@@ -387,36 +354,22 @@ def _runner_process(
             attempt = 0
             try:
                 refresh()
-                if key in settled:
+                if key in ledger.settled:
                     continue
                 if claim.stolen_from is not None:
-                    journal.append(
-                        {
-                            "kind": "steal",
-                            "fp": key,
-                            "runner": runner_id,
-                            "from": claim.stolen_from,
-                        }
-                    )
-                hit = cache.get(key)
-                note_quarantines()
-                if hit is not None:
-                    journal.append(
-                        {
-                            "kind": "done",
-                            "fp": key,
-                            "runner": runner_id,
-                            "attempt": 0,
-                        }
-                    )
+                    append({"kind": "steal", "fp": key, "from": claim.stolen_from})
+                if _cache_get(cache, key, append) is not None:
+                    append({"kind": "done", "fp": key, "attempt": 0})
                     continue
                 # Counted by the fold, never here: the next refresh()
                 # reads this runner's own start record back.
-                attempt = starts.get(key, 0) + 1
-                if attempt > max_attempts:
-                    journal.append(
-                        _failed_record(
-                            cells[i], key, runner_id, attempt - 1,
+                attempt = ledger.starts.get(key, 0) + 1
+                if attempt > 1 and not _may_retry(
+                    policy, attempt - 1, max_attempts, transient=True
+                ):
+                    append(
+                        _failure_record(
+                            "failed", cells[i], key, attempt - 1,
                             "worker-died",
                             f"attempt budget ({max_attempts}) exhausted "
                             "across runners (repeated runner death or "
@@ -424,14 +377,7 @@ def _runner_process(
                         )
                     )
                     continue
-                journal.append(
-                    {
-                        "kind": "start",
-                        "fp": key,
-                        "runner": runner_id,
-                        "attempt": attempt,
-                    }
-                )
+                append({"kind": "start", "fp": key, "attempt": attempt})
                 directive = (
                     chaos.directive_for(cells[i].tag, attempt)
                     if chaos is not None
@@ -465,11 +411,10 @@ def _runner_process(
                         "coordinator runner cannot write the result "
                         f"cache at {cache.root}; the rendezvous is broken"
                     )
-                journal.append(
+                append(
                     {
                         "kind": "done",
                         "fp": key,
-                        "runner": runner_id,
                         "attempt": attempt,
                         "trace": result.trace_source,
                     }
@@ -479,53 +424,19 @@ def _runner_process(
             # and the supervising coordinator replay.
             except Exception as exc:  # repro-lint: ignore[RPR010] -- failure journaled as error/failed record
                 attempt = attempt or 1
-                if retry and attempt < max_attempts:
-                    journal.append(
-                        {
-                            "kind": "error",
-                            "fp": key,
-                            "runner": runner_id,
-                            "attempt": attempt,
-                            "error": _format_exception_chain(exc),
-                        }
+                retry = _may_retry(
+                    policy, attempt, max_attempts, transient=False
+                )
+                append(
+                    _failure_record(
+                        "error" if retry else "failed", cells[i], key,
+                        attempt, "error", exc,
                     )
-                else:
-                    journal.append(
-                        _failed_record(
-                            cells[i], key, runner_id, attempt, "error",
-                            _format_exception_chain(exc),
-                            context=dict(
-                                getattr(exc, "context", {}) or {}
-                            ),
-                        )
-                    )
+                )
             finally:
                 _release_lease(claim)
         if not progressed:
             time.sleep(POLL_INTERVAL)
-
-
-def _failed_record(
-    cell: SweepCell,
-    key: str,
-    runner_id: str,
-    attempt: int,
-    kind: str,
-    error: str,
-    context: Optional[dict] = None,
-) -> Record:
-    return {
-        "kind": "failed",
-        "fp": key,
-        "runner": runner_id,
-        "attempt": attempt,
-        "fail_kind": kind,
-        "error": error,
-        "workload": cell.workload.abbr,
-        "policy": cell.policy.name,
-        "tag": cell.tag,
-        "context": context or {},
-    }
 
 
 # --- the parent ---------------------------------------------------------
@@ -605,7 +516,6 @@ class Coordinator:
         results: List[Optional[SimResult]],
     ) -> None:
         runner = self._runner
-        stats = runner.stats
         cache: ResultCache = runner.cache
 
         distributed = [i for i in pending if _picklable(cells[i])]
@@ -615,12 +525,11 @@ class Coordinator:
         # boundary; they run in this process, rendezvous through the
         # cache like everything else, and stay out of the manifest.
         for i in local_only:
-            hit = cache.get(keys[i])
+            hit = _cache_get(cache, keys[i], runner._record)
             if hit is not None:
-                results[i] = hit
-                stats.cache_hits += 1
+                runner._cached("hit", keys[i], results, i, hit)
             else:
-                runner._prepare_traces(cells, [i])
+                runner._prepare_traces(cells, keys, [i])
                 runner._run_serial(cells, keys, i, results)
         if not distributed:
             return
@@ -635,16 +544,15 @@ class Coordinator:
         # requeue failures and corrupt entries (an explicit resume is a
         # request to try again).
         records, _ = journal.recover()
-        settled: Dict[str, Record] = {}
-        _fold(settled, {}, records)
-        for key, record in settled.items():
+        for key, record in SweepStats.fold(records).settled.items():
             if key not in pending_keys:
                 continue
             if record.get("kind") == "done":
-                result = cache.get(key)
+                result = _cache_get(cache, key, runner._record)
                 if result is not None:
-                    results[key_to_index[key]] = result
-                    stats.cells_resumed += 1
+                    runner._cached(
+                        "resumed", key, results, key_to_index[key], result
+                    )
                     pending_keys.discard(key)
                     continue
                 # Entry vanished or failed verification: recompute.  The
@@ -661,10 +569,9 @@ class Coordinator:
         # cache (another sweep computed them): classify as plain hits
         # and journal the completion so a resume adopts them directly.
         for key in sorted(pending_keys):
-            hit = cache.get(key)
+            hit = _cache_get(cache, key, runner._record)
             if hit is not None:
-                results[key_to_index[key]] = hit
-                stats.cache_hits += 1
+                runner._cached("hit", key, results, key_to_index[key], hit)
                 pending_keys.discard(key)
                 journal.append(
                     {
@@ -679,9 +586,9 @@ class Coordinator:
         # As in pool mode, the parent materializes each distinct trace
         # once; runners only attach.
         runner._prepare_traces(
-            cells, [i for i in distributed if keys[i] in pending_keys]
+            cells, keys, [i for i in distributed if keys[i] in pending_keys]
         )
-        self._supervise(journal, cells, key_to_index, pending_keys, results)
+        self._supervise(journal, key_to_index, pending_keys, results)
 
     # - supervision loop -
 
@@ -711,14 +618,11 @@ class Coordinator:
     def _supervise(
         self,
         journal: Journal,
-        cells: List[SweepCell],
         key_to_index: Dict[str, int],
         pending_keys: set,
         results: List[Optional[SimResult]],
     ) -> None:
         runner = self._runner
-        stats = runner.stats
-        cache: ResultCache = runner.cache
         offset = journal.size()
         spawned = 0
         respawn_budget = (
@@ -733,10 +637,11 @@ class Coordinator:
             while pending_keys:
                 records, offset, clean = journal.read_from(offset)
                 for record in records:
-                    self._apply(
-                        record, journal, cells, key_to_index,
-                        pending_keys, results, cache, stats,
-                    )
+                    if runner._record(record):
+                        self._adopt(
+                            record, journal, key_to_index, pending_keys,
+                            results,
+                        )
                 if clean:
                     torn_since = None
                 else:
@@ -777,77 +682,30 @@ class Coordinator:
                     child.kill()
                     child.join(timeout=5.0)
 
-    def _apply(
+    def _adopt(
         self,
         record: Record,
         journal: Journal,
-        cells: List[SweepCell],
         key_to_index: Dict[str, int],
         pending_keys: set,
         results: List[Optional[SimResult]],
-        cache: ResultCache,
-        stats,
     ) -> None:
-        kind = record.get("kind")
-        if kind == "steal":
-            stats.leases_stolen += 1
-            return
-        if kind == "quarantine":
-            stats.entries_quarantined += 1
-            return
-        if kind == "error":
-            stats.retries += 1
-            return
-        key = record.get("fp")
-        if not isinstance(key, str) or key not in pending_keys:
-            return
-        if kind == "done":
-            result = cache.get(key)
+        """Act on a journal record that settled its cell in the fold."""
+        runner = self._runner
+        key = str(record["fp"])
+        result = None
+        if record["kind"] == "done":
+            result = _cache_get(runner.cache, key, runner._record)
             if result is None:
                 # The entry a runner just wrote failed verification
                 # (torn/bit-flipped write): cache.get quarantined it;
-                # requeue the cell.  Attempts are *not* reset — the
+                # requeue the cell, which undoes this ``done`` in the
+                # fold once read back.  Attempts are *not* reset — the
                 # corrupting attempt is spent, so the deterministic
                 # chaos schedule moves on and the retry runs clean.
                 journal.append(
                     {"kind": "requeue", "fp": key, "by": "parent"}
                 )
                 return
-            results[key_to_index[key]] = result
-            if int(record.get("attempt", 0) or 0) > 0:
-                stats.simulated += 1
-            else:
-                stats.cache_hits += 1
-            self._runner._count_trace(
-                key_to_index[key], record.get("trace")
-            )
-            pending_keys.discard(key)
-            return
-        if kind == "failed":
-            cell = cells[key_to_index[key]]
-            failure = CellFailure(
-                fingerprint=key,
-                workload=str(record.get("workload", cell.workload.abbr)),
-                policy=str(record.get("policy", cell.policy.name)),
-                tag=str(record.get("tag", cell.tag)),
-                attempts=int(record.get("attempt", 0) or 0),
-                kind=str(record.get("fail_kind", "error")),
-                error=str(record.get("error", "")),
-                context=dict(record.get("context") or {}),
-            )
-            pending_keys.discard(key)
-            if self._runner.on_error is OnError.RAISE:
-                raise SweepError(
-                    f"sweep cell {key} ({failure.workload}/"
-                    f"{failure.policy}) failed ({failure.kind}) on "
-                    f"attempt {failure.attempts}: {failure.error}",
-                    fingerprint=key,
-                    context={
-                        "kind": failure.kind,
-                        "attempts": failure.attempts,
-                        "workload": failure.workload,
-                        "policy": failure.policy,
-                        "tag": failure.tag,
-                    },
-                )
-            self._runner.stats.failures.append(failure)
+        pending_keys.discard(key)
+        runner._settle(record, results, key_to_index[key], result)

@@ -78,8 +78,28 @@ def run_simulation(
     results.  Multi-page-TLB runs, and runs with a custom
     ``instrumentation`` (anything but the built-in
     :class:`~repro.sim.telemetry.TelemetryCollector`, which the batched
-    engine fills from aggregate counts), always use the staged pipeline.
+    engine fills from aggregate counts), need the staged pipeline:
+    ``engine="batched"`` rejects them with a ``ValueError``, and an
+    unset ``engine`` runs them staged whatever ``REPRO_ENGINE`` says.
     """
+    hook = resolve_instrumentation(instrumentation, telemetry)
+    choice = resolve_engine(engine)
+    # A custom Instrumentation expects one call per access, which only
+    # the staged pipeline makes; batched replay also assumes single-size
+    # TLB reach per unit.
+    staged_only = (
+        "multi_page_tlb=True" if multi_page_tlb
+        else None if hook is None or type(hook) is TelemetryCollector
+        else f"a custom Instrumentation ({type(hook).__name__})"
+    )
+    if staged_only and choice == "batched":
+        if engine is not None:
+            raise ValueError(
+                f"engine='batched' cannot replay a run with {staged_only}, "
+                "which needs the staged pipeline's per-access steps; pass "
+                "engine='staged' or leave engine unset"
+            )
+        choice = "staged"
     if timing is None:
         timing = TimingParams()
     capabilities = validate_policy(policy)
@@ -112,17 +132,7 @@ def run_simulation(
     state = SimState.create(
         machine, workload, policy, capabilities, trace, interleave
     )
-    hook = resolve_instrumentation(instrumentation, telemetry)
-    choice = resolve_engine(engine)
-    # The batched engine fills the built-in collector from aggregate
-    # counts, but a custom Instrumentation expects one call per access,
-    # which only the staged pipeline makes; batched replay also assumes
-    # single-size TLB reach per unit.  Such runs stay on the staged
-    # pipeline even when batched was requested (results are identical).
-    eligible = (
-        hook is None or type(hook) is TelemetryCollector
-    ) and not multi_page_tlb
-    if choice == "batched" and eligible:
+    if choice == "batched":
         pipeline = BatchedPipeline(state, telemetry=hook)
     else:
         pipeline = AccessPipeline(state, hook)

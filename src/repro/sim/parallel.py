@@ -54,6 +54,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 import os
@@ -65,6 +66,7 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -95,6 +97,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..surrogate.active import SurrogateConfig
     from ..trace.store import TraceStore
     from .coordinator import CoordinatorConfig
+    from .journal import Record
 
 #: Bump when the cache entry layout or :meth:`SimResult.to_dict` schema
 #: changes; old entries then miss and are re-simulated.  v2: SimResult
@@ -128,9 +131,6 @@ class SweepCell:
     #: free-form label for the caller (ignored by the fingerprint); also
     #: the key the chaos harness injects faults by
     tag: str = ""
-    #: record per-stage telemetry for this cell (ignored by the
-    #: fingerprint: it never enters the result cache)
-    telemetry: bool = False
 
     def __post_init__(self) -> None:
         if isinstance(self.workload, str):
@@ -338,11 +338,10 @@ class ResultCache(DurableDir):
 class OnError(str, enum.Enum):
     """What a failing cell does to the rest of the sweep."""
 
-    #: abort the sweep with :class:`SweepError` (completed cells stay
-    #: cached)
+    #: abort the sweep with :class:`SweepError` once a cell fails for
+    #: good (completed cells stay cached)
     RAISE = "raise"
-    #: record a :class:`CellFailure` and continue; only transient
-    #: failures (worker death, timeout) are retried
+    #: record a :class:`CellFailure` and continue
     SKIP = "skip"
     #: like ``skip`` but deterministic in-cell errors are retried too
     RETRY = "retry"
@@ -400,11 +399,55 @@ class CellFailure:
     context: Dict[str, object] = dataclasses.field(default_factory=dict)
     wall_seconds: float = 0.0
 
+    @classmethod
+    def from_record(cls, record: Record) -> "CellFailure":
+        """The failure a ``failed`` record describes, in every mode."""
+        return cls(
+            fingerprint=str(record["fp"]),
+            workload=str(record.get("workload", "")),
+            policy=str(record.get("policy", "")),
+            tag=str(record.get("tag", "")),
+            attempts=int(record.get("attempt", 0) or 0),
+            kind=str(record.get("fail_kind", "error")),
+            error=str(record.get("error", "")),
+            context=dict(record.get("context") or {}),
+            wall_seconds=float(record.get("wall", 0.0)),
+        )
+
     def summary(self) -> str:
         return (
             f"{self.workload}/{self.policy} [{self.fingerprint[:12]}] "
             f"{self.kind} after {self.attempts} attempt(s): {self.error}"
         )
+
+
+def _may_retry(
+    on_error: OnError, attempt: int, max_attempts: int, *, transient: bool
+) -> bool:
+    """Whether a failed ``attempt`` gets another, in every mode: a
+    transient failure (a worker or runner died, a timeout) under every
+    policy, an error the cell raised only under ``retry``."""
+    return attempt < max_attempts and (transient or on_error is OnError.RETRY)
+
+
+def _failure_record(
+    kind: str, cell: SweepCell, key: str, attempt: int, fail_kind: str,
+    exc: Union[BaseException, str], **extra: object,
+) -> Record:
+    """An ``error`` (the cell gets another attempt) or ``failed`` (it
+    does not) record for one failed attempt."""
+    return {
+        "kind": kind,
+        "fp": key,
+        "attempt": attempt,
+        "fail_kind": fail_kind,
+        "error": exc if isinstance(exc, str) else _format_exception_chain(exc),
+        "workload": cell.workload.abbr,
+        "policy": cell.policy.name,
+        "tag": cell.tag,
+        "context": dict(getattr(exc, "context", {}) or {}),
+        **extra,
+    }
 
 
 def _format_exception_chain(exc: BaseException) -> str:
@@ -419,9 +462,23 @@ def _format_exception_chain(exc: BaseException) -> str:
     return " <- ".join(parts)
 
 
+#: A per-fingerprint ledger of the fold, outside equality.
+_ledger = functools.partial(
+    dataclasses.field, default_factory=dict, init=False, compare=False,
+    repr=False,
+)
+
+
 @dataclasses.dataclass
 class SweepStats:
-    """Accumulated accounting across a runner's ``run_cells`` calls."""
+    """Sweep accounting: a pure fold over per-cell records.
+
+    Every mode records each cell event as a dict with a ``kind`` and the
+    cell fingerprint ``fp``; DESIGN.md section 10 ("Sweep accounting")
+    lists the kinds and what each counter folds.  The same fold gives
+    coordinator runners their settled set and attempt ledger.  Only
+    ``wall_seconds`` is measured, not folded.
+    """
 
     cells: int = 0
     simulated: int = 0
@@ -452,8 +509,89 @@ class SweepStats:
     cells_predicted: int = 0
     #: active-sampling fit/eliminate rounds across surrogate sweeps
     surrogate_rounds: int = 0
-    wall_seconds: float = 0.0
+    wall_seconds: float = dataclasses.field(default=0.0, compare=False)
     failures: List[CellFailure] = dataclasses.field(default_factory=list)
+    #: fingerprint -> the record that settled it, until a ``queued``
+    #: (a new batch) or ``requeue`` record reopens it
+    settled: Dict[str, Record] = _ledger()
+    #: fingerprint -> ``start`` records since its last resetting
+    #: ``requeue``; the next attempt is one more
+    starts: Dict[str, int] = _ledger()
+    #: fingerprint -> arena bytes of its trace in the store
+    trace_bytes: Dict[str, int] = _ledger()
+
+    @classmethod
+    def fold(cls, records: Iterable[Record]) -> "SweepStats":
+        """The counters ``records`` add up to, in order."""
+        stats = cls()
+        for record in records:
+            stats.apply(record)
+        return stats
+
+    def apply(self, record: Record) -> bool:
+        """Fold one record in; True when it settled its cell.
+
+        A cell settles on its first ``done``, ``failed``, ``hit`` or
+        ``resumed`` record (a stolen lease's first holder may finish
+        too); ``requeue`` takes back what the settling record counted.
+        """
+        kind = record.get("kind")
+        key = str(record.get("fp"))
+        if kind in ("error", "failed") and record.get("fail_kind") == "timeout":
+            self.timeouts += 1
+        if kind == "queued":
+            self.cells += 1
+            if record.get("dup"):
+                self.deduped += 1
+            else:
+                self.settled.pop(key, None)
+        elif kind == "start":
+            self.starts[key] = self.starts.get(key, 0) + 1
+            self.retries += int(record.get("attempt", 1) or 1) > 1
+        elif kind == "materialized":
+            self.trace_bytes[key] = int(record.get("bytes", 0) or 0)
+            self.traces_materialized += bool(record.get("created"))
+        elif kind == "steal":
+            self.leases_stolen += 1
+        elif kind == "quarantine":
+            self.entries_quarantined += 1
+        elif kind == "predicted":
+            self.cells_predicted += len(record.get("fps") or ())
+            self.surrogate_rounds += int(record.get("rounds", 0) or 0)
+        elif kind == "requeue":
+            prior = self.settled.pop(key, None)
+            if prior is not None:
+                self._count(prior, -1)
+            if record.get("reset"):
+                self.starts.pop(key, None)
+        elif kind in ("done", "failed", "hit", "resumed") and (
+            key not in self.settled
+        ):
+            self.settled[key] = record
+            self._count(record, 1)
+            return True
+        return False
+
+    def _count(self, record: Record, sign: int) -> None:
+        """Add (``sign`` 1) or take back (-1) a settling record."""
+        kind = record["kind"]
+        if kind == "failed":
+            failure = CellFailure.from_record(record)
+            if sign > 0:
+                self.failures.append(failure)
+            else:
+                self.failures.remove(failure)
+        elif kind == "resumed":
+            self.cells_resumed += sign
+        elif kind == "hit" or not record.get("attempt"):
+            self.cache_hits += sign
+        else:
+            self.simulated += sign
+            if record.get("trace") == "store":
+                self.traces_attached += sign
+                self.trace_bytes_shared += sign * self.trace_bytes.get(
+                    str(record["fp"]), 0
+                )
 
     @property
     def failed(self) -> int:
@@ -520,7 +658,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 
 def _run_cell(
-    cell: SweepCell, trace: Optional[Trace] = None
+    cell: SweepCell, trace: Optional[Trace] = None, telemetry: bool = False
 ) -> SimResult:
     """Execute one cell in the current process."""
     return run_workload(
@@ -531,7 +669,7 @@ def _run_cell(
         remote_cache=cell.remote_cache,
         seed=cell.seed,
         timing=cell.timing,
-        telemetry=cell.telemetry,
+        telemetry=telemetry,
         trace=trace,
     )
 
@@ -565,11 +703,26 @@ def _run_cell_worker(
     directive: Optional[ChaosDirective] = None,
     in_process: bool = False,
     store_root: Optional[str] = None,
+    telemetry: bool = False,
 ) -> SimResult:
     """Process-pool worker entry point, with optional chaos injection;
     the trace comes from :func:`_attach_trace`."""
     apply_chaos(directive, in_process=in_process)
-    return _run_cell(cell, trace=_attach_trace(cell, store_root))
+    return _run_cell(
+        cell, trace=_attach_trace(cell, store_root), telemetry=telemetry
+    )
+
+
+def _cache_get(
+    cache: ResultCache, key: str, record: Callable[[Record], object]
+) -> Optional[SimResult]:
+    """``cache.get(key)``, handing ``record`` a ``quarantine`` record when
+    the entry failed verification (in the parent and in runners)."""
+    quarantined = cache.quarantined
+    result = cache.get(key)
+    if cache.quarantined > quarantined:
+        record({"kind": "quarantine", "fp": key})
+    return result
 
 
 def _publish(
@@ -718,8 +871,6 @@ class SweepRunner:
             )
             if store_root is not None:
                 self.trace_store = TraceStore(store_root)
-        #: pending-cell index -> arena bytes of that cell's trace
-        self._trace_nbytes: Dict[int, int] = {}
         self.telemetry = (
             telemetry_enabled_by_env() if telemetry is None else bool(telemetry)
         )
@@ -802,6 +953,10 @@ class SweepRunner:
                     "its runners have no per-cell deadline, and a hung "
                     "cell's heartbeat would keep its lease forever"
                 )
+        #: every cell event of every ``run_cells`` call, in order; in
+        #: coordinator mode the journal records the parent tails too
+        self.records: List[Record] = []
+        #: ``SweepStats.fold(self.records)``, kept as the records arrive
         self.stats = SweepStats()
         #: injectable for tests: how retry backoff actually waits
         self._sleep = time.sleep
@@ -831,17 +986,63 @@ class SweepRunner:
         cells = [
             c if isinstance(c, SweepCell) else SweepCell(*c) for c in cells
         ]
-        if self.surrogate is not None:
-            return self._run_surrogate(cells)
-        return self._run_exact(cells)
+        wall_before = self.stats.wall_seconds
+        start = time.perf_counter()
+        try:
+            if self.surrogate is not None:
+                return self._run_surrogate(cells)
+            return self._run_exact(cells)
+        finally:
+            self.stats.wall_seconds = (
+                wall_before + time.perf_counter() - start
+            )
+
+    def _record(self, record: Record) -> bool:
+        """Append one cell event and fold it into :attr:`stats`; True
+        when it settled its cell (the caller then settles it)."""
+        self.records.append(record)
+        return self.stats.apply(record)
+
+    def _cached(
+        self, kind: str, key: str, results: List[Optional[SimResult]],
+        index: int, result: SimResult,
+    ) -> None:
+        """Settle a cell the cache answered: a ``hit`` or ``resumed``."""
+        record = {"kind": kind, "fp": key}
+        self._record(record)
+        self._settle(record, results, index, result)
+
+    def _settle(
+        self, record: Record, results: List[Optional[SimResult]],
+        index: int, result: Optional[SimResult] = None,
+        exc: Optional[BaseException] = None,
+    ) -> None:
+        """End one cell whose settling record was just folded, in every
+        mode: hand out its result, or turn its ``failed`` record into a
+        :class:`SweepError` under ``on_error='raise'``.  ``exc`` is the
+        exception behind the failure when this process saw it."""
+        if record["kind"] != "failed":
+            results[index] = result
+            return
+        if self.on_error is not OnError.RAISE:
+            return
+        failure = CellFailure.from_record(record)
+        raise SweepError(
+            f"sweep cell {failure.fingerprint} ({failure.workload}/"
+            f"{failure.policy}) failed ({failure.kind}) on attempt "
+            f"{failure.attempts}: {failure.error}",
+            fingerprint=failure.fingerprint,
+            context={
+                name: getattr(failure, name)
+                for name in ("kind", "attempts", "workload", "policy", "tag")
+            },
+        ) from (exc if isinstance(exc, Exception) else None)
 
     def _run_surrogate(self, cells: List[SweepCell]) -> List[object]:
         """Surrogate-guided execution: see :func:`repro.surrogate.
         active.explore` for the sampling loop itself."""
         from ..surrogate.active import explore
 
-        start = time.perf_counter()
-        wall_before = self.stats.wall_seconds
         keys = [cell_fingerprint(c) for c in cells]
         corpus: Dict[str, SimResult] = {}
         if self.cache is not None:
@@ -851,41 +1052,37 @@ class SweepRunner:
                 for key, result in self.cache.iter_results()
                 if key in wanted
             }
+        ran = set()
 
         def exact_fn(indices: List[int]) -> Dict[int, Optional[SimResult]]:
+            ran.update(keys[i] for i in indices)
             batch_results = self._run_exact([cells[i] for i in indices])
             return dict(zip(indices, batch_results))
 
         outcome = explore(
             cells, exact_fn, self.surrogate, corpus=corpus, keys=keys
         )
-        st = outcome.stats
-        # Exact batches accounted for themselves inside _run_exact; add
-        # what never went through it (corpus hits, predictions, dupes)
-        # and replace nested wall accumulation with the true elapsed
-        # window so model fitting time is counted too.
-        self.stats.cells += len(cells) - st.exact_simulated
-        self.stats.cache_hits += st.corpus_hits
-        self.stats.deduped += len(cells) - st.unique_cells
-        self.stats.cells_predicted += sum(
-            1 for r in outcome.results if getattr(r, "predicted", False)
-        )
-        self.stats.surrogate_rounds += st.rounds
-        self.stats.wall_seconds = (
-            wall_before + time.perf_counter() - start
-        )
+        # Exact batches recorded their own cells; record the rest of the
+        # grid: duplicates, corpus hits and predictions.
+        seen = set()
+        predicted = []
+        for key, result in zip(keys, outcome.results):
+            if key in seen:
+                self._record({"kind": "queued", "fp": key, "dup": True})
+            elif key not in ran:
+                self._record({"kind": "queued", "fp": key})
+                if key in corpus:
+                    self._record({"kind": "hit", "fp": key})
+            seen.add(key)
+            if getattr(result, "predicted", False):
+                predicted.append(key)
+        self._record({"kind": "predicted", "fps": predicted,
+                      "rounds": outcome.stats.rounds})
         return outcome.results
 
     def _run_exact(
         self, cells: List[SweepCell]
     ) -> List[Optional[SimResult]]:
-        start = time.perf_counter()
-        quarantined_at_start = (
-            self.cache.quarantined if self.cache is not None else 0
-        )
-        if self.telemetry:
-            for cell in cells:
-                cell.telemetry = True
         keys = [cell_fingerprint(c) for c in cells]
         results: List[Optional[SimResult]] = [None] * len(cells)
 
@@ -893,8 +1090,10 @@ class SweepRunner:
         pending: List[int] = []
         for i, key in enumerate(keys):
             if key in leaders:
-                self.stats.deduped += 1
+                self._record({"kind": "queued", "fp": key, "dup": True})
                 continue
+            leaders[key] = i
+            self._record({"kind": "queued", "fp": key})
             # Cached results carry no telemetry, so a telemetry sweep
             # re-simulates everything to produce its per-cell dumps.
             # Coordinator mode classifies its own cache hits (journaled
@@ -904,27 +1103,14 @@ class SweepRunner:
                 and not self.telemetry
                 and self.coordinator is None
             ):
-                hit = self.cache.get(key)
+                hit = _cache_get(self.cache, key, self._record)
                 if hit is not None:
-                    results[i] = hit
-                    leaders[key] = i
-                    self.stats.cache_hits += 1
+                    self._cached("hit", key, results, i, hit)
                     continue
-            leaders[key] = i
             pending.append(i)
 
-        try:
-            if pending:
-                self._execute_pending(cells, keys, pending, results)
-        finally:
-            # Even when aborting (SweepError, KeyboardInterrupt), account
-            # for the batch: completed cells are already in the cache.
-            self.stats.cells += len(cells)
-            self.stats.wall_seconds += time.perf_counter() - start
-            if self.cache is not None:
-                self.stats.entries_quarantined += (
-                    self.cache.quarantined - quarantined_at_start
-                )
+        if pending:
+            self._execute_pending(cells, keys, pending, results)
 
         # Fan shared results back out to duplicate cells.
         for i, key in enumerate(keys):
@@ -946,7 +1132,7 @@ class SweepRunner:
             coordinator.run(cells, keys, pending, results)
             self.last_sweep_id = coordinator.sweep_id
             return
-        self._prepare_traces(cells, pending)
+        self._prepare_traces(cells, keys, pending)
         pool_indices: List[int] = []
         serial_indices: List[int] = []
         if self.jobs > 1 and len(pending) > 1:
@@ -968,7 +1154,7 @@ class SweepRunner:
     # --- trace-store materialization ---
 
     def _prepare_traces(
-        self, cells: List[SweepCell], pending: List[int]
+        self, cells: List[SweepCell], keys: List[str], pending: List[int]
     ) -> None:
         """Materialize every pending cell's trace into the store once.
 
@@ -976,31 +1162,22 @@ class SweepRunner:
         workers and runners only ever attach.  Content addressing
         dedupes across cells: the first cell of each distinct
         ``(workload, chiplets, seed)`` builds and writes the archive,
-        the rest just read its header.  With the store off this only
-        resets the per-batch byte counts.
+        the rest just read its header.  Each cell gets one
+        ``materialized`` record with its trace's arena bytes; only the
+        cell whose call wrote the archive is marked ``created``.
         """
-        self._trace_nbytes = {}
         store = self.trace_store
-        if store is None or not pending:
+        if store is None:
             return
-        materialized_before = store.materialized
         for i in pending:
-            _, nbytes, _ = store.ensure(*_trace_inputs(cells[i]))
-            self._trace_nbytes[i] = nbytes
-        self.stats.traces_materialized += (
-            store.materialized - materialized_before
-        )
+            _, nbytes, created = store.ensure(*_trace_inputs(cells[i]))
+            self._record({"kind": "materialized", "fp": keys[i],
+                          "bytes": nbytes, "created": created})
 
     @property
     def _store_root(self) -> Optional[str]:
         store = self.trace_store
         return str(store.root) if store is not None else None
-
-    def _count_trace(self, index: int, source: Optional[str]) -> None:
-        """Account a simulated cell's trace, whatever mode ran it."""
-        if source == "store":
-            self.stats.traces_attached += 1
-            self.stats.trace_bytes_shared += self._trace_nbytes.get(index, 0)
 
     # --- pool scheduling ---
 
@@ -1055,6 +1232,7 @@ class SweepRunner:
                         future = pool.submit(
                             _run_cell_worker, cells[index], directive,
                             store_root=self._store_root,
+                            telemetry=self.telemetry,
                         )
                     except (BrokenProcessPool, RuntimeError):
                         # Pool died between completions; rebuild and
@@ -1062,6 +1240,7 @@ class SweepRunner:
                         queue.appendleft((index, attempt))
                         pool = self._rebuild_pool(pool, workers)
                         continue
+                    self._record({"kind": "start", "fp": keys[index], "attempt": attempt})
                     inflight[future] = _Inflight(
                         index, attempt, time.monotonic()
                     )
@@ -1074,51 +1253,21 @@ class SweepRunner:
                 )
                 broken = False
                 for future in done:
-                    info = inflight.pop(future)
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool as exc:
-                        broken = True
-                        self._attempt_failed(
-                            cells, keys, info, "worker-died", exc,
-                            queue, first_start, transient=True,
-                        )
-                    except Exception as exc:
-                        self._attempt_failed(
-                            cells, keys, info, "error", exc,
-                            queue, first_start, transient=False,
-                        )
-                    else:
-                        self._complete(info.index, keys[info.index],
-                                       result, results, cells[info.index],
-                                       info.attempt)
+                    broken |= self._harvest(
+                        cells, keys, results, queue, first_start,
+                        future, inflight.pop(future),
+                    )
                 if broken:
                     # A dead worker poisons every sibling future; keep
                     # any that completed in the meantime, treat the rest
                     # as transient worker deaths, and start over on a
                     # fresh pool.
-                    for future, info in list(inflight.items()):
-                        del inflight[future]
-                        if future.done():
-                            try:
-                                result = future.result()
-                            except Exception as exc:
-                                self._attempt_failed(
-                                    cells, keys, info, "worker-died", exc,
-                                    queue, first_start, transient=True,
-                                )
-                            else:
-                                self._complete(info.index,
-                                               keys[info.index],
-                                               result, results,
-                                               cells[info.index],
-                                               info.attempt)
-                        else:
-                            self._attempt_failed(
-                                cells, keys, info, "worker-died",
-                                BrokenProcessPool("worker process died"),
-                                queue, first_start, transient=True,
-                            )
+                    for future, info in inflight.items():
+                        self._harvest(
+                            cells, keys, results, queue, first_start,
+                            future, info, lost=True,
+                        )
+                    inflight.clear()
                     pool = self._rebuild_pool(pool, workers)
                     continue
 
@@ -1132,20 +1281,22 @@ class SweepRunner:
                     if expired:
                         for future, info in expired:
                             del inflight[future]
-                            self.stats.timeouts += 1
                             exc = _CellTimeout(
                                 f"cell exceeded the {self.cell_timeout}s "
                                 f"timeout on attempt {info.attempt}"
                             )
-                            self._attempt_failed(
-                                cells, keys, info, "timeout", exc,
-                                queue, first_start, transient=True,
-                            )
+                            if self._attempt_failed(
+                                cells, keys, results, info.index,
+                                info.attempt, "timeout", exc,
+                                first_start[info.index], transient=True,
+                            ):
+                                queue.append((info.index, info.attempt + 1))
                         # A hung worker cannot be preempted individually:
                         # kill the pool.  Preempted siblings lost their
                         # work through no fault of their own — resubmit
                         # them at the same attempt number.
                         for info in inflight.values():
+                            self._record({"kind": "requeue", "fp": keys[info.index]})
                             queue.appendleft((info.index, info.attempt))
                         inflight.clear()
                         pool = self._rebuild_pool(pool, workers)
@@ -1153,6 +1304,35 @@ class SweepRunner:
         except BaseException:
             self._kill_pool(pool)
             raise
+
+    def _harvest(
+        self, cells: List[SweepCell], keys: List[str],
+        results: List[Optional[SimResult]],
+        queue: "collections.deque[Tuple[int, int]]",
+        first_start: Dict[int, float], future: Any, info: _Inflight,
+        *, lost: bool = False,
+    ) -> bool:
+        """Settle or requeue one pool attempt; True when its worker died.
+        A ``lost`` attempt shared a pool with a dead worker: unless it
+        finished first, it died with it."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            if lost and not future.done():
+                raise BrokenProcessPool("worker process died")
+            result = future.result()
+        except Exception as exc:
+            died = lost or isinstance(exc, BrokenProcessPool)
+            if self._attempt_failed(
+                cells, keys, results, info.index, info.attempt,
+                "worker-died" if died else "error", exc,
+                first_start[info.index], transient=died,
+            ):
+                queue.append((info.index, info.attempt + 1))
+            return died
+        self._complete(info.index, keys[info.index], result, results,
+                       cells[info.index], info.attempt)
+        return False
 
     def _rebuild_pool(
         self, pool: ProcessPoolExecutor, workers: int
@@ -1187,91 +1367,45 @@ class SweepRunner:
         attempt = start_attempt
         started = (first_start or {}).get(index, time.perf_counter())
         while True:
+            self._record({"kind": "start", "fp": keys[index], "attempt": attempt})
             directive = self._directive(cells[index], attempt)
             try:
                 result = _run_cell_worker(
                     cells[index], directive, in_process=True,
-                    store_root=self._store_root,
+                    store_root=self._store_root, telemetry=self.telemetry,
                 )
             except Exception as exc:
-                if (
-                    self.on_error is OnError.RETRY
-                    and attempt < self.max_attempts
+                if not self._attempt_failed(
+                    cells, keys, results, index, attempt, "error", exc,
+                    started, transient=False,
                 ):
-                    attempt += 1
-                    self.stats.retries += 1
-                    self._sleep(self._backoff_delay(keys[index], attempt))
-                    continue
-                self._fail(cells[index], keys[index], attempt,
-                           "error", exc, started)
-                return
+                    return
+                attempt += 1
+                self._sleep(self._backoff_delay(keys[index], attempt))
             else:
                 self._complete(index, keys[index], result, results,
                                cells[index], attempt)
                 return
 
-    # --- failure handling ---
+    # --- settling a cell ---
 
     def _attempt_failed(
-        self,
-        cells: List[SweepCell],
-        keys: List[str],
-        info: _Inflight,
-        kind: str,
-        exc: BaseException,
-        queue: "collections.deque",
-        first_start: Dict[int, float],
-        *,
-        transient: bool,
-    ) -> None:
-        """One pool attempt failed: retry, record, or abort."""
-        if self.on_error is not OnError.RAISE:
-            retriable = transient or self.on_error is OnError.RETRY
-            if retriable and info.attempt < self.max_attempts:
-                self.stats.retries += 1
-                queue.append((info.index, info.attempt + 1))
-                return
-        self._fail(
-            cells[info.index], keys[info.index], info.attempt, kind, exc,
-            first_start.get(info.index, time.perf_counter()),
-        )
-
-    def _fail(
-        self,
-        cell: SweepCell,
-        key: str,
-        attempts: int,
-        kind: str,
-        exc: BaseException,
-        started: float,
-    ) -> None:
-        """Terminal failure for one cell: raise or record."""
-        failure = CellFailure(
-            fingerprint=key,
-            workload=cell.workload.abbr,
-            policy=cell.policy.name,
-            tag=cell.tag,
-            attempts=attempts,
-            kind=kind,
-            error=_format_exception_chain(exc),
-            context=dict(getattr(exc, "context", {}) or {}),
-            wall_seconds=time.perf_counter() - started,
-        )
-        if self.on_error is OnError.RAISE:
-            raise SweepError(
-                f"sweep cell {key} ({cell.workload.abbr}/"
-                f"{cell.policy.name}) failed ({kind}) on attempt "
-                f"{attempts}: {failure.error}",
-                fingerprint=key,
-                context={
-                    "kind": kind,
-                    "attempts": attempts,
-                    "workload": cell.workload.abbr,
-                    "policy": cell.policy.name,
-                    "tag": cell.tag,
-                },
-            ) from (exc if isinstance(exc, Exception) else None)
-        self.stats.failures.append(failure)
+        self, cells: List[SweepCell], keys: List[str],
+        results: List[Optional[SimResult]], index: int, attempt: int,
+        kind: str, exc: BaseException, started: float, *, transient: bool,
+    ) -> bool:
+        """Record one failed attempt; True when :func:`_may_retry` gives
+        the cell another (the caller schedules it), else the cell
+        settles as failed."""
+        cell, key = cells[index], keys[index]
+        if _may_retry(self.on_error, attempt, self.max_attempts, transient=transient):
+            self._record(_failure_record("error", cell, key, attempt, kind, exc))
+            return True
+        record = _failure_record("failed", cell, key, attempt, kind, exc,
+                                 wall=time.perf_counter() - started)
+        self._record(record)
+        self._settle(record, results, index, exc=exc)
+        return False
 
     def _complete(
         self,
@@ -1282,17 +1416,18 @@ class SweepRunner:
         cell: SweepCell,
         attempt: int,
     ) -> None:
-        """Store a finished cell and flush it to the cache immediately,
-        so an abort later in the sweep never discards it."""
-        results[index] = result
-        self.stats.simulated += 1
-        self._count_trace(index, result.trace_source)
+        """Flush a finished cell to the cache immediately, so an abort
+        later in the sweep never discards it, then settle it."""
         if result.telemetry is not None:
             self._dump_telemetry(key, cell, result)
         if self.cache is not None:
             _publish(
                 self.cache, key, result, cell, self._directive(cell, attempt)
             )
+        record = {"kind": "done", "fp": key, "attempt": attempt,
+                  "trace": result.trace_source}
+        self._record(record)
+        self._settle(record, results, index, result)
 
     def _dump_telemetry(
         self, key: str, cell: SweepCell, result: SimResult
@@ -1370,9 +1505,6 @@ class SweepRunner:
             f"[sweep] FAILED {failure.summary()}"
             for failure in self.stats.failures
         )
-
-    def reset_stats(self) -> None:
-        self.stats = SweepStats()
 
 
 _default_runner: Optional[SweepRunner] = None

@@ -118,10 +118,8 @@ def resolve_trace_store(
 class TraceStore(DurableDir):
     """A directory of format-v2 trace archives keyed by fingerprint.
 
-    ``materialized`` counts the traces this instance wrote (the sweep
-    parent folds it into :class:`~repro.sim.parallel.SweepStats`).  All
-    writes go through the atomic v2 writer, all reads CRC-verify before
-    any view is handed out.  After the first failed write the store
+    All writes go through the atomic v2 writer, all reads CRC-verify
+    before any view is handed out.  After the first failed write the store
     degrades to regeneration (``write_disabled``).
     """
 
@@ -134,8 +132,6 @@ class TraceStore(DurableDir):
             artifact="trace archive",
             recovery="the trace will be regenerated",
         )
-        #: traces this instance built and wrote into the store
-        self.materialized = 0
 
     # --- addressing ---
 
@@ -197,10 +193,7 @@ class TraceStore(DurableDir):
                 nbytes = 0  # unreadable: the attach will quarantine it
             return fingerprint, nbytes, False
         trace = Workload(workload, num_chiplets, seed=seed).build_trace(seed)
-        if self.write(save_trace_v2, trace, path):
-            self.materialized += 1
-            return fingerprint, trace.nbytes, True
-        return fingerprint, trace.nbytes, False
+        return fingerprint, trace.nbytes, self.write(save_trace_v2, trace, path)
 
     def __len__(self) -> int:
         if not self.root.is_dir():

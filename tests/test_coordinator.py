@@ -23,7 +23,6 @@ from repro.sim.chaos import ChaosSchedule, FaultKind
 from repro.sim.coordinator import (
     CoordinatorConfig,
     _acquire_lease,
-    _fold,
     _release_lease,
     derive_sweep_id,
     load_cells,
@@ -33,6 +32,7 @@ from repro.sim.parallel import (
     ResultCache,
     SweepCell,
     SweepRunner,
+    SweepStats,
     cell_fingerprint,
 )
 from repro.units import MB
@@ -199,25 +199,22 @@ class TestSweepIdentity:
 
 class TestAttemptLedger:
     def test_fold_counts_starts_until_a_resetting_requeue(self):
-        settled, starts = {}, {}
-        _fold(settled, starts, [
+        ledger = SweepStats.fold([
             {"kind": "start", "fp": "a", "attempt": 1},
             {"kind": "error", "fp": "a", "attempt": 1},
             {"kind": "start", "fp": "a", "attempt": 2},
             {"kind": "done", "fp": "a", "attempt": 2},
             {"kind": "trace", "event": "materialized", "fp": "a"},
         ])
-        assert starts == {"a": 2} and "a" in settled
+        assert ledger.starts == {"a": 2} and "a" in ledger.settled
         # A corrupt ``done`` requeues without a reset: the spent
         # attempts still count.
-        _fold(settled, starts, [{"kind": "requeue", "fp": "a"}])
-        assert starts == {"a": 2} and "a" not in settled
+        ledger.apply({"kind": "requeue", "fp": "a"})
+        assert ledger.starts == {"a": 2} and "a" not in ledger.settled
         # Resuming a failed cell resets its budget.
-        _fold(settled, starts, [
-            {"kind": "failed", "fp": "a", "attempt": 3},
-            {"kind": "requeue", "fp": "a", "reset": True},
-        ])
-        assert starts == {} and "a" not in settled
+        ledger.apply({"kind": "failed", "fp": "a", "attempt": 3})
+        ledger.apply({"kind": "requeue", "fp": "a", "reset": True})
+        assert ledger.starts == {} and "a" not in ledger.settled
 
     def test_sweep_dir_from_before_the_ledger_resumes(
         self, tmp_path, reference
@@ -275,6 +272,16 @@ class TestLeases:
         assert theft is not None
         assert theft.stolen_from == "r0:1"
 
+    def test_one_thief_per_expired_lease(self, tmp_path):
+        _acquire_lease(tmp_path, "k1", "r0:1", ttl=0.05)
+        time.sleep(0.1)
+        expired = (tmp_path / "k1.lease").read_bytes()
+        assert _acquire_lease(tmp_path, "k1", "r1:2", ttl=30.0) is not None
+        # A second thief that read the same expired lease before the
+        # first one's rename landed (replayed by putting it back) loses.
+        (tmp_path / "k1.lease").write_bytes(expired)
+        assert _acquire_lease(tmp_path, "k1", "r2:3", ttl=30.0) is None
+
     def test_release_tolerates_theft(self, tmp_path):
         claim = _acquire_lease(tmp_path, "k1", "r0:1", ttl=0.05)
         time.sleep(0.1)
@@ -326,7 +333,9 @@ class TestCoordinatorChaos:
         # The corrupt entry is never returned: the final result is the
         # recomputed, verified one, identical to the reference.
         assert results == reference[:6]
-        assert runner.stats.entries_quarantined >= 1
+        assert runner.stats.entries_quarantined == 1
+        assert runner.stats.retries == 1
+        assert runner.stats.simulated == 6
         corrupt_dir = tmp_path / "cache" / "corrupt"
         assert corrupt_dir.is_dir() and any(corrupt_dir.iterdir())
 
@@ -344,6 +353,7 @@ class TestCoordinatorChaos:
         failure = runner.stats.failures[0]
         assert failure.tag == "c02" and failure.attempts == 3
         assert "ChaosError" in failure.error
+        assert runner.stats.retries == 2
 
     def test_killer_cell_settles_after_the_attempt_budget(
         self, tmp_path, reference
@@ -372,6 +382,27 @@ class TestCoordinatorChaos:
                               on_error="raise")
         with pytest.raises(SweepError, match="injected raise"):
             runner.run_cells(cells)
+        assert [f.tag for f in runner.stats.failures] == ["c01"]
+        assert runner.stats.retries == 0
+
+    def test_dead_runner_costs_one_retry(self, tmp_path, reference):
+        """A runner that dies mid-cell loses its lease; the thief's
+        attempt is the cell's second ``start`` and its one retry."""
+        cells = coord_cells(4)
+        chaos = ChaosSchedule({"c01": (FaultKind.DIE,)})
+        runner = coord_runner(tmp_path / "cache", chaos=chaos,
+                              lease_ttl=1.0, on_error="retry",
+                              sweep_id="die")
+        assert runner.run_cells(cells) == reference[:4]
+        assert runner.stats.retries == 1
+        assert runner.stats.failures == []
+        journal = tmp_path / "cache" / "sweeps" / "die" / "journal.bin"
+        records, _, _ = Journal(journal).read_from(0)
+        key = cell_fingerprint(cells[1])
+        assert [
+            r["attempt"] for r in records
+            if r.get("kind") == "start" and r.get("fp") == key
+        ] == [1, 2]
 
     def test_resume_retries_previously_failed_cells(self, tmp_path,
                                                     reference):

@@ -794,9 +794,13 @@ def test_swallowed_worker_failure_reintroduction_fails_lint(mutable_tree):
     # serial worker's broad handler makes errors vanish silently.
     reintroduce(
         mutable_tree / "sim" / "parallel.py",
-        '''                self._fail(cells[index], keys[index], attempt,
-                           "error", exc, started)
-                return''',
+        '''                if not self._attempt_failed(
+                    cells, keys, results, index, attempt, "error", exc,
+                    started, transient=False,
+                ):
+                    return
+                attempt += 1
+                self._sleep(self._backoff_delay(keys[index], attempt))''',
         "                return",
     )
     findings = run_lint(Project(root=mutable_tree), select=["RPR010"])

@@ -81,3 +81,27 @@ class TestEndToEnd:
             spec, StaticPaging(PAGE_2M), multi_page_tlb=True
         )
         assert result.l2_tlb_misses > 0
+
+    def test_an_explicit_batched_request_is_rejected(self):
+        spec = make_spec(partitioned(size=4 * MB, waves=1))
+        with pytest.raises(
+            ValueError, match="engine='batched' cannot replay a run with "
+            "multi_page_tlb=True"
+        ):
+            run_simulation(
+                spec, StaticPaging(PAGE_64K), multi_page_tlb=True,
+                engine="batched",
+            )
+
+    def test_batched_from_the_environment_runs_staged(self, monkeypatch):
+        spec = make_spec(partitioned(size=4 * MB, waves=1))
+        staged = run_simulation(
+            spec, StaticPaging(PAGE_64K), multi_page_tlb=True,
+            engine="staged",
+        )
+        monkeypatch.setenv("REPRO_ENGINE", "batched")
+        result = run_simulation(
+            spec, StaticPaging(PAGE_64K), multi_page_tlb=True
+        )
+        assert result.fast_path_fraction is None  # the staged pipeline
+        assert result.to_dict() == staged.to_dict()

@@ -206,6 +206,44 @@ def test_custom_instrumentation_receives_hooks():
     assert result.fast_path_fraction is None
 
 
+def test_custom_instrumentation_rejects_an_explicit_batched_engine():
+    from repro.sim.engine import run_simulation
+    from repro.sim.runner import resolve_policy
+    from repro.trace.suite import workload_by_name
+
+    class _Counter(Instrumentation):
+        enabled = True
+
+    with pytest.raises(
+        ValueError,
+        match=r"engine='batched' cannot replay a run with a custom "
+        r"Instrumentation \(_Counter\)",
+    ):
+        run_simulation(
+            workload_by_name("STE"), resolve_policy("S-64KB"),
+            instrumentation=_Counter(), engine="batched",
+        )
+
+
+def test_a_telemetry_runner_leaves_the_callers_cells_alone(
+    tmp_path, monkeypatch
+):
+    """The runner's telemetry flag reaches each attempt, not the cells:
+    a plain runner given the same list records no telemetry and writes
+    no ``./telemetry`` dumps."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("REPRO_TELEMETRY_DIR", raising=False)
+    cells = [SweepCell("STE", "S-64KB")]
+    recorder = SweepRunner(jobs=1, use_cache=False, telemetry=True,
+                           telemetry_dir=tmp_path / "dumps")
+    (recorded,) = recorder.run_cells(cells)
+    assert recorded.telemetry is not None
+    plain = SweepRunner(jobs=1, use_cache=False, telemetry=False)
+    (result,) = plain.run_cells(cells)
+    assert result.telemetry is None
+    assert not (tmp_path / "telemetry").exists()
+
+
 def test_simresult_roundtrip_preserves_telemetry():
     result = run_workload("STE", "S-64KB", telemetry=True)
     clone = SimResult.from_dict(

@@ -97,7 +97,6 @@ class TestStore:
         fp2, _, created2 = store.ensure(spec, 4, 7)
         assert fp1 == fp2
         assert created1 and not created2
-        assert store.materialized == 1
         assert len(store) == 1
 
     def test_attach_missing_is_a_miss(self, tmp_path):
@@ -174,9 +173,9 @@ class TestStore:
 def _materialize_worker(root, abbr, chiplets, seed, queue):
     spec = workload_by_name(abbr)
     store = TraceStore(root)
-    fingerprint, _, _ = store.ensure(spec, chiplets, seed)
+    fingerprint, _, created = store.ensure(spec, chiplets, seed)
     trace = store.attach(fingerprint)
-    queue.put((store.materialized, len(trace), int(trace.vaddrs[-1])))
+    queue.put((created, len(trace), int(trace.vaddrs[-1])))
 
 
 class TestConcurrentMaterialization:
