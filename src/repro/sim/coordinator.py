@@ -13,8 +13,8 @@ several machines at one shared journal/cache directory, across machines
   test-and-set on any POSIX filesystem) and renews it from a heartbeat
   thread while the cell simulates.  A lease whose ``renewed`` stamp is
   older than its TTL belongs to a dead (or stalled) runner; any other
-  runner may *steal* it — arbitration is an atomic rename, so exactly
-  one thief wins.
+  runner may *steal* it — arbitration is an ``O_EXCL`` marker per
+  expired stamp, so exactly one thief wins.
 * **Journal.**  Attempt starts, completions, failures, steals and
   quarantines are appended to a per-sweep CRC-framed journal
   (:mod:`repro.sim.journal`), the one record of what happened to each
@@ -222,6 +222,9 @@ def _acquire_lease(
     steal on record.  Concurrent thieves of one expired lease arbitrate
     by ``O_EXCL``-creating a marker named for its ``renewed`` stamp:
     exactly one creates it, however their reads and renames interleave.
+    A marker older than a TTL over a lease that still shows that stamp
+    was left by a thief that died before its rename; thieves then
+    compete the same way for a successor named for the marker's mtime.
     """
     path = lease_dir / f"{key}.lease"
     if create_exclusive(path):
@@ -233,11 +236,22 @@ def _acquire_lease(
     holder, renewed, holder_ttl = state
     if time.time() - renewed < holder_ttl:
         return None  # live lease
-    if not create_exclusive(lease_dir / f"{key}.{renewed!r}.steal"):
-        return None  # another thief took this expired lease
+    marker = lease_dir / f"{key}.{renewed!r}.steal"
+    while not create_exclusive(marker):
+        try:
+            orphaned = marker.stat().st_mtime
+        except OSError:
+            return None  # a failed thief just dropped it; next pass
+        if time.time() - orphaned < ttl or _lease_state(path, ttl) != state:
+            return None  # another thief took this expired lease
+        marker = lease_dir / f"{marker.stem}.{orphaned!r}.steal"
     try:
         _write_lease(path, token, ttl)  # atomic rename-over
     except OSError:
+        try:
+            marker.unlink()  # the next thief need not wait out a TTL
+        except OSError:
+            pass
         return None
     return _Claim(path, token, stolen_from=holder)
 
@@ -313,14 +327,8 @@ def _runner_process(
     quarantined archive means private regeneration.
     """
     sweep = Path(sweep_dir)
-    cells = load_cells(sweep)
+    cells = load_cells(sweep)  # deduplicated by the parent
     keys = [cell_fingerprint(cell) for cell in cells]
-    leaders: List[int] = []
-    seen = set()
-    for i, key in enumerate(keys):
-        if key not in seen:
-            seen.add(key)
-            leaders.append(i)
     journal = Journal(sweep / "journal.bin")
     lease_dir = sweep / "leases"
     cache = ResultCache(cache_dir)
@@ -341,7 +349,7 @@ def _runner_process(
 
     while True:
         refresh()
-        todo = [i for i in leaders if keys[i] not in ledger.settled]
+        todo = [i for i, key in enumerate(keys) if key not in ledger.settled]
         if not todo:
             return
         progressed = False
@@ -357,7 +365,9 @@ def _runner_process(
                 if key in ledger.settled:
                     continue
                 if claim.stolen_from is not None:
-                    append({"kind": "steal", "fp": key, "from": claim.stolen_from})
+                    append(
+                        {"kind": "steal", "fp": key, "from": claim.stolen_from}
+                    )
                 if _cache_get(cache, key, append) is not None:
                     append({"kind": "done", "fp": key, "attempt": 0})
                     continue

@@ -87,11 +87,11 @@ def run_simulation(
     # A custom Instrumentation expects one call per access, which only
     # the staged pipeline makes; batched replay also assumes single-size
     # TLB reach per unit.
-    staged_only = (
-        "multi_page_tlb=True" if multi_page_tlb
-        else None if hook is None or type(hook) is TelemetryCollector
-        else f"a custom Instrumentation ({type(hook).__name__})"
-    )
+    staged_only = None
+    if multi_page_tlb:
+        staged_only = "multi_page_tlb=True"
+    elif hook is not None and type(hook) is not TelemetryCollector:
+        staged_only = f"a custom Instrumentation ({type(hook).__name__})"
     if staged_only and choice == "batched":
         if engine is not None:
             raise ValueError(

@@ -514,8 +514,8 @@ class SweepStats:
     #: fingerprint -> the record that settled it, until a ``queued``
     #: (a new batch) or ``requeue`` record reopens it
     settled: Dict[str, Record] = _ledger()
-    #: fingerprint -> ``start`` records since its last resetting
-    #: ``requeue``; the next attempt is one more
+    #: fingerprint -> the highest attempt started since it was queued
+    #: or requeued with ``reset``; the next attempt is one more
     starts: Dict[str, int] = _ledger()
     #: fingerprint -> arena bytes of its trace in the store
     trace_bytes: Dict[str, int] = _ledger()
@@ -537,17 +537,21 @@ class SweepStats:
         """
         kind = record.get("kind")
         key = str(record.get("fp"))
-        if kind in ("error", "failed") and record.get("fail_kind") == "timeout":
-            self.timeouts += 1
+        if kind in ("error", "failed"):
+            self.timeouts += record.get("fail_kind") == "timeout"
         if kind == "queued":
             self.cells += 1
             if record.get("dup"):
                 self.deduped += 1
             else:
                 self.settled.pop(key, None)
+                self.starts.pop(key, None)
         elif kind == "start":
-            self.starts[key] = self.starts.get(key, 0) + 1
-            self.retries += int(record.get("attempt", 1) or 1) > 1
+            # A start at an attempt already started (a preempted pool
+            # sibling resubmitted) is no retry.
+            attempt = int(record.get("attempt", 1) or 1)
+            self.retries += attempt > max(self.starts.get(key, 0), 1)
+            self.starts[key] = max(self.starts.get(key, 0), attempt)
         elif kind == "materialized":
             self.trace_bytes[key] = int(record.get("bytes", 0) or 0)
             self.traces_materialized += bool(record.get("created"))
@@ -1026,7 +1030,7 @@ class SweepRunner:
             return
         if self.on_error is not OnError.RAISE:
             return
-        failure = CellFailure.from_record(record)
+        failure = self.stats.failures[-1]  # the fold built it from record
         raise SweepError(
             f"sweep cell {failure.fingerprint} ({failure.workload}/"
             f"{failure.policy}) failed ({failure.kind}) on attempt "
@@ -1133,18 +1137,13 @@ class SweepRunner:
             self.last_sweep_id = coordinator.sweep_id
             return
         self._prepare_traces(cells, keys, pending)
+        # With jobs > 1 every picklable cell goes through the pool, a
+        # lone one too, so the timeout is enforceable.
         pool_indices: List[int] = []
         serial_indices: List[int] = []
-        if self.jobs > 1 and len(pending) > 1:
-            for i in pending:
-                (pool_indices if _picklable(cells[i]) else
-                 serial_indices).append(i)
-        elif self.jobs > 1 and pending and _picklable(cells[pending[0]]):
-            # A single pending cell still goes through the pool so the
-            # timeout is enforceable.
-            pool_indices = list(pending)
-        else:
-            serial_indices = list(pending)
+        for i in pending:
+            pooled = self.jobs > 1 and _picklable(cells[i])
+            (pool_indices if pooled else serial_indices).append(i)
 
         if pool_indices:
             self._run_pool(cells, keys, pool_indices, results)
@@ -1208,6 +1207,28 @@ class SweepRunner:
             if self.cell_timeout
             else None
         )
+
+        def harvest(future: Any, info: _Inflight, lost: bool = False) -> bool:
+            """Settle or requeue one attempt; True when its worker died.
+            A ``lost`` attempt shared a pool with a dead worker: unless
+            it finished first, it died with it."""
+            try:
+                if lost and not future.done():
+                    raise BrokenProcessPool("worker process died")
+                result = future.result()
+            except Exception as exc:
+                died = lost or isinstance(exc, BrokenProcessPool)
+                if self._attempt_failed(
+                    cells, keys, results, info.index, info.attempt,
+                    "worker-died" if died else "error", exc,
+                    first_start[info.index], transient=died,
+                ):
+                    queue.append((info.index, info.attempt + 1))
+                return died
+            self._complete(info.index, keys[info.index], result, results,
+                           cells[info.index], info.attempt)
+            return False
+
         try:
             while queue or inflight:
                 # Fill free worker slots (at most ``workers`` inflight,
@@ -1240,7 +1261,8 @@ class SweepRunner:
                         queue.appendleft((index, attempt))
                         pool = self._rebuild_pool(pool, workers)
                         continue
-                    self._record({"kind": "start", "fp": keys[index], "attempt": attempt})
+                    self._record({"kind": "start", "fp": keys[index],
+                                  "attempt": attempt})
                     inflight[future] = _Inflight(
                         index, attempt, time.monotonic()
                     )
@@ -1253,20 +1275,14 @@ class SweepRunner:
                 )
                 broken = False
                 for future in done:
-                    broken |= self._harvest(
-                        cells, keys, results, queue, first_start,
-                        future, inflight.pop(future),
-                    )
+                    broken |= harvest(future, inflight.pop(future))
                 if broken:
                     # A dead worker poisons every sibling future; keep
                     # any that completed in the meantime, treat the rest
                     # as transient worker deaths, and start over on a
                     # fresh pool.
                     for future, info in inflight.items():
-                        self._harvest(
-                            cells, keys, results, queue, first_start,
-                            future, info, lost=True,
-                        )
+                        harvest(future, info, lost=True)
                     inflight.clear()
                     pool = self._rebuild_pool(pool, workers)
                     continue
@@ -1296,7 +1312,6 @@ class SweepRunner:
                         # work through no fault of their own — resubmit
                         # them at the same attempt number.
                         for info in inflight.values():
-                            self._record({"kind": "requeue", "fp": keys[info.index]})
                             queue.appendleft((info.index, info.attempt))
                         inflight.clear()
                         pool = self._rebuild_pool(pool, workers)
@@ -1304,35 +1319,6 @@ class SweepRunner:
         except BaseException:
             self._kill_pool(pool)
             raise
-
-    def _harvest(
-        self, cells: List[SweepCell], keys: List[str],
-        results: List[Optional[SimResult]],
-        queue: "collections.deque[Tuple[int, int]]",
-        first_start: Dict[int, float], future: Any, info: _Inflight,
-        *, lost: bool = False,
-    ) -> bool:
-        """Settle or requeue one pool attempt; True when its worker died.
-        A ``lost`` attempt shared a pool with a dead worker: unless it
-        finished first, it died with it."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            if lost and not future.done():
-                raise BrokenProcessPool("worker process died")
-            result = future.result()
-        except Exception as exc:
-            died = lost or isinstance(exc, BrokenProcessPool)
-            if self._attempt_failed(
-                cells, keys, results, info.index, info.attempt,
-                "worker-died" if died else "error", exc,
-                first_start[info.index], transient=died,
-            ):
-                queue.append((info.index, info.attempt + 1))
-            return died
-        self._complete(info.index, keys[info.index], result, results,
-                       cells[info.index], info.attempt)
-        return False
 
     def _rebuild_pool(
         self, pool: ProcessPoolExecutor, workers: int
@@ -1367,7 +1353,9 @@ class SweepRunner:
         attempt = start_attempt
         started = (first_start or {}).get(index, time.perf_counter())
         while True:
-            self._record({"kind": "start", "fp": keys[index], "attempt": attempt})
+            self._record(
+                {"kind": "start", "fp": keys[index], "attempt": attempt}
+            )
             directive = self._directive(cells[index], attempt)
             try:
                 result = _run_cell_worker(
@@ -1398,13 +1386,17 @@ class SweepRunner:
         the cell another (the caller schedules it), else the cell
         settles as failed."""
         cell, key = cells[index], keys[index]
-        if _may_retry(self.on_error, attempt, self.max_attempts, transient=transient):
-            self._record(_failure_record("error", cell, key, attempt, kind, exc))
+        if _may_retry(
+            self.on_error, attempt, self.max_attempts, transient=transient
+        ):
+            self._record(
+                _failure_record("error", cell, key, attempt, kind, exc)
+            )
             return True
         record = _failure_record("failed", cell, key, attempt, kind, exc,
                                  wall=time.perf_counter() - started)
-        self._record(record)
-        self._settle(record, results, index, exc=exc)
+        if self._record(record):
+            self._settle(record, results, index, exc=exc)
         return False
 
     def _complete(

@@ -193,7 +193,8 @@ class TraceStore(DurableDir):
                 nbytes = 0  # unreadable: the attach will quarantine it
             return fingerprint, nbytes, False
         trace = Workload(workload, num_chiplets, seed=seed).build_trace(seed)
-        return fingerprint, trace.nbytes, self.write(save_trace_v2, trace, path)
+        created = self.write(save_trace_v2, trace, path)
+        return fingerprint, trace.nbytes, created
 
     def __len__(self) -> int:
         if not self.root.is_dir():

@@ -198,6 +198,35 @@ class TestCellTimeout:
         for cell in cells:
             assert cache.get(cell_fingerprint(cell)) is not None
 
+    def test_a_sibling_preempted_on_its_second_attempt_is_no_retry(self):
+        """c00 hangs on attempt 1; c01 raises on attempt 1 and hangs on
+        attempt 2.  c00's timeout preempts c01's second attempt, which
+        restarts at attempt 2 and then times out itself: three retries
+        (c00's attempt 2, c01's attempts 2 and 3), not four."""
+        cells = chaos_cells(2)
+        chaos = ChaosSchedule(
+            {"c00": ("hang",), "c01": ("raise", "hang")}, hang_seconds=60.0
+        )
+        runner = make_runner(
+            jobs=2, on_error="retry", max_attempts=3, cell_timeout=1.0,
+            chaos=chaos,
+        )
+        # Hold c01's second attempt back until c00 is about to expire,
+        # so it is still young when the pool is rebuilt; later
+        # backoffs are instant.
+        delays = iter([0.9])
+        runner._sleep = lambda _: time.sleep(next(delays, 0.0))
+        results = runner.run_cells(cells)
+        assert all(result is not None for result in results)
+        key = cell_fingerprint(cells[1])
+        assert [
+            r["attempt"] for r in runner.records
+            if r["kind"] == "start" and r["fp"] == key
+        ] == [1, 2, 2, 3]
+        assert runner.stats.retries == 3
+        assert runner.stats.timeouts == 2
+        assert runner.stats.failures == []
+
     def test_timeout_resolution_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "2.5")
         assert SweepRunner(jobs=1, use_cache=False).cell_timeout == 2.5

@@ -20,9 +20,11 @@ import pytest
 
 from repro.errors import SweepError
 from repro.sim.chaos import ChaosSchedule, FaultKind
+from repro.sim import coordinator
 from repro.sim.coordinator import (
     CoordinatorConfig,
     _acquire_lease,
+    _lease_state,
     _release_lease,
     derive_sweep_id,
     load_cells,
@@ -281,6 +283,49 @@ class TestLeases:
         # first one's rename landed (replayed by putting it back) loses.
         (tmp_path / "k1.lease").write_bytes(expired)
         assert _acquire_lease(tmp_path, "k1", "r2:3", ttl=30.0) is None
+
+    def test_orphaned_steal_marker_is_taken_over_after_a_ttl(
+        self, tmp_path
+    ):
+        """A thief that died between its marker and its rename-over
+        leaves the expired lease in place; one TTL later a thief takes
+        the cell over, and of two such thieves only one does."""
+        _acquire_lease(tmp_path, "k1", "r0:1", ttl=0.05)
+        time.sleep(0.1)
+        lease = tmp_path / "k1.lease"
+        expired = lease.read_bytes()
+        renewed = _lease_state(lease, 0.05)[1]
+        (tmp_path / f"k1.{renewed!r}.steal").touch()  # the dead thief's
+        assert _acquire_lease(tmp_path, "k1", "r1:2", ttl=0.3) is None
+        time.sleep(0.35)
+        theft = _acquire_lease(tmp_path, "k1", "r1:2", ttl=0.3)
+        assert theft is not None and theft.stolen_from == "r0:1"
+        # A second thief that read the same expired lease (replayed by
+        # putting it back) loses the successor marker.
+        lease.write_bytes(expired)
+        assert _acquire_lease(tmp_path, "k1", "r2:3", ttl=0.3) is None
+
+    def test_failed_steal_write_frees_the_marker(
+        self, tmp_path, monkeypatch
+    ):
+        """A thief whose rename-over fails drops its marker, so the next
+        thief (here the same one) takes the lease without waiting."""
+        _acquire_lease(tmp_path, "k1", "r0:1", ttl=0.05)
+        time.sleep(0.1)
+        write_lease = coordinator._write_lease
+        calls = []
+
+        def fail_once(path, token, ttl):
+            calls.append(token)
+            if len(calls) == 1:
+                raise OSError("injected lease write failure")
+            write_lease(path, token, ttl)
+
+        monkeypatch.setattr(coordinator, "_write_lease", fail_once)
+        assert _acquire_lease(tmp_path, "k1", "r1:2", ttl=30.0) is None
+        theft = _acquire_lease(tmp_path, "k1", "r1:2", ttl=30.0)
+        assert theft is not None and theft.stolen_from == "r0:1"
+        assert calls == ["r1:2", "r1:2"]
 
     def test_release_tolerates_theft(self, tmp_path):
         claim = _acquire_lease(tmp_path, "k1", "r0:1", ttl=0.05)

@@ -76,10 +76,30 @@ def assert_folded(runner):
     folded = SweepStats.fold(runner.records)
     assert runner.stats == folded
     assert runner.stats.failures == folded.failures
+    # One batch each here, and no timeouts: no attempt starts twice.
     assert runner.stats.retries == sum(
         1 for r in runner.records
         if r["kind"] == "start" and r["attempt"] > 1
     )
+
+
+def test_a_restarted_attempt_is_no_retry():
+    """A pool sibling preempted by a timeout restarts at the attempt it
+    had started: only a start past the highest attempt so far is a
+    retry, and a new batch starts the cell's count over."""
+    batch = [
+        {"kind": "queued", "fp": "a"},
+        {"kind": "start", "fp": "a", "attempt": 1},
+        {"kind": "error", "fp": "a", "attempt": 1},
+        {"kind": "start", "fp": "a", "attempt": 2},
+        {"kind": "start", "fp": "a", "attempt": 2},
+        {"kind": "done", "fp": "a", "attempt": 2},
+    ]
+    stats = SweepStats.fold(batch)
+    assert stats.retries == 1 and stats.starts == {"a": 2}
+    for record in batch:
+        stats.apply(record)
+    assert stats.retries == 2 and stats.simulated == 2
 
 
 @pytest.mark.parametrize("mode", MODES)
