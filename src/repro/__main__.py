@@ -218,8 +218,7 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--retries", type=int, default=2, metavar="N",
-        help="extra attempts for retried cells (default: 2; the last "
-             "retry runs in-process)",
+        help="extra attempts for retried cells (default: 2)",
     )
     parser.add_argument(
         "--trace-store", nargs="?", const=True, default=None, metavar="DIR",

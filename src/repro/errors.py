@@ -11,10 +11,10 @@ the package, so the low-level layers (``mem.frames``, ``trace.io``,
 ``gmmu``) can raise structured errors without import cycles.  The
 simulation layer re-exports everything through ``repro.sim.errors``.
 
-Errors cross process boundaries (sweep workers return them through a
-``ProcessPoolExecutor``), so the hierarchy pickles losslessly: both
-``args`` and the instance ``__dict__`` — including ``context`` — survive
-the round trip via :func:`_restore_error`.
+Errors cross process boundaries (sweep workers send them back to the
+parent over a pipe), so the hierarchy pickles losslessly: both ``args``
+and the instance ``__dict__`` — including ``context`` — survive the
+round trip via :func:`_restore_error`.
 """
 
 from __future__ import annotations

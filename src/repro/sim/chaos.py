@@ -7,16 +7,16 @@ tags and attempt numbers only, never from wall-clock or process state —
 which execution attempts misbehave and how.
 
 The schedule lives in the *parent* process: the runner resolves each
-attempt's :class:`ChaosDirective` before submitting and ships it to the
-worker alongside the cell, so the injected behaviour is identical no
-matter which worker picks the cell up, in which order, or how often the
-pool was rebuilt.  A directive makes the worker
+attempt's :class:`ChaosDirective` before handing the attempt out and
+ships it to the worker alongside the cell, so the injected behaviour is
+identical no matter which worker picks the cell up, in which order, or
+how many workers were replaced.  A directive makes the worker
 
 * ``RAISE`` — raise :class:`~repro.errors.ChaosError` before simulating
   (a deterministic in-cell failure);
 * ``HANG`` — sleep past any reasonable cell timeout (a stuck worker);
 * ``DIE`` — ``os._exit`` mid-attempt (an OOM-killed / segfaulted worker,
-  which the parent observes as ``BrokenProcessPool``);
+  which the parent observes as EOF on that worker's pipe);
 * ``DIE_HARD`` — SIGKILL yourself mid-attempt: no cleanup, no lease
   release, no journal record — the failure mode the coordinator's
   lease-expiry stealing exists for;
@@ -36,9 +36,9 @@ acts in every mode, where the cell's cache entry is published
 only to a coordinator runner (:mod:`repro.sim.coordinator`), and
 :class:`~repro.sim.parallel.SweepRunner` rejects a schedule holding it
 in any other mode.  When the runner executes an attempt in-process
-(serial mode, unpicklable cells, or the final serial-fallback attempt),
-``HANG``, ``DIE`` and ``DIE_HARD`` are downgraded to ``RAISE`` — chaos
-must never hang or kill the test process itself.
+(serial mode without a cell timeout, or an unpicklable cell), ``HANG``,
+``DIE`` and ``DIE_HARD`` are downgraded to ``RAISE`` — chaos must never
+hang or kill the test process itself.
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ is deterministic in its inputs — perfectly cacheable.
 :class:`SweepRunner` is the single entry point the experiments, the CLI
 and the report script share:
 
-* cells execute across a :class:`~concurrent.futures.ProcessPoolExecutor`
-  (worker count from ``--jobs``/``REPRO_JOBS``/CPU count), falling back
-  to in-process execution for ``jobs=1`` and for cells whose policy does
-  not pickle;
+* cells execute on worker processes the runner forks and owns (count
+  from ``--jobs``/``REPRO_JOBS``/CPU count), one attempt per worker at
+  a time; ``jobs=1`` without a cell timeout, and cells whose policy
+  does not pickle, run in-process instead;
 * results are stored in an on-disk cache (``REPRO_CACHE_DIR`` or
   ``~/.cache/repro``) keyed by a stable SHA-256 fingerprint of the
   workload spec, the policy name+parameters, the :class:`GPUConfig`, the
@@ -28,15 +28,14 @@ pins down.
 **Fault tolerance.**  Long sweep campaigns must survive partial failure,
 not just run fast:
 
-* each cell runs under a per-cell timeout (``cell_timeout`` /
-  ``REPRO_CELL_TIMEOUT`` / ``--cell-timeout``); a cell that exceeds it
-  is killed (the pool is rebuilt, preempted siblings are resubmitted
-  without losing an attempt) and reported within about one poll tick of
-  the deadline;
-* worker deaths (``BrokenProcessPool``) and timeouts are *transient*:
-  they are retried with deterministic exponential backoff and jitter up
-  to ``max_attempts``, and the final attempt runs in-process so a cell
-  that keeps killing its worker still surfaces a real traceback;
+* each pooled attempt, the last one included, runs in a worker under
+  a per-cell timeout (``cell_timeout`` / ``REPRO_CELL_TIMEOUT`` /
+  ``--cell-timeout``); at the deadline only the hung worker is killed
+  and replaced, and the timeout is recorded at once;
+* a worker's death and a timeout are *transient* failures of the one
+  attempt that worker held: they are retried with deterministic
+  exponential backoff and jitter up to ``max_attempts``, and a cell
+  waiting out its backoff holds back no other cell;
 * the ``on_error`` policy decides what a failing cell does to the sweep:
   ``raise`` aborts with a :class:`SweepError` naming the cell
   fingerprint (the seed behaviour), ``skip`` records a
@@ -51,12 +50,12 @@ not just run fast:
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import enum
 import functools
 import hashlib
 import json
+import math
 import os
 import pickle
 import random
@@ -92,7 +91,7 @@ from .telemetry import telemetry_enabled_by_env
 from .timing import TimingParams
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.connection import Connection
 
     from ..surrogate.active import SurrogateConfig
     from ..trace.store import TraceStore
@@ -280,12 +279,11 @@ class ResultCache(DurableDir):
     def iter_results(self) -> "Iterator[Tuple[str, SimResult]]":
         """Yield ``(fingerprint, result)`` for every readable entry.
 
-        This is the corpus API the surrogate trains on: it walks the
-        store in sorted (deterministic) order, decoding each entry via
-        :meth:`get` — so legacy/old-schema entries are silently skipped
-        and corrupt entries are quarantined, never raised.  Entries
-        already moved to ``corrupt/`` are outside the ``??/*.json``
-        layout and are not visited at all.
+        It walks the store in sorted (deterministic) order, decoding
+        each entry via :meth:`get` — so legacy/old-schema entries are
+        silently skipped and corrupt entries are quarantined, never
+        raised.  Entries already moved to ``corrupt/`` are outside the
+        ``??/*.json`` layout and are not visited at all.
         """
         if not self.root.is_dir():
             return
@@ -514,8 +512,8 @@ class SweepStats:
     #: fingerprint -> the record that settled it, until a ``queued``
     #: (a new batch) or ``requeue`` record reopens it
     settled: Dict[str, Record] = _ledger()
-    #: fingerprint -> the highest attempt started since it was queued
-    #: or requeued with ``reset``; the next attempt is one more
+    #: fingerprint -> the attempt last started since it was queued or
+    #: requeued with ``reset``; the next attempt is one more
     starts: Dict[str, int] = _ledger()
     #: fingerprint -> arena bytes of its trace in the store
     trace_bytes: Dict[str, int] = _ledger()
@@ -547,11 +545,9 @@ class SweepStats:
                 self.settled.pop(key, None)
                 self.starts.pop(key, None)
         elif kind == "start":
-            # A start at an attempt already started (a preempted pool
-            # sibling resubmitted) is no retry.
             attempt = int(record.get("attempt", 1) or 1)
-            self.retries += attempt > max(self.starts.get(key, 0), 1)
-            self.starts[key] = max(self.starts.get(key, 0), attempt)
+            self.retries += attempt > 1
+            self.starts[key] = attempt
         elif kind == "materialized":
             self.trace_bytes[key] = int(record.get("bytes", 0) or 0)
             self.traces_materialized += bool(record.get("created"))
@@ -709,12 +705,71 @@ def _run_cell_worker(
     store_root: Optional[str] = None,
     telemetry: bool = False,
 ) -> SimResult:
-    """Process-pool worker entry point, with optional chaos injection;
-    the trace comes from :func:`_attach_trace`."""
+    """One attempt, in a pool worker or in-process, with optional chaos
+    injection; the trace comes from :func:`_attach_trace`."""
     apply_chaos(directive, in_process=in_process)
     return _run_cell(
         cell, trace=_attach_trace(cell, store_root), telemetry=telemetry
     )
+
+
+def _pool_worker(
+    conn: "Connection", store_root: Optional[str], telemetry: bool
+) -> None:
+    """Entry point of one owned pool worker.
+
+    Runs each ``(cell, directive)`` attempt the parent sends until the
+    ``None`` stop message, and answers ``(result, None)``, or
+    ``(exc, text)`` when the attempt raised: ``text`` is the exception
+    chain, formatted here because pickling drops ``__cause__`` and
+    ``__context__``.  An exception that does not pickle and rebuild, or
+    a result that does not pickle, goes back as ``(None, text)``.
+    """
+    for cell, directive in iter(conn.recv, None):
+        try:
+            result = _run_cell_worker(
+                cell, directive, store_root=store_root, telemetry=telemetry
+            )
+            reply = (result, None)
+        except Exception as exc:  # repro-lint: ignore[RPR010] -- sent back; the parent records the failed attempt
+            reply = (exc, _format_exception_chain(exc))
+        try:
+            if reply[1] is not None:
+                pickle.loads(pickle.dumps(reply[0]))
+            conn.send(reply)
+        except (pickle.PickleError, TypeError, AttributeError) as exc:
+            conn.send((None, reply[1] or _format_exception_chain(exc)))
+
+
+class _PoolWorker:
+    """A forked :func:`_pool_worker` process and the parent's end of
+    its duplex pipe."""
+
+    def __init__(self, store_root: Optional[str], telemetry: bool) -> None:
+        import multiprocessing
+
+        self.conn, child = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(
+            target=_pool_worker, args=(child, store_root, telemetry),
+            daemon=True,
+        )
+        self.process.start()
+        child.close()
+
+    def end(self, kill: bool = False) -> Optional[int]:
+        """Kill (``kill``) or stop the worker, reap it and return its
+        exit code.  Workers forked later hold copies of the parent's
+        end of this pipe, so closing it alone never stops the worker."""
+        if kill:
+            self.process.kill()
+        else:
+            try:
+                self.conn.send(None)
+            except OSError:  # it is gone already
+                pass
+        self.process.join()
+        self.conn.close()
+        return self.process.exitcode
 
 
 def _cache_get(
@@ -759,15 +814,6 @@ def _picklable(cell: SweepCell) -> bool:
         return False
 
 
-@dataclasses.dataclass
-class _Inflight:
-    """Bookkeeping for one submitted attempt."""
-
-    index: int
-    attempt: int
-    submitted: float  # time.monotonic() at submit
-
-
 class _CellTimeout(Exception):
     """Internal marker: the attempt exceeded the per-cell deadline."""
 
@@ -778,18 +824,24 @@ class SweepRunner:
     Parameters
     ----------
     jobs, use_cache, cache_dir:
-        As before: worker count and result-cache configuration.
+        Worker count (see :func:`resolve_jobs`) and result-cache
+        configuration.  With ``jobs > 1``, or with a cell timeout set,
+        every picklable cell runs on up to ``jobs`` worker processes the
+        runner forks and owns; other cells run in-process.
     cell_timeout:
-        Seconds one cell may run before its worker is killed and the
-        attempt counts as a (transient) failure.  Defaults to
-        ``REPRO_CELL_TIMEOUT``; unset means no timeout.  Only enforced
-        for pool execution — an in-process cell cannot be preempted —
-        and rejected in coordinator mode.
+        Seconds one attempt may run before its worker is killed and
+        replaced and the attempt counts as a (transient) failure.
+        Defaults to ``REPRO_CELL_TIMEOUT``; unset means no timeout.
+        Every pooled attempt runs under it, the last one too, at
+        ``jobs=1`` as well.  A cell whose policy does not pickle runs
+        in-process with no deadline: it cannot be preempted.  Rejected
+        in coordinator mode.
     on_error:
         ``raise`` (default), ``skip`` or ``retry``; see :class:`OnError`.
     max_attempts:
         Total tries per cell under retrying policies (first run
-        included).  The final attempt of a retried cell runs in-process.
+        included).  A worker's death or a timeout costs only the
+        attempt that worker held.
     backoff_base, backoff_cap, backoff_seed:
         Exponential backoff between retries: attempt ``k`` waits
         ``base * 2**(k-2)`` seconds (capped) scaled by a jitter factor
@@ -962,7 +1014,7 @@ class SweepRunner:
         self.records: List[Record] = []
         #: ``SweepStats.fold(self.records)``, kept as the records arrive
         self.stats = SweepStats()
-        #: injectable for tests: how retry backoff actually waits
+        #: injectable for tests: how a serial retry's backoff waits
         self._sleep = time.sleep
 
     # --- execution ---
@@ -1048,14 +1100,14 @@ class SweepRunner:
         from ..surrogate.active import explore
 
         keys = [cell_fingerprint(c) for c in cells]
+        # The corpus: the grid's cached results, read by key so that
+        # every quarantine the reads cause is recorded.
         corpus: Dict[str, SimResult] = {}
         if self.cache is not None:
-            wanted = set(keys)
-            corpus = {
-                key: result
-                for key, result in self.cache.iter_results()
-                if key in wanted
-            }
+            for key in dict.fromkeys(keys):
+                hit = _cache_get(self.cache, key, self._record)
+                if hit is not None:
+                    corpus[key] = hit
         ran = set()
 
         def exact_fn(indices: List[int]) -> Dict[int, Optional[SimResult]]:
@@ -1137,12 +1189,13 @@ class SweepRunner:
             self.last_sweep_id = coordinator.sweep_id
             return
         self._prepare_traces(cells, keys, pending)
-        # With jobs > 1 every picklable cell goes through the pool, a
-        # lone one too, so the timeout is enforceable.
+        # With jobs > 1 or a timeout every picklable cell goes through
+        # the pool, a lone one too, so the timeout is enforceable.
+        pool = self.jobs > 1 or self.cell_timeout is not None
         pool_indices: List[int] = []
         serial_indices: List[int] = []
         for i in pending:
-            pooled = self.jobs > 1 and _picklable(cells[i])
+            pooled = pool and _picklable(cells[i])
             (pool_indices if pooled else serial_indices).append(i)
 
         if pool_indices:
@@ -1178,7 +1231,7 @@ class SweepRunner:
         store = self.trace_store
         return str(store.root) if store is not None else None
 
-    # --- pool scheduling ---
+    # --- the owned worker pool ---
 
     def _run_pool(
         self,
@@ -1187,159 +1240,102 @@ class SweepRunner:
         indices: List[int],
         results: List[Optional[SimResult]],
     ) -> None:
-        """Per-cell futures with timeout, retry and pool-rebuild."""
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-        from concurrent.futures.process import BrokenProcessPool
+        """Run the cells at ``indices`` on up to ``jobs`` owned workers,
+        each holding at most one attempt.  A missed deadline kills only
+        the hung worker, and a worker's death charges only the attempt
+        it held; the next hand-off forks a replacement."""
+        import heapq
+        from multiprocessing.connection import wait
 
-        # Load the replay modules before the pool forks, so every worker
+        # Load the replay modules before the first fork, so every worker
         # inherits them instead of importing NumPy and the engine itself.
         from . import engine  # noqa: F401
 
-        workers = min(self.jobs, len(indices))
-        queue: "collections.deque[Tuple[int, int]]" = collections.deque(
-            (i, 1) for i in indices
-        )
-        inflight: Dict[object, _Inflight] = {}
+        size = min(self.jobs, len(indices))
+        timeout = self.cell_timeout or math.inf
+        # (not before, index, attempt): due attempts go out in cell
+        # order, a retry once its backoff has passed
+        ready = [(0.0, i, 1) for i in indices]
+        idle: List[_PoolWorker] = []
+        # a working worker's pipe -> (worker, index, attempt, deadline)
+        busy: Dict["Connection", Tuple[_PoolWorker, int, int, float]] = {}
         first_start: Dict[int, float] = {}
-        pool = ProcessPoolExecutor(max_workers=workers)
-        tick = (
-            min(0.25, self.cell_timeout / 4.0)
-            if self.cell_timeout
-            else None
-        )
 
-        def harvest(future: Any, info: _Inflight, lost: bool = False) -> bool:
-            """Settle or requeue one attempt; True when its worker died.
-            A ``lost`` attempt shared a pool with a dead worker: unless
-            it finished first, it died with it."""
-            try:
-                if lost and not future.done():
-                    raise BrokenProcessPool("worker process died")
-                result = future.result()
-            except Exception as exc:
-                died = lost or isinstance(exc, BrokenProcessPool)
-                if self._attempt_failed(
-                    cells, keys, results, info.index, info.attempt,
-                    "worker-died" if died else "error", exc,
-                    first_start[info.index], transient=died,
-                ):
-                    queue.append((info.index, info.attempt + 1))
-                return died
-            self._complete(info.index, keys[info.index], result, results,
-                           cells[info.index], info.attempt)
-            return False
+        def failed(
+            index: int, attempt: int, kind: str,
+            exc: Union[BaseException, str], **extra: object,
+        ) -> None:
+            if self._attempt_failed(
+                cells, keys, results, index, attempt, kind, exc,
+                first_start[index], transient=kind != "error", **extra,
+            ):
+                not_before = time.monotonic() + self._backoff_delay(
+                    keys[index], attempt + 1
+                )
+                heapq.heappush(ready, (not_before, index, attempt + 1))
 
         try:
-            while queue or inflight:
-                # Fill free worker slots (at most ``workers`` inflight,
-                # so a submitted future is actually running and its
-                # submit time approximates its start time).
-                while queue and len(inflight) < workers:
-                    index, attempt = queue.popleft()
-                    first_start.setdefault(index, time.perf_counter())
-                    if attempt > 1:
-                        self._sleep(self._backoff_delay(keys[index], attempt))
-                    if attempt > 1 and attempt >= self.max_attempts:
-                        # Final attempt: in-process, outside the pool, so
-                        # a cell that keeps killing workers yields a real
-                        # traceback instead of BrokenProcessPool.
-                        self._run_serial(
-                            cells, keys, index, results,
-                            start_attempt=attempt, first_start=first_start,
-                        )
-                        continue
+            while ready or busy:
+                now = time.monotonic()
+                while ready and ready[0][0] <= now and len(busy) < size:
+                    _, index, attempt = ready[0]
                     directive = self._directive(cells[index], attempt)
+                    worker = idle.pop() if idle else _PoolWorker(
+                        self._store_root, self.telemetry
+                    )
                     try:
-                        future = pool.submit(
-                            _run_cell_worker, cells[index], directive,
-                            store_root=self._store_root,
-                            telemetry=self.telemetry,
-                        )
-                    except (BrokenProcessPool, RuntimeError):
-                        # Pool died between completions; rebuild and
-                        # retry this submission on the fresh pool.
-                        queue.appendleft((index, attempt))
-                        pool = self._rebuild_pool(pool, workers)
+                        worker.conn.send((cells[index], directive))
+                    except OSError:
+                        # Found dead at hand-off: the attempt never
+                        # started, so the next worker takes it.
+                        worker.end()
                         continue
+                    heapq.heappop(ready)
+                    first_start.setdefault(index, time.perf_counter())
                     self._record({"kind": "start", "fp": keys[index],
                                   "attempt": attempt})
-                    inflight[future] = _Inflight(
-                        index, attempt, time.monotonic()
-                    )
-                if not inflight:
-                    continue
-
-                done, _ = wait(
-                    list(inflight), timeout=tick,
-                    return_when=FIRST_COMPLETED,
+                    busy[worker.conn] = (worker, index, attempt,
+                                         now + timeout)
+                # Wake for the next result or deadline, and for the next
+                # backoff only while a worker is free to take it: a due
+                # backoff with every worker busy would spin the loop.
+                wake = min(
+                    (slot[3] for slot in busy.values()), default=math.inf
                 )
-                broken = False
-                for future in done:
-                    broken |= harvest(future, inflight.pop(future))
-                if broken:
-                    # A dead worker poisons every sibling future; keep
-                    # any that completed in the meantime, treat the rest
-                    # as transient worker deaths, and start over on a
-                    # fresh pool.
-                    for future, info in inflight.items():
-                        harvest(future, info, lost=True)
-                    inflight.clear()
-                    pool = self._rebuild_pool(pool, workers)
-                    continue
+                if ready and len(busy) < size:
+                    wake = min(wake, ready[0][0])
+                delay = None if wake == math.inf else wake - time.monotonic()
+                for conn in wait(list(busy), delay):
+                    worker, index, attempt, _ = busy.pop(conn)
+                    try:
+                        value, error = conn.recv()
+                    except (EOFError, OSError):
+                        failed(index, attempt, "worker-died",
+                               f"worker exited with code {worker.end()}")
+                        continue
+                    idle.append(worker)
+                    if error is None:
+                        self._complete(index, keys[index], value, results,
+                                       cells[index], attempt)
+                    else:
+                        failed(index, attempt, "error",
+                               error if value is None else value,
+                               error=error)
+                now = time.monotonic()
+                for conn in [c for c, slot in busy.items() if slot[3] <= now]:
+                    worker, index, attempt, _ = busy.pop(conn)
+                    worker.end(kill=True)
+                    failed(index, attempt, "timeout", _CellTimeout(
+                        f"cell exceeded the {self.cell_timeout}s timeout "
+                        f"on attempt {attempt}"
+                    ))
+        finally:
+            for worker in idle:
+                worker.end()
+            for worker, *_ in busy.values():
+                worker.end(kill=True)
 
-                if self.cell_timeout:
-                    now = time.monotonic()
-                    expired = [
-                        (future, info)
-                        for future, info in inflight.items()
-                        if now - info.submitted >= self.cell_timeout
-                    ]
-                    if expired:
-                        for future, info in expired:
-                            del inflight[future]
-                            exc = _CellTimeout(
-                                f"cell exceeded the {self.cell_timeout}s "
-                                f"timeout on attempt {info.attempt}"
-                            )
-                            if self._attempt_failed(
-                                cells, keys, results, info.index,
-                                info.attempt, "timeout", exc,
-                                first_start[info.index], transient=True,
-                            ):
-                                queue.append((info.index, info.attempt + 1))
-                        # A hung worker cannot be preempted individually:
-                        # kill the pool.  Preempted siblings lost their
-                        # work through no fault of their own — resubmit
-                        # them at the same attempt number.
-                        for info in inflight.values():
-                            queue.appendleft((info.index, info.attempt))
-                        inflight.clear()
-                        pool = self._rebuild_pool(pool, workers)
-            pool.shutdown(wait=True)
-        except BaseException:
-            self._kill_pool(pool)
-            raise
-
-    def _rebuild_pool(
-        self, pool: ProcessPoolExecutor, workers: int
-    ) -> ProcessPoolExecutor:
-        from concurrent.futures import ProcessPoolExecutor
-
-        self._kill_pool(pool)
-        return ProcessPoolExecutor(max_workers=workers)
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        for process in list(getattr(pool, "_processes", {}).values()):
-            try:
-                process.kill()
-            # Best-effort teardown of an already-broken pool: the worker
-            # may have exited between the list() and the kill().
-            except Exception:  # repro-lint: ignore[RPR010] -- best-effort kill during pool teardown
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    # --- serial execution (jobs=1, unpicklable cells, final attempts) ---
+    # --- serial execution (unpicklable cells; jobs=1 with no timeout) ---
 
     def _run_serial(
         self,
@@ -1347,11 +1343,9 @@ class SweepRunner:
         keys: List[str],
         index: int,
         results: List[Optional[SimResult]],
-        start_attempt: int = 1,
-        first_start: Optional[Dict[int, float]] = None,
     ) -> None:
-        attempt = start_attempt
-        started = (first_start or {}).get(index, time.perf_counter())
+        attempt = 1
+        started = time.perf_counter()
         while True:
             self._record(
                 {"kind": "start", "fp": keys[index], "attempt": attempt}
@@ -1380,23 +1374,25 @@ class SweepRunner:
     def _attempt_failed(
         self, cells: List[SweepCell], keys: List[str],
         results: List[Optional[SimResult]], index: int, attempt: int,
-        kind: str, exc: BaseException, started: float, *, transient: bool,
+        kind: str, exc: Union[BaseException, str], started: float, *,
+        transient: bool, **extra: object,
     ) -> bool:
         """Record one failed attempt; True when :func:`_may_retry` gives
         the cell another (the caller schedules it), else the cell
-        settles as failed."""
+        settles as failed.  ``extra`` fields override the record's (a
+        pool worker's ``error`` text)."""
         cell, key = cells[index], keys[index]
         if _may_retry(
             self.on_error, attempt, self.max_attempts, transient=transient
         ):
-            self._record(
-                _failure_record("error", cell, key, attempt, kind, exc)
-            )
+            self._record(_failure_record("error", cell, key, attempt, kind,
+                                         exc, **extra))
             return True
         record = _failure_record("failed", cell, key, attempt, kind, exc,
-                                 wall=time.perf_counter() - started)
+                                 wall=time.perf_counter() - started, **extra)
         if self._record(record):
-            self._settle(record, results, index, exc=exc)
+            self._settle(record, results, index,
+                         exc=exc if isinstance(exc, BaseException) else None)
         return False
 
     def _complete(

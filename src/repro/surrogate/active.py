@@ -6,7 +6,7 @@ timing): **which policy wins, and which static page size wins?**  It
 spends exact simulations only where the answer is actually at stake:
 
 1. **Corpus seed.**  Every cell already present in the result cache
-   (via :meth:`ResultCache.iter_results`) is free training data.  A
+   (read by key, as every mode reads it) is free training data.  A
    small stratified sample of the rest (evenly spaced through each
    group, so both page-size extremes are always covered) is simulated
    exactly.

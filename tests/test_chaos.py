@@ -11,12 +11,17 @@ Worker count defaults to 4 (the CI chaos job's ``--jobs 4``) and can be
 overridden via ``REPRO_TEST_JOBS``.
 """
 
+import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ChaosError, SweepError
+from repro.policies import StaticPaging
 from repro.sim.chaos import (
     DEFERRED_KINDS,
     ChaosDirective,
@@ -24,6 +29,7 @@ from repro.sim.chaos import (
     FaultKind,
     apply_chaos,
 )
+from repro.sim import parallel
 from repro.sim.durability import corrupt_file
 from repro.sim.parallel import (
     CellFailure,
@@ -33,7 +39,7 @@ from repro.sim.parallel import (
     SweepRunner,
     cell_fingerprint,
 )
-from repro.units import MB
+from repro.units import MB, PAGE_64K
 
 from .conftest import make_spec, partitioned
 
@@ -54,6 +60,44 @@ def chaos_cells(count):
         SweepCell(chaos_spec(f"W{i:02d}"), "S-64KB", seed=i, tag=f"c{i:02d}")
         for i in range(count)
     ]
+
+
+class _SleepyPolicy(StaticPaging):
+    """S-64KB that sleeps ``delay`` seconds in ``attach``: a real slow or
+    hung cell, not a chaos directive."""
+
+    def __init__(self, delay):
+        super().__init__(PAGE_64K)
+        self.delay = delay
+
+    def attach(self, machine, workload):
+        time.sleep(self.delay)
+        super().attach(machine, workload)
+
+
+class _TwoArgError(Exception):
+    """Pickles, but its constructor cannot rebuild it from ``args``."""
+
+    def __init__(self, what, how):
+        super().__init__(f"{what} {how}")
+
+
+class _FailingPolicy(StaticPaging):
+    """S-64KB whose ``attach`` raises a chained exception that does not
+    survive a pickle round trip."""
+
+    def __init__(self):
+        super().__init__(PAGE_64K)
+
+    def attach(self, machine, workload):
+        raise _TwoArgError("attach", "failed") from ValueError("root cause")
+
+
+def sleepy_cell(index, delay):
+    return SweepCell(
+        chaos_spec(f"W{index:02d}"), _SleepyPolicy(delay), seed=index,
+        tag=f"c{index:02d}",
+    )
 
 
 def make_runner(tmp_path=None, **kwargs):
@@ -90,7 +134,8 @@ class TestSweepSurvivesChaos:
         assert len(results) == 24
         assert all(result is not None for result in results)
         assert runner.stats.failures == []
-        assert runner.stats.retries >= len(chaos.faulty_tags())
+        # c11 raises twice; every other faulty cell fails once.
+        assert runner.stats.retries == 6
         # Every successfully simulated cell is in the cache afterwards.
         cache = ResultCache(tmp_path)
         for cell in cells:
@@ -180,7 +225,7 @@ class TestCellTimeout:
 
     def test_hung_cell_recovers_on_retry(self, tmp_path):
         """A hang on attempt 1 is killed; the retry completes the cell
-        and the survivor preempted by the pool rebuild also finishes."""
+        and its sibling finishes undisturbed."""
         cells = chaos_cells(2)
         chaos = ChaosSchedule({"c00": ("hang",)}, hang_seconds=60.0)
         runner = make_runner(
@@ -190,42 +235,72 @@ class TestCellTimeout:
         results = runner.run_cells(cells)
         assert all(result is not None for result in results)
         assert runner.stats.timeouts == 1
-        # A sibling preempted by the pool rebuild restarts at the same
-        # attempt: only c00's second attempt is a retry.
+        # Only c00's second attempt is a retry.
         assert runner.stats.retries == 1
         assert runner.stats.failures == []
         cache = ResultCache(tmp_path)
         for cell in cells:
             assert cache.get(cell_fingerprint(cell)) is not None
 
-    def test_a_sibling_preempted_on_its_second_attempt_is_no_retry(self):
-        """c00 hangs on attempt 1; c01 raises on attempt 1 and hangs on
-        attempt 2.  c00's timeout preempts c01's second attempt, which
-        restarts at attempt 2 and then times out itself: three retries
-        (c00's attempt 2, c01's attempts 2 and 3), not four."""
-        cells = chaos_cells(2)
-        chaos = ChaosSchedule(
-            {"c00": ("hang",), "c01": ("raise", "hang")}, hang_seconds=60.0
-        )
+    def test_a_timeout_preempts_no_sibling(self):
+        """c00 hangs past its 3 s deadline while c02, started after c01
+        on the other worker, is still running: only c00's worker is
+        killed, so every clean cell starts exactly once."""
+        cells = chaos_cells(1) + [sleepy_cell(1, 1.2), sleepy_cell(2, 2.2)]
+        chaos = ChaosSchedule({"c00": ("hang",)}, hang_seconds=60.0)
         runner = make_runner(
-            jobs=2, on_error="retry", max_attempts=3, cell_timeout=1.0,
+            jobs=2, on_error="skip", max_attempts=1, cell_timeout=3.0,
             chaos=chaos,
         )
-        # Hold c01's second attempt back until c00 is about to expire,
-        # so it is still young when the pool is rebuilt; later
-        # backoffs are instant.
-        delays = iter([0.9])
-        runner._sleep = lambda _: time.sleep(next(delays, 0.0))
         results = runner.run_cells(cells)
+        assert results[0] is None and None not in results[1:]
+        assert [f.kind for f in runner.stats.failures] == ["timeout"]
+        for cell in cells[1:]:
+            key = cell_fingerprint(cell)
+            assert [
+                r["attempt"] for r in runner.records
+                if r["kind"] == "start" and r["fp"] == key
+            ] == [1]
+        assert runner.stats.retries == 0
+
+    def test_a_backoff_holds_back_no_deadline(self):
+        """c01's 3 s-scale backoff does not delay c00's timeout: the
+        parent waits for the next result, deadline or due backoff."""
+        timeout = 1.0
+        chaos = ChaosSchedule(
+            {"c00": ("hang",), "c01": ("raise",)}, hang_seconds=60.0
+        )
+        runner = make_runner(
+            jobs=2, on_error="retry", max_attempts=2, cell_timeout=timeout,
+            backoff_base=3.0, chaos=chaos,
+        )
+        timed_out = []
+        record = runner._record
+
+        def stamped(rec):
+            if rec.get("fail_kind") == "timeout":
+                timed_out.append(time.perf_counter() - start)
+            return record(rec)
+
+        runner._record = stamped
+        start = time.perf_counter()
+        results = runner.run_cells(chaos_cells(2))
         assert all(result is not None for result in results)
-        key = cell_fingerprint(cells[1])
-        assert [
-            r["attempt"] for r in runner.records
-            if r["kind"] == "start" and r["fp"] == key
-        ] == [1, 2, 2, 3]
-        assert runner.stats.retries == 3
+        assert len(timed_out) == 1 and timed_out[0] < 2 * timeout
+        assert runner.stats.retries == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
+    def test_a_real_hang_times_out_on_every_attempt(self, jobs):
+        """Every pooled attempt runs under the deadline, the last one
+        too, and --jobs 1 with a timeout runs its cells on one worker."""
+        runner = make_runner(
+            jobs=jobs, on_error="skip", max_attempts=2, cell_timeout=1.0
+        )
+        start = time.perf_counter()
+        assert runner.run_cells([sleepy_cell(0, 6.0)]) == [None]
+        assert time.perf_counter() - start < 3.0
         assert runner.stats.timeouts == 2
-        assert runner.stats.failures == []
+        assert [f.kind for f in runner.stats.failures] == ["timeout"]
 
     def test_timeout_resolution_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "2.5")
@@ -307,7 +382,7 @@ class TestChaosHarness:
 
     def test_in_process_chaos_never_hangs_or_kills(self):
         """HANG, DIE and DIE_HARD downgrade to ChaosError in-process, so
-        serial fallback attempts cannot take down (or stall) the parent."""
+        in-process attempts cannot take down (or stall) the parent."""
         for kind in (FaultKind.HANG, FaultKind.DIE, FaultKind.DIE_HARD):
             with pytest.raises(ChaosError):
                 apply_chaos(
@@ -329,6 +404,99 @@ class TestChaosHarness:
         for kind in DEFERRED_KINDS:
             apply_chaos(ChaosDirective(kind))  # must not raise or exit
             apply_chaos(ChaosDirective(kind), in_process=True)
+
+
+#: A sweep whose first cell's policy exits its process on every
+#: attempt, beside a healthy cell; run in a child interpreter so that a
+#: runner which ran an attempt in-process dies there, not in pytest.
+_EXITING_SWEEP = """
+import json, os
+from repro.policies import StaticPaging
+from repro.sim.parallel import SweepCell, SweepRunner
+from repro.units import PAGE_64K
+
+class ExitingPolicy(StaticPaging):
+    def attach(self, machine, workload):
+        os._exit(13)
+
+runner = SweepRunner(
+    jobs=2, use_cache=False, on_error="skip", max_attempts=2,
+    backoff_base=0.01,
+)
+results = runner.run_cells([
+    SweepCell("STE", ExitingPolicy(PAGE_64K)),
+    SweepCell("STE", StaticPaging(PAGE_64K)),
+])
+print(json.dumps({
+    "done": [result is not None for result in results],
+    "failures": [[f.kind, f.attempts, f.error]
+                 for f in runner.stats.failures],
+}))
+"""
+
+
+class TestOwnedPool:
+    """A worker's death or a failure reads the same as in-process."""
+
+    def test_a_worker_that_always_exits_fails_only_its_own_cell(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {
+            k: v for k, v in os.environ.items() if not k.startswith("REPRO_")
+        }
+        env["PYTHONPATH"] = str(src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _EXITING_SWEEP], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        outcome = json.loads(proc.stdout.splitlines()[-1])
+        assert outcome["done"] == [False, True]
+        assert outcome["failures"] == [
+            ["worker-died", 2, "worker exited with code 13"]
+        ]
+
+    def test_a_worker_found_dead_at_hand_off_costs_no_attempt(
+        self, monkeypatch
+    ):
+        """The first worker is dead before it takes an attempt: the
+        attempt goes to its replacement, and only then is it started."""
+        dead = []
+
+        class DeadOnArrival(parallel._PoolWorker):
+            def __init__(self, *args):
+                super().__init__(*args)
+                if not dead:
+                    dead.append(self)
+                    self.process.kill()
+                    self.process.join()
+
+        monkeypatch.setattr(parallel, "_PoolWorker", DeadOnArrival)
+        runner = make_runner(jobs=1, cell_timeout=60.0)
+        assert None not in runner.run_cells(chaos_cells(1))
+        assert dead and dead[0].process.exitcode == -9
+        assert [r["kind"] for r in runner.records] == [
+            "queued", "start", "done"
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
+    def test_a_failure_reads_the_same_in_every_mode(self, jobs):
+        """A worker formats the exception chain itself, and sends the
+        text alone for an exception the parent could not rebuild."""
+        cells = chaos_cells(2) + [
+            SweepCell(chaos_spec("W02"), _FailingPolicy(), tag="c02")
+        ]
+        chaos = ChaosSchedule({"c00": (FaultKind.RAISE,)})
+        runner = make_runner(jobs=jobs, on_error="skip", chaos=chaos)
+        results = runner.run_cells(cells)
+        assert [result is not None for result in results] == [
+            False, True, False,
+        ]
+        failures = {f.tag: f for f in runner.stats.failures}
+        assert failures["c00"].error == "ChaosError: injected raise fault"
+        assert failures["c00"].context["kind"] == "raise"
+        assert failures["c02"].error == (
+            "_TwoArgError: attach failed <- ValueError: root cause"
+        )
 
 
 class TestChaosReachesEveryMode:

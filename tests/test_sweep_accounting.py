@@ -15,7 +15,14 @@ from repro.errors import SweepError
 from repro.policies import StaticPaging
 from repro.sim.chaos import ChaosSchedule, FaultKind
 from repro.sim.coordinator import CoordinatorConfig
-from repro.sim.parallel import SweepCell, SweepRunner, SweepStats
+from repro.sim.durability import corrupt_file
+from repro.sim.parallel import (
+    ResultCache,
+    SweepCell,
+    SweepRunner,
+    SweepStats,
+    cell_fingerprint,
+)
 from repro.surrogate import SurrogateConfig
 from repro.units import MB, PAGE_2M, PAGE_64K
 
@@ -76,28 +83,27 @@ def assert_folded(runner):
     folded = SweepStats.fold(runner.records)
     assert runner.stats == folded
     assert runner.stats.failures == folded.failures
-    # One batch each here, and no timeouts: no attempt starts twice.
     assert runner.stats.retries == sum(
         1 for r in runner.records
         if r["kind"] == "start" and r["attempt"] > 1
     )
 
 
-def test_a_restarted_attempt_is_no_retry():
-    """A pool sibling preempted by a timeout restarts at the attempt it
-    had started: only a start past the highest attempt so far is a
-    retry, and a new batch starts the cell's count over."""
+def test_a_new_batch_restarts_the_attempt_count():
+    """``starts`` holds the attempt a cell last started, and a new
+    batch's ``queued`` record starts the cell's count over."""
     batch = [
         {"kind": "queued", "fp": "a"},
         {"kind": "start", "fp": "a", "attempt": 1},
         {"kind": "error", "fp": "a", "attempt": 1},
         {"kind": "start", "fp": "a", "attempt": 2},
-        {"kind": "start", "fp": "a", "attempt": 2},
         {"kind": "done", "fp": "a", "attempt": 2},
     ]
     stats = SweepStats.fold(batch)
     assert stats.retries == 1 and stats.starts == {"a": 2}
-    for record in batch:
+    stats.apply(batch[0])
+    assert stats.starts == {} and "a" not in stats.settled
+    for record in batch[1:]:
         stats.apply(record)
     assert stats.retries == 2 and stats.simulated == 2
 
@@ -130,12 +136,10 @@ class TestStatsAreTheFold:
         results = runner.run_cells(cells())
         assert all(result is not None for result in results)
         assert_folded(runner)
-        # c01, c03 and c05 cost one retry each and c09 two; a pool
-        # worker's death also costs the siblings it took down.
-        if mode == "serial":
+        # c01, c03 and c05 cost one retry each and c09 two; a worker's
+        # death costs only the attempt it held.
+        if mode in ("serial", "pool"):
             assert runner.stats.retries == 5
-        elif mode == "pool":
-            assert runner.stats.retries >= 5
         elif mode == "coordinator":
             # c07's corrupt entry and c10's stale lease cost one more
             # attempt each; the dead runners of c03, c05 and c09 and the
@@ -160,3 +164,18 @@ class TestStatsAreTheFold:
         assert runner.stats.failed >= 1
         assert runner.stats.retries == 0
 
+
+
+def test_a_surrogate_counts_the_corpus_entries_it_quarantines(tmp_path):
+    """The surrogate reads its corpus by key, through the same cache read
+    as every other mode, so a corrupt entry it moves aside is counted."""
+    make_runner("serial", tmp_path).run_cells(cells())
+    victim = ResultCache(tmp_path / "cache").path_for(
+        cell_fingerprint(cells()[4])
+    )
+    assert corrupt_file(victim, salt="flip")  # one flipped bit
+    runner = make_runner("surrogate", tmp_path)
+    runner.run_cells(cells())
+    assert_folded(runner)
+    assert runner.stats.entries_quarantined == 1
+    assert (tmp_path / "cache" / "corrupt" / victim.name).exists()
