@@ -19,7 +19,7 @@ into a gate for CI (acceptance: warm >= 5x cold).
 Usage::
 
     python benchmarks/perf_lint.py
-    python benchmarks/perf_lint.py --repeats 5 --jobs 2
+    python benchmarks/perf_lint.py --repeats 5
     python benchmarks/perf_lint.py --json BENCH_lint.json --min-speedup 5
 """
 
@@ -41,14 +41,14 @@ from repro.analysis import Project, run_lint  # noqa: E402
 from repro.analysis.cli import default_scan_root  # noqa: E402
 
 
-def _timed_run(root: Path, jobs: int):
+def _timed_run(root: Path):
     """(wall seconds, findings) of one full lint of ``root``."""
     start = time.perf_counter()
-    findings = run_lint(Project(root=root), jobs=jobs)
+    findings = run_lint(Project(root=root))
     return time.perf_counter() - start, findings
 
 
-def measure(repeats: int, jobs: int) -> dict:
+def measure(repeats: int) -> dict:
     root = default_scan_root()
     cold_times = []
     warm_times = []
@@ -57,8 +57,8 @@ def measure(repeats: int, jobs: int) -> dict:
         cache = tempfile.mkdtemp(prefix="repro-lint-bench-")
         os.environ["REPRO_CACHE_DIR"] = cache
         try:
-            cold, cold_findings = _timed_run(root, jobs)
-            warm, warm_findings = _timed_run(root, jobs)
+            cold, cold_findings = _timed_run(root)
+            warm, warm_findings = _timed_run(root)
         finally:
             os.environ.pop("REPRO_CACHE_DIR", None)
             shutil.rmtree(cache, ignore_errors=True)
@@ -87,10 +87,6 @@ def main(argv=None) -> int:
         help="measurement repeats; best-of wall times are reported",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="facts-extraction worker processes (as repro lint --jobs)",
-    )
-    parser.add_argument(
         "--json", type=Path, default=None, metavar="PATH",
         help="write the measurement payload as JSON",
     )
@@ -101,7 +97,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     payload = {"schema": "repro/bench-lint/v1", "repeats": args.repeats}
-    payload.update(measure(args.repeats, args.jobs))
+    payload.update(measure(args.repeats))
 
     print(
         f"lint over {payload['files']} files: "

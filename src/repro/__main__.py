@@ -640,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser = sub.add_parser(
         "lint",
         help="run the repro-lint simulator-invariant static analysis "
-             "(RPR001-RPR007; see DESIGN.md section 8)",
+             "(see DESIGN.md section 8)",
     )
     from .analysis.cli import add_lint_arguments
 

@@ -6,8 +6,8 @@ has paid for in bugs (see DESIGN.md section 8):
 * :mod:`repro.analysis.core` — rule registry, project/file model,
   inline suppression, the ``run_lint`` driver;
 * :mod:`repro.analysis.baseline` — grandfathered-finding baseline;
-* :mod:`repro.analysis.rules` — the repo-specific rules
-  (``RPR001``…``RPR006``);
+* :mod:`repro.analysis.rules` — the repo-specific rules (``RPR001``,
+  ``RPR003``, ``RPR004``, ``RPR006`` and ``RPR008``…``RPR010``);
 * :mod:`repro.analysis.cli` — the ``python -m repro lint`` subcommand.
 """
 

@@ -8,7 +8,6 @@ Usage::
     python -m repro lint --output json         # machine-readable
     python -m repro lint --output github       # CI annotations
     python -m repro lint --write-baseline      # grandfather current findings
-    python -m repro lint --jobs 4              # parallel facts extraction
     python -m repro lint --list-rules
 
 Exit status is nonzero only for findings *not* absorbed by the baseline
@@ -71,14 +70,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--write-baseline",
         action="store_true",
         help="write all current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the facts-extraction phase "
-        "(findings are byte-identical regardless of N; default: 1)",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="list rule codes and exit"
@@ -191,13 +182,7 @@ def run_lint_command(args: argparse.Namespace) -> int:
         if not root.exists():
             print(f"repro-lint: no such path: {root}", file=sys.stderr)
             return 2
-        findings.extend(
-            run_lint(
-                Project(root=root.resolve()),
-                select,
-                jobs=max(1, args.jobs),
-            )
-        )
+        findings.extend(run_lint(Project(root=root.resolve()), select))
 
     baseline_path: Optional[Path]
     if args.baseline is not None:

@@ -165,14 +165,14 @@ class Project:
     _sources: Optional[List[SourceFile]] = field(default=None, repr=False)
     _facts: Optional["ProjectFacts"] = field(default=None, repr=False)
 
-    def facts(self, jobs: int = 1) -> "ProjectFacts":
+    def facts(self) -> "ProjectFacts":
         """The project's dataflow facts (built once, cached for the
         run; per-file records come from the incremental on-disk cache
         so a warm build parses only changed files)."""
         if self._facts is None:
             from .dataflow.facts import build_project_facts
 
-            self._facts = build_project_facts(self, jobs=jobs)
+            self._facts = build_project_facts(self)
         return self._facts
 
     def sources(self) -> List[SourceFile]:
@@ -247,17 +247,14 @@ def all_rules() -> Dict[str, Rule]:
 def run_lint(
     project: Project,
     select: Optional[Sequence[str]] = None,
-    jobs: int = 1,
 ) -> List[Finding]:
     """Run (selected) rules over ``project``; inline-suppressed findings
     are dropped here, baseline filtering is the caller's concern.
 
-    ``jobs`` > 1 fans per-file fact extraction out over worker
-    processes; rule evaluation itself stays in-process, so findings are
-    byte-identical regardless of ``jobs`` (and of PYTHONHASHSEED —
-    everything downstream of extraction iterates sorted structures).
+    Findings are byte-identical regardless of PYTHONHASHSEED:
+    everything downstream of fact extraction iterates sorted
+    structures.
     """
-    project.facts(jobs=jobs)  # pre-warm (parallel when jobs > 1)
     rules = all_rules()
     if select:
         unknown = sorted(set(select) - set(rules))
@@ -342,15 +339,3 @@ def dataclass_frozen(node: ast.ClassDef) -> bool:
                         return True
     return False
 
-
-def literal_str_tuple(node: ast.AST) -> Optional[Tuple[str, ...]]:
-    """The value of a tuple/list literal of string constants, else None."""
-    if isinstance(node, (ast.Tuple, ast.List)):
-        out: List[str] = []
-        for elt in node.elts:
-            if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                out.append(elt.value)
-            else:
-                return None
-        return tuple(out)
-    return None

@@ -8,8 +8,8 @@ warm ``repro lint`` run re-analyzes only changed files
 (:mod:`.facts`).  On top of the facts sit a module/call-graph resolver
 (:mod:`.callgraph`) and a forward taint propagator with declarative
 source/sink/sanitizer specs (:mod:`.taint`).  Rules RPR008–RPR010
-consume these; the older project-wide rules (RPR001/003/005/007) run
-off the same facts instead of re-parsing every file.
+consume these; the older project-wide rules (RPR001/003/006) run off
+the same facts instead of re-parsing every file.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Per-file fact extraction with a content-hash-keyed incremental cache.
 
 One parse of a source file produces a JSON-serializable *facts* record:
-imports, classes (bases, members, dataclass/enum flags), functions
-(parameters, call sites carrying symbolic taint terms, raw write
-operations, exception handlers, raised names), mutable-default
-descriptors, and module-level literal constants.  Everything repro-lint
-needs project-wide is answerable from these records, so a warm run
-parses nothing that has not changed: records are cached under
+imports, classes (bases, frozen-dataclass flag), functions (parameters,
+call sites carrying symbolic taint terms, raw write operations,
+exception handlers, raised names) and mutable-default descriptors.
+Everything repro-lint needs project-wide is answerable from these
+records, so a warm run parses nothing that has not changed: records
+are cached under
 ``<repro cache dir>/lint-facts/<sha256(rel + content)>.json``, written
 via :func:`repro.sim.durability.atomic_write` so a crash mid-write can
 never leave a torn record for the next run to load.
@@ -53,14 +53,12 @@ from ..core import (
     Project,
     call_name,
     dataclass_frozen,
-    decorator_names,
     dotted_name,
     is_dataclass_def,
-    literal_str_tuple,
 )
 
 #: Bump to invalidate every cached facts record (schema change).
-FACTS_VERSION = 1
+FACTS_VERSION = 2
 
 #: Bare names that mean a wall clock when imported ``from time``.
 WALLCLOCK_FROM_TIME = frozenset(
@@ -178,7 +176,6 @@ class _FunctionCtx:
             "writes": [],
             "handlers": [],
             "raises": [],
-            "isinstance_types": [],
         }
 
 
@@ -192,13 +189,11 @@ class _Extractor:
         self.classes: List[Dict[str, Any]] = []
         self.defaults: List[Dict[str, Any]] = []
         self.imports: List[Dict[str, Any]] = []
-        self.constants: Dict[str, Dict[str, Any]] = {}
 
     # --- top level ---
 
     def extract(self) -> Facts:
         self._collect_imports()
-        self._collect_constants()
         module_ctx = _FunctionCtx("<module>", "<module>", None, [], 1, 0)
         self._run_scope(module_ctx, self.tree.body, "", None)
         self.functions.append(module_ctx.record)
@@ -208,7 +203,6 @@ class _Extractor:
             "rel": self.rel,
             "imports": self.imports,
             "time_imports": sorted(self._time_imports()),
-            "constants": self.constants,
             "classes": self.classes,
             "functions": self.functions,
             "defaults": self.defaults,
@@ -262,33 +256,6 @@ class _Extractor:
                             "level": node.level,
                         }
                     )
-
-    def _collect_constants(self) -> None:
-        for node in self.tree.body:
-            target: Optional[ast.expr] = None
-            value: Optional[ast.expr] = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, value = node.targets[0], node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                target, value = node.target, node.value
-            if not isinstance(target, ast.Name) or value is None:
-                continue
-            if not isinstance(value, (ast.Tuple, ast.List)):
-                continue
-            pair_firsts: List[str] = []
-            for elt in value.elts:
-                if (
-                    isinstance(elt, (ast.Tuple, ast.List))
-                    and elt.elts
-                    and isinstance(elt.elts[0], ast.Constant)
-                    and isinstance(elt.elts[0].value, str)
-                ):
-                    pair_firsts.append(elt.elts[0].value)
-            strings = literal_str_tuple(value)
-            self.constants[target.id] = {
-                "strings": list(strings) if strings is not None else None,
-                "pair_firsts": pair_firsts,
-            }
 
     # --- statements ---
 
@@ -506,52 +473,15 @@ class _Extractor:
     ) -> Dict[str, Any]:
         bases_short: List[str] = []
         bases_full: List[str] = []
-        is_protocol = False
         for base in node.bases:
             short = self._base_short(base)
             if short:
                 bases_short.append(short)
-                if short in ("Protocol", "ABCMeta"):
-                    is_protocol = True
             full = dotted_name(
                 base.value if isinstance(base, ast.Subscript) else base
             )
             if full:
                 bases_full.append(full)
-        methods: Dict[str, Dict[str, int]] = {}
-        attrs: Set[str] = set()
-        properties: Set[str] = set()
-        for item in node.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if "property" in decorator_names(item):
-                    properties.add(item.name)
-                    attrs.add(item.name)
-                else:
-                    methods[item.name] = {
-                        "line": item.lineno,
-                        "col": item.col_offset,
-                    }
-                for sub in ast.walk(item):
-                    targets: List[ast.AST] = []
-                    if isinstance(sub, ast.Assign):
-                        targets = list(sub.targets)
-                    elif isinstance(sub, ast.AnnAssign):
-                        targets = [sub.target]
-                    for target in targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            attrs.add(target.attr)
-            elif isinstance(item, ast.AnnAssign) and isinstance(
-                item.target, ast.Name
-            ):
-                attrs.add(item.target.id)
-            elif isinstance(item, ast.Assign):
-                for target in item.targets:
-                    if isinstance(target, ast.Name):
-                        attrs.add(target.id)
         return {
             "name": node.name,
             "qualname": qualname,
@@ -559,12 +489,7 @@ class _Extractor:
             "col": node.col_offset,
             "bases": bases_short,
             "bases_full": bases_full,
-            "methods": methods,
-            "attrs": sorted(attrs),
-            "properties": sorted(properties),
-            "is_protocol": is_protocol,
             "frozen": dataclass_frozen(node),
-            "is_dataclass": is_dataclass_def(node),
         }
 
     @staticmethod
@@ -906,10 +831,6 @@ class _Extractor:
         if ctx.handler_stack and name:
             ctx.handler_stack[-1]["calls"].append(name)
         short = name.rsplit(".", 1)[-1] if name else ""
-        if short == "isinstance" and len(call.args) == 2:
-            type_name = dotted_name(call.args[1])
-            if type_name:
-                ctx.record["isinstance_types"].append(type_name)
         self._record_write(call, ctx, name, short, arg_hints, excl)
 
     def _record_write(
@@ -1127,13 +1048,6 @@ def _store_cached(path: Path, facts: Facts) -> None:
         pass  # a read-only cache degrades to cold analysis, never fails
 
 
-def _extract_worker(item: Tuple[str, str]) -> Tuple[str, str, Facts]:
-    """Process-pool worker: read + extract one file (jobs > 1)."""
-    path_str, rel = item
-    text = Path(path_str).read_text(encoding="utf-8")
-    return rel, content_digest(rel, text), extract_file_facts(rel, text)
-
-
 class ProjectFacts:
     """All per-file facts of one project, plus lazy derived indices."""
 
@@ -1177,38 +1091,16 @@ class ProjectFacts:
         return self._taint
 
 
-def build_project_facts(project: Project, jobs: int = 1) -> ProjectFacts:
+def build_project_facts(project: Project) -> ProjectFacts:
     """Facts for every source in ``project``, loading unchanged files
-    from the content-hash cache and extracting the rest (optionally
-    fanning extraction out over ``jobs`` worker processes)."""
+    from the content-hash cache and extracting the rest."""
     cache_root = facts_cache_dir()
     by_rel: Dict[str, Facts] = {}
-    missing: List[Tuple[Path, str, str]] = []  # (path, rel, digest)
     for src in project.sources():
-        digest = content_digest(src.rel, src.text)
-        cached = _load_cached(cache_root / f"{digest}.json")
-        if cached is not None:
-            by_rel[src.rel] = cached
-        else:
-            missing.append((src.path, src.rel, digest))
-
-    if missing and jobs > 1 and len(missing) > 1:
-        import multiprocessing
-
-        try:
-            mp_ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            mp_ctx = multiprocessing.get_context("spawn")
-        items = [(str(path), rel) for path, rel, _ in missing]
-        with mp_ctx.Pool(processes=min(jobs, len(items))) as pool:
-            extracted = pool.map(_extract_worker, items)
-        for rel, digest, facts in extracted:
-            by_rel[rel] = facts
-            _store_cached(cache_root / f"{digest}.json", facts)
-    else:
-        for path, rel, digest in missing:
-            text = path.read_text(encoding="utf-8")
-            facts = extract_file_facts(rel, text)
-            by_rel[rel] = facts
-            _store_cached(cache_root / f"{digest}.json", facts)
+        path = cache_root / f"{content_digest(src.rel, src.text)}.json"
+        facts = _load_cached(path)
+        if facts is None:
+            facts = extract_file_facts(src.rel, src.text)
+            _store_cached(path, facts)
+        by_rel[src.rel] = facts
     return ProjectFacts(by_rel)

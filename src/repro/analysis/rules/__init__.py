@@ -1,7 +1,6 @@
 """Built-in repro-lint rules; importing this package registers them."""
 
 from . import (  # noqa: F401
-    cache_payload,
     determinism,
     durability_protocol,
     durable_writes,
@@ -9,12 +8,9 @@ from . import (  # noqa: F401
     exception_safety,
     mutable_defaults,
     nondeterminism_taint,
-    policy_contract,
-    predicted_result,
 )
 
 __all__ = [
-    "cache_payload",
     "determinism",
     "durability_protocol",
     "durable_writes",
@@ -22,6 +18,4 @@ __all__ = [
     "exception_safety",
     "mutable_defaults",
     "nondeterminism_taint",
-    "policy_contract",
-    "predicted_result",
 ]

@@ -60,6 +60,7 @@ import os
 import pickle
 import random
 import shutil
+import threading
 import time
 from pathlib import Path
 from typing import (
@@ -299,8 +300,8 @@ class ResultCache(DurableDir):
         of raising.  Only genuine :class:`SimResult` instances are
         accepted: a :class:`~repro.surrogate.results.PredictedResult`
         (or anything else) raises ``TypeError`` — predictions must never
-        be persisted as if an engine produced them (lint rule RPR007
-        pins the static side of this invariant).
+        be persisted as if an engine produced them
+        (``tests/test_surrogate.py`` holds this guard).
         """
         if not isinstance(result, SimResult):
             raise TypeError(
@@ -713,6 +714,13 @@ def _run_cell_worker(
     )
 
 
+def _exit_with_parent(parent: int) -> None:
+    """End this process once ``parent`` is no longer its parent."""
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
+
+
 def _pool_worker(
     conn: "Connection", store_root: Optional[str], telemetry: bool
 ) -> None:
@@ -724,7 +732,15 @@ def _pool_worker(
     chain, formatted here because pickling drops ``__cause__`` and
     ``__context__``.  An exception that does not pickle and rebuild, or
     a result that does not pickle, goes back as ``(None, text)``.
+
+    A daemon thread ends the worker, busy or idle, within half a second
+    of its parent's death: a killed parent never stops its workers, and
+    no EOF reaches them, since later forks hold copies of the parent's
+    pipe ends.
     """
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), daemon=True
+    ).start()
     for cell, directive in iter(conn.recv, None):
         try:
             result = _run_cell_worker(

@@ -10,15 +10,16 @@ from ..units import size_label
 if TYPE_CHECKING:
     from .energy import EnergyBreakdown
 
-#: The cache-payload partition of :class:`SimResult`'s fields.  Every
-#: dataclass field must appear in exactly one of the three tuples —
-#: repro-lint rule RPR002 enforces the partition statically, so adding
-#: a field forces an explicit decision about the result-cache schema
-#: (and a ``CACHE_SCHEMA_VERSION`` bump in ``sim/parallel.py`` when the
-#: payload changes).
+#: How :class:`SimResult`'s fields meet the result cache.  Every field
+#: is either serialized by :meth:`SimResult.to_dict` or listed in
+#: ``CACHE_EXCLUDED_FIELDS``; ``tests/test_timing_results.py`` checks
+#: that split, so adding a field forces an explicit decision about
+#: the result-cache schema (and a ``CACHE_SCHEMA_VERSION`` bump in
+#: ``sim/parallel.py`` when the payload changes).
 #:
 #: Fields serialized as-is by :meth:`SimResult.to_dict` (JSON-native
-#: values that round-trip exactly).
+#: values that round-trip exactly); ``energy``, ``selections`` and
+#: ``per_structure_remote`` get explicit conversion code there.
 CACHE_PAYLOAD_FIELDS: Tuple[str, ...] = (
     "workload",
     "policy",
@@ -37,14 +38,6 @@ CACHE_PAYLOAD_FIELDS: Tuple[str, ...] = (
     "faults_dropped",
     "remote_cache_coverage",
     "telemetry",
-)
-
-#: Fields needing explicit conversion code in ``to_dict``/``from_dict``
-#: (nested dataclasses / tuple values that JSON would mangle).
-CACHE_CUSTOM_FIELDS: Tuple[str, ...] = (
-    "energy",
-    "selections",
-    "per_structure_remote",
 )
 
 #: Fields that never enter the cache payload.  They describe *how* a
@@ -187,10 +180,9 @@ class SimResult:
         The inverse of :meth:`from_dict`: round-tripping through JSON
         reproduces an equal ``SimResult`` (floats survive JSON exactly
         in Python), which is what lets the on-disk result cache stand in
-        for a live simulation.  The field set is declared in
-        ``CACHE_PAYLOAD_FIELDS``/``CACHE_CUSTOM_FIELDS``/
-        ``CACHE_EXCLUDED_FIELDS`` above; lint rule RPR002 keeps the
-        declaration and this implementation in sync.
+        for a live simulation.  It covers every field but the
+        ``CACHE_EXCLUDED_FIELDS`` above, which
+        ``tests/test_timing_results.py`` checks.
         """
         data: Dict[str, Any] = {
             name: getattr(self, name) for name in CACHE_PAYLOAD_FIELDS

@@ -21,8 +21,8 @@ O(grid) sweeps into O(interesting-cells):
 * :mod:`repro.surrogate.results` — :class:`PredictedResult`, the
   surrogate's output type.  It is deliberately **not** a
   :class:`~repro.sim.results.SimResult`: predicted numbers must never
-  enter the result cache or masquerade as simulation output (lint rule
-  RPR007 and a runtime guard in ``ResultCache.put`` enforce this).
+  enter the result cache or masquerade as simulation output (a runtime
+  guard in ``ResultCache.put`` enforces this).
 """
 
 from .active import ExploreStats, SurrogateConfig, explore, resolve_surrogate

@@ -14,9 +14,8 @@ shares the two fields the reporting layer keys on (``workload``,
   (``performance`` is a prediction, ``uncertainty`` its error bar),
   not a counter an engine produced.
 
-Lint rule RPR007 (``analysis/rules/predicted_result.py``) enforces all
-of this statically, the same way RPR002 pins the ``SimResult`` cache
-partition.
+``tests/test_surrogate.py`` asserts the first two, and that
+``ResultCache.put`` refuses a prediction.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ overridden via ``REPRO_TEST_JOBS``.
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -434,6 +435,40 @@ print(json.dumps({
 }))
 """
 
+#: One hanging and one clean cell at two jobs; each policy drops a file
+#: named after its worker's pid in ``attach``, so the test knows both
+#: workers, one busy and one idle, before it kills this parent.
+_ORPHANING_SWEEP = """
+import os, sys, time
+from repro.policies import StaticPaging
+from repro.sim.parallel import SweepCell, SweepRunner
+from repro.units import PAGE_64K
+
+class PidPolicy(StaticPaging):
+    def attach(self, machine, workload):
+        open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+        super().attach(machine, workload)
+
+class HangingPolicy(PidPolicy):
+    def attach(self, machine, workload):
+        super().attach(machine, workload)
+        time.sleep(600)
+
+SweepRunner(jobs=2, use_cache=False).run_cells([
+    SweepCell("STE", HangingPolicy(PAGE_64K)),
+    SweepCell("STE", PidPolicy(PAGE_64K)),
+])
+"""
+
+
+def _alive(pid):
+    """Whether ``pid`` runs; a zombie, dead but not reaped, is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
 
 class TestOwnedPool:
     """A worker's death or a failure reads the same as in-process."""
@@ -454,6 +489,50 @@ class TestOwnedPool:
         assert outcome["failures"] == [
             ["worker-died", 2, "worker exited with code 13"]
         ]
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists(), reason="needs /proc"
+    )
+    def test_no_worker_outlives_a_killed_parent(self, tmp_path):
+        """SIGKILL of the sweep parent runs none of its clean-up, and
+        still both workers, the busy and the idle one, exit."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {
+            k: v for k, v in os.environ.items() if not k.startswith("REPRO_")
+        }
+        env["PYTHONPATH"] = str(src)
+        pids_dir = tmp_path / "pids"
+        pids_dir.mkdir()
+        stderr = tmp_path / "stderr.txt"
+        with open(stderr, "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _ORPHANING_SWEEP, str(pids_dir)],
+                env=env, stdout=subprocess.DEVNULL, stderr=err,
+            )
+        pids = []
+        try:
+            deadline = time.monotonic() + 120
+            while len(pids) < 2 and proc.poll() is None:
+                assert time.monotonic() < deadline, stderr.read_text()
+                time.sleep(0.05)
+                pids = [int(path.name) for path in pids_dir.iterdir()]
+            assert len(pids) == 2 and proc.pid not in pids, (
+                stderr.read_text()
+            )
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 3.0
+            while any(map(_alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if _alive(pid)] == []
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in filter(_alive, pids):
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:  # it exited meanwhile
+                    pass
 
     def test_a_worker_found_dead_at_hand_off_costs_no_attempt(
         self, monkeypatch

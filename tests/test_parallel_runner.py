@@ -337,19 +337,6 @@ def test_iter_results_skips_legacy_and_quarantines_corrupt(tmp_path):
     assert cache.quarantined == 1
 
 
-def test_cache_put_guard_rejects_non_simresults(tmp_path):
-    from repro.surrogate import PredictedResult
-
-    cache = ResultCache(tmp_path)
-    prediction = PredictedResult(
-        workload="PAR", policy="S-64KB", performance=1.0, remote_ratio=0.0,
-        uncertainty=0.05, fingerprint="cd" * 32, n_trained=8,
-    )
-    with pytest.raises(TypeError, match="exact simulation results only"):
-        cache.put("cd" * 32, prediction)
-    assert not cache.path_for("cd" * 32).exists()
-
-
 def test_surrogate_summary_line_reports_predictions(tmp_path):
     specs = [small_spec(abbr=f"PR{i}") for i in range(4)]
     cells = [

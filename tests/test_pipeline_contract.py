@@ -9,7 +9,9 @@ Two guarantees of the AccessPipeline refactor:
 * a policy that does not satisfy :class:`repro.policies.PolicyProtocol`
   fails fast at attach/validation time with a typed
   :class:`~repro.errors.PolicyContractError` naming every violation,
-  instead of an ``AttributeError`` deep inside the per-access loop.
+  instead of an ``AttributeError`` deep inside the per-access loop;
+  and every policy class the package defines passes that validation,
+  so none ships broken because no sweep happens to build it.
 
 Two further engine gates live here: a twelve-cell *same-trace sweep
 fixture* — cells replaying one trace, swept through the real
@@ -25,7 +27,10 @@ also record the same snapshot on the golden cells and for the lying
 policy.
 """
 
+import importlib
+import inspect
 import json
+import pkgutil
 from pathlib import Path
 from typing import ClassVar
 
@@ -257,6 +262,48 @@ def test_num_epochs_must_be_positive():
     with pytest.raises(PolicyContractError) as excinfo:
         validate_policy(_ZeroEpochs(PAGE_64K))
     assert excinfo.value.context["num_epochs"] == 0
+
+
+def _package_policy_classes():
+    """Every policy class the package defines: each ``PlacementPolicy``
+    subclass under ``repro``, and each class named ``*Policy`` in a
+    ``repro.policies`` module, whatever its bases."""
+    import repro
+
+    found = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for cls in vars(module).values():
+            if not inspect.isclass(cls) or cls is PlacementPolicy:
+                continue
+            home = cls.__module__
+            named = cls.__name__.endswith("Policy") and home.startswith(
+                "repro.policies."
+            )
+            if home.startswith("repro.") and (
+                named or issubclass(cls, PlacementPolicy)
+            ):
+                found[f"{home}.{cls.__qualname__}"] = cls
+    return [found[key] for key in sorted(found)]
+
+
+def test_every_policy_class_in_the_package_satisfies_the_contract():
+    """Attach-time validation, run on each policy class the package
+    defines, including one no experiment or test sweeps yet.  Abstract
+    classes are not skipped: one that never defined ``place`` fails to
+    build."""
+    from repro.experiments.sec26_interleaving import _RoundRobinPaging
+
+    classes = _package_policy_classes()
+    assert {StaticPaging, ClapPolicy, _RoundRobinPaging} <= set(classes)
+    for cls in classes:
+        required = [
+            param
+            for param in inspect.signature(cls).parameters.values()
+            if param.default is param.empty
+            and param.kind not in (param.VAR_POSITIONAL, param.VAR_KEYWORD)
+        ]
+        validate_policy(cls(PAGE_64K) if required else cls())
 
 
 # --- epoch flushing (the partial-tail satellite) ---

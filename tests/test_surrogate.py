@@ -8,7 +8,8 @@ Three families of invariants:
 * **Corpus plumbing** — ``ResultCache.iter_results`` round-trips the
   schema-v4 payload and skips quarantined/corrupt entries without
   raising; ``ResultCache.put`` refuses anything that is not an exact
-  ``SimResult`` (the RPR007 runtime backstop).
+  ``SimResult``, and ``PredictedResult`` is no ``SimResult`` subclass
+  and has no cache codec, so a prediction can never be cached.
 * **The active-sampling loop** — tiny grids run exactly, budgets hold,
   exactly simulated cells are bit-identical to a plain sweep, corpus
   hits are free training data, and predictions never enter the cache.
@@ -206,7 +207,16 @@ def test_cache_put_refuses_predicted_results(tmp_path):
         cache.put("0" * 64, predicted)
     with pytest.raises(TypeError):
         cache.put("0" * 64, {"performance": 1.0})
+    assert not cache.path_for("0" * 64).exists()
     assert cache.get("0" * 64) is None
+
+
+def test_prediction_type_cannot_pass_as_a_simulation():
+    """``isinstance`` always tells a prediction from an exact result,
+    and the prediction type has no cache codec to be stored with."""
+    assert not issubclass(PredictedResult, SimResult)
+    assert not hasattr(PredictedResult, "to_dict")
+    assert not hasattr(PredictedResult, "from_dict")
 
 
 # --- resolve_surrogate spellings -------------------------------------

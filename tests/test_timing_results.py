@@ -171,6 +171,24 @@ class TestSimResultSerialization:
         )
         assert set(data) == expected
 
+    def test_cache_excluded_fields_stay_out_of_equality(self):
+        """A field kept out of the payload must carry
+        ``field(compare=False)``, or a result read back from the cache
+        would compare unequal to the live one; and every name in the
+        two tuples must still be a field."""
+        from dataclasses import fields
+
+        from repro.sim.results import (
+            CACHE_EXCLUDED_FIELDS,
+            CACHE_PAYLOAD_FIELDS,
+        )
+
+        names = {f.name for f in fields(SimResult)}
+        uncompared = {f.name for f in fields(SimResult) if not f.compare}
+        assert uncompared == set(CACHE_EXCLUDED_FIELDS)
+        assert not set(CACHE_EXCLUDED_FIELDS) & set(CACHE_PAYLOAD_FIELDS)
+        assert set(CACHE_PAYLOAD_FIELDS) <= names
+
     def test_from_dict_rejects_unknown_fields(self):
         data = self.full_result().to_dict()
         data["not_a_field"] = 1
