@@ -5,30 +5,21 @@ has paid for in bugs (see DESIGN.md section 8):
 
 * :mod:`repro.analysis.core` — rule registry, project/file model,
   inline suppression, the ``run_lint`` driver;
-* :mod:`repro.analysis.baseline` — grandfathered-finding baseline;
 * :mod:`repro.analysis.rules` — the repo-specific rules (``RPR001``,
   ``RPR003``, ``RPR004``, ``RPR006`` and ``RPR008``…``RPR010``);
 * :mod:`repro.analysis.cli` — the ``python -m repro lint`` subcommand.
+
+A lint run reads only the tree it scans and writes nothing.
 """
 
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from .cli import default_scan_root
 
 __all__ = [
-    "DEFAULT_BASELINE_NAME",
     "Finding",
     "Project",
     "all_rules",
-    "apply_baseline",
     "default_scan_root",
-    "load_baseline",
     "run_lint",
-    "write_baseline",
 ]
 
 #: Loaded on first use, so the CLI can build its ``lint`` parser without

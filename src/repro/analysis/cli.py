@@ -7,12 +7,12 @@ Usage::
     python -m repro lint --select RPR001,RPR004
     python -m repro lint --output json         # machine-readable
     python -m repro lint --output github       # CI annotations
-    python -m repro lint --write-baseline      # grandfather current findings
     python -m repro lint --list-rules
 
-Exit status is nonzero only for findings *not* absorbed by the baseline
-(``lint-baseline.json`` beside the current directory, or ``--baseline
-PATH``); grandfathered findings are reported but do not fail the run.
+Exit status: 0 when the scanned trees lint clean, 1 when there are
+findings, 2 on bad input (a missing path, an unknown rule code, a file
+that does not decode or parse).  A run reads only the trees it scans
+and writes nothing.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Sequence
-
-from .baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
+from typing import TYPE_CHECKING, List, Optional, Sequence, Union
 
 if TYPE_CHECKING:
     from .core import Finding
@@ -60,103 +53,60 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "annotations (::error problem-matcher lines)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="baseline file of grandfathered findings (default: "
-        f"./{DEFAULT_BASELINE_NAME} when present)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write all current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="list rule codes and exit"
     )
 
 
-def _display_path(finding: Finding) -> str:
+def _display_path(path: Union[str, Path]) -> str:
     """Path as the user should see it: CWD-relative when possible."""
     try:
-        return os.path.relpath(finding.path)
+        return os.path.relpath(path)
     except ValueError:  # different drive on Windows
-        return str(finding.path)
+        return str(path)
 
 
-def _emit_text(
-    new: Sequence[Finding], old: Sequence[Finding], stream
-) -> None:
-    for finding in new:
-        print(finding.format(_display_path(finding)), file=stream)
-    for finding in old:
-        print(
-            f"{finding.format(_display_path(finding))} [baselined]",
-            file=stream,
-        )
-    total = len(new) + len(old)
-    if total == 0:
-        print("repro-lint: clean", file=stream)
+def _emit_text(findings: Sequence[Finding], stream) -> None:
+    for finding in findings:
+        print(finding.format(_display_path(finding.path)), file=stream)
+    if findings:
+        print(f"repro-lint: {len(findings)} finding(s)", file=stream)
     else:
-        print(
-            f"repro-lint: {len(new)} finding(s), {len(old)} baselined",
-            file=stream,
-        )
+        print("repro-lint: clean", file=stream)
 
 
-def _emit_json(
-    new: Sequence[Finding], old: Sequence[Finding], stream
-) -> None:
-    def encode(finding: Finding, baselined: bool) -> dict:
-        return {
-            "code": finding.code,
-            "path": _display_path(finding),
-            "project_path": finding.rel,
-            "line": finding.line,
-            "col": finding.col,
-            "message": finding.message,
-            "baselined": baselined,
-        }
-
+def _emit_json(findings: Sequence[Finding], stream) -> None:
     payload = {
-        "findings": [encode(f, False) for f in new]
-        + [encode(f, True) for f in old],
-        "new": len(new),
-        "baselined": len(old),
+        "findings": [
+            {
+                "code": finding.code,
+                "path": _display_path(finding.path),
+                "project_path": finding.rel,
+                "line": finding.line,
+                "col": finding.col,
+                "message": finding.message,
+            }
+            for finding in findings
+        ],
+        "new": len(findings),
     }
     json.dump(payload, stream, indent=2)
     stream.write("\n")
 
 
-def _emit_github(
-    new: Sequence[Finding], old: Sequence[Finding], stream
-) -> None:
+def _emit_github(findings: Sequence[Finding], stream) -> None:
     """GitHub Actions workflow-command annotations (the built-in
     problem matcher for ``::error`` lines places them on the PR diff)."""
-    for finding in new:
+    for finding in findings:
         message = finding.message.replace("%", "%25").replace(
             "\n", "%0A"
         )
         print(
-            f"::error file={_display_path(finding)},"
+            f"::error file={_display_path(finding.path)},"
             f"line={finding.line},col={finding.col + 1},"
             f"title=repro-lint {finding.code}::{message}",
             file=stream,
         )
-    for finding in old:
-        message = finding.message.replace("%", "%25").replace(
-            "\n", "%0A"
-        )
-        print(
-            f"::notice file={_display_path(finding)},"
-            f"line={finding.line},col={finding.col + 1},"
-            f"title=repro-lint {finding.code} (baselined)::{message}",
-            file=stream,
-        )
-    print(
-        f"repro-lint: {len(new)} finding(s), {len(old)} baselined",
-        file=stream,
-    )
+    print(f"repro-lint: {len(findings)} finding(s)", file=stream)
 
 
 def run_lint_command(args: argparse.Namespace) -> int:
@@ -171,6 +121,14 @@ def run_lint_command(args: argparse.Namespace) -> int:
     select: Optional[List[str]] = None
     if args.select:
         select = [c.strip() for c in args.select.split(",") if c.strip()]
+        unknown = sorted(set(select) - set(all_rules()))
+        if unknown:
+            print(
+                f"repro-lint: unknown rule code(s): {', '.join(unknown)}"
+                " (see --list-rules)",
+                file=sys.stderr,
+            )
+            return 2
 
     roots = (
         [Path(p) for p in args.paths]
@@ -182,36 +140,20 @@ def run_lint_command(args: argparse.Namespace) -> int:
         if not root.exists():
             print(f"repro-lint: no such path: {root}", file=sys.stderr)
             return 2
-        findings.extend(run_lint(Project(root=root.resolve()), select))
-
-    baseline_path: Optional[Path]
-    if args.baseline is not None:
-        baseline_path = Path(args.baseline)
-    else:
-        candidate = Path(DEFAULT_BASELINE_NAME)
-        baseline_path = candidate if candidate.exists() else None
-
-    if args.write_baseline:
-        target = (
-            baseline_path
-            if baseline_path is not None
-            else Path(DEFAULT_BASELINE_NAME)
-        )
-        write_baseline(findings, target)
-        print(
-            f"repro-lint: wrote {len(findings)} finding(s) to {target}"
-        )
-        return 0
-
-    if baseline_path is not None and baseline_path.exists():
-        new, old = apply_baseline(findings, load_baseline(baseline_path))
-    else:
-        new, old = list(findings), []
+        try:
+            findings.extend(run_lint(Project(root=root.resolve()), select))
+        except SyntaxError as exc:
+            print(
+                f"repro-lint: cannot lint {_display_path(exc.filename)}:"
+                f"{exc.lineno}: {exc.msg}",
+                file=sys.stderr,
+            )
+            return 2
 
     emit = {
         "text": _emit_text,
         "json": _emit_json,
         "github": _emit_github,
     }[args.output]
-    emit(new, old, sys.stdout)
-    return 1 if new else 0
+    emit(findings, sys.stdout)
+    return 1 if findings else 0

@@ -7,13 +7,9 @@ not one file at a time — because the invariants worth checking here are
 cross-file (engine parity, policy contracts), and single-file rules
 simply iterate :meth:`Project.sources`.
 
-Findings can be silenced two ways:
-
-* an inline ``# repro-lint: ignore[RPR001]`` (or a bare
-  ``# repro-lint: ignore``) comment on the flagged line, for findings
-  that are individually justified in place;
-* the baseline file (:mod:`repro.analysis.baseline`), for grandfathered
-  findings that should not fail CI but should not silently grow either.
+A finding is silenced by an inline ``# repro-lint: ignore[RPR001]``
+(or a bare ``# repro-lint: ignore``) comment on the flagged line, for
+findings that are individually justified in place.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -76,15 +71,6 @@ class Finding:
     col: int
     message: str
 
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-number-independent identity used by the baseline.
-
-        Moving code around must not invalidate a grandfathered finding,
-        so the fingerprint is (code, file, message) — messages name the
-        offending symbol, which keeps them stable under reformatting.
-        """
-        return (self.code, self.rel, self.message)
-
     def format(self, display_path: Optional[str] = None) -> str:
         where = display_path if display_path is not None else self.rel
         return f"{where}:{self.line}:{self.col}: {self.code} {self.message}"
@@ -96,7 +82,14 @@ class SourceFile:
     def __init__(self, path: Path, rel: str) -> None:
         self.path = path
         self.rel = rel
-        self.text = path.read_text(encoding="utf-8")
+        try:
+            self.text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            # Python, too, reports undecodable source as a SyntaxError.
+            line = path.read_bytes().count(b"\n", 0, exc.start) + 1
+            raise SyntaxError(
+                f"not UTF-8: {exc.reason}", (str(path), line, 1, None)
+            ) from exc
         self.lines = self.text.splitlines()
         self._tree: Optional[ast.Module] = None
         self._nodes: Optional[List[ast.AST]] = None
@@ -114,7 +107,7 @@ class SourceFile:
         """``ast.walk(self.tree)``, flattened once and memoized.
 
         Several whole-tree rules sweep the same few files; sharing one
-        walk keeps the warm (facts-cached) lint path cheap.
+        walk spares each of them its own.
         """
         if self._nodes is None:
             self._nodes = list(ast.walk(self.tree))
@@ -166,9 +159,7 @@ class Project:
     _facts: Optional["ProjectFacts"] = field(default=None, repr=False)
 
     def facts(self) -> "ProjectFacts":
-        """The project's dataflow facts (built once, cached for the
-        run; per-file records come from the incremental on-disk cache
-        so a warm build parses only changed files)."""
+        """The project's dataflow facts, built once per run."""
         if self._facts is None:
             from .dataflow.facts import build_project_facts
 
@@ -249,7 +240,7 @@ def run_lint(
     select: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
     """Run (selected) rules over ``project``; inline-suppressed findings
-    are dropped here, baseline filtering is the caller's concern.
+    are dropped.
 
     Findings are byte-identical regardless of PYTHONHASHSEED:
     everything downstream of fact extraction iterates sorted

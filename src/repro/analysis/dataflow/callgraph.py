@@ -1,4 +1,4 @@
-"""Module/call-graph resolution over cached per-file facts.
+"""Module/call-graph resolution over per-file facts.
 
 The :class:`Resolver` maps the import structure of a :class:`Project`
 (absolute and relative imports, module aliases, ``from`` symbols) and

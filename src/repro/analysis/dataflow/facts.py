@@ -1,15 +1,12 @@
-"""Per-file fact extraction with a content-hash-keyed incremental cache.
+"""Per-file fact extraction.
 
 One parse of a source file produces a JSON-serializable *facts* record:
 imports, classes (bases, frozen-dataclass flag), functions (parameters,
 call sites carrying symbolic taint terms, raw write operations,
 exception handlers, raised names) and mutable-default descriptors.
 Everything repro-lint needs project-wide is answerable from these
-records, so a warm run parses nothing that has not changed: records
-are cached under
-``<repro cache dir>/lint-facts/<sha256(rel + content)>.json``, written
-via :func:`repro.sim.durability.atomic_write` so a crash mid-write can
-never leave a torn record for the next run to load.
+records, so the project-wide rules read facts instead of trees.  Every
+run extracts every file it scans and writes nothing.
 
 Symbolic taint terms
 --------------------
@@ -22,7 +19,7 @@ later by :mod:`.taint` against declarative source/sanitizer/sink specs:
   (``os.environ``);
 * ``{"t": "c", "n": name, ...}`` — a call, carrying per-argument terms
   (sources, sanitizers and callee summaries are resolved at analysis
-  time, so the cached facts stay spec-independent);
+  time, so the facts stay spec-independent);
 * ``{"t": "u", "m": [...]}`` — a union;
 * ``None`` — a value with no taint-relevant structure.
 
@@ -35,9 +32,7 @@ method calls keep their receiver's term.
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
-from pathlib import Path
 from typing import (
     Any,
     Dict,
@@ -51,14 +46,12 @@ from typing import (
 
 from ..core import (
     Project,
+    SourceFile,
     call_name,
     dataclass_frozen,
     dotted_name,
     is_dataclass_def,
 )
-
-#: Bump to invalidate every cached facts record (schema change).
-FACTS_VERSION = 2
 
 #: Bare names that mean a wall clock when imported ``from time``.
 WALLCLOCK_FROM_TIME = frozenset(
@@ -193,13 +186,13 @@ class _Extractor:
     # --- top level ---
 
     def extract(self) -> Facts:
-        self._collect_imports()
+        nodes = list(ast.walk(self.tree))
+        self._collect_imports(nodes)
         module_ctx = _FunctionCtx("<module>", "<module>", None, [], 1, 0)
         self._run_scope(module_ctx, self.tree.body, "", None)
         self.functions.append(module_ctx.record)
-        self._reconcile_calls(module_ctx.record)
+        self._reconcile_calls(module_ctx.record, nodes)
         return {
-            "version": FACTS_VERSION,
             "rel": self.rel,
             "imports": self.imports,
             "time_imports": sorted(self._time_imports()),
@@ -223,16 +216,16 @@ class _Extractor:
         ctx.record["returns"] = _union(ctx.returns)
 
     def _time_imports(self) -> Set[str]:
-        names: Set[str] = set()
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "time":
-                for alias in node.names:
-                    if alias.name in WALLCLOCK_FROM_TIME:
-                        names.add(alias.asname or alias.name)
-        return names
+        return {
+            imp["asname"]
+            for imp in self.imports
+            if imp["kind"] == "from"
+            and imp["module"] == "time"
+            and imp["name"] in WALLCLOCK_FROM_TIME
+        }
 
-    def _collect_imports(self) -> None:
-        for node in ast.walk(self.tree):
+    def _collect_imports(self, nodes: List[ast.AST]) -> None:
+        for node in nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     self.imports.append(
@@ -964,7 +957,9 @@ class _Extractor:
             return self._hint(expr.value, ctx, depth + 1)
         return ""
 
-    def _reconcile_calls(self, module_record: Dict[str, Any]) -> None:
+    def _reconcile_calls(
+        self, module_record: Dict[str, Any], nodes: List[ast.AST]
+    ) -> None:
         """Safety net: any ``ast.Call`` the structured walk missed is
         appended as a bare record, so per-file rules (RPR001) can never
         silently lose a call site to an unhandled expression position."""
@@ -972,7 +967,7 @@ class _Extractor:
         for fn in self.functions:
             for rec in fn["calls"]:
                 seen.add((rec["line"], rec["col"]))
-        for node in ast.walk(self.tree):
+        for node in nodes:
             if not isinstance(node, ast.Call):
                 continue
             pos = (node.lineno, node.col_offset)
@@ -1001,51 +996,10 @@ class _Extractor:
             )
 
 
-def extract_file_facts(rel: str, text: str) -> Facts:
-    """Facts record for one source file (parses ``text``)."""
-    tree = ast.parse(text, filename=rel)
-    return _Extractor(rel, tree).extract()
-
-
-# --- incremental cache ---
-
-
-def facts_cache_dir() -> Path:
-    """``<repro cache dir>/lint-facts`` — beside the result cache."""
-    from ...sim.parallel import default_cache_dir
-
-    return default_cache_dir() / "lint-facts"
-
-
-def content_digest(rel: str, text: str) -> str:
-    payload = f"repro-lint-facts:{FACTS_VERSION}:{rel}:".encode("utf-8")
-    return hashlib.sha256(payload + text.encode("utf-8")).hexdigest()
-
-
-def _load_cached(path: Path) -> Optional[Facts]:
-    try:
-        loaded = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    if (
-        not isinstance(loaded, dict)
-        or loaded.get("version") != FACTS_VERSION
-    ):
-        return None
-    return loaded
-
-
-def _store_cached(path: Path, facts: Facts) -> None:
-    from ...sim.durability import atomic_write
-
-    try:
-        atomic_write(
-            path,
-            json.dumps(facts, sort_keys=True, separators=(",", ":")),
-            fsync=False,
-        )
-    except OSError:
-        pass  # a read-only cache degrades to cold analysis, never fails
+def extract_file_facts(src: SourceFile) -> Facts:
+    """Facts record for one source file (parses its text)."""
+    tree = ast.parse(src.text, filename=str(src.path))
+    return _Extractor(src.rel, tree).extract()
 
 
 class ProjectFacts:
@@ -1092,15 +1046,7 @@ class ProjectFacts:
 
 
 def build_project_facts(project: Project) -> ProjectFacts:
-    """Facts for every source in ``project``, loading unchanged files
-    from the content-hash cache and extracting the rest."""
-    cache_root = facts_cache_dir()
-    by_rel: Dict[str, Facts] = {}
-    for src in project.sources():
-        path = cache_root / f"{content_digest(src.rel, src.text)}.json"
-        facts = _load_cached(path)
-        if facts is None:
-            facts = extract_file_facts(src.rel, src.text)
-            _store_cached(path, facts)
-        by_rel[src.rel] = facts
-    return ProjectFacts(by_rel)
+    """Facts for every source in ``project``."""
+    return ProjectFacts(
+        {src.rel: extract_file_facts(src) for src in project.sources()}
+    )

@@ -23,9 +23,9 @@ Three sub-checks:
   its wall-time *stats* (``SweepStats.wall_seconds``, cell timing,
   backoff sleeps) describe how a sweep ran, never what it computed.
 
-The call sites come from the dataflow facts cache rather than a fresh
-parse, and the source tables are shared with RPR008's taint specs
-(:mod:`..dataflow.taint`) — one spec, two enforcement depths.
+The call sites come from the dataflow facts rather than a second walk
+of each tree, and the source tables are shared with RPR008's taint
+specs (:mod:`..dataflow.taint`) — one spec, two enforcement depths.
 """
 
 from __future__ import annotations

@@ -12,9 +12,17 @@ trace-store repair is ``DurableDir.quarantine``'s rename.  Any other
 code path writing those files — directly, or by handing a lease/journal
 path to a function that writes its path argument (``atomic_write``
 included) — reintroduces exactly the torn-write/race windows the
-helpers exist to close.  This subsumes RPR006's surface check with call-graph reach:
-the write does not have to be textually inside the protocol file's
-helper to be caught, only *reachable* from protocol code.
+helpers exist to close.
+
+This overlaps RPR006 (durable writes) but does not subsume it.  RPR006
+bans the write-mode ``open``, ``write_bytes``/``write_text`` and stream
+serializers in seven durable-state modules, whatever they write.  This
+rule checks only the two protocol files below, and only writes whose
+target is lease, journal or trace state.  There it also sees the
+low-level calls RPR006 allows (``os.replace``, ``os.unlink``,
+``os.open``, …) and, through the call graph, a protocol path handed to
+a function that writes it.  A ``write_text`` of a lease file in
+``sim/coordinator.py`` trips both rules.
 
 Two checks over the protocol files (``sim/coordinator.py``,
 ``trace/store.py``; ``sim/durability.py`` and ``sim/journal.py`` are
@@ -114,8 +122,7 @@ def _call_category(hints: list) -> Optional[str]:
 def check_durability_protocol(project: Project) -> Iterator[Finding]:
     """Lease/journal/trace-store state mutated outside the blessed
     crash-safe helpers — directly or by passing a protocol path into a
-    function that writes its path argument (call-graph reach; subsumes
-    RPR006's surface check)."""
+    function that writes its path argument (call-graph reach)."""
     facts = project.facts()
     resolver = facts.resolver()
     writes_params = resolver.writes_through_params()

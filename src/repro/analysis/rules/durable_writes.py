@@ -24,8 +24,8 @@ built, and passing it a string mode is impossible.  Reads (default-mode
 ``open``, ``"rb"``, ``read_bytes``) are untouched.  A justified
 exception takes an inline ``# repro-lint: ignore[RPR006]``.
 
-Write sites come from the dataflow facts cache (the same per-file write
-records RPR009 categorizes), so a warm run inspects no ASTs here.
+Write sites come from the dataflow facts (the same per-file write
+records RPR009 categorizes), so this rule walks no AST itself.
 """
 
 from __future__ import annotations

@@ -22,8 +22,8 @@ shared mutable instance.  Checked sites:
 Defaults that merely *rebind an existing object* (``cache=cache`` in
 the batch engine's hot closures) are Name nodes, not constructor
 calls, and are deliberately not flagged.  Default-site descriptors and
-the project class table both come from the dataflow facts cache, so a
-warm run needs no parsing at all.
+the project class table both come from the dataflow facts, so this rule
+walks no AST itself.
 """
 
 from __future__ import annotations

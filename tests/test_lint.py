@@ -1,11 +1,11 @@
-"""repro-lint: rule goldens, suppression, baseline, CLI, live tree.
+"""repro-lint: rule goldens, suppression, CLI, live tree.
 
 Each rule has a *bad* fixture (a miniature project triggering every
 shape the rule knows) and a *good* fixture (the deterministic
 counterparts) under ``tests/data/lint/``; the golden assertions pin the
 rule codes and the load-bearing message fragments.  The live-tree test
-is the actual gate: the installed package must lint clean modulo the
-committed baseline.  The reintroduction tests replay the historical
+is the actual gate: the installed package must lint clean.  The
+reintroduction tests replay the historical
 bugs the rules exist for (PR 1 ``hash()``, PR 3 shared
 ``TimingParams()`` default, a salted fingerprint, a raw lease write)
 and require the lint to fail.
@@ -26,16 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    Finding,
-    Project,
-    all_rules,
-    apply_baseline,
-    default_scan_root,
-    load_baseline,
-    run_lint,
-    write_baseline,
-)
+from repro.analysis import Project, all_rules, default_scan_root, run_lint
 
 FIXTURES = Path(__file__).resolve().parent / "data" / "lint"
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -266,54 +257,13 @@ def test_pycache_and_artifacts_not_scanned(tmp_path):
     assert run_lint(Project(root=tmp_path), select=["RPR001"]) == []
 
 
-# ----------------------------------------------------------------- baseline
-
-
-def test_baseline_round_trip_and_one_shot_absorption(tmp_path):
-    findings = lint_fixture("determinism_bad", select=["RPR001"])
-    assert findings
-    path = tmp_path / "lint-baseline.json"
-    write_baseline(findings, path)
-
-    baseline = load_baseline(path)
-    new, old = apply_baseline(findings, baseline)
-    assert new == [] and len(old) == len(findings)
-
-    # A *second* instance of a grandfathered finding is not absorbed:
-    # each baseline entry covers exactly one occurrence.
-    duplicated = findings + [findings[0]]
-    new, old = apply_baseline(duplicated, baseline)
-    assert len(new) == 1 and new[0].fingerprint() == findings[0].fingerprint()
-
-
-def test_baseline_is_line_number_independent(tmp_path):
-    finding = lint_fixture("determinism_bad", select=["RPR001"])[0]
-    path = tmp_path / "lint-baseline.json"
-    write_baseline([finding], path)
-    moved = Finding(
-        code=finding.code,
-        path=finding.path,
-        rel=finding.rel,
-        line=finding.line + 40,
-        col=0,
-        message=finding.message,
-    )
-    new, old = apply_baseline([moved], load_baseline(path))
-    assert new == [] and old == [moved]
-
-
-def test_baseline_version_mismatch_rejected(tmp_path):
-    path = tmp_path / "lint-baseline.json"
-    path.write_text(json.dumps({"version": 99, "findings": []}))
-    with pytest.raises(ValueError, match="baseline version"):
-        load_baseline(path)
-
-
 # --------------------------------------------------------------------- CLI
 
 
-def run_cli(*args, cwd=None):
-    env = dict(os.environ)
+def run_cli(*args, cwd=None, env=None):
+    """``python -m repro lint *args``; ``env`` entries override the
+    caller's environment."""
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "repro", "lint", *args],
@@ -345,7 +295,6 @@ def test_cli_json_output_is_machine_readable():
     assert proc.returncode == 1
     payload = json.loads(proc.stdout)
     assert payload["new"] == len(payload["findings"]) > 0
-    assert payload["baselined"] == 0
     first = payload["findings"][0]
     assert first["code"] == "RPR001"
     assert {"path", "project_path", "line", "col", "message"} <= set(first)
@@ -361,45 +310,16 @@ def test_cli_github_output_emits_error_annotations():
     assert "title=repro-lint RPR001" in proc.stdout
 
 
-def test_cli_write_baseline_then_grandfathered_run(tmp_path):
-    target = str(FIXTURES / "determinism_bad")
-    proc = run_cli(target, "--select", "RPR001", "--write-baseline",
-                   cwd=tmp_path)
-    assert proc.returncode == 0
-    assert (tmp_path / "lint-baseline.json").exists()
-
-    proc = run_cli(target, "--select", "RPR001", cwd=tmp_path)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "[baselined]" in proc.stdout
-    assert "0 finding(s)" in proc.stdout
-
-    # ``github`` output downgrades grandfathered findings to notices.
-    proc = run_cli(target, "--select", "RPR001", "--output", "github",
-                   cwd=tmp_path)
-    assert proc.returncode == 0
-    assert "::notice file=" in proc.stdout
-    assert "::error" not in proc.stdout
-
-
-def test_cli_findings_byte_identical_across_hash_seeds(tmp_path):
+def test_cli_findings_byte_identical_across_hash_seeds():
     """Hash-seed order must not leak into the report: two runs under
-    different PYTHONHASHSEEDs produce byte-identical JSON."""
+    different PYTHONHASHSEEDs, each extracting every file itself,
+    produce byte-identical JSON."""
     target = str(FIXTURES / "nondeterminism_taint_bad")
     outputs = []
     for seed in ("0", "1"):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-        )
-        env["PYTHONHASHSEED"] = seed
-        env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "lint", target,
-             "--select", "RPR008", "--output", "json"],
-            capture_output=True,
-            text=True,
-            cwd=str(REPO_ROOT),
-            env=env,
+        proc = run_cli(
+            target, "--select", "RPR008", "--output", "json",
+            env={"PYTHONHASHSEED": seed},
         )
         assert proc.returncode == 1, proc.stdout + proc.stderr
         outputs.append(proc.stdout)
@@ -407,10 +327,53 @@ def test_cli_findings_byte_identical_across_hash_seeds(tmp_path):
     assert json.loads(outputs[0])["new"] == 5
 
 
+def assert_input_error(proc, fragment):
+    """Bad input exits 2 with one ``repro-lint:`` line on stderr and
+    no report."""
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("repro-lint: ") and fragment in lines[0]
+    assert proc.stdout == ""
+
+
 def test_cli_missing_path_exits_two():
-    proc = run_cli("does/not/exist")
-    assert proc.returncode == 2
-    assert "no such path" in proc.stderr
+    assert_input_error(run_cli("does/not/exist"), "no such path")
+
+
+@pytest.mark.parametrize(
+    "code", ["RPR999", "RPR002"], ids=["unknown", "retired"]
+)
+def test_cli_unknown_rule_code_exits_two(code):
+    proc = run_cli(str(FIXTURES / "determinism_good"), "--select", code)
+    assert_input_error(proc, f"unknown rule code(s): {code}")
+
+
+def test_cli_unparsable_file_exits_two(tmp_path):
+    (tmp_path / "ok.py").write_text("x = 1\n")
+    (tmp_path / "broken.py").write_text("x = 1\ndef f(:\n    pass\n")
+    assert_input_error(run_cli(str(tmp_path), cwd=tmp_path), "broken.py:2:")
+
+
+def test_cli_undecodable_file_exits_two(tmp_path):
+    (tmp_path / "ok.py").write_text("x = 1\n")
+    (tmp_path / "garbled.py").write_bytes(b"x = 1\ny = '\xff\xfe'\n")
+    assert_input_error(
+        run_cli(str(tmp_path), cwd=tmp_path), "garbled.py:2: not UTF-8"
+    )
+
+
+def test_a_lint_run_leaves_no_state(tmp_path):
+    """A lint run reads only the tree it scans: it writes nothing under
+    ``HOME``, the cache directory or the working directory."""
+    home, cache, cwd = dirs = [tmp_path / n for n in ("home", "cache", "cwd")]
+    for path in dirs:
+        path.mkdir()
+    env = {"HOME": str(home), "REPRO_CACHE_DIR": str(cache)}
+    assert run_cli(cwd=cwd, env=env).returncode == 0
+    bad = run_cli(str(FIXTURES / "determinism_bad"), cwd=cwd, env=env)
+    assert bad.returncode == 1
+    assert [sorted(path.iterdir()) for path in dirs] == [[], [], []]
 
 
 def test_cli_list_rules():
@@ -423,16 +386,10 @@ def test_cli_list_rules():
 # ---------------------------------------------------------------- live tree
 
 
-def test_live_tree_has_no_non_baselined_findings():
-    """The gate CI enforces: the installed package lints clean modulo
-    the committed baseline (none is currently needed)."""
+def test_live_tree_lints_clean():
+    """The gate CI enforces: the installed package lints clean."""
     findings = run_lint(Project(root=default_scan_root()))
-    baseline_file = REPO_ROOT / "lint-baseline.json"
-    if baseline_file.exists():
-        new, _ = apply_baseline(findings, load_baseline(baseline_file))
-    else:
-        new = findings
-    assert new == [], "\n".join(f.format() for f in new)
+    assert findings == [], "\n".join(f.format() for f in findings)
 
 
 # ------------------------------------------------- bug reintroduction gates
