@@ -10,9 +10,9 @@ Usage::
     python -m repro lint --list-rules
 
 Exit status: 0 when the scanned trees lint clean, 1 when there are
-findings, 2 on bad input (a missing path, an unknown rule code, a file
-that does not decode or parse).  A run reads only the trees it scans
-and writes nothing.
+findings, 2 on bad input (a missing path, an unknown rule code or an
+empty ``--select``, a file that does not decode or parse).  A run reads
+only the trees it scans and writes nothing.
 """
 
 from __future__ import annotations
@@ -119,8 +119,11 @@ def run_lint_command(args: argparse.Namespace) -> int:
         return 0
 
     select: Optional[List[str]] = None
-    if args.select:
+    if args.select is not None:
         select = [c.strip() for c in args.select.split(",") if c.strip()]
+        if not select:
+            print("repro-lint: --select names no rule code", file=sys.stderr)
+            return 2
         unknown = sorted(set(select) - set(all_rules()))
         if unknown:
             print(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -82,14 +83,22 @@ class SourceFile:
     def __init__(self, path: Path, rel: str) -> None:
         self.path = path
         self.rel = rel
+        # Decoded as Python decodes source: by the PEP 263 coding cookie
+        # or the BOM, else as UTF-8.
         try:
-            self.text = path.read_text(encoding="utf-8")
+            with tokenize.open(path) as handle:
+                self.text = handle.read()
         except UnicodeDecodeError as exc:
             # Python, too, reports undecodable source as a SyntaxError.
             line = path.read_bytes().count(b"\n", 0, exc.start) + 1
             raise SyntaxError(
-                f"not UTF-8: {exc.reason}", (str(path), line, 1, None)
+                f"not {exc.encoding.upper()}: {exc.reason}",
+                (str(path), line, 1, None),
             ) from exc
+        except SyntaxError as exc:
+            # An unknown codec in the coding cookie, or undecodable bytes
+            # before it: tokenize names no line.
+            raise SyntaxError(exc.msg, (str(path), 1, 1, None)) from exc
         self.lines = self.text.splitlines()
         self._tree: Optional[ast.Module] = None
         self._nodes: Optional[List[ast.AST]] = None

@@ -11,7 +11,7 @@ drive every observed effect, and those ratios are preserved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+from typing import Dict
 
 from .units import KB, MB, PAGE_2M, PAGE_4K, PAGE_64K
 
@@ -125,17 +125,6 @@ class GPUConfig:
         """Per-chiplet L2 capacity after footprint scaling (min 16 lines)."""
         return max(self.l2_cache_bytes // self.scale, 16 * self.cache_line)
 
-    @property
-    def scaled_l1_cache_bytes(self) -> int:
-        """Aggregate per-chiplet L1 capacity after scaling.
-
-        Per-SM L1s are modelled as one per-chiplet aggregate (the trace
-        interleaves all SMs of a chiplet); its capacity is the sum of the
-        per-SM L1s, scaled.
-        """
-        total = self.l1_cache_bytes * self.sms_per_chiplet
-        return max(total // self.scale, 16 * self.cache_line)
-
     #: Per-SM L1 TLBs are private, so SMs hold duplicate entries for
     #: shared pages; the aggregate per-chiplet model discounts the summed
     #: capacity by this factor to account for that replication.
@@ -175,9 +164,3 @@ def eight_chiplet_config() -> GPUConfig:
     """The Figure 22 variant: an 8-chiplet MCM GPU."""
     return GPUConfig(num_chiplets=8)
 
-
-#: Page-size sweep labels shared by experiments.
-def sweep_labels(sizes: Tuple[int, ...]) -> Tuple[str, ...]:
-    from .units import size_label
-
-    return tuple(size_label(s) for s in sizes)

@@ -1475,29 +1475,6 @@ class SweepRunner:
             return None
         return self.chaos.directive_for(cell.tag, attempt)
 
-    def run(
-        self,
-        workload: Union[str, WorkloadSpec],
-        policy,
-        config: Optional[GPUConfig] = None,
-        *,
-        interleave: InterleavePolicy = InterleavePolicy.NUMA_AWARE,
-        remote_cache: Optional[str] = None,
-        seed: int = 7,
-        timing: Optional[TimingParams] = None,
-    ) -> Optional[SimResult]:
-        """Single-cell convenience mirroring :func:`run_workload`."""
-        cell = SweepCell(
-            workload,
-            policy,
-            config,
-            interleave=interleave,
-            remote_cache=remote_cache,
-            seed=seed,
-            timing=timing,
-        )
-        return self.run_cells([cell])[0]
-
     # --- reporting ---
 
     def summary_line(self) -> str:

@@ -342,11 +342,17 @@ def test_cli_missing_path_exits_two():
 
 
 @pytest.mark.parametrize(
-    "code", ["RPR999", "RPR002"], ids=["unknown", "retired"]
+    ("code", "fragment"),
+    [
+        ("RPR999", "unknown rule code(s): RPR999"),
+        ("RPR002", "unknown rule code(s): RPR002"),
+        (",", "--select names no rule code"),
+    ],
+    ids=["unknown", "retired", "empty"],
 )
-def test_cli_unknown_rule_code_exits_two(code):
+def test_cli_unknown_rule_code_exits_two(code, fragment):
     proc = run_cli(str(FIXTURES / "determinism_good"), "--select", code)
-    assert_input_error(proc, f"unknown rule code(s): {code}")
+    assert_input_error(proc, fragment)
 
 
 def test_cli_unparsable_file_exits_two(tmp_path):
@@ -360,6 +366,17 @@ def test_cli_undecodable_file_exits_two(tmp_path):
     (tmp_path / "garbled.py").write_bytes(b"x = 1\ny = '\xff\xfe'\n")
     assert_input_error(
         run_cli(str(tmp_path), cwd=tmp_path), "garbled.py:2: not UTF-8"
+    )
+
+
+def test_cli_coding_cookie_file_lints_clean(tmp_path):
+    """A PEP 263 cookie names the encoding, as it does for Python."""
+    (tmp_path / "latin.py").write_bytes(
+        b"# -*- coding: latin-1 -*-\nNAME = '\xe9t\xe9'\n"
+    )
+    proc = run_cli(str(tmp_path), cwd=tmp_path)
+    assert (proc.returncode, proc.stdout) == (0, "repro-lint: clean\n"), (
+        proc.stderr
     )
 
 

@@ -117,16 +117,6 @@ def test_non_picklable_policy_falls_back_to_serial():
     assert results[0] == results[1]
 
 
-def test_single_cell_run_matches_run_cells():
-    spec = small_spec()
-    runner = SweepRunner(jobs=1, use_cache=False)
-    one = runner.run(spec, StaticPaging(PAGE_64K))
-    many = SweepRunner(jobs=1, use_cache=False).run_cells(
-        [SweepCell(spec, StaticPaging(PAGE_64K))]
-    )
-    assert one == many[0]
-
-
 # --- fingerprint sensitivity ------------------------------------------
 
 

@@ -212,16 +212,17 @@ class TestSweepIntegration:
             SweepCell("STE", "CLAP", seed=3),
         ]
 
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
     @pytest.mark.parametrize("engine", ["staged", "batched"])
     def test_store_on_matches_store_off(
-        self, spec, tmp_path, monkeypatch, engine
+        self, spec, tmp_path, monkeypatch, engine, jobs
     ):
         monkeypatch.setenv("REPRO_ENGINE", engine)
         off = SweepRunner(
-            jobs=1, use_cache=False, trace_store=False
+            jobs=jobs, use_cache=False, trace_store=False
         ).run_cells(self._cells(spec))
         runner = SweepRunner(
-            jobs=1, use_cache=False, trace_store=tmp_path / "traces"
+            jobs=jobs, use_cache=False, trace_store=tmp_path / "traces"
         )
         on = runner.run_cells(self._cells(spec))
         assert on == off
