@@ -60,9 +60,8 @@ into ``--telemetry-dir`` (default ``REPRO_TELEMETRY_DIR`` or
 ``--engine staged|batched`` selects the replay engine (default:
 ``REPRO_ENGINE`` or batched; results are bit-identical, only wall time
 differs — see DESIGN.md section 7); an unknown ``REPRO_ENGINE`` value
-is a usage error before anything runs.  ``--profile`` wraps the
-selected command in ``cProfile`` and dumps a ``pstats`` file next
-to the telemetry output.
+is a usage error before anything runs.  To profile a command, run it
+under ``python -m cProfile -o repro.pstats -m repro ...``.
 """
 
 from __future__ import annotations
@@ -265,11 +264,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
              "REPRO_ENGINE env flag, or batched); results are "
              "bit-identical",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run the command under cProfile and dump a pstats file "
-             "next to the telemetry output",
-    )
 
 
 def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
@@ -307,30 +301,6 @@ def _dump_run_telemetry(result, telemetry_dir) -> Path:
         fsync=False,
     )
     return path
-
-
-def _run_profiled(handler, args: argparse.Namespace) -> int:
-    """Run ``handler`` under cProfile; dump pstats beside telemetry."""
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        rc = handler(args)
-    finally:
-        profiler.disable()
-        root = Path(
-            getattr(args, "telemetry_dir", None)
-            or os.environ.get("REPRO_TELEMETRY_DIR", "telemetry")
-        )
-        root.mkdir(parents=True, exist_ok=True)
-        path = root / f"profile-{args.command}.pstats"
-        profiler.dump_stats(str(path))
-        stats = pstats.Stats(profiler, stream=sys.stderr)
-        stats.sort_stats("cumulative").print_stats(15)
-        print(f"[profile] stats written to {path}", file=sys.stderr)
-    return rc
 
 
 def _print_failures(runner: SweepRunner) -> None:
@@ -677,10 +647,7 @@ def main(argv=None) -> int:
         "report": _cmd_report,
         "lint": _cmd_lint,
     }
-    handler = handlers[args.command]
-    if getattr(args, "profile", False):
-        return _run_profiled(handler, args)
-    return handler(args)
+    return handlers[args.command](args)
 
 
 if __name__ == "__main__":

@@ -249,20 +249,25 @@ def run_lint(
     select: Optional[Sequence[str]] = None,
 ) -> List[Finding]:
     """Run (selected) rules over ``project``; inline-suppressed findings
-    are dropped.
+    are dropped.  ``select=None`` runs every rule; an empty or unknown
+    selection raises ``ValueError``.
 
     Findings are byte-identical regardless of PYTHONHASHSEED:
     everything downstream of fact extraction iterates sorted
     structures.
     """
     rules = all_rules()
-    if select:
+    selected = list(rules.values())
+    if select is not None:
+        if not select:
+            raise ValueError("--select names no rule code")
         unknown = sorted(set(select) - set(rules))
         if unknown:
-            raise ValueError(f"unknown rule code(s): {', '.join(unknown)}")
+            raise ValueError(
+                f"unknown rule code(s): {', '.join(unknown)}"
+                " (see --list-rules)"
+            )
         selected = [rules[c] for c in select]
-    else:
-        selected = list(rules.values())
 
     by_rel: Dict[str, SourceFile] = {s.rel: s for s in project.sources()}
     findings: List[Finding] = []

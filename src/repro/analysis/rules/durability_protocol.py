@@ -3,8 +3,10 @@ mutated through the blessed crash-safe helpers.
 
 The coordinator's crash-safety argument (PR 7) rests on a handful of
 primitives: lease files are created with ``O_CREAT|O_EXCL``
-(``durability.create_exclusive``) and stolen by atomic rename-over
-(``_acquire_lease``/``_write_lease``/``_release_lease``), journal
+(``durability.create_exclusive``), stolen by atomic rename-over and
+renewed only by their holder
+(``_acquire_lease``/``_write_lease``/``_renew_lease``/``_release_lease``),
+journal
 records go through the CRC-framed single-``write`` appender
 (``Journal.append``; tail truncation belongs to ``Journal.truncate``,
 which ``Journal.recover`` and the coordinator's tailing loop call), and
@@ -54,7 +56,7 @@ BLESSED_MODULES = ("sim/durability.py", "sim/journal.py")
 #: :mod:`repro.sim.durability`.
 BLESSED_FUNCTIONS = {
     "sim/coordinator.py": frozenset(
-        {"_write_lease", "_acquire_lease", "_release_lease"}
+        {"_write_lease", "_acquire_lease", "_renew_lease", "_release_lease"}
     ),
 }
 
@@ -64,6 +66,7 @@ BLESSED_CALLEES = frozenset(
     {
         "_write_lease",
         "_acquire_lease",
+        "_renew_lease",
         "_release_lease",
         "Journal.append",
         "Journal.recover",
@@ -77,7 +80,7 @@ _CATEGORY_REMEDY = {
     "lease": (
         "lease files may only change through the O_CREAT|O_EXCL create "
         "+ rename-arbitration helpers (_acquire_lease/_write_lease/"
-        "_release_lease)"
+        "_renew_lease/_release_lease)"
     ),
     "journal": (
         "journal records may only be appended through the CRC-framed "

@@ -140,8 +140,13 @@ class ClapPolicy(PlacementPolicy):
         return {s for s in NATIVE_PAGE_SIZES if s >= self.base_page_size}
 
     def _setup(self) -> None:
-        if self.pmm_threshold is None:
-            self.pmm_threshold = self.machine.config.pmm_threshold
+        # A None parameter means each machine's own threshold; it stays
+        # None, so one instance can attach to several machines.
+        self._pmm_threshold = (
+            self.machine.config.pmm_threshold
+            if self.pmm_threshold is None
+            else self.pmm_threshold
+        )
         self._state = {}
         for allocation in self.workload.allocations.values():
             self._state[allocation.alloc_id] = _AllocState(
@@ -165,7 +170,7 @@ class ClapPolicy(PlacementPolicy):
         state.mapped_pages += 1
         if (
             state.phase is AllocationPhase.PROFILING
-            and state.mapped_pages >= self.pmm_threshold * state.total_pages
+            and state.mapped_pages >= self._pmm_threshold * state.total_pages
         ):
             self._run_mma(state)
 

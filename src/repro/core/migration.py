@@ -32,8 +32,8 @@ class ClapMigrationPolicy(ClapPolicy):
     name = "CLAP+migration"
     wants_page_stats = True
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def _setup(self) -> None:
+        super()._setup()
         self._seen_alloc_ids: Set[int] = set()
         self._monitored: Set[int] = set()
         self._kernel_index = -1

@@ -58,6 +58,11 @@ class CNumaPolicy(PlacementPolicy):
         super().__init__()
         self.intermediate = intermediate
         self.name = "Ideal_C-NUMA+inter" if intermediate else "Ideal_C-NUMA"
+        self._setup()
+
+    def _setup(self) -> None:
+        """Start a run: every attach resets the adaptation state, whose
+        start values the cell fingerprint holds."""
         self.current_size = PAGE_2M
         self._block_size: Dict[int, int] = {}
         self.size_changes = 0

@@ -6,7 +6,8 @@ that claim stays testable: a :class:`ChaosSchedule` decides — from cell
 tags and attempt numbers only, never from wall-clock or process state —
 which execution attempts misbehave and how.
 
-The schedule lives in the *parent* process: the runner resolves each
+The schedule lives with whoever owns the worker — the sweep parent in
+pool mode, each runner in coordinator mode — which resolves each
 attempt's :class:`ChaosDirective` before handing the attempt out and
 ships it to the worker alongside the cell, so the injected behaviour is
 identical no matter which worker picks the cell up, in which order, or
@@ -16,10 +17,12 @@ how many workers were replaced.  A directive makes the worker
   (a deterministic in-cell failure);
 * ``HANG`` — sleep past any reasonable cell timeout (a stuck worker);
 * ``DIE`` — ``os._exit`` mid-attempt (an OOM-killed / segfaulted worker,
-  which the parent observes as EOF on that worker's pipe);
-* ``DIE_HARD`` — SIGKILL yourself mid-attempt: no cleanup, no lease
-  release, no journal record — the failure mode the coordinator's
-  lease-expiry stealing exists for;
+  which its owner observes as EOF on that worker's pipe: it costs only
+  that attempt, in pool and coordinator mode alike);
+* ``DIE_HARD`` — SIGKILL yourself mid-attempt.  A coordinator runner
+  acts on it itself, before the hand-off: no cleanup, no lease release,
+  no journal record — the failure mode the coordinator's lease-expiry
+  stealing exists for;
 * ``CORRUPT_WRITE`` — complete the cell, then tear or bit-flip its
   just-written cache entry
   (:func:`~repro.sim.durability.corrupt_file`), exercising the
@@ -35,7 +38,7 @@ acts in every mode, where the cell's cache entry is published
 (:func:`repro.sim.parallel._publish`); ``STALE_LEASE`` means something
 only to a coordinator runner (:mod:`repro.sim.coordinator`), and
 :class:`~repro.sim.parallel.SweepRunner` rejects a schedule holding it
-in any other mode.  When the runner executes an attempt in-process
+in any other mode.  When ``SweepRunner`` runs an attempt in-process
 (serial mode without a cell timeout, or an unpicklable cell), ``HANG``,
 ``DIE`` and ``DIE_HARD`` are downgraded to ``RAISE`` — chaos must never
 hang or kill the test process itself.
@@ -71,7 +74,7 @@ class FaultKind(str, enum.Enum):
     DIE_HARD = "die_hard"
     #: finish the cell, then corrupt its on-disk cache entry.
     CORRUPT_WRITE = "corrupt_write"
-    #: finish the cell but never renew its lease (heartbeat failure).
+    #: finish the cell but never renew its lease (a stalled runner).
     STALE_LEASE = "stale_lease"
 
 

@@ -10,11 +10,13 @@ several machines at one shared journal/cache directory, across machines
 * **Leases.**  A runner claims a cell by creating
   ``leases/<fingerprint>.lease`` with ``O_CREAT | O_EXCL``
   (:func:`~repro.sim.durability.create_exclusive`, an atomic
-  test-and-set on any POSIX filesystem) and renews it from a heartbeat
-  thread while the cell simulates.  A lease whose ``renewed`` stamp is
-  older than its TTL belongs to a dead (or stalled) runner; any other
-  runner may *steal* it — arbitration is an ``O_EXCL`` marker per
-  expired stamp, so exactly one thief wins.
+  test-and-set on any POSIX filesystem), hands the attempt to the one
+  worker process it owns, and renews the lease while it waits for the
+  reply.  A lease whose ``renewed`` stamp is older than its TTL belongs
+  to a dead (or stalled) runner; any other runner may *steal* it —
+  arbitration is an ``O_EXCL`` marker per expired stamp, so exactly one
+  thief wins.  A worker's death or a missed ``cell_timeout`` costs only
+  its attempt, as in pool mode, and frees the lease at once.
 * **Journal.**  Attempt starts, completions, failures, steals and
   quarantines are appended to a per-sweep CRC-framed journal
   (:mod:`repro.sim.journal`), the one record of what happened to each
@@ -45,10 +47,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import pickle
-import threading
+import signal
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -62,13 +65,12 @@ from .parallel import (
     ResultCache,
     SweepCell,
     SweepStats,
-    _attach_trace,
     _cache_get,
     _failure_record,
     _may_retry,
     _picklable,
+    _PoolWorker,
     _publish,
-    _run_cell,
     cell_fingerprint,
 )
 from .results import SimResult
@@ -125,7 +127,10 @@ def resolve_runners(value: Optional[int] = None) -> Optional[int]:
 
 
 def resolve_lease_ttl(value: Optional[float] = None) -> float:
-    """Lease TTL: explicit value, else ``REPRO_LEASE_TTL``, else 30s."""
+    """Lease TTL: explicit value, else ``REPRO_LEASE_TTL``, else 30s.
+
+    It must be positive and finite: a NaN TTL makes every lease look
+    expired, and an infinite one never lets a dead runner's cell go."""
     if value is None:
         env = os.environ.get("REPRO_LEASE_TTL")
         if not env:
@@ -136,8 +141,11 @@ def resolve_lease_ttl(value: Optional[float] = None) -> float:
             raise ValueError(
                 f"REPRO_LEASE_TTL must be a number, got {env!r}"
             ) from exc
-    if value <= 0:
-        raise ValueError(f"lease TTL must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise ValueError(
+            "--lease-ttl/REPRO_LEASE_TTL must be positive and finite, "
+            f"got {value}"
+        )
     return float(value)
 
 
@@ -267,33 +275,22 @@ def _release_lease(claim: _Claim) -> None:
         pass
 
 
-class _Heartbeat:
-    """Background lease renewal, four times per TTL, while a cell
-    simulates."""
+def _renew_lease(claim: _Claim, ttl: float) -> bool:
+    """Renew a lease we still hold; False once it was stolen from us (a
+    thief's lease is never clobbered) or cannot be written."""
+    state = _lease_state(claim.path, ttl)
+    if state is not None and state[0] != claim.token:
+        return False
+    try:
+        _write_lease(claim.path, claim.token, ttl)
+    except OSError:
+        return False
+    return True
 
-    def __init__(self, claim: _Claim, ttl: float) -> None:
-        self._claim = claim
-        self._ttl = ttl
-        self._interval = ttl / 4.0
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._loop, daemon=True)
 
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self._interval):
-            state = _lease_state(self._claim.path, self._ttl)
-            if state is not None and state[0] != self._claim.token:
-                return  # stolen from under us; do not clobber the thief
-            try:
-                _write_lease(self._claim.path, self._claim.token, self._ttl)
-            except OSError:
-                return
+def _stop(signum: int, frame: object) -> None:
+    """SIGTERM handler: unwind, so the runner ends its worker first."""
+    raise SystemExit(128 + signum)
 
 
 # --- the runner process -------------------------------------------------
@@ -308,24 +305,27 @@ def _runner_process(
     on_error: str,
     chaos: Optional[ChaosSchedule],
     trace_store_root: Optional[str] = None,
+    cell_timeout: Optional[float] = None,
 ) -> None:
     """Entry point of one independent runner process.
 
     Loops until every cell is settled, doing four things only: claim a
-    cell's lease, attach its trace, simulate it (flushing the result to
-    the shared cache), and journal the outcome.  Everything it knows
-    comes off the shared directory, so a runner can join, die, or be
-    started on another machine at any time; its settled set and attempt
-    ledger are the journal's :class:`~repro.sim.parallel.SweepStats`.
+    cell's lease, hand the attempt to the worker it owns, publish the
+    result to the shared cache, and journal the outcome.  Everything it
+    knows comes off the shared directory, so a runner can join, die, or
+    be started on another machine at any time; its settled set and
+    attempt ledger are the journal's :class:`~repro.sim.parallel.
+    SweepStats`.
 
     Before computing, the lease holder journals a ``start`` record, its
     attempt one more than the ledger has counted; a previous attempt
-    that left no outcome died with its runner (a transient failure).  With
-    ``trace_store_root`` set, the runner attaches the trace the parent
-    materialized, as pool workers do (:func:`~repro.sim.parallel.
-    _attach_trace`): it never writes the store, and a missing or
-    quarantined archive means private regeneration.
+    that left no outcome died with its runner (a transient failure).
+    Attempts run on one owned :class:`~repro.sim.parallel._PoolWorker`,
+    forked again after a death or a timeout, under pool mode's rules.
+    The runner renews the lease while it waits, and kills and reaps its
+    worker before it exits, SIGTERM included.
     """
+    signal.signal(signal.SIGTERM, _stop)
     sweep = Path(sweep_dir)
     cells = load_cells(sweep)  # deduplicated by the parent
     keys = [cell_fingerprint(cell) for cell in cells]
@@ -337,6 +337,7 @@ def _runner_process(
 
     ledger = SweepStats()
     offset = 0
+    worker: Optional[_PoolWorker] = None
 
     def refresh() -> None:
         nonlocal offset
@@ -347,106 +348,106 @@ def _runner_process(
     def append(record: Record) -> None:
         journal.append({**record, "runner": runner_id})
 
-    while True:
-        refresh()
-        todo = [i for i, key in enumerate(keys) if key not in ledger.settled]
-        if not todo:
-            return
-        progressed = False
-        for i in todo:
-            key = keys[i]
-            claim = _acquire_lease(lease_dir, key, token, lease_ttl)
-            if claim is None:
-                continue
-            progressed = True
-            attempt = 0
-            try:
-                refresh()
-                if key in ledger.settled:
+    def failed(
+        i: int, attempt: int, kind: str, exc: object, **extra: str
+    ) -> None:
+        retry = _may_retry(
+            policy, attempt, max_attempts, transient=kind != "error"
+        )
+        append(_failure_record("error" if retry else "failed", cells[i],
+                               keys[i], attempt, kind, exc, **extra))
+
+    try:
+        while True:
+            refresh()
+            todo = [
+                i for i, key in enumerate(keys) if key not in ledger.settled
+            ]
+            if not todo:
+                return
+            progressed = False
+            for i in todo:
+                key = keys[i]
+                claim = _acquire_lease(lease_dir, key, token, lease_ttl)
+                if claim is None:
                     continue
-                if claim.stolen_from is not None:
-                    append(
-                        {"kind": "steal", "fp": key, "from": claim.stolen_from}
-                    )
-                if _cache_get(cache, key, append) is not None:
-                    append({"kind": "done", "fp": key, "attempt": 0})
-                    continue
-                # Counted by the fold, never here: the next refresh()
-                # reads this runner's own start record back.
-                attempt = ledger.starts.get(key, 0) + 1
-                if attempt > 1 and not _may_retry(
-                    policy, attempt - 1, max_attempts, transient=True
-                ):
-                    append(
-                        _failure_record(
-                            "failed", cells[i], key, attempt - 1,
-                            "worker-died",
+                progressed = True
+                attempt = 0
+                try:
+                    refresh()
+                    if key in ledger.settled:
+                        continue
+                    if claim.stolen_from is not None:
+                        append({"kind": "steal", "fp": key,
+                                "from": claim.stolen_from})
+                    if _cache_get(cache, key, append) is not None:
+                        append({"kind": "done", "fp": key, "attempt": 0})
+                        continue
+                    # Counted by the fold, never here: the next refresh()
+                    # reads this runner's own start record back.
+                    attempt = ledger.starts.get(key, 0) + 1
+                    if attempt > 1 and not _may_retry(
+                        policy, attempt - 1, max_attempts, transient=True
+                    ):
+                        failed(
+                            i, attempt - 1, "worker-died",
                             f"attempt budget ({max_attempts}) exhausted "
                             "across runners (repeated runner death or "
                             "preemption)",
                         )
+                        continue
+                    append({"kind": "start", "fp": key, "attempt": attempt})
+                    directive = (chaos.directive_for(cells[i].tag, attempt)
+                                 if chaos is not None else None)
+                    fault = directive.kind if directive is not None else None
+                    if fault is FaultKind.DIE_HARD:
+                        apply_chaos(directive)  # SIGKILLs this runner
+                    if fault is FaultKind.STALE_LEASE:
+                        # A stalled runner: hold the lease un-renewed past
+                        # its TTL, so a sibling legitimately steals it.
+                        time.sleep(2.5 * lease_ttl)
+                    while worker is None or not worker.hand_off(
+                        cells[i], directive
+                    ):
+                        worker = _PoolWorker(trace_store_root, False)
+                    # Wait for the reply until the deadline, renewing
+                    # the lease four times per TTL until it is stolen.
+                    deadline = time.monotonic() + (cell_timeout or math.inf)
+                    renew, outcome = fault is not FaultKind.STALE_LEASE, None
+                    while outcome is None and time.monotonic() < deadline:
+                        wait = min(deadline - time.monotonic(), lease_ttl / 4)
+                        if worker.conn.poll(wait):
+                            outcome = worker.reply()
+                        else:
+                            renew = renew and _renew_lease(claim, lease_ttl)
+                    kind, value, extra = outcome or worker.expire(
+                        cell_timeout, attempt
                     )
-                    continue
-                append({"kind": "start", "fp": key, "attempt": attempt})
-                directive = (
-                    chaos.directive_for(cells[i].tag, attempt)
-                    if chaos is not None
-                    else None
-                )
-                stale = (
-                    directive is not None
-                    and directive.kind is FaultKind.STALE_LEASE
-                )
-                apply_chaos(directive)  # deferred kinds no-op here
-                heartbeat = None
-                if stale:
-                    # Simulate a stalled heartbeat: hold the lease
-                    # un-renewed past its TTL while still computing, so
-                    # a sibling legitimately steals the cell.
-                    time.sleep(2.5 * lease_ttl)
-                else:
-                    heartbeat = _Heartbeat(claim, lease_ttl)
-                    heartbeat.start()
-                try:
-                    result = _run_cell(
-                        cells[i],
-                        trace=_attach_trace(cells[i], trace_store_root),
-                    )
+                    if kind in ("worker-died", "timeout"):
+                        worker = None
+                    if kind != "done":
+                        failed(i, attempt, kind, value, **extra)
+                        continue
+                    _publish(cache, key, value, cells[i], directive)
+                    if cache.write_disabled:
+                        raise SweepError(
+                            "coordinator runner cannot write the result "
+                            f"cache at {cache.root}; the rendezvous is broken"
+                        )
+                    append({"kind": "done", "fp": key, "attempt": attempt,
+                            "trace": value.trace_source})
+                # Failure accounting happens through the journal, not a
+                # typed raise: the error/failed record below is what
+                # resume and the supervising coordinator replay.
+                except Exception as exc:  # repro-lint: ignore[RPR010] -- failure journaled as error/failed record
+                    failed(i, attempt or 1, "error", exc)
                 finally:
-                    if heartbeat is not None:
-                        heartbeat.stop()
-                _publish(cache, key, result, cells[i], directive)
-                if cache.write_disabled:
-                    raise SweepError(
-                        "coordinator runner cannot write the result "
-                        f"cache at {cache.root}; the rendezvous is broken"
-                    )
-                append(
-                    {
-                        "kind": "done",
-                        "fp": key,
-                        "attempt": attempt,
-                        "trace": result.trace_source,
-                    }
-                )
-            # Failure accounting happens through the journal, not a
-            # typed raise: the error/failed record below is what resume
-            # and the supervising coordinator replay.
-            except Exception as exc:  # repro-lint: ignore[RPR010] -- failure journaled as error/failed record
-                attempt = attempt or 1
-                retry = _may_retry(
-                    policy, attempt, max_attempts, transient=False
-                )
-                append(
-                    _failure_record(
-                        "error" if retry else "failed", cells[i], key,
-                        attempt, "error", exc,
-                    )
-                )
-            finally:
-                _release_lease(claim)
-        if not progressed:
-            time.sleep(POLL_INTERVAL)
+                    _release_lease(claim)
+            if not progressed:
+                time.sleep(POLL_INTERVAL)
+    finally:
+        if worker is not None:
+            worker.end(kill=True)
 
 
 # --- the parent ---------------------------------------------------------
@@ -619,8 +620,10 @@ class Coordinator:
                 runner.on_error.value,
                 runner.chaos,
                 runner._store_root,
+                runner.cell_timeout,
             ),
-            daemon=True,
+            # Not a daemon: a daemonic process may not fork its worker.
+            daemon=False,
         )
         process.start()
         return process

@@ -59,7 +59,7 @@ def atomic_write(
     flushed and fsynced, then renamed over ``path`` — the only durable
     rename POSIX gives us.  A crash at any point leaves either the old
     file or the complete new one.  ``fsync=False`` skips the syncs for
-    callers that only need atomicity (e.g. high-rate lease heartbeats
+    callers that only need atomicity (e.g. frequent lease renewals
     whose loss is recoverable by design).
 
     ``data`` may also be a sequence of bytes-like buffers, written back
@@ -81,7 +81,7 @@ def atomic_write(
     target.parent.mkdir(parents=True, exist_ok=True)
     # Mode 0o666 lets the kernel apply the umask (``mkstemp`` publishes
     # 0600, unreadable to other uids sharing a cache directory); the
-    # umask is never flipped, since the heartbeat thread writes leases.
+    # umask is process-wide, so it is never flipped.
     tmp = str(target.parent / f".{target.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

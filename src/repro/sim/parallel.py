@@ -50,6 +50,7 @@ not just run fast:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import enum
 import functools
@@ -364,7 +365,7 @@ def resolve_on_error(value: Union[str, OnError, None]) -> OnError:
 def resolve_cell_timeout(value: Optional[float] = None) -> Optional[float]:
     """Per-cell timeout: explicit value, else ``REPRO_CELL_TIMEOUT``.
 
-    ``None`` or a non-positive value means no timeout.
+    ``None`` or a non-positive value means no timeout; NaN is refused.
     """
     if value is None:
         env = os.environ.get("REPRO_CELL_TIMEOUT")
@@ -375,6 +376,11 @@ def resolve_cell_timeout(value: Optional[float] = None) -> Optional[float]:
                 raise ValueError(
                     f"REPRO_CELL_TIMEOUT must be a number, got {env!r}"
                 ) from exc
+    if value is not None and math.isnan(value):
+        raise ValueError(
+            "--cell-timeout/REPRO_CELL_TIMEOUT must be a number of "
+            f"seconds, got {value}"
+        )
     if value is not None and value <= 0:
         return None
     return value
@@ -681,24 +687,6 @@ def _trace_inputs(cell: SweepCell) -> Tuple[WorkloadSpec, int, int]:
     return cell.workload, config.num_chiplets, cell.seed
 
 
-def _attach_trace(
-    cell: SweepCell, store_root: Optional[str]
-) -> Optional[Trace]:
-    """The cell's trace attached zero-copy from the store at
-    ``store_root``, or None: pool workers, serial attempts and
-    coordinator runners all attach here and never write the store.  On
-    a miss (store off, archive missing or quarantined) the engine
-    regenerates the trace privately, so the store can only make a cell
-    cheaper, never break it."""
-    if store_root is None:
-        return None
-    from ..trace.store import TraceStore, trace_fingerprint
-
-    return TraceStore(store_root).attach(
-        trace_fingerprint(*_trace_inputs(cell))
-    )
-
-
 def _run_cell_worker(
     cell: SweepCell,
     directive: Optional[ChaosDirective] = None,
@@ -706,12 +694,21 @@ def _run_cell_worker(
     store_root: Optional[str] = None,
     telemetry: bool = False,
 ) -> SimResult:
-    """One attempt, in a pool worker or in-process, with optional chaos
-    injection; the trace comes from :func:`_attach_trace`."""
+    """One attempt, in a worker or in-process, with optional chaos
+    injection.  Every attempt, in every mode, attaches its trace
+    zero-copy from the store at ``store_root`` here and never writes
+    the store; on a miss (store off, archive missing or quarantined)
+    the engine regenerates the trace privately, so the store can only
+    make a cell cheaper, never break it."""
     apply_chaos(directive, in_process=in_process)
-    return _run_cell(
-        cell, trace=_attach_trace(cell, store_root), telemetry=telemetry
-    )
+    trace = None
+    if store_root is not None:
+        from ..trace.store import TraceStore, trace_fingerprint
+
+        trace = TraceStore(store_root).attach(
+            trace_fingerprint(*_trace_inputs(cell))
+        )
+    return _run_cell(cell, trace=trace, telemetry=telemetry)
 
 
 def _exit_with_parent(parent: int) -> None:
@@ -724,9 +721,9 @@ def _exit_with_parent(parent: int) -> None:
 def _pool_worker(
     conn: "Connection", store_root: Optional[str], telemetry: bool
 ) -> None:
-    """Entry point of one owned pool worker.
+    """Entry point of one owned worker.
 
-    Runs each ``(cell, directive)`` attempt the parent sends until the
+    Runs each ``(cell, directive)`` attempt its owner sends until the
     ``None`` stop message, and answers ``(result, None)``, or
     ``(exc, text)`` when the attempt raised: ``text`` is the exception
     chain, formatted here because pickling drops ``__cause__`` and
@@ -734,8 +731,8 @@ def _pool_worker(
     a result that does not pickle, goes back as ``(None, text)``.
 
     A daemon thread ends the worker, busy or idle, within half a second
-    of its parent's death: a killed parent never stops its workers, and
-    no EOF reaches them, since later forks hold copies of the parent's
+    of its owner's death: a killed owner never stops its workers, and
+    no EOF reaches them, since later forks hold copies of the owner's
     pipe ends.
     """
     threading.Thread(
@@ -757,9 +754,17 @@ def _pool_worker(
             conn.send((None, reply[1] or _format_exception_chain(exc)))
 
 
+class _CellTimeout(Exception):
+    """Internal marker: the attempt exceeded the per-cell deadline."""
+
+
+#: ``(kind, result or failure, failure-record overrides)`` of an attempt
+_Outcome = Tuple[str, Any, Dict[str, str]]
+
+
 class _PoolWorker:
-    """A forked :func:`_pool_worker` process and the parent's end of
-    its duplex pipe."""
+    """A forked :func:`_pool_worker` process and its owner's end of its
+    duplex pipe: the sweep parent and each coordinator runner own theirs."""
 
     def __init__(self, store_root: Optional[str], telemetry: bool) -> None:
         import multiprocessing
@@ -771,6 +776,37 @@ class _PoolWorker:
         )
         self.process.start()
         child.close()
+
+    def hand_off(
+        self, cell: SweepCell, directive: Optional[ChaosDirective]
+    ) -> bool:
+        """Send one attempt; False when the worker is found dead, and is
+        reaped: the attempt never started, and a new worker takes it."""
+        try:
+            self.conn.send((cell, directive))
+        except OSError:
+            self.end()
+            return False
+        return True
+
+    def reply(self) -> _Outcome:
+        """The held attempt's outcome once its pipe is readable: a result,
+        an error with the chain the worker formatted, or on EOF
+        ``worker-died`` with the reaped worker's exit code."""
+        try:
+            value, error = self.conn.recv()
+        except (EOFError, OSError):
+            return "worker-died", f"worker exited with code {self.end()}", {}
+        if error is None:
+            return "done", value, {}
+        return "error", error if value is None else value, {"error": error}
+
+    def expire(self, timeout: Optional[float], attempt: int) -> _Outcome:
+        """Kill the worker whose attempt missed its deadline."""
+        self.end(kill=True)
+        return "timeout", _CellTimeout(
+            f"cell exceeded the {timeout}s timeout on attempt {attempt}"
+        ), {}
 
     def end(self, kill: bool = False) -> Optional[int]:
         """Kill (``kill``) or stop the worker, reap it and return its
@@ -830,10 +866,6 @@ def _picklable(cell: SweepCell) -> bool:
         return False
 
 
-class _CellTimeout(Exception):
-    """Internal marker: the attempt exceeded the per-cell deadline."""
-
-
 class SweepRunner:
     """Executes sweep cells with fan-out, caching, and fault tolerance.
 
@@ -850,8 +882,8 @@ class SweepRunner:
         Defaults to ``REPRO_CELL_TIMEOUT``; unset means no timeout.
         Every pooled attempt runs under it, the last one too, at
         ``jobs=1`` as well.  A cell whose policy does not pickle runs
-        in-process with no deadline: it cannot be preempted.  Rejected
-        in coordinator mode.
+        in-process with no deadline: it cannot be preempted.  Coordinator
+        runners enforce it too.
     on_error:
         ``raise`` (default), ``skip`` or ``retry``; see :class:`OnError`.
     max_attempts:
@@ -876,8 +908,7 @@ class SweepRunner:
         so ``--resume`` continues a killed sweep exactly where it left
         off (see :mod:`repro.sim.coordinator`).  Requires the result
         cache (it is the rendezvous point) and is mutually exclusive
-        with telemetry recording and with ``cell_timeout`` (runners
-        enforce no per-cell deadline).
+        with telemetry recording.
     trace_store:
         Shared zero-copy trace store.  ``True`` (or ``1``/``on``) uses
         ``<cache>/traces``, where ``<cache>`` is ``cache_dir`` when
@@ -1008,6 +1039,9 @@ class SweepRunner:
                     "--runners/REPRO_RUNNERS must be at least 1, "
                     f"got {coordinator.runners}"
                 )
+            from .coordinator import resolve_lease_ttl
+
+            resolve_lease_ttl(coordinator.lease_ttl)  # positive, finite
             if self.cache is None:
                 raise ValueError(
                     f"{mode} requires the result cache, the rendezvous "
@@ -1018,12 +1052,6 @@ class SweepRunner:
                     f"{mode} cannot record telemetry "
                     "(--telemetry/REPRO_TELEMETRY): results travel "
                     "through the telemetry-free result cache"
-                )
-            if self.cell_timeout is not None:
-                raise ValueError(
-                    f"{mode} enforces no --cell-timeout/REPRO_CELL_TIMEOUT: "
-                    "its runners have no per-cell deadline, and a hung "
-                    "cell's heartbeat would keep its lease forever"
                 )
         #: every cell event of every ``run_cells`` call, in order; in
         #: coordinator mode the journal records the parent tails too
@@ -1277,12 +1305,17 @@ class SweepRunner:
         busy: Dict["Connection", Tuple[_PoolWorker, int, int, float]] = {}
         first_start: Dict[int, float] = {}
 
-        def failed(
-            index: int, attempt: int, kind: str,
-            exc: Union[BaseException, str], **extra: object,
+        def settle(
+            worker: _PoolWorker, index: int, attempt: int, kind: str,
+            value: Any, extra: Dict[str, str],
         ) -> None:
-            if self._attempt_failed(
-                cells, keys, results, index, attempt, kind, exc,
+            if kind in ("done", "error"):
+                idle.append(worker)
+            if kind == "done":
+                self._complete(index, keys[index], value, results,
+                               cells[index], attempt)
+            elif self._attempt_failed(
+                cells, keys, results, index, attempt, kind, value,
                 first_start[index], transient=kind != "error", **extra,
             ):
                 not_before = time.monotonic() + self._backoff_delay(
@@ -1295,16 +1328,12 @@ class SweepRunner:
                 now = time.monotonic()
                 while ready and ready[0][0] <= now and len(busy) < size:
                     _, index, attempt = ready[0]
-                    directive = self._directive(cells[index], attempt)
                     worker = idle.pop() if idle else _PoolWorker(
                         self._store_root, self.telemetry
                     )
-                    try:
-                        worker.conn.send((cells[index], directive))
-                    except OSError:
-                        # Found dead at hand-off: the attempt never
-                        # started, so the next worker takes it.
-                        worker.end()
+                    if not worker.hand_off(
+                        cells[index], self._directive(cells[index], attempt)
+                    ):
                         continue
                     heapq.heappop(ready)
                     first_start.setdefault(index, time.perf_counter())
@@ -1323,28 +1352,12 @@ class SweepRunner:
                 delay = None if wake == math.inf else wake - time.monotonic()
                 for conn in wait(list(busy), delay):
                     worker, index, attempt, _ = busy.pop(conn)
-                    try:
-                        value, error = conn.recv()
-                    except (EOFError, OSError):
-                        failed(index, attempt, "worker-died",
-                               f"worker exited with code {worker.end()}")
-                        continue
-                    idle.append(worker)
-                    if error is None:
-                        self._complete(index, keys[index], value, results,
-                                       cells[index], attempt)
-                    else:
-                        failed(index, attempt, "error",
-                               error if value is None else value,
-                               error=error)
+                    settle(worker, index, attempt, *worker.reply())
                 now = time.monotonic()
                 for conn in [c for c, slot in busy.items() if slot[3] <= now]:
                     worker, index, attempt, _ = busy.pop(conn)
-                    worker.end(kill=True)
-                    failed(index, attempt, "timeout", _CellTimeout(
-                        f"cell exceeded the {self.cell_timeout}s timeout "
-                        f"on attempt {attempt}"
-                    ))
+                    settle(worker, index, attempt,
+                           *worker.expire(self.cell_timeout, attempt))
         finally:
             for worker in idle:
                 worker.end()
@@ -1368,8 +1381,10 @@ class SweepRunner:
             )
             directive = self._directive(cells[index], attempt)
             try:
+                # On a copy: attaching binds run state to the policy, and
+                # the caller's cell must keep its fingerprint.
                 result = _run_cell_worker(
-                    cells[index], directive, in_process=True,
+                    copy.deepcopy(cells[index]), directive, in_process=True,
                     store_root=self._store_root, telemetry=self.telemetry,
                 )
             except Exception as exc:

@@ -311,6 +311,13 @@ class TestCellTimeout:
         monkeypatch.setenv("REPRO_CELL_TIMEOUT", "soon")
         with pytest.raises(ValueError, match="REPRO_CELL_TIMEOUT"):
             SweepRunner(jobs=1, use_cache=False)
+        # NaN is no number of seconds: the pool could not wait on it.
+        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "nan")
+        with pytest.raises(ValueError, match="REPRO_CELL_TIMEOUT.*nan"):
+            SweepRunner(jobs=1, use_cache=False)
+        monkeypatch.delenv("REPRO_CELL_TIMEOUT")
+        with pytest.raises(ValueError, match="--cell-timeout.*nan"):
+            SweepRunner(jobs=1, use_cache=False, cell_timeout=float("nan"))
 
 
 # --- retry pacing ------------------------------------------------------

@@ -96,9 +96,13 @@ class TestCli:
             ({"REPRO_TELEMETRY": "1"}, ["sweep", "STE", "--runners", "2"]),
             ({"REPRO_TELEMETRY": "1"}, ["explore", "STE", "--budget", "3"]),
             ({}, ["sweep", "STE", "--runners", "2", "--no-cache"]),
-            ({}, ["sweep", "STE", "--runners", "2", "--cell-timeout", "5"]),
-            ({"REPRO_CELL_TIMEOUT": "5"}, ["sweep", "STE", "--runners", "2"]),
+            ({}, ["sweep", "STE", "--cell-timeout", "nan"]),
+            ({"REPRO_CELL_TIMEOUT": "nan"}, ["sweep", "STE"]),
             ({"REPRO_LEASE_TTL": "soon"}, ["sweep", "STE", "--runners", "2"]),
+            ({}, ["sweep", "STE", "--runners", "2", "--lease-ttl", "nan"]),
+            ({"REPRO_LEASE_TTL": "nan"}, ["sweep", "STE", "--runners", "2"]),
+            ({}, ["sweep", "STE", "--runners", "2", "--lease-ttl", "inf"]),
+            ({"REPRO_LEASE_TTL": "inf"}, ["sweep", "STE", "--runners", "2"]),
             ({"REPRO_RUNNERS": "0"}, ["sweep", "STE"]),
             ({}, ["sweep", "STE", "--runners", "0"]),
             ({}, ["sweep", "STE", "--retries", "-1"]),
@@ -108,7 +112,9 @@ class TestCli:
         ],
         ids=[
             "sweep-telemetry-env", "explore-telemetry-env", "no-cache",
-            "cell-timeout-flag", "cell-timeout-env", "bad-lease-ttl-env",
+            "nan-cell-timeout-flag", "nan-cell-timeout-env",
+            "bad-lease-ttl-env", "nan-lease-ttl-flag", "nan-lease-ttl-env",
+            "inf-lease-ttl-flag", "inf-lease-ttl-env",
             "zero-runners-env", "zero-runners-flag", "negative-retries",
             "zero-jobs-flag", "negative-jobs-flag", "zero-jobs-env",
         ],

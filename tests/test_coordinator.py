@@ -8,6 +8,7 @@ real coordinator sweep at deterministic completion counts and require
 the resume to produce exactly what an uninterrupted run produces.
 """
 
+import math
 import os
 import signal
 import subprocess
@@ -28,6 +29,7 @@ from repro.sim.coordinator import (
     _release_lease,
     derive_sweep_id,
     load_cells,
+    resolve_lease_ttl,
 )
 from repro.sim.journal import Journal
 from repro.sim.parallel import (
@@ -40,6 +42,7 @@ from repro.sim.parallel import (
 from repro.units import MB
 
 from .conftest import make_spec, partitioned
+from .test_chaos import _alive, sleepy_cell
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -148,21 +151,51 @@ class TestCoordinatorEquivalence:
             SweepRunner(cache_dir=tmp_path, telemetry=True,
                         coordinator=CoordinatorConfig())
 
-    def test_rejects_a_cell_timeout(self, tmp_path, monkeypatch):
-        """Runners enforce no per-cell deadline, so a timeout from the
-        argument or the environment is refused before any spawns."""
+    def test_enforces_a_cell_timeout(self, tmp_path, monkeypatch):
+        """A timeout from the argument or the environment holds in every
+        runner: a hung cell's worker is killed at the deadline on each
+        attempt, its lease freed at once, and the cell settles as one
+        ``timeout`` failure while its sibling completes."""
         monkeypatch.delenv("REPRO_CELL_TIMEOUT", raising=False)
-        with pytest.raises(ValueError, match="--cell-timeout"):
-            SweepRunner(cache_dir=tmp_path, telemetry=False,
-                        cell_timeout=5, coordinator=CoordinatorConfig())
-        monkeypatch.setenv("REPRO_CELL_TIMEOUT", "5")
-        with pytest.raises(ValueError, match="REPRO_CELL_TIMEOUT"):
-            SweepRunner(cache_dir=tmp_path, telemetry=False,
-                        coordinator=CoordinatorConfig())
+        for source in ("argument", "environment"):
+            kwargs = {"cell_timeout": 1.0}
+            if source == "environment":
+                monkeypatch.setenv("REPRO_CELL_TIMEOUT", "1")
+                kwargs = {}
+            runner = coord_runner(tmp_path / source, on_error="skip",
+                                  max_attempts=2, lease_ttl=30.0, **kwargs)
+            assert runner.cell_timeout == 1.0
+            start = time.perf_counter()
+            results = runner.run_cells([sleepy_cell(0, 6.0), *coord_cells(1)])
+            assert time.perf_counter() - start < 5.0, source
+            assert results[0] is None and results[1] is not None
+            assert runner.stats.timeouts == 2
+            assert [(f.kind, f.attempts) for f in runner.stats.failures] == [
+                ("timeout", 2)
+            ]
+            assert runner.stats.leases_stolen == 0
         # A non-positive timeout means none at all.
-        runner = SweepRunner(cache_dir=tmp_path, telemetry=False,
-                             cell_timeout=0, coordinator=CoordinatorConfig())
-        assert runner.cell_timeout is None
+        monkeypatch.delenv("REPRO_CELL_TIMEOUT")
+        assert coord_runner(tmp_path, cell_timeout=0).cell_timeout is None
+
+    def test_lease_ttl_must_be_positive_and_finite(
+        self, tmp_path, monkeypatch
+    ):
+        """A NaN TTL would make every lease look expired, and an infinite
+        one would never free a dead runner's cell."""
+        for bad in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ValueError, match="--lease-ttl"):
+                resolve_lease_ttl(bad)
+        for bad in ("nan", "inf", "-inf"):
+            monkeypatch.setenv("REPRO_LEASE_TTL", bad)
+            with pytest.raises(ValueError, match="REPRO_LEASE_TTL"):
+                resolve_lease_ttl()
+        monkeypatch.setenv("REPRO_LEASE_TTL", "2.5")
+        assert resolve_lease_ttl() == 2.5
+        # A config built in code is held to the same rule.
+        with pytest.raises(ValueError, match="--lease-ttl"):
+            SweepRunner(cache_dir=tmp_path, telemetry=False,
+                        coordinator=CoordinatorConfig(lease_ttl=math.nan))
 
 
 # ------------------------------------------------------ sweep identity
@@ -431,16 +464,21 @@ class TestCoordinatorChaos:
         assert runner.stats.retries == 0
 
     def test_dead_runner_costs_one_retry(self, tmp_path, reference):
-        """A runner that dies mid-cell loses its lease; the thief's
-        attempt is the cell's second ``start`` and its one retry."""
+        """A worker that dies mid-cell costs its runner that one attempt:
+        the runner journals ``worker-died`` and frees the lease at once,
+        so the retry is the cell's second ``start``, with no steal and no
+        wait for the lease's 30 s TTL."""
         cells = coord_cells(4)
         chaos = ChaosSchedule({"c01": (FaultKind.DIE,)})
         runner = coord_runner(tmp_path / "cache", chaos=chaos,
-                              lease_ttl=1.0, on_error="retry",
+                              lease_ttl=30.0, on_error="retry",
                               sweep_id="die")
         assert runner.run_cells(cells) == reference[:4]
         assert runner.stats.retries == 1
         assert runner.stats.failures == []
+        assert runner.stats.leases_stolen == 0
+        assert runner.stats.wall_seconds < 10.0
+        assert runner.stats == SweepStats.fold(runner.records)
         journal = tmp_path / "cache" / "sweeps" / "die" / "journal.bin"
         records, _, _ = Journal(journal).read_from(0)
         key = cell_fingerprint(cells[1])
@@ -448,6 +486,11 @@ class TestCoordinatorChaos:
             r["attempt"] for r in records
             if r.get("kind") == "start" and r.get("fp") == key
         ] == [1, 2]
+        assert [
+            (r["attempt"], r["fail_kind"], r["error"]) for r in records
+            if r.get("kind") == "error" and r.get("fp") == key
+        ] == [(1, "worker-died", "worker exited with code 13")]
+        assert not any(r.get("kind") == "steal" for r in records)
 
     def test_resume_retries_previously_failed_cells(self, tmp_path,
                                                     reference):
@@ -634,3 +677,106 @@ def test_cli_sweep_kill_and_resume(tmp_path):
     assert "perf/64KB" in resume.stdout
     if killed:
         assert "resumed from journal" in resume.stdout
+
+
+# ------------------------------------------------- process hygiene (e2e)
+
+
+#: A one-runner sweep of one cell whose policy hangs in ``attach``; the
+#: worker that runs it first drops a file named ``<its pid>-<runner pid>``.
+_HANGING_SWEEP = """
+import os, sys, time
+from repro.policies import StaticPaging
+from repro.sim.coordinator import CoordinatorConfig
+from repro.sim.parallel import SweepCell, SweepRunner
+from repro.units import PAGE_64K
+
+class HangingPolicy(StaticPaging):
+    def attach(self, machine, workload):
+        name = f"{os.getpid()}-{os.getppid()}"
+        open(os.path.join(sys.argv[1], name), "w").close()
+        time.sleep(600)
+
+SweepRunner(
+    jobs=1, cache_dir=sys.argv[2], telemetry=False,
+    coordinator=CoordinatorConfig(runners=1),
+).run_cells([SweepCell("STE", HangingPolicy(PAGE_64K))])
+"""
+
+
+def _child_env(**extra):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(SRC_DIR)
+    return {**env, **extra}
+
+
+def _session(sid):
+    """Every process of session ``sid``, zombies included."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # it exited meanwhile
+            continue
+        if int(fields[3]) == sid:
+            members.append(int(stat.parent.name))
+    return members
+
+
+def _kill_session(sid):
+    try:
+        os.killpg(sid, signal.SIGKILL)
+    except ProcessLookupError:  # nothing of it is left
+        pass
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestNoProcessOutlivesItsSweep:
+    def test_a_killed_runners_busy_worker_exits(self, tmp_path):
+        """SIGKILL of a runner runs none of its clean-up, and still the
+        worker it left busy exits within a few seconds."""
+        pids_dir = tmp_path / "pids"
+        pids_dir.mkdir()
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _HANGING_SWEEP, str(pids_dir),
+             str(tmp_path / "cache")],
+            env=_child_env(), start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not any(pids_dir.iterdir()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            name = next(pids_dir.iterdir()).name
+            worker, runner = map(int, name.split("-"))
+            assert runner != proc.pid
+            os.kill(runner, signal.SIGKILL)
+            deadline = time.monotonic() + 3.0
+            while _alive(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _alive(worker)
+        finally:
+            _kill_session(proc.pid)
+            proc.wait()
+
+    def test_a_clean_sweep_leaves_no_process(self, tmp_path):
+        """Each runner kills and reaps its worker before it exits, also
+        when the parent stops it with SIGTERM at the end of the sweep, so
+        nothing of the command's session outlives it, not even a
+        zombie."""
+        env = _child_env(REPRO_CACHE_DIR=str(tmp_path / "cache"))
+        with open(tmp_path / "out.txt", "wb") as out:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "sweep", "BFS", "--seed",
+                 "7", "--runners", "2", "--trace-store"],
+                env=env, start_new_session=True, stdout=out,
+                stderr=subprocess.STDOUT,
+            )
+        try:
+            assert proc.wait(timeout=300) == 0, (
+                (tmp_path / "out.txt").read_text()
+            )
+            assert _session(proc.pid) == []
+        finally:
+            _kill_session(proc.pid)

@@ -71,6 +71,12 @@ def test_unknown_rule_code_rejected():
         lint_fixture("determinism_good", select=["RPR999"])
 
 
+def test_empty_selection_rejected():
+    """``select=[]`` runs no rule, so it is refused; ``None`` runs all."""
+    with pytest.raises(ValueError, match="names no rule code"):
+        lint_fixture("determinism_good", select=[])
+
+
 # ------------------------------------------------------- RPR001 determinism
 
 

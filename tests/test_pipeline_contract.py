@@ -297,13 +297,48 @@ def test_every_policy_class_in_the_package_satisfies_the_contract():
     classes = _package_policy_classes()
     assert {StaticPaging, ClapPolicy, _RoundRobinPaging} <= set(classes)
     for cls in classes:
-        required = [
-            param
-            for param in inspect.signature(cls).parameters.values()
-            if param.default is param.empty
-            and param.kind not in (param.VAR_POSITIONAL, param.VAR_KEYWORD)
-        ]
-        validate_policy(cls(PAGE_64K) if required else cls())
+        validate_policy(_fresh(cls))
+
+
+def _fresh(cls):
+    """An instance of a package policy class, with a 64KB page size when
+    its constructor needs an argument."""
+    required = [
+        param
+        for param in inspect.signature(cls).parameters.values()
+        if param.default is param.empty
+        and param.kind not in (param.VAR_POSITIONAL, param.VAR_KEYWORD)
+    ]
+    return cls(PAGE_64K) if required else cls()
+
+
+def test_a_run_never_changes_its_cell():
+    """An in-process attempt runs on a copy of the cell: attaching binds
+    run state to the policy, and the caller's cell keeps its fingerprint
+    (and so its cache entry) whatever the policy does."""
+    from repro.sim.parallel import SweepCell, SweepRunner, cell_fingerprint
+
+    changed = []
+    for cls in _package_policy_classes():
+        cell = SweepCell("STE", _fresh(cls))
+        before = cell_fingerprint(cell)
+        SweepRunner(jobs=1, use_cache=False).run_cells([cell])
+        if cell_fingerprint(cell) != before:
+            changed.append(cls.__name__)
+    assert changed == []
+
+
+def test_a_reused_policy_instance_matches_a_fresh_one():
+    """Each attach starts a run: one instance run on STE and then on 3DC
+    gives the 3DC result of a fresh instance."""
+    differs = []
+    for cls in _package_policy_classes():
+        reused = _fresh(cls)
+        run_workload("STE", reused)
+        again = run_workload("3DC", reused).to_dict()
+        if again != run_workload("3DC", _fresh(cls)).to_dict():
+            differs.append(cls.__name__)
+    assert differs == []
 
 
 # --- epoch flushing (the partial-tail satellite) ---
