@@ -34,21 +34,23 @@ recorded and skipped, or is retried with exponential backoff
 (``--retries`` extra attempts), and completed cells are always flushed
 to the result cache — an aborted sweep resumes from where it stopped.
 
-``--runners N`` (default ``REPRO_RUNNERS``) goes further: cells execute
-through the crash-safe work-stealing coordinator — N independent runner
-processes claiming cells via short-TTL lease files (``--lease-ttl`` /
-``REPRO_LEASE_TTL``), stealing from dead runners and journaling every
-completion.  A killed sweep is continued by ``python -m repro sweep
---resume <sweep-id>`` (the id is printed at the end of a coordinator
-run, or fixed up front with ``--sweep-id`` / ``REPRO_SWEEP_ID``) with
-bit-identical final results.
+``--runners N`` (default ``REPRO_RUNNERS``) goes further: the sweep
+process runs N owned workers through the crash-safe coordinator,
+claiming each cell via a short-TTL lease file (``--lease-ttl`` /
+``REPRO_LEASE_TTL``), stealing the cells of dead processes and
+journaling every attempt.  Another process, on any machine sharing the
+cache, joins the sweep by running the same command.  A killed sweep is
+continued by ``python -m repro sweep --resume <sweep-id>`` (the id is
+printed at the end of a coordinator run, or fixed up front with
+``--sweep-id`` / ``REPRO_SWEEP_ID``; it is one plain name, never a
+path) with bit-identical final results.
 
 ``--trace-store [DIR]`` (default: the ``REPRO_TRACE_STORE`` env flag,
 else off; ``--no-trace-store`` forces it off) has the sweep parent
 materialize each distinct trace once into a shared, mmap-attachable
 store (default ``<cache>/traces``), under ``--jobs`` and ``--runners``
-alike; sweep workers — and coordinator runners across machines —
-attach traces zero-copy by fingerprint instead of each regenerating a
+alike; sweep workers — on every machine joined to a coordinator
+sweep — attach traces zero-copy by fingerprint instead of each regenerating a
 private copy, cutting per-worker trace residency to roughly ``1/jobs``
 with bit-identical results.
 
@@ -240,20 +242,21 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
 def _add_coordinator_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--runners", type=int, default=None, metavar="N",
-        help="run cells through the crash-safe work-stealing "
-             "coordinator with N independent runner processes "
+        help="run cells on N owned workers through the crash-safe "
+             "coordinator: leases, a journal and --resume; another "
+             "process joins by running the same command "
              "(default: REPRO_RUNNERS, else the process pool)",
     )
     parser.add_argument(
         "--sweep-id", default=None, metavar="ID",
-        help="coordinator sweep id (default: REPRO_SWEEP_ID, else "
-             "derived from the cell fingerprints — identical sweeps "
-             "share state and resume each other)",
+        help="coordinator sweep id, one plain name (default: "
+             "REPRO_SWEEP_ID, else derived from the cell fingerprints — "
+             "identical sweeps share state and resume each other)",
     )
     parser.add_argument(
         "--lease-ttl", type=float, default=None, metavar="SECONDS",
         help="seconds before an unrenewed cell lease may be stolen "
-             "from a dead runner (default: REPRO_LEASE_TTL or 30)",
+             "from a dead process (default: REPRO_LEASE_TTL or 30)",
     )
 
 
@@ -375,12 +378,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.resume:
         # Resuming names an existing sweep directory; its pickled cells
         # are the workload, so no positional argument is needed.
+        from .errors import SweepError
         from .sim.coordinator import load_cells
 
         args.sweep_id = args.resume
         runner = _make_runner(args, force_coordinator=True)
-        sweep_dir = runner.cache.root / "sweeps" / args.resume
-        cells = load_cells(sweep_dir)
+        try:
+            cells = load_cells(runner.cache.root / "sweeps" / args.resume)
+        except SweepError as exc:
+            print(str(exc), file=sys.stderr)
+            raise SystemExit(2)
     else:
         if not args.workload:
             print("a workload is required unless --resume is given",

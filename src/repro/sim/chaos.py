@@ -6,12 +6,12 @@ that claim stays testable: a :class:`ChaosSchedule` decides — from cell
 tags and attempt numbers only, never from wall-clock or process state —
 which execution attempts misbehave and how.
 
-The schedule lives with whoever owns the worker — the sweep parent in
-pool mode, each runner in coordinator mode — which resolves each
-attempt's :class:`ChaosDirective` before handing the attempt out and
-ships it to the worker alongside the cell, so the injected behaviour is
-identical no matter which worker picks the cell up, in which order, or
-how many workers were replaced.  A directive makes the worker
+The schedule lives with the sweep process that owns the workers, in
+every mode, which resolves each attempt's :class:`ChaosDirective`
+before handing the attempt out and ships it to the worker alongside the
+cell, so the injected behaviour is identical no matter which worker
+picks the cell up, in which order, or how many workers were replaced.
+A directive makes the worker
 
 * ``RAISE`` — raise :class:`~repro.errors.ChaosError` before simulating
   (a deterministic in-cell failure);
@@ -19,29 +19,21 @@ how many workers were replaced.  A directive makes the worker
 * ``DIE`` — ``os._exit`` mid-attempt (an OOM-killed / segfaulted worker,
   which its owner observes as EOF on that worker's pipe: it costs only
   that attempt, in pool and coordinator mode alike);
-* ``DIE_HARD`` — SIGKILL yourself mid-attempt.  A coordinator runner
-  acts on it itself, before the hand-off: no cleanup, no lease release,
-  no journal record — the failure mode the coordinator's lease-expiry
-  stealing exists for;
 * ``CORRUPT_WRITE`` — complete the cell, then tear or bit-flip its
   just-written cache entry
   (:func:`~repro.sim.durability.corrupt_file`), exercising the
-  checksum-quarantine path in :class:`~repro.sim.parallel.ResultCache`;
-* ``STALE_LEASE`` — keep computing but stop renewing the cell's lease,
-  so a sibling runner observes an expired lease on a live process and
-  steals the cell (both finish; results are identical by determinism).
+  checksum-quarantine path in :class:`~repro.sim.parallel.ResultCache`.
 
-``CORRUPT_WRITE`` and ``STALE_LEASE`` modulate the durability layer
-*around* the simulation rather than the simulation itself, so
-:func:`apply_chaos` treats them as pre-run no-ops.  ``CORRUPT_WRITE``
-acts in every mode, where the cell's cache entry is published
-(:func:`repro.sim.parallel._publish`); ``STALE_LEASE`` means something
-only to a coordinator runner (:mod:`repro.sim.coordinator`), and
-:class:`~repro.sim.parallel.SweepRunner` rejects a schedule holding it
-in any other mode.  When ``SweepRunner`` runs an attempt in-process
-(serial mode without a cell timeout, or an unpicklable cell), ``HANG``,
-``DIE`` and ``DIE_HARD`` are downgraded to ``RAISE`` — chaos must never
-hang or kill the test process itself.
+``CORRUPT_WRITE`` modulates the durability layer *around* the
+simulation rather than the simulation itself, so :func:`apply_chaos`
+treats it as a pre-run no-op; it acts in every mode, where the cell's
+cache entry is published (:func:`repro.sim.parallel._publish`).  The
+death of a whole sweep process, the failure that coordinator leases
+exist for, is no directive: tests SIGKILL a real sweep process instead
+(``tests/test_coordinator.py``).  When ``SweepRunner`` runs an attempt
+in-process (serial mode without a cell timeout, or an unpicklable
+cell), ``HANG`` and ``DIE`` are downgraded to ``RAISE`` — chaos must
+never hang or kill the test process itself.
 """
 
 from __future__ import annotations
@@ -49,10 +41,9 @@ from __future__ import annotations
 import enum
 import os
 import random
-import signal
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ChaosError
 
@@ -70,17 +61,8 @@ class FaultKind(str, enum.Enum):
     RAISE = "raise"
     HANG = "hang"
     DIE = "die"
-    #: SIGKILL with no cleanup whatsoever (coordinator runners).
-    DIE_HARD = "die_hard"
     #: finish the cell, then corrupt its on-disk cache entry.
     CORRUPT_WRITE = "corrupt_write"
-    #: finish the cell but never renew its lease (a stalled runner).
-    STALE_LEASE = "stale_lease"
-
-
-#: Kinds that are no-ops at attempt start; they act around the
-#: durability layer instead (cache publish, lease renewal).
-DEFERRED_KINDS = frozenset({FaultKind.CORRUPT_WRITE, FaultKind.STALE_LEASE})
 
 
 @dataclass(frozen=True)
@@ -99,11 +81,9 @@ def apply_chaos(
     if directive is None:
         return
     kind = directive.kind
-    if kind in DEFERRED_KINDS:
-        return
-    if in_process and kind in (
-        FaultKind.HANG, FaultKind.DIE, FaultKind.DIE_HARD
-    ):
+    if kind is FaultKind.CORRUPT_WRITE:
+        return  # acts where the entry is published
+    if in_process and kind in (FaultKind.HANG, FaultKind.DIE):
         kind = FaultKind.RAISE
     if kind is FaultKind.RAISE:
         raise ChaosError(
@@ -117,11 +97,6 @@ def apply_chaos(
             "being killed — is the cell timeout enforced?",
             context={"kind": "hang"},
         )
-    if kind is FaultKind.DIE_HARD:
-        # SIGKILL: the process vanishes with no chance to release its
-        # lease or journal anything — only lease-TTL expiry and
-        # work-stealing can recover the cell.
-        os.kill(os.getpid(), signal.SIGKILL)
     # DIE: bypass every exception handler and atexit hook, exactly like
     # the kernel's OOM killer would.
     os._exit(13)
@@ -194,15 +169,6 @@ class ChaosSchedule:
         if kind is None:
             return None
         return ChaosDirective(kind, hang_seconds=self.hang_seconds)
-
-    def kinds(self) -> FrozenSet[FaultKind]:
-        """Every fault kind the plan injects somewhere."""
-        return frozenset(
-            kind
-            for kinds in self._plan.values()
-            for kind in kinds
-            if kind is not None
-        )
 
     def faulty_tags(self) -> Tuple[str, ...]:
         """Tags with at least one scheduled fault (for test assertions)."""

@@ -1,45 +1,47 @@
-"""Lease-based work-stealing coordinator for crash-safe distributed sweeps.
+"""Crash-safe sweeps that any number of processes can join.
 
-:class:`~repro.sim.parallel.SweepRunner`'s pool mode survives worker
-faults *inside* one process tree; this module extends fault tolerance to
-process death, torn writes and coordinator restarts.  A sweep's cells
-are sharded across N independent *runner* processes — and, by pointing
-several machines at one shared journal/cache directory, across machines
-— with the content-addressed result cache as the rendezvous point:
+:class:`~repro.sim.parallel.SweepRunner`'s pool runs a sweep's cells on
+worker processes it forks and owns.  In coordinator mode (``--runners
+N``) the same pool runs N owned workers with a *rendezvous*: the
+:class:`Coordinator` and its sweep directory ``<cache>/sweeps/<id>``,
+which holds the manifest, the pickled cells, the journal and the lease
+files.  The rendezvous carries fault tolerance past the sweep process
+itself: past its death, torn writes and restarts.  Another process, on
+this machine or on any machine that shares the cache directory, joins
+the sweep by running the same command:
 
-* **Leases.**  A runner claims a cell by creating
-  ``leases/<fingerprint>.lease`` with ``O_CREAT | O_EXCL``
-  (:func:`~repro.sim.durability.create_exclusive`, an atomic
-  test-and-set on any POSIX filesystem), hands the attempt to the one
-  worker process it owns, and renews the lease while it waits for the
-  reply.  A lease whose ``renewed`` stamp is older than its TTL belongs
-  to a dead (or stalled) runner; any other runner may *steal* it —
-  arbitration is an ``O_EXCL`` marker per expired stamp, so exactly one
-  thief wins.  A worker's death or a missed ``cell_timeout`` costs only
-  its attempt, as in pool mode, and frees the lease at once.
-* **Journal.**  Attempt starts, completions, failures, steals and
-  quarantines are appended to a per-sweep CRC-framed journal
-  (:mod:`repro.sim.journal`), the one record of what happened to each
-  cell: attempts are counted from its ``start`` records.  Results
-  themselves live in the
+* **Leases.**  Before the pool hands a cell to a worker it claims the
+  cell by creating ``leases/<fingerprint>.lease`` with ``O_CREAT |
+  O_EXCL`` (:func:`~repro.sim.durability.create_exclusive`, an atomic
+  test-and-set on any POSIX filesystem), and renews the lease four
+  times per TTL while the attempt runs.  A cell that another live
+  process holds is skipped and tried again later.  A lease whose
+  ``renewed`` stamp is older than its TTL belongs to a dead (or
+  stalled) process, and any other process may *steal* it: arbitration
+  is an ``O_EXCL`` marker per expired stamp, so exactly one thief wins.
+  A lease is released when its attempt settles and on every exit path.
+* **Journal.**  Every record of the pool (``start``, ``done``,
+  ``error``, ``failed``, ``steal``, ``quarantine``) is appended to a
+  per-sweep CRC-framed journal (:mod:`repro.sim.journal`), and reaches
+  ``SweepRunner.records`` only when the pool tails it back, whoever
+  wrote it: a cell another process settles settles here too.  Attempts
+  are numbered from the ``start`` records of every process and every
+  earlier run.  Results themselves live in the
   :class:`~repro.sim.parallel.ResultCache`; a ``done`` record means
-  "the cache holds this fingerprint", and the parent verifies that on
-  read — a corrupt entry is quarantined and the cell requeued.
+  "the cache holds this fingerprint", and every process verifies that
+  on read: a corrupt entry is quarantined and the cell requeued.
 * **Resume.**  Because every side effect is an idempotent record keyed
   by cell fingerprint, re-running the same sweep id replays the journal
-  and continues exactly where any previous run — crashed, killed or
-  completed — left off, with bit-identical final results to a
+  and continues exactly where any previous run (crashed, killed or
+  completed) left off, with bit-identical final results to a
   single-shot run (cells are deterministic in their inputs; which
   process computes them cannot matter).
 
-The parent process (the :class:`Coordinator`) materializes the pending
-cells' traces into the shared trace store (when it is on), exactly as
-pool mode does, and is otherwise stateless between polls: it spawns
-runners, tails the journal, respawns dead runners while work remains,
-and repairs a torn journal tail that no live writer claims
-(:meth:`~repro.sim.journal.Journal.truncate`).
-Killing it with SIGKILL at any point loses nothing but the in-flight
-cells' wall time.
+A sweep alone on its id tails the journal after its own appends and
+never polls; while another process holds a cell, the pool also wakes
+every :data:`POLL_INTERVAL` to tail the journal and retry the claim.
+Killing a sweep process with SIGKILL at any point loses nothing but
+its in-flight cells' wall time.
 """
 
 from __future__ import annotations
@@ -48,29 +50,24 @@ import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import pickle
-import signal
+import re
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..errors import SweepError
-from .chaos import ChaosSchedule, FaultKind, apply_chaos
 from .durability import atomic_write, create_exclusive
 from .journal import Journal, Record
 from .parallel import (
-    OnError,
     ResultCache,
     SweepCell,
     SweepStats,
     _cache_get,
     _failure_record,
-    _may_retry,
     _picklable,
     _PoolWorker,
-    _publish,
     cell_fingerprint,
 )
 from .results import SimResult
@@ -79,6 +76,7 @@ __all__ = [
     "CoordinatorConfig",
     "Coordinator",
     "load_cells",
+    "check_sweep_id",
     "derive_sweep_id",
     "resolve_runners",
     "resolve_lease_ttl",
@@ -91,18 +89,25 @@ MANIFEST_SCHEMA_VERSION = 1
 #: Default seconds before an unrenewed lease may be stolen.
 DEFAULT_LEASE_TTL = 30.0
 
-#: Seconds a runner or the parent sleeps when a poll found nothing new.
+#: Seconds between claims of a cell that another process holds.
 POLL_INTERVAL = 0.05
+
+#: A sweep id is one plain name: it names a directory under
+#: ``<cache>/sweeps``, never a path.
+_SWEEP_ID = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 @dataclasses.dataclass(frozen=True)
 class CoordinatorConfig:
     """Everything that parameterizes a coordinator sweep.
 
+    ``runners`` is the number of workers this process owns.
     ``sweep_id=None`` derives a content-addressed id from the cell
     fingerprints, so re-issuing the same sweep automatically resumes
-    it.  Sweep state lives under ``<cache>/sweeps`` — sharing the cache
-    directory across machines therefore shares the rendezvous too.
+    or joins it; an id given here is a plain name
+    (:func:`check_sweep_id`).  Sweep state lives under
+    ``<cache>/sweeps`` — sharing the cache directory across machines
+    therefore shares the rendezvous too.
     """
 
     sweep_id: Optional[str] = None
@@ -111,8 +116,9 @@ class CoordinatorConfig:
 
 
 def resolve_runners(value: Optional[int] = None) -> Optional[int]:
-    """Runner count: explicit value, else ``REPRO_RUNNERS``, else None
-    (coordinator mode off).  ``SweepRunner`` rejects a count below 1."""
+    """Worker count of coordinator mode: explicit value, else
+    ``REPRO_RUNNERS``, else None (coordinator mode off).
+    ``SweepRunner`` rejects a count below 1."""
     if value is None:
         env = os.environ.get("REPRO_RUNNERS")
         if not env:
@@ -130,7 +136,7 @@ def resolve_lease_ttl(value: Optional[float] = None) -> float:
     """Lease TTL: explicit value, else ``REPRO_LEASE_TTL``, else 30s.
 
     It must be positive and finite: a NaN TTL makes every lease look
-    expired, and an infinite one never lets a dead runner's cell go."""
+    expired, and an infinite one never lets a dead process's cell go."""
     if value is None:
         env = os.environ.get("REPRO_LEASE_TTL")
         if not env:
@@ -149,12 +155,23 @@ def resolve_lease_ttl(value: Optional[float] = None) -> float:
     return float(value)
 
 
+def check_sweep_id(value: str) -> str:
+    """``value``, when it is one plain name; else ``ValueError``.  A
+    path (``../x``, ``/abs/dir``) would put the sweep directory outside
+    ``<cache>/sweeps``."""
+    if not _SWEEP_ID.fullmatch(value):
+        raise ValueError(
+            "a sweep id (--sweep-id, --resume or REPRO_SWEEP_ID) must be "
+            f"one plain name matching {_SWEEP_ID.pattern}, got {value!r}"
+        )
+    return value
+
+
 def resolve_sweep_id(value: Optional[str] = None) -> Optional[str]:
     """Sweep id: explicit value, else ``REPRO_SWEEP_ID``, else None
-    (derive from content)."""
-    if value:
-        return value
-    return os.environ.get("REPRO_SWEEP_ID") or None
+    (derive from content); a given id must pass :func:`check_sweep_id`."""
+    value = value or os.environ.get("REPRO_SWEEP_ID")
+    return check_sweep_id(value) if value else None
 
 
 def derive_sweep_id(fingerprints: Sequence[str]) -> str:
@@ -176,7 +193,14 @@ def load_cells(sweep_dir: Union[str, Path]) -> List[SweepCell]:
             f"cannot resume sweep from {sweep_dir}: no cells.pkl "
             f"({exc}); was this sweep started in coordinator mode?"
         ) from exc
-    cells = pickle.loads(data)
+    try:
+        cells = pickle.loads(data)
+    # Unpickling damaged bytes can raise nearly any exception type.
+    except Exception as exc:
+        raise SweepError(
+            f"cannot resume sweep from {sweep_dir}: unreadable cells.pkl "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
     if not isinstance(cells, list):
         raise SweepError(f"corrupt cells.pkl in {sweep_dir}")
     return cells
@@ -225,7 +249,7 @@ def _acquire_lease(
     """Claim ``key``: fresh ``O_EXCL`` create, or steal an expired lease.
 
     A steal atomically renames a fully-written lease *over* the expired
-    one, so the path never disappears mid-theft — a third runner cannot
+    one, so the path never disappears mid-theft — a third process cannot
     slip in with a fresh ``O_EXCL`` create and win the cell without a
     steal on record.  Concurrent thieves of one expired lease arbitrate
     by ``O_EXCL``-creating a marker named for its ``renewed`` stamp:
@@ -288,180 +312,23 @@ def _renew_lease(claim: _Claim, ttl: float) -> bool:
     return True
 
 
-def _stop(signum: int, frame: object) -> None:
-    """SIGTERM handler: unwind, so the runner ends its worker first."""
-    raise SystemExit(128 + signum)
 
 
-# --- the runner process -------------------------------------------------
-
-
-def _runner_process(
-    sweep_dir: str,
-    cache_dir: str,
-    runner_id: str,
-    lease_ttl: float,
-    max_attempts: int,
-    on_error: str,
-    chaos: Optional[ChaosSchedule],
-    trace_store_root: Optional[str] = None,
-    cell_timeout: Optional[float] = None,
-) -> None:
-    """Entry point of one independent runner process.
-
-    Loops until every cell is settled, doing four things only: claim a
-    cell's lease, hand the attempt to the worker it owns, publish the
-    result to the shared cache, and journal the outcome.  Everything it
-    knows comes off the shared directory, so a runner can join, die, or
-    be started on another machine at any time; its settled set and
-    attempt ledger are the journal's :class:`~repro.sim.parallel.
-    SweepStats`.
-
-    Before computing, the lease holder journals a ``start`` record, its
-    attempt one more than the ledger has counted; a previous attempt
-    that left no outcome died with its runner (a transient failure).
-    Attempts run on one owned :class:`~repro.sim.parallel._PoolWorker`,
-    forked again after a death or a timeout, under pool mode's rules.
-    The runner renews the lease while it waits, and kills and reaps its
-    worker before it exits, SIGTERM included.
-    """
-    signal.signal(signal.SIGTERM, _stop)
-    sweep = Path(sweep_dir)
-    cells = load_cells(sweep)  # deduplicated by the parent
-    keys = [cell_fingerprint(cell) for cell in cells]
-    journal = Journal(sweep / "journal.bin")
-    lease_dir = sweep / "leases"
-    cache = ResultCache(cache_dir)
-    token = f"{runner_id}:{os.getpid()}"
-    policy = OnError(on_error)
-
-    ledger = SweepStats()
-    offset = 0
-    worker: Optional[_PoolWorker] = None
-
-    def refresh() -> None:
-        nonlocal offset
-        records, offset, _ = journal.read_from(offset)
-        for record in records:
-            ledger.apply(record)
-
-    def append(record: Record) -> None:
-        journal.append({**record, "runner": runner_id})
-
-    def failed(
-        i: int, attempt: int, kind: str, exc: object, **extra: str
-    ) -> None:
-        retry = _may_retry(
-            policy, attempt, max_attempts, transient=kind != "error"
-        )
-        append(_failure_record("error" if retry else "failed", cells[i],
-                               keys[i], attempt, kind, exc, **extra))
-
-    try:
-        while True:
-            refresh()
-            todo = [
-                i for i, key in enumerate(keys) if key not in ledger.settled
-            ]
-            if not todo:
-                return
-            progressed = False
-            for i in todo:
-                key = keys[i]
-                claim = _acquire_lease(lease_dir, key, token, lease_ttl)
-                if claim is None:
-                    continue
-                progressed = True
-                attempt = 0
-                try:
-                    refresh()
-                    if key in ledger.settled:
-                        continue
-                    if claim.stolen_from is not None:
-                        append({"kind": "steal", "fp": key,
-                                "from": claim.stolen_from})
-                    if _cache_get(cache, key, append) is not None:
-                        append({"kind": "done", "fp": key, "attempt": 0})
-                        continue
-                    # Counted by the fold, never here: the next refresh()
-                    # reads this runner's own start record back.
-                    attempt = ledger.starts.get(key, 0) + 1
-                    if attempt > 1 and not _may_retry(
-                        policy, attempt - 1, max_attempts, transient=True
-                    ):
-                        failed(
-                            i, attempt - 1, "worker-died",
-                            f"attempt budget ({max_attempts}) exhausted "
-                            "across runners (repeated runner death or "
-                            "preemption)",
-                        )
-                        continue
-                    append({"kind": "start", "fp": key, "attempt": attempt})
-                    directive = (chaos.directive_for(cells[i].tag, attempt)
-                                 if chaos is not None else None)
-                    fault = directive.kind if directive is not None else None
-                    if fault is FaultKind.DIE_HARD:
-                        apply_chaos(directive)  # SIGKILLs this runner
-                    if fault is FaultKind.STALE_LEASE:
-                        # A stalled runner: hold the lease un-renewed past
-                        # its TTL, so a sibling legitimately steals it.
-                        time.sleep(2.5 * lease_ttl)
-                    while worker is None or not worker.hand_off(
-                        cells[i], directive
-                    ):
-                        worker = _PoolWorker(trace_store_root, False)
-                    # Wait for the reply until the deadline, renewing
-                    # the lease four times per TTL until it is stolen.
-                    deadline = time.monotonic() + (cell_timeout or math.inf)
-                    renew, outcome = fault is not FaultKind.STALE_LEASE, None
-                    while outcome is None and time.monotonic() < deadline:
-                        wait = min(deadline - time.monotonic(), lease_ttl / 4)
-                        if worker.conn.poll(wait):
-                            outcome = worker.reply()
-                        else:
-                            renew = renew and _renew_lease(claim, lease_ttl)
-                    kind, value, extra = outcome or worker.expire(
-                        cell_timeout, attempt
-                    )
-                    if kind in ("worker-died", "timeout"):
-                        worker = None
-                    if kind != "done":
-                        failed(i, attempt, kind, value, **extra)
-                        continue
-                    _publish(cache, key, value, cells[i], directive)
-                    if cache.write_disabled:
-                        raise SweepError(
-                            "coordinator runner cannot write the result "
-                            f"cache at {cache.root}; the rendezvous is broken"
-                        )
-                    append({"kind": "done", "fp": key, "attempt": attempt,
-                            "trace": value.trace_source})
-                # Failure accounting happens through the journal, not a
-                # typed raise: the error/failed record below is what
-                # resume and the supervising coordinator replay.
-                except Exception as exc:  # repro-lint: ignore[RPR010] -- failure journaled as error/failed record
-                    failed(i, attempt or 1, "error", exc)
-                finally:
-                    _release_lease(claim)
-            if not progressed:
-                time.sleep(POLL_INTERVAL)
-    finally:
-        if worker is not None:
-            worker.end(kill=True)
-
-
-# --- the parent ---------------------------------------------------------
+# --- the rendezvous -----------------------------------------------------
 
 
 class Coordinator:
-    """Parent-side orchestration of one coordinator sweep.
+    """One process's side of a coordinator sweep: the rendezvous
+    :meth:`~repro.sim.parallel.SweepRunner._run_pool` schedules with.
 
-    Owns the sweep directory (manifest + pickled cells + journal +
-    leases), materializes the pending cells' traces through the
-    :class:`~repro.sim.parallel.SweepRunner`, spawns and babysits the
-    runner processes, and folds journal records into the runner's
-    results and stats.  All of its own state is reconstructible from
-    the directory, which is what makes the sweep coordinator-crash-safe.
+    :meth:`run` sets up (or validates) the sweep directory, adopts what
+    earlier runs finished, materializes the pending cells' traces and
+    hands the rest to the pool, which forks its workers through
+    :meth:`_spawn`, claims each attempt through :meth:`claim`, journals
+    through :meth:`append`, settles cells through :meth:`tail` and
+    keeps its leases with :meth:`renew` and :meth:`release`.  All of
+    this process's state is reconstructible from the directory, which
+    is what makes the sweep crash-safe.
     """
 
     def __init__(self, config: CoordinatorConfig, runner) -> None:
@@ -469,6 +336,15 @@ class Coordinator:
         self._runner = runner  # the owning SweepRunner
         self.sweep_id: Optional[str] = config.sweep_id
         self.sweep_dir: Optional[Path] = None
+        #: names this process in its leases and journal records
+        self.token = f"{os.uname().nodename}:{os.getpid()}"
+        #: the fold of the whole journal, every process and earlier run
+        #: included: its ``starts`` number the attempts
+        self.ledger = SweepStats()
+        #: pool index -> the lease this process holds for that cell
+        self.claims: Dict[int, _Claim] = {}
+        #: when the held leases are next renewed (``time.monotonic``)
+        self.renew_at = 0.0
 
     # - setup -
 
@@ -547,178 +423,171 @@ class Coordinator:
 
         self._prepare_dir(cells, keys, distributed)
         assert self.sweep_dir is not None
-        journal = Journal(self.sweep_dir / "journal.bin")
-        key_to_index = {keys[i]: i for i in distributed}
-        pending_keys = set(key_to_index)
+        journal = self.journal = Journal(self.sweep_dir / "journal.bin")
+        self.lease_dir = self.sweep_dir / "leases"
+        self._cells, self._keys, self._results = cells, keys, results
+        self._index = {keys[i]: i for i in distributed}
+        pending_keys = set(self._index)
 
         # Replay: adopt completions from previous runs of this sweep,
         # requeue failures and corrupt entries (an explicit resume is a
-        # request to try again).
-        records, _ = journal.recover()
-        for key, record in SweepStats.fold(records).settled.items():
+        # request to try again).  The tail starts where this read ends.
+        records, offset, clean = journal.read_from(0)
+        if not clean:  # a writer died mid-append
+            journal.truncate(offset)
+        self.offset = offset
+        self.ledger = SweepStats.fold(records)
+        for key, record in self.ledger.settled.items():
             if key not in pending_keys:
                 continue
             if record.get("kind") == "done":
                 result = _cache_get(cache, key, runner._record)
                 if result is not None:
                     runner._cached(
-                        "resumed", key, results, key_to_index[key], result
+                        "resumed", key, results, self._index[key], result
                     )
                     pending_keys.discard(key)
                     continue
                 # Entry vanished or failed verification: recompute.  The
                 # attempt count survives, so a chaos directive that
                 # corrupted attempt N does not fire again on the retry.
-                journal.append({"kind": "requeue", "fp": key, "by": "parent"})
+                self.append({"kind": "requeue", "fp": key})
                 continue
             # A previously *failed* cell: an explicit resume is a request
             # to try again, with a fresh attempt budget.
-            journal.append(
-                {"kind": "requeue", "fp": key, "by": "parent", "reset": True}
-            )
+            self.append({"kind": "requeue", "fp": key, "reset": True})
         # Cells this sweep never journaled may still be in the shared
         # cache (another sweep computed them): classify as plain hits
         # and journal the completion so a resume adopts them directly.
         for key in sorted(pending_keys):
             hit = _cache_get(cache, key, runner._record)
             if hit is not None:
-                runner._cached("hit", key, results, key_to_index[key], hit)
+                runner._cached("hit", key, results, self._index[key], hit)
                 pending_keys.discard(key)
-                journal.append(
-                    {
-                        "kind": "done",
-                        "fp": key,
-                        "runner": "cache",
-                        "attempt": 0,
-                    }
-                )
+                self.append({"kind": "done", "fp": key, "attempt": 0})
         if not pending_keys:
             return
-        # As in pool mode, the parent materializes each distinct trace
-        # once; runners only attach.
-        runner._prepare_traces(
-            cells, keys, [i for i in distributed if keys[i] in pending_keys]
-        )
-        self._supervise(journal, key_to_index, pending_keys, results)
+        indices = [i for i in distributed if keys[i] in pending_keys]
+        # As in pool mode, this process materializes each distinct trace
+        # once; its workers only attach.
+        runner._prepare_traces(cells, keys, indices)
+        self.renew_at = time.monotonic() + self.config.lease_ttl / 4
+        runner._run_pool(cells, keys, indices, results, rendezvous=self)
 
-    # - supervision loop -
+    # - what the pool calls -
 
-    def _spawn(self, sequence: int) -> multiprocessing.Process:
-        # Load the replay modules before forking, so every runner
-        # inherits them instead of importing NumPy and the engine itself.
-        from . import engine  # noqa: F401
-
+    def _spawn(self) -> _PoolWorker:
+        """Fork one owned worker for the pool."""
         runner = self._runner
-        process = multiprocessing.Process(
-            target=_runner_process,
-            args=(
-                str(self.sweep_dir),
-                str(runner.cache.root),
-                f"r{sequence}",
-                self.config.lease_ttl,
-                runner.max_attempts,
-                runner.on_error.value,
-                runner.chaos,
-                runner._store_root,
-                runner.cell_timeout,
-            ),
-            # Not a daemon: a daemonic process may not fork its worker.
-            daemon=False,
-        )
-        process.start()
-        return process
+        return _PoolWorker(runner._store_root, runner.telemetry)
 
-    def _supervise(
-        self,
-        journal: Journal,
-        key_to_index: Dict[str, int],
-        pending_keys: set,
-        results: List[Optional[SimResult]],
-    ) -> None:
+    def append(self, record: Record) -> None:
+        """Journal one record of this process; :meth:`tail` folds it.
+
+        A ``done`` record means the cache holds the cell, so once the
+        cache stops taking writes the rendezvous is broken.
+        """
+        cache = self._runner.cache
+        if cache.write_disabled:
+            raise SweepError(
+                f"coordinator mode cannot write the result cache at "
+                f"{cache.root}; the rendezvous is broken"
+            )
+        self.journal.append({**record, "runner": self.token})
+
+    def tail(self) -> None:
+        """Fold every record appended since the last tail, by any
+        process, into the ledger and the runner's records, and settle
+        each cell a record settles; until the journal has nothing new,
+        since settling a ``done`` can requeue its cell."""
         runner = self._runner
-        offset = journal.size()
-        spawned = 0
-        respawn_budget = (
-            self.config.runners + len(key_to_index) * runner.max_attempts
-        )
-        children: List[multiprocessing.Process] = []
-        torn_since: Optional[float] = None
-        try:
-            for _ in range(min(self.config.runners, len(pending_keys))):
-                children.append(self._spawn(spawned))
-                spawned += 1
-            while pending_keys:
-                records, offset, clean = journal.read_from(offset)
-                for record in records:
-                    if runner._record(record):
-                        self._adopt(
-                            record, journal, key_to_index, pending_keys,
-                            results,
-                        )
-                if clean:
-                    torn_since = None
-                else:
-                    # Trailing bytes that never complete: a writer died
-                    # mid-append.  No live writer takes anywhere near a
-                    # TTL to finish one small write, so after that long
-                    # the tail is provably torn — truncate it.
-                    now = time.monotonic()
-                    if torn_since is None:
-                        torn_since = now
-                    elif now - torn_since > max(self.config.lease_ttl, 1.0):
-                        journal.truncate(offset)
-                        torn_since = None
-                if not pending_keys:
-                    break
-                children = [c for c in children if c.is_alive()]
-                while (
-                    len(children) < self.config.runners
-                    and spawned < respawn_budget
-                ):
-                    children.append(self._spawn(spawned))
-                    spawned += 1
-                if not children:
-                    raise SweepError(
-                        f"coordinator sweep {self.sweep_id} stalled: "
-                        f"all runners exited after {spawned} spawns with "
-                        f"{len(pending_keys)} cell(s) unfinished"
-                    )
-                if not records:
-                    time.sleep(POLL_INTERVAL)
-        finally:
-            for child in children:
-                if child.is_alive():
-                    child.terminate()
-            for child in children:
-                child.join(timeout=5.0)
-                if child.is_alive():
-                    child.kill()
-                    child.join(timeout=5.0)
+        while True:
+            records, self.offset, _ = self.journal.read_from(self.offset)
+            if not records:
+                return
+            for record in records:
+                self.ledger.apply(record)
+                if runner._record(record):
+                    self._adopt(record)
 
-    def _adopt(
-        self,
-        record: Record,
-        journal: Journal,
-        key_to_index: Dict[str, int],
-        pending_keys: set,
-        results: List[Optional[SimResult]],
-    ) -> None:
-        """Act on a journal record that settled its cell in the fold."""
+    def _adopt(self, record: Record) -> None:
+        """Settle the cell of a record that settled it in the fold: its
+        failure, or the result a ``done`` names, read back and verified."""
         runner = self._runner
         key = str(record["fp"])
         result = None
         if record["kind"] == "done":
-            result = _cache_get(runner.cache, key, runner._record)
+            result = _cache_get(runner.cache, key, self.append)
             if result is None:
-                # The entry a runner just wrote failed verification
-                # (torn/bit-flipped write): cache.get quarantined it;
-                # requeue the cell, which undoes this ``done`` in the
-                # fold once read back.  Attempts are *not* reset — the
-                # corrupting attempt is spent, so the deterministic
-                # chaos schedule moves on and the retry runs clean.
-                journal.append(
-                    {"kind": "requeue", "fp": key, "by": "parent"}
-                )
+                # The entry failed verification (torn/bit-flipped write)
+                # and cache.get quarantined it: requeue the cell, which
+                # undoes this ``done`` in the fold once read back.
+                # Attempts are *not* reset — the corrupting attempt is
+                # spent, so the deterministic chaos schedule moves on
+                # and the retry runs clean.
+                self.append({"kind": "requeue", "fp": key})
                 return
-        pending_keys.discard(key)
-        runner._settle(record, results, key_to_index[key], result)
+        runner._settle(record, self._results, self._index[key], result)
+
+    def claim(self, index: int) -> Optional[int]:
+        """Claim the cell at ``index`` for an attempt; the attempt
+        number, or None when this process does not start it now.
+
+        A cell that another live process holds gives None and stays
+        open.  After the claim the journal is tailed: a cell that
+        settled meanwhile is dropped, one found in the cache is
+        journaled ``done`` at attempt 0, and one whose ``start``
+        records spent its attempt budget without an outcome (their
+        processes died) settles as one ``worker-died`` failure.
+        """
+        runner = self._runner
+        key = self._keys[index]
+        lease = _acquire_lease(
+            self.lease_dir, key, self.token, self.config.lease_ttl
+        )
+        if lease is None:
+            return None
+        self.claims[index] = lease
+        self.tail()
+        attempt: Optional[int] = self.ledger.starts.get(key, 0) + 1
+        if key in runner.stats.settled:
+            attempt = None
+        else:
+            if lease.stolen_from is not None:
+                self.append({"kind": "steal", "fp": key,
+                             "from": lease.stolen_from})
+            if _cache_get(runner.cache, key, self.append) is not None:
+                self.append({"kind": "done", "fp": key, "attempt": 0})
+                attempt = None
+            elif attempt > runner.max_attempts:
+                self.append(_failure_record(
+                    "failed", self._cells[index], key, attempt - 1,
+                    "worker-died",
+                    f"attempt budget ({runner.max_attempts}) exhausted: "
+                    f"attempt {attempt - 1} started and left no outcome "
+                    "(its process died)",
+                ))
+                attempt = None
+        if attempt is None:
+            self.release(index)
+            self.tail()
+        return attempt
+
+    def renew(self) -> None:
+        """Renew every held lease once a quarter TTL has passed since
+        the last renewal; :func:`_renew_lease` never renews one that
+        was stolen."""
+        now = time.monotonic()
+        if now < self.renew_at:
+            return
+        self.renew_at = now + self.config.lease_ttl / 4
+        for lease in self.claims.values():
+            _renew_lease(lease, self.config.lease_ttl)
+
+    def release(self, index: Optional[int] = None) -> None:
+        """Release the lease held for ``index``, or with None all of
+        them (the pool's exit path)."""
+        for i in list(self.claims) if index is None else [index]:
+            lease = self.claims.pop(i, None)
+            if lease is not None:
+                _release_lease(lease)

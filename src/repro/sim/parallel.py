@@ -45,7 +45,11 @@ not just run fast:
   finish — a crash, an abort, or a ``KeyboardInterrupt`` mid-sweep never
   discards finished work;
 * fault injection for all of the above is provided by the deterministic
-  chaos harness in :mod:`repro.sim.chaos`.
+  chaos harness in :mod:`repro.sim.chaos`;
+* with a coordinator rendezvous (:mod:`repro.sim.coordinator`) the
+  same pool also survives the death of the sweep process: each attempt
+  claims a lease, every record is journaled, and other processes may
+  join the sweep.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
     from ..surrogate.active import SurrogateConfig
     from ..trace.store import TraceStore
-    from .coordinator import CoordinatorConfig
+    from .coordinator import Coordinator, CoordinatorConfig
     from .journal import Record
 
 #: Bump when the cache entry layout or :meth:`SimResult.to_dict` schema
@@ -481,7 +485,7 @@ class SweepStats:
     Every mode records each cell event as a dict with a ``kind`` and the
     cell fingerprint ``fp``; DESIGN.md section 10 ("Sweep accounting")
     lists the kinds and what each counter folds.  The same fold gives
-    coordinator runners their settled set and attempt ledger.  Only
+    a coordinator sweep its settled set and attempt ledger.  Only
     ``wall_seconds`` is measured, not folded.
     """
 
@@ -495,7 +499,7 @@ class SweepStats:
     #: (their results were completed by a previous — possibly killed —
     #: run and verified in the cache)
     cells_resumed: int = 0
-    #: expired leases taken over from dead or stalled runners
+    #: expired leases taken over from dead or stalled processes
     leases_stolen: int = 0
     #: corrupt cache entries moved to ``corrupt/`` and recomputed
     entries_quarantined: int = 0
@@ -828,7 +832,7 @@ def _cache_get(
     cache: ResultCache, key: str, record: Callable[[Record], object]
 ) -> Optional[SimResult]:
     """``cache.get(key)``, handing ``record`` a ``quarantine`` record when
-    the entry failed verification (in the parent and in runners)."""
+    the entry failed verification, in every mode."""
     quarantined = cache.quarantined
     result = cache.get(key)
     if cache.quarantined > quarantined:
@@ -883,7 +887,7 @@ class SweepRunner:
         Every pooled attempt runs under it, the last one too, at
         ``jobs=1`` as well.  A cell whose policy does not pickle runs
         in-process with no deadline: it cannot be preempted.  Coordinator
-        runners enforce it too.
+        mode enforces it too.
     on_error:
         ``raise`` (default), ``skip`` or ``retry``; see :class:`OnError`.
     max_attempts:
@@ -898,17 +902,17 @@ class SweepRunner:
         off identically.
     chaos:
         Optional :class:`~repro.sim.chaos.ChaosSchedule` injecting
-        faults by cell tag (tests only).  ``stale_lease`` needs
-        ``coordinator``: only coordinator runners hold leases.
+        faults by cell tag (tests only); every kind acts in every mode.
     coordinator:
-        A :class:`~repro.sim.coordinator.CoordinatorConfig` switches
-        cell execution to the lease-based work-stealing coordinator:
-        N independent runner processes claim cells via short-TTL lease
-        files, steal cells from dead runners, and journal completions
+        A :class:`~repro.sim.coordinator.CoordinatorConfig` gives the
+        owned pool a rendezvous: its ``runners`` workers (``jobs`` is
+        then unused) claim each cell through a short-TTL lease file,
+        steal the cells of dead processes, and journal every record,
         so ``--resume`` continues a killed sweep exactly where it left
-        off (see :mod:`repro.sim.coordinator`).  Requires the result
-        cache (it is the rendezvous point) and is mutually exclusive
-        with telemetry recording.
+        off and another process joins by running the same sweep (see
+        :mod:`repro.sim.coordinator`).  Requires the result cache (it
+        is the rendezvous point) and is mutually exclusive with
+        telemetry recording.
     trace_store:
         Shared zero-copy trace store.  ``True`` (or ``1``/``on``) uses
         ``<cache>/traces``, where ``<cache>`` is ``cache_dir`` when
@@ -917,10 +921,10 @@ class SweepRunner:
         ``False`` (or an unset environment) disables sharing.  When on,
         the parent materializes each distinct ``(workload, chiplets,
         seed)`` trace into a format-v2 arena archive once, in every
-        mode, coordinator included; every pool worker and runner then
-        attaches it by fingerprint via ``np.memmap``: all processes
-        share one set of physical pages instead of each holding a
-        private trace copy.  Results are bit-identical with the store
+        mode, coordinator included; every pool worker then attaches
+        it by fingerprint via ``np.memmap``: all processes share one
+        set of physical pages instead of each holding a private trace
+        copy.  Results are bit-identical with the store
         on or off (the trace bytes are the same; only where they live
         changes), and any store failure degrades to private
         regeneration.
@@ -959,7 +963,7 @@ class SweepRunner:
         )
         #: shared trace store (``--trace-store``/``REPRO_TRACE_STORE``):
         #: the parent materializes each distinct trace once and workers
-        #: and runners attach zero-copy by fingerprint; None means every
+        #: attach zero-copy by fingerprint; None means every
         #: worker regenerates its own trace (the default)
         self.trace_store: Optional[TraceStore] = None
         if trace_store is not False and (
@@ -1019,16 +1023,6 @@ class SweepRunner:
                 "(--telemetry/REPRO_TELEMETRY): predicted cells never "
                 "simulate, so they have no stages to dump"
             )
-        if (
-            chaos is not None
-            and coordinator is None
-            and FaultKind.STALE_LEASE in chaos.kinds()
-        ):
-            raise ValueError(
-                "the stale_lease chaos kind needs coordinator mode "
-                "(--runners/REPRO_RUNNERS): only coordinator runners hold "
-                "leases"
-            )
         #: set after a coordinator run: the (possibly derived) sweep id
         #: a later ``--resume`` can name
         self.last_sweep_id: Optional[str] = None
@@ -1039,13 +1033,15 @@ class SweepRunner:
                     "--runners/REPRO_RUNNERS must be at least 1, "
                     f"got {coordinator.runners}"
                 )
-            from .coordinator import resolve_lease_ttl
+            from .coordinator import check_sweep_id, resolve_lease_ttl
 
             resolve_lease_ttl(coordinator.lease_ttl)  # positive, finite
+            if coordinator.sweep_id is not None:
+                check_sweep_id(coordinator.sweep_id)
             if self.cache is None:
                 raise ValueError(
                     f"{mode} requires the result cache, the rendezvous "
-                    "point runners share: drop --no-cache"
+                    "point sweep processes share: drop --no-cache"
                 )
             if self.telemetry:
                 raise ValueError(
@@ -1054,7 +1050,8 @@ class SweepRunner:
                     "through the telemetry-free result cache"
                 )
         #: every cell event of every ``run_cells`` call, in order; in
-        #: coordinator mode the journal records the parent tails too
+        #: coordinator mode the pool's records arrive by tailing the
+        #: journal, whichever process wrote them
         self.records: List[Record] = []
         #: ``SweepStats.fold(self.records)``, kept as the records arrive
         self.stats = SweepStats()
@@ -1255,7 +1252,7 @@ class SweepRunner:
         """Materialize every pending cell's trace into the store once.
 
         The parent does this in every mode, coordinator included, so
-        workers and runners only ever attach.  Content addressing
+        workers only ever attach.  Content addressing
         dedupes across cells: the first cell of each distinct
         ``(workload, chiplets, seed)`` builds and writes the archive,
         the rest just read its header.  Each cell gets one
@@ -1283,11 +1280,23 @@ class SweepRunner:
         keys: List[str],
         indices: List[int],
         results: List[Optional[SimResult]],
+        rendezvous: Optional["Coordinator"] = None,
     ) -> None:
-        """Run the cells at ``indices`` on up to ``jobs`` owned workers,
-        each holding at most one attempt.  A missed deadline kills only
-        the hung worker, and a worker's death charges only the attempt
-        it held; the next hand-off forks a replacement."""
+        """Run the cells at ``indices`` on owned workers, each holding at
+        most one attempt: up to ``jobs`` of them, or with a
+        ``rendezvous`` (coordinator mode) up to its ``runners``.  A
+        missed deadline kills only the hung worker, and a worker's death
+        charges only the attempt it held; the next hand-off forks a
+        replacement.
+
+        With a rendezvous, each attempt first claims its cell's lease,
+        every record goes to the sweep journal, and a cell settles when
+        the journal, tailed back, settles it, whichever process wrote
+        the record; until then the cell stays in the ready heap.  The
+        wait also wakes to renew the held leases, and every
+        ``POLL_INTERVAL`` while a free worker waits for a cell that
+        another process holds.
+        """
         import heapq
         from multiprocessing.connection import wait
 
@@ -1295,8 +1304,19 @@ class SweepRunner:
         # inherits them instead of importing NumPy and the engine itself.
         from . import engine  # noqa: F401
 
-        size = min(self.jobs, len(indices))
+        if rendezvous is None:
+            size, emit = self.jobs, self._record
+            spawn = functools.partial(
+                _PoolWorker, self._store_root, self.telemetry
+            )
+        else:
+            from .coordinator import POLL_INTERVAL
+
+            size, emit = rendezvous.config.runners, rendezvous.append
+            spawn = rendezvous._spawn
+        size = min(size, len(indices))
         timeout = self.cell_timeout or math.inf
+        settled = self.stats.settled
         # (not before, index, attempt): due attempts go out in cell
         # order, a retry once its backoff has passed
         ready = [(0.0, i, 1) for i in indices]
@@ -1311,44 +1331,59 @@ class SweepRunner:
         ) -> None:
             if kind in ("done", "error"):
                 idle.append(worker)
+            not_before = time.monotonic()
             if kind == "done":
                 self._complete(index, keys[index], value, results,
-                               cells[index], attempt)
+                               cells[index], attempt, emit)
             elif self._attempt_failed(
                 cells, keys, results, index, attempt, kind, value,
-                first_start[index], transient=kind != "error", **extra,
+                first_start[index], transient=kind != "error", emit=emit,
+                **extra,
             ):
-                not_before = time.monotonic() + self._backoff_delay(
-                    keys[index], attempt + 1
-                )
+                not_before += self._backoff_delay(keys[index], attempt + 1)
+            if rendezvous is not None:
+                rendezvous.release(index)
+            if keys[index] not in settled:
                 heapq.heappush(ready, (not_before, index, attempt + 1))
 
         try:
             while ready or busy:
                 now = time.monotonic()
                 while ready and ready[0][0] <= now and len(busy) < size:
-                    _, index, attempt = ready[0]
-                    worker = idle.pop() if idle else _PoolWorker(
-                        self._store_root, self.telemetry
-                    )
-                    if not worker.hand_off(
-                        cells[index], self._directive(cells[index], attempt)
-                    ):
+                    _, index, attempt = heapq.heappop(ready)
+                    if keys[index] in settled:
                         continue
-                    heapq.heappop(ready)
+                    if rendezvous is not None:
+                        claimed = rendezvous.claim(index)
+                        if claimed is None:
+                            if keys[index] not in settled:  # held elsewhere
+                                heapq.heappush(
+                                    ready, (now + POLL_INTERVAL, index, 0)
+                                )
+                            continue
+                        attempt = claimed
+                    emit({"kind": "start", "fp": keys[index],
+                          "attempt": attempt})
                     first_start.setdefault(index, time.perf_counter())
-                    self._record({"kind": "start", "fp": keys[index],
-                                  "attempt": attempt})
+                    directive = self._directive(cells[index], attempt)
+                    worker = idle.pop() if idle else spawn()
+                    while not worker.hand_off(cells[index], directive):
+                        worker = spawn()
                     busy[worker.conn] = (worker, index, attempt,
                                          now + timeout)
-                # Wake for the next result or deadline, and for the next
-                # backoff only while a worker is free to take it: a due
-                # backoff with every worker busy would spin the loop.
+                if not (ready or busy):
+                    break  # the last cells were settled, not started
+                # Wake for the next result, deadline or lease renewal,
+                # and for the next backoff only while a worker is free
+                # to take it: a due backoff with every worker busy
+                # would spin the loop.
                 wake = min(
                     (slot[3] for slot in busy.values()), default=math.inf
                 )
                 if ready and len(busy) < size:
                     wake = min(wake, ready[0][0])
+                if rendezvous is not None and busy:
+                    wake = min(wake, rendezvous.renew_at)
                 delay = None if wake == math.inf else wake - time.monotonic()
                 for conn in wait(list(busy), delay):
                     worker, index, attempt, _ = busy.pop(conn)
@@ -1358,11 +1393,16 @@ class SweepRunner:
                     worker, index, attempt, _ = busy.pop(conn)
                     settle(worker, index, attempt,
                            *worker.expire(self.cell_timeout, attempt))
+                if rendezvous is not None:
+                    rendezvous.renew()
+                    rendezvous.tail()
         finally:
             for worker in idle:
                 worker.end()
             for worker, *_ in busy.values():
                 worker.end(kill=True)
+            if rendezvous is not None:
+                rendezvous.release()
 
     # --- serial execution (unpicklable cells; jobs=1 with no timeout) ---
 
@@ -1406,22 +1446,25 @@ class SweepRunner:
         self, cells: List[SweepCell], keys: List[str],
         results: List[Optional[SimResult]], index: int, attempt: int,
         kind: str, exc: Union[BaseException, str], started: float, *,
-        transient: bool, **extra: object,
+        transient: bool, emit: Optional[Callable[[Record], object]] = None,
+        **extra: object,
     ) -> bool:
         """Record one failed attempt; True when :func:`_may_retry` gives
         the cell another (the caller schedules it), else the cell
         settles as failed.  ``extra`` fields override the record's (a
-        pool worker's ``error`` text)."""
+        pool worker's ``error`` text); ``emit`` is where records go
+        (default :meth:`_record`, which settles at once)."""
+        emit = emit or self._record
         cell, key = cells[index], keys[index]
         if _may_retry(
             self.on_error, attempt, self.max_attempts, transient=transient
         ):
-            self._record(_failure_record("error", cell, key, attempt, kind,
-                                         exc, **extra))
+            emit(_failure_record("error", cell, key, attempt, kind, exc,
+                                 **extra))
             return True
         record = _failure_record("failed", cell, key, attempt, kind, exc,
                                  wall=time.perf_counter() - started, **extra)
-        if self._record(record):
+        if emit(record):
             self._settle(record, results, index,
                          exc=exc if isinstance(exc, BaseException) else None)
         return False
@@ -1434,9 +1477,12 @@ class SweepRunner:
         results: List[Optional[SimResult]],
         cell: SweepCell,
         attempt: int,
+        emit: Optional[Callable[[Record], object]] = None,
     ) -> None:
         """Flush a finished cell to the cache immediately, so an abort
-        later in the sweep never discards it, then settle it."""
+        later in the sweep never discards it, then record its ``done``
+        through ``emit`` (see :meth:`_attempt_failed`) and settle it
+        when that settled it."""
         if result.telemetry is not None:
             self._dump_telemetry(key, cell, result)
         if self.cache is not None:
@@ -1445,8 +1491,8 @@ class SweepRunner:
             )
         record = {"kind": "done", "fp": key, "attempt": attempt,
                   "trace": result.trace_source}
-        self._record(record)
-        self._settle(record, results, index, result)
+        if (emit or self._record)(record):
+            self._settle(record, results, index, result)
 
     def _dump_telemetry(
         self, key: str, cell: SweepCell, result: SimResult

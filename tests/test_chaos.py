@@ -24,7 +24,6 @@ import pytest
 from repro.errors import ChaosError, SweepError
 from repro.policies import StaticPaging
 from repro.sim.chaos import (
-    DEFERRED_KINDS,
     ChaosDirective,
     ChaosSchedule,
     FaultKind,
@@ -389,9 +388,9 @@ class TestChaosHarness:
         assert 0 < len(a) < len(tags)
 
     def test_in_process_chaos_never_hangs_or_kills(self):
-        """HANG, DIE and DIE_HARD downgrade to ChaosError in-process, so
+        """HANG and DIE downgrade to ChaosError in-process, so
         in-process attempts cannot take down (or stall) the parent."""
-        for kind in (FaultKind.HANG, FaultKind.DIE, FaultKind.DIE_HARD):
+        for kind in (FaultKind.HANG, FaultKind.DIE):
             with pytest.raises(ChaosError):
                 apply_chaos(
                     ChaosDirective(kind, hang_seconds=60.0), in_process=True
@@ -399,19 +398,22 @@ class TestChaosHarness:
 
     def test_fault_kind_wire_values_are_stable(self):
         """The string values travel through journals and CLI flags:
-        renaming one silently breaks saved chaos plans."""
-        assert FaultKind.DIE_HARD.value == "die_hard"
-        assert FaultKind.CORRUPT_WRITE.value == "corrupt_write"
-        assert FaultKind.STALE_LEASE.value == "stale_lease"
-        assert FaultKind("die_hard") is FaultKind.DIE_HARD
+        renaming one silently breaks saved chaos plans, and a retired
+        kind is refused, not ignored."""
+        assert [kind.value for kind in FaultKind] == [
+            "raise", "hang", "die", "corrupt_write",
+        ]
+        assert FaultKind("corrupt_write") is FaultKind.CORRUPT_WRITE
+        for retired in ("die_hard", "stale_lease"):
+            with pytest.raises(ValueError):
+                ChaosSchedule({"c00": (retired,)})
 
     def test_deferred_kinds_are_noops_in_apply_chaos(self):
-        """CORRUPT_WRITE and STALE_LEASE act around the durability layer
-        (after the result is published / around lease renewal); the
-        worker entry point must pass them through untouched."""
-        for kind in DEFERRED_KINDS:
-            apply_chaos(ChaosDirective(kind))  # must not raise or exit
-            apply_chaos(ChaosDirective(kind), in_process=True)
+        """CORRUPT_WRITE acts around the durability layer (after the
+        result is published); the worker entry point must pass it
+        through untouched."""
+        apply_chaos(ChaosDirective(FaultKind.CORRUPT_WRITE))
+        apply_chaos(ChaosDirective(FaultKind.CORRUPT_WRITE), in_process=True)
 
 
 #: A sweep whose first cell's policy exits its process on every
@@ -442,18 +444,21 @@ print(json.dumps({
 }))
 """
 
-#: One hanging and one clean cell at two jobs; each policy drops a file
-#: named after its worker's pid in ``attach``, so the test knows both
-#: workers, one busy and one idle, before it kills this parent.
+#: One hanging and one clean cell on two workers, in pool or coordinator
+#: mode (``sys.argv[2]``); each policy drops a file named
+#: ``<worker pid>-<its parent pid>`` in ``attach``, so the test knows
+#: both workers, one busy and one idle, before it kills this parent.
 _ORPHANING_SWEEP = """
 import os, sys, time
 from repro.policies import StaticPaging
+from repro.sim.coordinator import CoordinatorConfig
 from repro.sim.parallel import SweepCell, SweepRunner
 from repro.units import PAGE_64K
 
 class PidPolicy(StaticPaging):
     def attach(self, machine, workload):
-        open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+        name = f"{os.getpid()}-{os.getppid()}"
+        open(os.path.join(sys.argv[1], name), "w").close()
         super().attach(machine, workload)
 
 class HangingPolicy(PidPolicy):
@@ -461,7 +466,14 @@ class HangingPolicy(PidPolicy):
         super().attach(machine, workload)
         time.sleep(600)
 
-SweepRunner(jobs=2, use_cache=False).run_cells([
+if sys.argv[2] == "pool":
+    runner = SweepRunner(jobs=2, use_cache=False)
+else:
+    runner = SweepRunner(
+        cache_dir=sys.argv[3], telemetry=False,
+        coordinator=CoordinatorConfig(runners=2),
+    )
+runner.run_cells([
     SweepCell("STE", HangingPolicy(PAGE_64K)),
     SweepCell("STE", PidPolicy(PAGE_64K)),
 ])
@@ -500,9 +512,11 @@ class TestOwnedPool:
     @pytest.mark.skipif(
         not Path("/proc/self/stat").exists(), reason="needs /proc"
     )
-    def test_no_worker_outlives_a_killed_parent(self, tmp_path):
-        """SIGKILL of the sweep parent runs none of its clean-up, and
-        still both workers, the busy and the idle one, exit."""
+    @pytest.mark.parametrize("mode", ["pool", "coordinator"])
+    def test_no_worker_outlives_a_killed_parent(self, tmp_path, mode):
+        """Both workers are children of the sweep process, in coordinator
+        mode too.  SIGKILL of that process runs none of its clean-up,
+        and still both workers, the busy and the idle one, exit."""
         src = Path(__file__).resolve().parents[1] / "src"
         env = {
             k: v for k, v in os.environ.items() if not k.startswith("REPRO_")
@@ -513,7 +527,8 @@ class TestOwnedPool:
         stderr = tmp_path / "stderr.txt"
         with open(stderr, "wb") as err:
             proc = subprocess.Popen(
-                [sys.executable, "-c", _ORPHANING_SWEEP, str(pids_dir)],
+                [sys.executable, "-c", _ORPHANING_SWEEP, str(pids_dir),
+                 mode, str(tmp_path / "cache")],
                 env=env, stdout=subprocess.DEVNULL, stderr=err,
             )
         pids = []
@@ -522,10 +537,12 @@ class TestOwnedPool:
             while len(pids) < 2 and proc.poll() is None:
                 assert time.monotonic() < deadline, stderr.read_text()
                 time.sleep(0.05)
-                pids = [int(path.name) for path in pids_dir.iterdir()]
+                names = [path.name.split("-") for path in pids_dir.iterdir()]
+                pids = [int(pid) for pid, _ in names]
             assert len(pids) == 2 and proc.pid not in pids, (
                 stderr.read_text()
             )
+            assert [int(parent) for _, parent in names] == [proc.pid] * 2
             proc.kill()
             proc.wait()
             deadline = time.monotonic() + 3.0
@@ -586,8 +603,7 @@ class TestOwnedPool:
 
 
 class TestChaosReachesEveryMode:
-    """``corrupt_write`` acts wherever a cell's entry is published, and
-    a kind the mode cannot honour is rejected up front."""
+    """``corrupt_write`` acts wherever a cell's entry is published."""
 
     @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
     def test_corrupt_write_is_found_by_the_next_read(self, tmp_path, jobs):
@@ -610,12 +626,6 @@ class TestChaosReachesEveryMode:
         assert again.stats.cache_hits == 3
         corrupt = ResultCache(tmp_path).corrupt_dir
         assert [p.name for p in corrupt.iterdir()] == [f"{keys[2]}.json"]
-
-    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
-    def test_stale_lease_needs_a_coordinator(self, jobs):
-        chaos = ChaosSchedule({"c00": (None, FaultKind.STALE_LEASE)})
-        with pytest.raises(ValueError, match="stale_lease.*coordinator"):
-            make_runner(jobs=jobs, chaos=chaos)
 
 
 class TestCorruptFile:

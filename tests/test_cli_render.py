@@ -109,6 +109,11 @@ class TestCli:
             ({}, ["sweep", "STE", "--jobs", "0"]),
             ({}, ["sweep", "STE", "--jobs", "-3"]),
             ({"REPRO_JOBS": "0"}, ["sweep", "STE"]),
+            ({}, ["sweep", "STE", "--runners", "1", "--sweep-id",
+                  "../../outside"]),
+            ({"REPRO_SWEEP_ID": "/abs/dir"}, ["sweep", "STE", "--runners", "1"]),
+            ({}, ["sweep", "--resume", "/abs/dir"]),
+            ({}, ["sweep", "--resume", "nope"]),
         ],
         ids=[
             "sweep-telemetry-env", "explore-telemetry-env", "no-cache",
@@ -117,6 +122,8 @@ class TestCli:
             "inf-lease-ttl-flag", "inf-lease-ttl-env",
             "zero-runners-env", "zero-runners-flag", "negative-retries",
             "zero-jobs-flag", "negative-jobs-flag", "zero-jobs-env",
+            "path-sweep-id-flag", "path-sweep-id-env", "path-resume-id",
+            "unknown-resume-id",
         ],
     )
     def test_rejected_options_are_a_usage_error(
@@ -134,6 +141,19 @@ class TestCli:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
+
+    def test_resuming_an_unreadable_sweep_is_a_usage_error(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        sweep_dir = tmp_path / "sweeps" / "garbled"
+        sweep_dir.mkdir(parents=True)
+        (sweep_dir / "cells.pkl").write_bytes(b"not a pickle")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--resume", "garbled"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "cells.pkl" in err
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

@@ -8,8 +8,10 @@ real coordinator sweep at deterministic completion counts and require
 the resume to produce exactly what an uninterrupted run produces.
 """
 
+import json
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -42,7 +44,7 @@ from repro.sim.parallel import (
 from repro.units import MB
 
 from .conftest import make_spec, partitioned
-from .test_chaos import _alive, sleepy_cell
+from .test_chaos import sleepy_cell
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -381,23 +383,50 @@ class TestLeases:
 
 
 class TestCoordinatorChaos:
-    def test_die_hard_runner_is_stolen_from(self, tmp_path, reference):
-        cells = coord_cells(8)
-        chaos = ChaosSchedule({"c02": (FaultKind.DIE_HARD,)})
-        runner = coord_runner(tmp_path / "cache", chaos=chaos,
-                              lease_ttl=1.0, on_error="retry")
-        results = runner.run_cells(cells)
-        assert results == reference[:8]
-        assert runner.stats.leases_stolen >= 1
+    def test_an_expired_foreign_lease_is_stolen(self, tmp_path, reference):
+        """A lease whose holder stopped renewing it two TTLs ago is
+        stolen: one ``steal`` record names that holder, and the cell
+        computes exactly as it would have."""
+        cells = coord_cells(3)
+        key = cell_fingerprint(cells[1])
+        leases = tmp_path / "cache" / "sweeps" / "planted" / "leases"
+        leases.mkdir(parents=True)
+        (leases / f"{key}.lease").write_text(json.dumps(
+            {"holder": "elsewhere:1", "ttl": 2.0,
+             "renewed": time.time() - 4.0}
+        ))
+        runner = coord_runner(tmp_path / "cache", sweep_id="planted",
+                              lease_ttl=2.0)
+        assert runner.run_cells(cells) == reference[:3]
+        steals = [r for r in runner.records if r["kind"] == "steal"]
+        assert [(r["fp"], r["from"]) for r in steals] == [
+            (key, "elsewhere:1")
+        ]
+        assert runner.stats.leases_stolen == 1
+        assert runner.stats == SweepStats.fold(runner.records)
 
-    def test_stale_lease_stolen_results_identical(self, tmp_path, reference):
-        cells = coord_cells(6)
-        chaos = ChaosSchedule({"c01": (FaultKind.STALE_LEASE,)})
-        runner = coord_runner(tmp_path / "cache", chaos=chaos,
-                              lease_ttl=0.5, on_error="retry")
+    def test_a_budget_spent_by_dead_processes_settles_unrun(self, tmp_path):
+        """``start`` records at attempts 1-3 with no outcome (their
+        processes died) spend the budget: the cell settles as one
+        ``worker-died`` failure and is never started again."""
+        cells = coord_cells(3)
+        key = cell_fingerprint(cells[1])
+        journal = Journal(
+            tmp_path / "cache" / "sweeps" / "dead" / "journal.bin"
+        )
+        for attempt in (1, 2, 3):
+            journal.append({"kind": "start", "fp": key, "attempt": attempt,
+                            "runner": "elsewhere:1"})
+        runner = coord_runner(tmp_path / "cache", sweep_id="dead",
+                              on_error="skip", max_attempts=3)
         results = runner.run_cells(cells)
-        assert results == reference[:6]
-        assert runner.stats.leases_stolen >= 1
+        assert results[1] is None and None not in (results[0], results[2])
+        assert [(f.kind, f.attempts) for f in runner.stats.failures] == [
+            ("worker-died", 3)
+        ]
+        assert not any(
+            r["kind"] == "start" and r["fp"] == key for r in runner.records
+        )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_corrupt_write_quarantined_and_recomputed(
@@ -433,26 +462,6 @@ class TestCoordinatorChaos:
         assert "ChaosError" in failure.error
         assert runner.stats.retries == 2
 
-    def test_killer_cell_settles_after_the_attempt_budget(
-        self, tmp_path, reference
-    ):
-        """A cell that SIGKILLs every runner that starts it settles as
-        one ``worker-died`` failure once ``max_attempts`` are spent."""
-        cells = coord_cells(4)
-        chaos = ChaosSchedule({"c01": (FaultKind.DIE_HARD,) * 3})
-        runner = coord_runner(tmp_path / "cache", chaos=chaos,
-                              lease_ttl=1.0, on_error="skip",
-                              max_attempts=3)
-        results = runner.run_cells(cells)
-        assert len(runner.stats.failures) == 1
-        failure = runner.stats.failures[0]
-        assert failure.tag == "c01"
-        assert failure.kind == "worker-died" and failure.attempts == 3
-        assert results[1] is None
-        assert [r for i, r in enumerate(results) if i != 1] == [
-            r for i, r in enumerate(reference[:4]) if i != 1
-        ]
-
     def test_failure_under_raise_aborts_with_sweep_error(self, tmp_path):
         cells = coord_cells(3)
         chaos = ChaosSchedule({"c01": (FaultKind.RAISE,)})
@@ -462,6 +471,24 @@ class TestCoordinatorChaos:
             runner.run_cells(cells)
         assert [f.tag for f in runner.stats.failures] == ["c01"]
         assert runner.stats.retries == 0
+
+    def test_an_abort_releases_its_leases(self, tmp_path, reference):
+        """A ``SweepError`` abort leaves no lease behind, so resuming at
+        a 30 s TTL waits for none."""
+        cells = coord_cells(4)
+        chaos = ChaosSchedule({"c01": (FaultKind.RAISE,)})
+        runner = coord_runner(tmp_path / "cache", chaos=chaos,
+                              on_error="raise", sweep_id="abort",
+                              lease_ttl=30.0)
+        with pytest.raises(SweepError):
+            runner.run_cells(cells)
+        leases = tmp_path / "cache" / "sweeps" / "abort" / "leases"
+        assert list(leases.iterdir()) == []
+        start = time.perf_counter()
+        resumed = coord_runner(tmp_path / "cache", sweep_id="abort",
+                               lease_ttl=30.0)
+        assert resumed.run_cells(cells) == reference[:4]
+        assert time.perf_counter() - start < 10.0
 
     def test_dead_runner_costs_one_retry(self, tmp_path, reference):
         """A worker that dies mid-cell costs its runner that one attempt:
@@ -682,28 +709,6 @@ def test_cli_sweep_kill_and_resume(tmp_path):
 # ------------------------------------------------- process hygiene (e2e)
 
 
-#: A one-runner sweep of one cell whose policy hangs in ``attach``; the
-#: worker that runs it first drops a file named ``<its pid>-<runner pid>``.
-_HANGING_SWEEP = """
-import os, sys, time
-from repro.policies import StaticPaging
-from repro.sim.coordinator import CoordinatorConfig
-from repro.sim.parallel import SweepCell, SweepRunner
-from repro.units import PAGE_64K
-
-class HangingPolicy(StaticPaging):
-    def attach(self, machine, workload):
-        name = f"{os.getpid()}-{os.getppid()}"
-        open(os.path.join(sys.argv[1], name), "w").close()
-        time.sleep(600)
-
-SweepRunner(
-    jobs=1, cache_dir=sys.argv[2], telemetry=False,
-    coordinator=CoordinatorConfig(runners=1),
-).run_cells([SweepCell("STE", HangingPolicy(PAGE_64K))])
-"""
-
-
 def _child_env(**extra):
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = str(SRC_DIR)
@@ -732,38 +737,9 @@ def _kill_session(sid):
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 class TestNoProcessOutlivesItsSweep:
-    def test_a_killed_runners_busy_worker_exits(self, tmp_path):
-        """SIGKILL of a runner runs none of its clean-up, and still the
-        worker it left busy exits within a few seconds."""
-        pids_dir = tmp_path / "pids"
-        pids_dir.mkdir()
-        proc = subprocess.Popen(
-            [sys.executable, "-c", _HANGING_SWEEP, str(pids_dir),
-             str(tmp_path / "cache")],
-            env=_child_env(), start_new_session=True,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        try:
-            deadline = time.monotonic() + 120
-            while not any(pids_dir.iterdir()):
-                assert proc.poll() is None and time.monotonic() < deadline
-                time.sleep(0.05)
-            name = next(pids_dir.iterdir()).name
-            worker, runner = map(int, name.split("-"))
-            assert runner != proc.pid
-            os.kill(runner, signal.SIGKILL)
-            deadline = time.monotonic() + 3.0
-            while _alive(worker) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert not _alive(worker)
-        finally:
-            _kill_session(proc.pid)
-            proc.wait()
-
     def test_a_clean_sweep_leaves_no_process(self, tmp_path):
-        """Each runner kills and reaps its worker before it exits, also
-        when the parent stops it with SIGTERM at the end of the sweep, so
-        nothing of the command's session outlives it, not even a
+        """The sweep process ends and reaps its workers before it exits,
+        so nothing of the command's session outlives it, not even a
         zombie."""
         env = _child_env(REPRO_CACHE_DIR=str(tmp_path / "cache"))
         with open(tmp_path / "out.txt", "wb") as out:
@@ -780,3 +756,107 @@ class TestNoProcessOutlivesItsSweep:
             assert _session(proc.pid) == []
         finally:
             _kill_session(proc.pid)
+
+
+# ------------------------------------------- joined sweep processes (e2e)
+
+
+#: One sweep process on a shared sweep id, with one owned worker; it
+#: pickles its results and whether its stats are the fold of its records
+#: to ``sys.argv[3]``.  With ``SLOW`` set its worker sleeps in every
+#: cell, so the process holds its first lease until it is killed.
+JOIN_SCRIPT = textwrap.dedent(
+    """
+    import os, pickle, sys, time
+    sys.path.insert(0, {src!r})
+    sys.path.insert(0, {root!r})
+    from repro.sim.parallel import SweepStats
+    from tests.test_coordinator import coord_cells, coord_runner
+    if os.environ.get("SLOW"):
+        from repro.policies.static_paging import StaticPaging
+        attach = StaticPaging.attach
+        StaticPaging.attach = lambda *a: (time.sleep(600), attach(*a))
+    runner = coord_runner(sys.argv[1], sweep_id=sys.argv[2], runners=1,
+                          lease_ttl={ttl})
+    results = runner.run_cells(coord_cells({count}))
+    folded = runner.stats == SweepStats.fold(runner.records)
+    with open(sys.argv[3], "wb") as fh:
+        pickle.dump((results, folded), fh)
+    """
+)
+
+
+def _join(tmp_path, name, sweep_id, count, ttl, **env):
+    script = JOIN_SCRIPT.format(src=str(SRC_DIR), root=str(REPO_ROOT),
+                                ttl=ttl, count=count)
+    return subprocess.Popen(
+        [sys.executable, "-c", script, str(tmp_path / "cache"), sweep_id,
+         str(tmp_path / f"{name}.pkl")],
+        env=_child_env(**env), start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+
+
+def _outcome(tmp_path, name):
+    with open(tmp_path / f"{name}.pkl", "rb") as fh:
+        return pickle.load(fh)
+
+
+def test_two_sweep_processes_share_one_sweep(tmp_path, reference):
+    """Two processes started together on one sweep id both return the
+    reference results, and no cell starts twice."""
+    procs = [_join(tmp_path, name, "joined", 8, 30.0) for name in "ab"]
+    try:
+        assert [proc.wait(timeout=300) for proc in procs] == [0, 0]
+    finally:
+        for proc in procs:
+            _kill_session(proc.pid)
+    for name in "ab":
+        assert _outcome(tmp_path, name) == (reference[:8], True)
+    journal = tmp_path / "cache" / "sweeps" / "joined" / "journal.bin"
+    starts = [r["fp"] for r in Journal(journal).replay()
+              if r.get("kind") == "start"]
+    assert sorted(starts) == sorted(
+        cell_fingerprint(c) for c in coord_cells(8)
+    )
+
+
+def test_a_killed_processs_lease_is_stolen_after_its_ttl(tmp_path, reference):
+    """SIGKILL one of two joined sweep processes, session and all, while
+    it holds a lease: the survivor steals that lease once, one TTL after
+    its last renewal, and finishes with the reference results."""
+    ttl = 2.0
+    victim = _join(tmp_path, "victim", "steal", 6, ttl, SLOW="1")
+    journal = tmp_path / "cache" / "sweeps" / "steal" / "journal.bin"
+    survivor = None
+    try:
+        deadline = time.monotonic() + 120
+        start = None
+        while start is None:
+            assert victim.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+            start = next((r for r in Journal(journal).replay()
+                          if r.get("kind") == "start"), None)
+        survivor = _join(tmp_path, "survivor", "steal", 6, ttl)
+        _kill_session(victim.pid)
+        victim.wait()
+        lease = journal.parent / "leases" / f"{start['fp']}.lease"
+        renewed = _lease_state(lease, ttl)[1]
+        stolen_at = None
+        while survivor.poll() is None and time.monotonic() < deadline:
+            if stolen_at is None and any(
+                r.get("kind") == "steal" for r in Journal(journal).replay()
+            ):
+                stolen_at = time.time()
+            time.sleep(0.02)
+        assert survivor.wait(timeout=60) == 0
+    finally:
+        _kill_session(victim.pid)
+        if survivor is not None:
+            _kill_session(survivor.pid)
+    assert _outcome(tmp_path, "survivor") == (reference[:6], True)
+    steals = [r for r in Journal(journal).replay() if r.get("kind") == "steal"]
+    assert [(r["fp"], r["from"]) for r in steals] == [
+        (start["fp"], start["runner"])
+    ]
+    assert stolen_at is not None and stolen_at >= renewed + ttl

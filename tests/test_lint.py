@@ -646,7 +646,7 @@ def test_raw_lease_write_reintroduction_fails_lint(mutable_tree):
             "journal.truncate(offset)",
             "os.truncate(journal.path, offset)",
             "raw os.truncate write touches journal state in "
-            "Coordinator._supervise()",
+            "Coordinator.run()",
         ),
         (
             "trace/store.py",
@@ -658,7 +658,7 @@ def test_raw_lease_write_reintroduction_fails_lint(mutable_tree):
             "TraceStore._quarantine()",
         ),
     ],
-    ids=["supervise-truncates-journal", "trace-store-own-quarantine"],
+    ids=["coordinator-truncates-journal", "trace-store-own-quarantine"],
 )
 def test_protocol_repair_outside_the_durability_surface_fails_lint(
     mutable_tree, rel, anchor, mutation, expected
