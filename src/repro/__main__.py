@@ -59,11 +59,13 @@ per-stage pipeline telemetry and writes one JSON file per simulation
 into ``--telemetry-dir`` (default ``REPRO_TELEMETRY_DIR`` or
 ``./telemetry``).
 
-``--engine staged|batched`` selects the replay engine (default:
-``REPRO_ENGINE`` or batched; results are bit-identical, only wall time
-differs — see DESIGN.md section 7); an unknown ``REPRO_ENGINE`` value
-is a usage error before anything runs.  To profile a command, run it
-under ``python -m cProfile -o repro.pstats -m repro ...``.
+Every command replays on the batched engine (DESIGN.md section 7); the
+staged pipeline is the reference the tests compare it with, selected
+only by ``run_simulation(..., engine="staged")``.  Bad input (an
+unknown workload or policy, a negative ``--seed``, a ``--budget``
+below 1, conflicting runner options) exits 2 with one stderr line
+before anything simulates.  To profile a command, run it under
+``python -m cProfile -o repro.pstats -m repro ...``.
 """
 
 from __future__ import annotations
@@ -74,12 +76,12 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .render import render_bars
 from .sim.durability import atomic_write
 from .sim.parallel import OnError, ResultCache, SweepCell, SweepRunner
-from .sim.runner import ENGINES, resolve_engine, resolve_policy, run_workload
+from .sim.runner import resolve_policy, run_workload
 from .trace.suite import SUITE, workload_by_name
 from .units import SWEEP_PAGE_SIZES, size_label
 
@@ -155,6 +157,28 @@ def _coordinator_config(
     )
 
 
+def _refuse(message: str) -> NoReturn:
+    """Exit 2 with ``message`` as one stderr line: bad input, nothing run."""
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _workload(name: str):
+    """The suite workload ``name``; an unknown one is refused."""
+    try:
+        return workload_by_name(name)
+    except KeyError as exc:
+        _refuse(exc.args[0])
+
+
+def _policy(name: str):
+    """The policy ``name``; an unknown or malformed one is refused."""
+    try:
+        return resolve_policy(name)
+    except ValueError as exc:
+        _refuse(f"--policy {name}: {exc}")
+
+
 def _make_runner(
     args: argparse.Namespace,
     *,
@@ -185,8 +209,7 @@ def _make_runner(
             surrogate=surrogate,
         )
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        raise SystemExit(2)
+        _refuse(str(exc))
     if args.clear_cache:
         removed = ResultCache().clear()
         print(f"cleared {removed} cached result(s)")
@@ -236,7 +259,6 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
     )
     _add_coordinator_flags(parser)
     _add_telemetry_flags(parser)
-    _add_engine_flags(parser)
 
 
 def _add_coordinator_flags(parser: argparse.ArgumentParser) -> None:
@@ -257,15 +279,6 @@ def _add_coordinator_flags(parser: argparse.ArgumentParser) -> None:
         "--lease-ttl", type=float, default=None, metavar="SECONDS",
         help="seconds before an unrenewed cell lease may be stolen "
              "from a dead process (default: REPRO_LEASE_TTL or 30)",
-    )
-
-
-def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help="replay engine: staged or batched (default: the "
-             "REPRO_ENGINE env flag, or batched); results are "
-             "bit-identical",
     )
 
 
@@ -344,15 +357,16 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    spec = workload_by_name(args.workload)
-    policies = args.policy or ["S-64KB", "S-2MB", "CLAP"]
+    spec = _workload(args.workload)
+    policies = [
+        _policy(name) for name in args.policy or ["S-64KB", "S-2MB", "CLAP"]
+    ]
     baseline = None
     print(f"{'policy':20s} {'perf':>8s} {'speedup':>8s} {'remote':>7s} "
           f"{'TLB MPKI':>9s}")
-    for name in policies:
+    for policy in policies:
         result = run_workload(
-            spec, resolve_policy(name), seed=args.seed,
-            telemetry=args.telemetry,
+            spec, policy, seed=args.seed, telemetry=args.telemetry,
         )
         if baseline is None:
             baseline = result
@@ -386,15 +400,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             cells = load_cells(runner.cache.root / "sweeps" / args.resume)
         except SweepError as exc:
-            print(str(exc), file=sys.stderr)
-            raise SystemExit(2)
+            _refuse(str(exc))
     else:
         if not args.workload:
             print("a workload is required unless --resume is given",
                   file=sys.stderr)
             return 2
+        spec = _workload(args.workload)
         runner = _make_runner(args)
-        spec = workload_by_name(args.workload)
         cells = [
             SweepCell(spec, StaticPaging(size), seed=args.seed)
             for size in SWEEP_PAGE_SIZES
@@ -446,12 +459,11 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     if not names or (len(names) == 1 and names[0].lower() == "all"):
         specs = list(SUITE)
     else:
-        specs = [workload_by_name(name) for name in names]
-    config = (
-        SurrogateConfig(budget=args.budget)
-        if args.budget is not None
-        else SurrogateConfig()
-    )
+        specs = [_workload(name) for name in names]
+    try:
+        config = SurrogateConfig(budget=args.budget)
+    except ValueError as exc:
+        _refuse(f"--budget: {exc}")
     runner = _make_runner(args, surrogate=config)
     cells = [
         SweepCell(spec, policy, seed=args.seed)
@@ -559,7 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument("--seed", type=int, default=7)
     _add_telemetry_flags(run_parser)
-    _add_engine_flags(run_parser)
 
     sweep_parser = sub.add_parser(
         "sweep",
@@ -634,17 +645,8 @@ def main(argv=None) -> int:
         argv.insert(0, "report")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "engine"):
-        # Reject a bad REPRO_ENGINE once, before any cell simulates
-        # (argparse already checked ``--engine`` against ENGINES).
-        try:
-            resolve_engine(args.engine)
-        except ValueError as exc:
-            parser.error(f"{exc} (from REPRO_ENGINE)")
-        # The env flag (not a per-call argument) so sweep worker
-        # processes spawned by the parallel runner inherit the choice.
-        if args.engine:
-            os.environ["REPRO_ENGINE"] = args.engine
+    if getattr(args, "seed", 0) < 0:
+        _refuse(f"--seed must be non-negative, got {args.seed}")
     handlers = {
         "list": _cmd_list,
         "run": _cmd_run,

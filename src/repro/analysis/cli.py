@@ -4,7 +4,7 @@ Usage::
 
     python -m repro lint                       # lint the installed package
     python -m repro lint src/repro tests       # explicit scan roots
-    python -m repro lint --select RPR001,RPR004
+    python -m repro lint --select RPR001,RPR008
     python -m repro lint --output json         # machine-readable
     python -m repro lint --output github       # CI annotations
     python -m repro lint --list-rules

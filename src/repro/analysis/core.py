@@ -4,8 +4,8 @@ A *rule* is a function taking a :class:`Project` and yielding
 :class:`Finding` objects; rules register themselves under a stable code
 (``RPR001``…) via :func:`register`.  Rules receive the whole project —
 not one file at a time — because the invariants worth checking here are
-cross-file (engine parity, policy contracts), and single-file rules
-simply iterate :meth:`Project.sources`.
+cross-file (nondeterminism taint, the durability protocol), and
+single-file rules simply iterate :meth:`Project.sources`.
 
 A finding is silenced by an inline ``# repro-lint: ignore[RPR001]``
 (or a bare ``# repro-lint: ignore``) comment on the flagged line, for
@@ -101,7 +101,6 @@ class SourceFile:
             raise SyntaxError(exc.msg, (str(path), 1, 1, None)) from exc
         self.lines = self.text.splitlines()
         self._tree: Optional[ast.Module] = None
-        self._nodes: Optional[List[ast.AST]] = None
         self._suppressions: Optional[
             Dict[int, Optional[FrozenSet[str]]]
         ] = None
@@ -111,16 +110,6 @@ class SourceFile:
         if self._tree is None:
             self._tree = ast.parse(self.text, filename=str(self.path))
         return self._tree
-
-    def nodes(self) -> List[ast.AST]:
-        """``ast.walk(self.tree)``, flattened once and memoized.
-
-        Several whole-tree rules sweep the same few files; sharing one
-        walk spares each of them its own.
-        """
-        if self._nodes is None:
-            self._nodes = list(ast.walk(self.tree))
-        return self._nodes
 
     def _suppression_map(self) -> Dict[int, Optional[FrozenSet[str]]]:
         """line -> suppressed codes (``None`` = all codes) for the file."""
@@ -158,9 +147,9 @@ class Project:
     """The file set one lint run analyzes.
 
     ``root`` anchors the relative paths rules match against (e.g. the
-    engine-parity rule looks for ``sim/pipeline.py``); for the live tree
-    it is the installed ``repro`` package directory, for test fixtures a
-    miniature directory mimicking that layout.
+    durability-protocol rule looks for ``sim/coordinator.py``); for the
+    live tree it is the installed ``repro`` package directory, for test
+    fixtures a miniature directory mimicking that layout.
     """
 
     root: Path
@@ -300,17 +289,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
 
 def call_name(node: ast.Call) -> Optional[str]:
     return dotted_name(node.func)
-
-
-def iter_nodes_in_order(root: ast.AST) -> List[ast.AST]:
-    """All descendant nodes with positions, sorted by source position."""
-    positioned = [
-        n
-        for n in ast.walk(root)
-        if hasattr(n, "lineno") and hasattr(n, "col_offset")
-    ]
-    positioned.sort(key=lambda n: (n.lineno, n.col_offset))
-    return positioned
 
 
 def decorator_names(node: ast.AST) -> List[str]:

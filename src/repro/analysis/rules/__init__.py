@@ -4,7 +4,6 @@ from . import (  # noqa: F401
     determinism,
     durability_protocol,
     durable_writes,
-    engine_parity,
     exception_safety,
     mutable_defaults,
     nondeterminism_taint,
@@ -14,7 +13,6 @@ __all__ = [
     "determinism",
     "durability_protocol",
     "durable_writes",
-    "engine_parity",
     "exception_safety",
     "mutable_defaults",
     "nondeterminism_taint",

@@ -3,11 +3,12 @@
 ``run_simulation`` wires one run together: it validates the policy
 against the formal contract (:mod:`repro.policies.contract`), builds the
 :class:`~repro.sim.machine.Machine` and binds the workload, replays the
-trace through one of two bit-identical engines — the staged
+trace through the vectorized :class:`~repro.sim.batch.BatchedPipeline`
+— or, when a caller passes ``engine="staged"``, through the staged
 :class:`~repro.sim.pipeline.AccessPipeline` (fault → translation →
-data → accounting, per Figure 3) or the vectorized
-:class:`~repro.sim.batch.BatchedPipeline` (the default) — and folds the
-accumulated :class:`~repro.sim.pipeline.SimState` into a
+data → accounting, per Figure 3), the bit-identical reference the
+differential tests compare it with — and folds the accumulated
+:class:`~repro.sim.pipeline.SimState` into a
 :class:`~repro.sim.results.SimResult` under the analytic timing model.
 
 The per-access mechanics live in :mod:`repro.sim.pipeline`; telemetry
@@ -28,13 +29,15 @@ from .energy import energy_report
 from .machine import Machine
 from .pipeline import AccessPipeline, SimState
 from .results import SimResult
-from .runner import ENGINES, resolve_engine  # noqa: F401  (re-exported)
 from .telemetry import (
     Instrumentation,
     TelemetryCollector,
     resolve_instrumentation,
 )
 from .timing import TimingParams, total_cycles
+
+#: The values of ``run_simulation``'s ``engine`` argument.
+ENGINES = ("staged", "batched")
 
 
 def run_simulation(
@@ -71,19 +74,25 @@ def run_simulation(
     ``SimResult.telemetry``.  Telemetry never affects simulated results
     or which engine runs.
 
-    ``engine`` selects the replay machinery: ``"staged"`` (the
-    per-access pipeline) or ``"batched"`` (vectorized steady-state
-    windows, see :mod:`repro.sim.batch`); None defers to
-    ``REPRO_ENGINE``, else batched.  Both produce bit-identical
-    results.  Multi-page-TLB runs, and runs with a custom
-    ``instrumentation`` (anything but the built-in
+    ``engine`` selects the replay machinery: ``"batched"`` (the
+    default, vectorized steady-state windows, see
+    :mod:`repro.sim.batch`) or ``"staged"`` (the per-access pipeline,
+    the reference the differential tests hold the batched engine to).
+    Both produce bit-identical results.  Multi-page-TLB runs, and runs
+    with a custom ``instrumentation`` (anything but the built-in
     :class:`~repro.sim.telemetry.TelemetryCollector`, which the batched
-    engine fills from aggregate counts), need the staged pipeline:
-    ``engine="batched"`` rejects them with a ``ValueError``, and an
-    unset ``engine`` runs them staged whatever ``REPRO_ENGINE`` says.
+    engine fills from aggregate counts), need the staged pipeline: they
+    run only with ``engine="staged"`` and raise ``ValueError``
+    otherwise, so no run switches engine silently.
     """
     hook = resolve_instrumentation(instrumentation, telemetry)
-    choice = resolve_engine(engine)
+    if engine is None:
+        engine = "batched"
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; expected one of: "
+            f"{', '.join(ENGINES)}"
+        )
     # A custom Instrumentation expects one call per access, which only
     # the staged pipeline makes; batched replay also assumes single-size
     # TLB reach per unit.
@@ -92,14 +101,12 @@ def run_simulation(
         staged_only = "multi_page_tlb=True"
     elif hook is not None and type(hook) is not TelemetryCollector:
         staged_only = f"a custom Instrumentation ({type(hook).__name__})"
-    if staged_only and choice == "batched":
-        if engine is not None:
-            raise ValueError(
-                f"engine='batched' cannot replay a run with {staged_only}, "
-                "which needs the staged pipeline's per-access steps; pass "
-                "engine='staged' or leave engine unset"
-            )
-        choice = "staged"
+    if staged_only and engine == "batched":
+        raise ValueError(
+            f"engine='batched' cannot replay a run with {staged_only}, "
+            "which needs the staged pipeline's per-access steps; pass "
+            "engine='staged'"
+        )
     if timing is None:
         timing = TimingParams()
     capabilities = validate_policy(policy)
@@ -132,7 +139,7 @@ def run_simulation(
     state = SimState.create(
         machine, workload, policy, capabilities, trace, interleave
     )
-    if choice == "batched":
+    if engine == "batched":
         pipeline = BatchedPipeline(state, telemetry=hook)
     else:
         pipeline = AccessPipeline(state, hook)

@@ -188,11 +188,10 @@ def policy_fingerprint(policy) -> dict:
 def cell_fingerprint(cell: SweepCell) -> str:
     """Content hash of every input that determines the cell's result.
 
-    The replay engine (staged/batched, ``REPRO_ENGINE``) is
-    deliberately **not** part of the fingerprint: both engines are
-    bit-identical on ``to_dict`` (the cached payload) — asserted by the
-    golden-cell and differential-fuzz suites — so a result computed
-    under either engine may stand in for the other.
+    The replay engine is not an input: every cell replays batched, and
+    the staged reference pipeline is bit-identical to it on
+    ``to_dict`` (the cached payload), as the golden-cell and
+    differential-fuzz suites assert.
     """
     payload = {
         "schema": CACHE_SCHEMA_VERSION,

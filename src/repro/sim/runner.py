@@ -5,15 +5,13 @@ sweep runner build on; it resolves suite abbreviations, builds the
 policy by name when given a string, and memoises nothing — every call is
 an independent simulation.
 
-This module also owns the engine names (:data:`ENGINES`,
-:func:`resolve_engine`) and does not import the engine itself until a
-simulation runs, so the CLI can parse and check ``--engine`` and build
-cells without loading NumPy or the replay modules.
+This module does not import the engine itself until a simulation runs,
+so the CLI can parse its arguments and build cells without loading
+NumPy or the replay modules.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Union
 
 from ..arch.address import InterleavePolicy
@@ -22,26 +20,6 @@ from ..trace.suite import workload_by_name
 from ..trace.workload import Trace, WorkloadSpec
 from .results import SimResult
 from .timing import TimingParams
-
-#: Valid values for the ``engine`` argument / ``REPRO_ENGINE`` variable.
-ENGINES = ("staged", "batched")
-
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """Normalize an engine request: argument > ``REPRO_ENGINE`` > batched.
-
-    Both engines produce bit-identical results (asserted by the golden
-    and differential-fuzz suites), so the choice only affects wall time.
-    """
-    if engine is None:
-        engine = os.environ.get("REPRO_ENGINE") or "batched"
-    engine = engine.strip().lower()
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of: "
-            f"{', '.join(ENGINES)}"
-        )
-    return engine
 
 
 def resolve_policy(policy):
@@ -98,9 +76,9 @@ def run_workload(
     ``timing=None`` means the default :class:`TimingParams`, constructed
     per call inside the engine (never a shared module-level instance).
     ``telemetry`` forces per-stage telemetry on/off; ``None`` defers to
-    the ``REPRO_TELEMETRY`` environment flag.  ``engine`` selects
-    staged or batched replay (``None`` defers to ``REPRO_ENGINE``, else
-    batched); results are bit-identical either way.  ``trace`` supplies a
+    the ``REPRO_TELEMETRY`` environment flag.  ``engine="staged"``
+    replays on the staged reference pipeline instead of the batched
+    default; results are bit-identical either way.  ``trace`` supplies a
     pre-built (e.g. store-attached) trace instead of regenerating one —
     it must match ``(workload, config.num_chiplets, seed)``, which the
     determinism invariant makes exact.

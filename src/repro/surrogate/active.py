@@ -75,9 +75,16 @@ class SurrogateConfig:
     #: spending everything on round-one guesses
     round_batch: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if self.budget is not None and self.budget < 1:
+            raise ValueError(
+                "the exact-simulation budget must be at least 1, "
+                f"got {self.budget}"
+            )
+
     def resolve_budget(self, grid: int) -> int:
         if self.budget is not None:
-            return max(1, int(self.budget))
+            return int(self.budget)
         return max(1, int(math.floor(self.budget_fraction * grid)))
 
     def resolve_round_batch(self, budget_left: int, rounds_left: int) -> int:

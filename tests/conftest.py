@@ -54,6 +54,33 @@ def run(spec, policy, **kwargs):
     return run_simulation(spec, policy, **kwargs)
 
 
+class EngineRunner:
+    """A serial, cache-free stand-in for ``SweepRunner`` that replays
+    every cell on one engine, passed as ``run_workload``'s ``engine``
+    argument.  Sweeps always replay batched; this is how a test runs an
+    experiment's or a sweep's cells on the staged reference pipeline."""
+
+    def __init__(self, engine):
+        self.engine = engine
+
+    def run_cells(self, cells):
+        from repro.sim.runner import run_workload
+
+        return [
+            run_workload(
+                cell.workload,
+                cell.policy,
+                cell.config,
+                interleave=cell.interleave,
+                remote_cache=cell.remote_cache,
+                seed=cell.seed,
+                timing=cell.timing,
+                engine=self.engine,
+            )
+            for cell in cells
+        ]
+
+
 def comparable_telemetry(snapshot):
     """A telemetry snapshot minus host wall-clock: ``place_latency_us``
     keeps only its sample count (its buckets and mean time the host)."""

@@ -1,5 +1,7 @@
 """Tests for the CLI entry point and the ASCII renderer."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -114,6 +116,16 @@ class TestCli:
             ({"REPRO_SWEEP_ID": "/abs/dir"}, ["sweep", "STE", "--runners", "1"]),
             ({}, ["sweep", "--resume", "/abs/dir"]),
             ({}, ["sweep", "--resume", "nope"]),
+            ({}, ["explore", "STE", "LPS", "BFS", "SSSP", "--budget", "0"]),
+            ({}, ["explore", "STE", "--budget", "-3"]),
+            ({}, ["run", "NOPE"]),
+            ({}, ["sweep", "NOPE"]),
+            ({}, ["explore", "NOPE"]),
+            ({}, ["run", "STE", "--policy", "bogus"]),
+            ({}, ["run", "STE", "--policy", "CLAP", "--policy", "S-3KB"]),
+            ({}, ["run", "STE", "--seed", "-1"]),
+            ({}, ["sweep", "STE", "--seed", "-1"]),
+            ({}, ["explore", "STE", "--seed", "-1"]),
         ],
         ids=[
             "sweep-telemetry-env", "explore-telemetry-env", "no-cache",
@@ -123,7 +135,11 @@ class TestCli:
             "zero-runners-env", "zero-runners-flag", "negative-retries",
             "zero-jobs-flag", "negative-jobs-flag", "zero-jobs-env",
             "path-sweep-id-flag", "path-sweep-id-env", "path-resume-id",
-            "unknown-resume-id",
+            "unknown-resume-id", "zero-budget", "negative-budget",
+            "run-unknown-workload", "sweep-unknown-workload",
+            "explore-unknown-workload", "unknown-policy",
+            "malformed-policy-after-a-good-one", "run-negative-seed",
+            "sweep-negative-seed", "explore-negative-seed",
         ],
     )
     def test_rejected_options_are_a_usage_error(
@@ -131,7 +147,15 @@ class TestCli:
     ):
         """A conflict or a malformed value, from a flag or only from the
         environment, exits 2 with one stderr line before anything runs."""
+        import repro.sim.engine as engine
+
+        simulated = []
+        monkeypatch.setattr(
+            engine, "run_simulation", lambda *a, **k: simulated.append(a)
+        )
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        # One in-process job, so the spy above sees every simulation.
+        monkeypatch.setenv("REPRO_JOBS", "1")
         for key, value in env.items():
             monkeypatch.setenv(key, value)
         with pytest.raises(SystemExit) as excinfo:
@@ -141,6 +165,7 @@ class TestCli:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
+        assert simulated == []
 
     def test_resuming_an_unreadable_sweep_is_a_usage_error(
         self, monkeypatch, capsys, tmp_path
@@ -159,23 +184,44 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    @pytest.mark.parametrize("engine", ["fused", "auto"])
-    def test_unknown_engine_env_is_a_usage_error(
-        self, monkeypatch, capsys, engine
-    ):
-        """A bad ``REPRO_ENGINE`` fails once, before any cell runs;
-        commands without ``--engine`` ignore it."""
-        import repro.__main__ as cli
-
-        simulated = []
-        monkeypatch.setattr(
-            cli, "run_workload", lambda *a, **k: simulated.append(a)
-        )
-        monkeypatch.setenv("REPRO_ENGINE", engine)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "STE"],
+            ["sweep", "STE"],
+            ["explore", "STE"],
+            ["experiment", "fig6", "--quick"],
+            ["report", "--quick"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_flag_selects_an_engine(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "STE", "--policy", "CLAP"])
+            main([*argv, "--engine", "staged"])
         assert excinfo.value.code == 2
-        assert "staged, batched" in capsys.readouterr().err
-        assert simulated == []
-        assert main(["list"]) == 0
-        assert "STE" in capsys.readouterr().out
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+
+    def test_no_variable_selects_an_engine(self, monkeypatch, capsys,
+                                           tmp_path):
+        """``REPRO_ENGINE`` is read by nothing: a sweep under it replays
+        batched and prints the default table."""
+        import repro.sim.engine as engine
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sweep replayed on the staged pipeline")
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = ["sweep", "STE", "--no-cache", "--jobs", "1"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        monkeypatch.setattr(engine, "AccessPipeline", refuse)
+        monkeypatch.setenv("REPRO_ENGINE", "staged")
+        assert main(argv) == 0
+        body = capsys.readouterr().out
+        assert body.splitlines()[:-1] == default.splitlines()[:-1]
+        assert body.splitlines()[-1].startswith("[sweep] 7 cells")
+        sources = Path(engine.__file__).resolve().parents[1].rglob("*.py")
+        assert not [
+            path.name for path in sources
+            if "REPRO_ENGINE" in path.read_text(encoding="utf-8")
+        ]

@@ -10,11 +10,13 @@ bugs the rules exist for (PR 1 ``hash()``, PR 3 shared
 ``TimingParams()`` default, a salted fingerprint, a raw lease write)
 and require the lint to fail.
 
-Codes RPR002, RPR005 and RPR007 are retired.  Tests on the live objects
-hold their invariants: the ``SimResult`` cache split in
+Codes RPR002, RPR004, RPR005 and RPR007 are retired.  Tests on the
+live objects hold their invariants: the ``SimResult`` cache split in
 ``tests/test_timing_results.py``, the policy contract of every policy
-class in ``tests/test_pipeline_contract.py``, and the containment of
-``PredictedResult`` in ``tests/test_surrogate.py``.
+class in ``tests/test_pipeline_contract.py``, the containment of
+``PredictedResult`` in ``tests/test_surrogate.py``, and staged/batched
+parity in the differential tests (``tests/test_pipeline_contract.py``,
+``tests/test_property_fuzz.py``, ``tests/test_data_pass.py``).
 """
 
 import json
@@ -51,7 +53,6 @@ def messages(findings):
 RULE_CODES = [
     "RPR001",
     "RPR003",
-    "RPR004",
     "RPR006",
     "RPR008",
     "RPR009",
@@ -59,7 +60,7 @@ RULE_CODES = [
 ]
 
 
-def test_all_seven_rules_registered():
+def test_all_six_rules_registered():
     rules = all_rules()
     assert sorted(rules) == RULE_CODES
     for rule in rules.values():
@@ -122,34 +123,6 @@ def test_mutable_defaults_bad_fixture_fires():
 def test_mutable_defaults_good_fixture_clean():
     # Frozen-dataclass / Enum defaults are immutable and must pass.
     assert lint_fixture("mutable_defaults_good", select=["RPR003"]) == []
-
-
-# --------------------------------------------------- RPR004 engine parity
-
-
-def test_engine_parity_bad_fixture_fires():
-    findings = lint_fixture("engine_parity_bad", select=["RPR004"])
-    assert codes(findings) == ["RPR004"]
-    text = messages(findings)
-    assert "memory-path order of data_pass()" in text
-    assert "the engines have drifted" in text
-    assert "ring transfer payload drifted" in text
-    assert "small_window() does not route translation" in text
-    assert "vec_window() touches data-path state (L1)" in text
-    assert "policy.on_epoch called outside close_epoch()" in text
-    assert "never calls close_epoch()" in text
-    assert len(findings) == 6
-
-
-def test_engine_parity_bad_names_both_orders():
-    findings = lint_fixture("engine_parity_bad", select=["RPR004"])
-    drift = next(f for f in findings if "drifted (DESIGN" in f.message)
-    assert "L1 -> REMOTE_CACHE -> L2 -> DRAM -> RING" in drift.message
-    assert "L1 -> REMOTE_CACHE -> L2 -> RING -> DRAM" in drift.message
-
-
-def test_engine_parity_good_fixture_clean():
-    assert lint_fixture("engine_parity_good", select=["RPR004"]) == []
 
 
 # -------------------------------------------------- RPR006 durable writes
@@ -463,139 +436,6 @@ def test_reintroducing_pr3_timing_default_bug_fails_lint(mutable_tree):
     assert any(
         "TimingParams() instance" in f.message and f.rel == "sim/runner.py"
         for f in findings
-    )
-
-
-def test_engine_drift_in_live_batch_fails_lint(mutable_tree):
-    reintroduce(
-        mutable_tree / "sim" / "batch.py",
-        "_TRANSFER_BYTES = 160",
-        "_TRANSFER_BYTES = 128",
-    )
-    findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
-    assert any(
-        "ring transfer payload drifted" in f.message for f in findings
-    )
-
-
-def test_ring_flush_without_payload_fails_lint(mutable_tree):
-    # The batched data pass tallies per (home, requester) pair and
-    # leaves ring traffic to flush_tallies(); a flush that stops
-    # charging the shared payload constant would drop or skew remote
-    # transfers.
-    reintroduce(
-        mutable_tree / "sim" / "batch.py",
-        "nbytes = _TRANSFER_BYTES * beyond",
-        "nbytes = 128 * beyond",
-    )
-    findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
-    assert any("defers ring accounting" in f.message for f in findings)
-
-
-def test_drifted_data_pass_in_live_batch_fails_lint(mutable_tree):
-    # Probing the home L2 before the remote cache reorders the pass
-    # against DataStage.process.
-    reintroduce(
-        mutable_tree / "sim" / "batch.py",
-        "                if rc_set is not None:\n",
-        "                if l2_set is None:\n"
-        "                    continue\n"
-        "                if rc_set is not None:\n",
-    )
-    findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
-    assert any(
-        "memory-path order of data_pass() is L1 -> L2 -> REMOTE_CACHE"
-        in f.message
-        for f in findings
-    )
-
-
-def test_data_cache_probe_in_a_live_window_fails_lint(mutable_tree):
-    # A window that probes a data cache itself would be a second copy
-    # of the data path beside the per-chunk pass.
-    reintroduce(
-        mutable_tree / "sim" / "batch.py",
-        "                pd_buf[a:b] = paddr\n",
-        "                pd_buf[a:b] = paddr\n"
-        "                machine.l2_caches[0].probe(0)\n",
-    )
-    findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
-    assert any(
-        "vec_window() touches data-path state (L2)" in f.message
-        for f in findings
-    )
-
-
-def test_inlined_placement_in_batch_faults_fails_lint(mutable_tree):
-    # The bulk fault path inlines the audited map_single sequence and
-    # bumps the page-table counters itself; a real placement call next
-    # to it would bypass or double-count them.
-    reintroduce(
-        mutable_tree / "sim" / "batch.py",
-        "                    buf_log[r](v, r)\n",
-        "                    buf_log[r](v, r)\n"
-        "                    machine.pager.map_single(v, granule, r, 0, None)\n",
-    )
-    findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
-    assert any(
-        "calls map_single() directly" in f.message for f in findings
-    )
-
-
-def test_unfenced_bulk_install_fails_lint(mutable_tree):
-    # Weakening the call-site fence from the audited-place proof to
-    # the mere eligibility flag would run inlined placement for *any*
-    # eligible policy, including ones whose place() is overridden.
-    reintroduce(
-        mutable_tree / "sim" / "batch.py",
-        "if bulk_proven and unmapped[j] and not deferred[j]:",
-        "if fault_batch_eligible and unmapped[j] and not deferred[j]:",
-    )
-    findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
-    assert any(
-        "outside the bulk_proven fence" in f.message for f in findings
-    )
-
-
-def test_negated_bulk_fence_fails_lint(mutable_tree):
-    # A test that merely *reads* bulk_proven is no fence: negating it
-    # runs inlined placement for exactly the unaudited policies.
-    reintroduce(
-        mutable_tree / "sim" / "batch.py",
-        "if bulk_proven and unmapped[j] and not deferred[j]:",
-        "if not bulk_proven and unmapped[j] and not deferred[j]:",
-    )
-    findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
-    assert any(
-        "outside the bulk_proven fence" in f.message for f in findings
-    )
-
-
-def test_bulk_proof_without_audit_table_fails_lint(mutable_tree):
-    # The fence is only as strong as its proof: bulk_proven must be
-    # derived from AUDITED_PLACE membership, not eligibility alone.
-    reintroduce(
-        mutable_tree / "sim" / "batch.py",
-        "            in AUDITED_PLACE\n        )",
-        "            in frozenset()\n        )",
-    )
-    findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
-    assert any(
-        "bulk_proven is not derived from" in f.message for f in findings
-    )
-
-
-def test_bulk_proof_overwritten_after_the_proof_fails_lint(mutable_tree):
-    # One derived assignment is not a proof when a later one discards
-    # it: every binding of bulk_proven must carry the audit.
-    reintroduce(
-        mutable_tree / "sim" / "batch.py",
-        "            in AUDITED_PLACE\n        )\n",
-        "            in AUDITED_PLACE\n        )\n        bulk_proven = True\n",
-    )
-    findings = run_lint(Project(root=mutable_tree), select=["RPR004"])
-    assert any(
-        "bulk_proven is not derived from" in f.message for f in findings
     )
 
 

@@ -65,7 +65,9 @@ class TestEndToEnd:
             partitioned(size=16 * MB, group=4, waves=3, lines_per_touch=6)
         )
         split = run_simulation(spec, ClapPolicy())
-        merged = run_simulation(spec, ClapPolicy(), multi_page_tlb=True)
+        merged = run_simulation(
+            spec, ClapPolicy(), multi_page_tlb=True, engine="staged"
+        )
         # Same placement decisions, comparable performance.
         assert merged.selections == split.selections
         assert merged.remote_ratio == split.remote_ratio
@@ -78,7 +80,8 @@ class TestEndToEnd:
             partitioned(size=16 * MB, group=4, waves=2, lines_per_touch=4)
         )
         result = run_simulation(
-            spec, StaticPaging(PAGE_2M), multi_page_tlb=True
+            spec, StaticPaging(PAGE_2M), multi_page_tlb=True,
+            engine="staged",
         )
         assert result.l2_tlb_misses > 0
 
@@ -93,15 +96,16 @@ class TestEndToEnd:
                 engine="batched",
             )
 
-    def test_batched_from_the_environment_runs_staged(self, monkeypatch):
+    def test_an_unset_engine_is_refused(self):
+        """The default engine is batched, so a multi-page-TLB run must
+        ask for the staged pipeline; it is never switched to it."""
         spec = make_spec(partitioned(size=4 * MB, waves=1))
+        with pytest.raises(ValueError, match="pass engine='staged'"):
+            run_simulation(
+                spec, StaticPaging(PAGE_64K), multi_page_tlb=True
+            )
         staged = run_simulation(
             spec, StaticPaging(PAGE_64K), multi_page_tlb=True,
             engine="staged",
         )
-        monkeypatch.setenv("REPRO_ENGINE", "batched")
-        result = run_simulation(
-            spec, StaticPaging(PAGE_64K), multi_page_tlb=True
-        )
-        assert result.fast_path_fraction is None  # the staged pipeline
-        assert result.to_dict() == staged.to_dict()
+        assert staged.fast_path_fraction is None  # the staged pipeline

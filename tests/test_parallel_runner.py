@@ -25,6 +25,7 @@ from repro.sim.parallel import (
     resolve_jobs,
     set_default_runner,
 )
+from repro.sim.runner import run_workload
 from repro.sim.timing import TimingParams
 from repro.trace.suite import workload_by_name
 from repro.units import MB, PAGE_2M, PAGE_64K
@@ -160,18 +161,21 @@ def test_fingerprint_ignores_tag():
     assert a == b
 
 
-def test_fingerprint_is_engine_independent(monkeypatch):
+def test_fingerprint_is_engine_independent(tmp_path):
     """The replay engine never enters the cache key: staged and batched
     results are bit-identical on ``to_dict`` (the cached payload), so a
-    result computed under either engine stands in for the other."""
+    result the staged reference computed, cached under the cell's key,
+    is what a sweep of that cell reads back, and equals the sweep's own
+    (batched) replay."""
     spec = small_spec()
-    keys = set()
-    for engine in ("staged", "batched"):
-        monkeypatch.setenv("REPRO_ENGINE", engine)
-        keys.add(cell_fingerprint(SweepCell(spec, StaticPaging(PAGE_64K))))
-    monkeypatch.delenv("REPRO_ENGINE")
-    keys.add(cell_fingerprint(SweepCell(spec, StaticPaging(PAGE_64K))))
-    assert len(keys) == 1
+    cell = SweepCell(spec, StaticPaging(PAGE_64K))
+    staged = run_workload(spec, StaticPaging(PAGE_64K), engine="staged")
+    ResultCache(tmp_path).put(cell_fingerprint(cell), staged)
+    runner = SweepRunner(jobs=1, cache_dir=tmp_path)
+    (cached,) = runner.run_cells([cell])
+    assert runner.stats.cache_hits == 1
+    (batched,) = SweepRunner(jobs=1, use_cache=False).run_cells([cell])
+    assert cached.to_dict() == batched.to_dict() == staged.to_dict()
 
 
 # --- cache behaviour ---------------------------------------------------

@@ -13,11 +13,14 @@ Two guarantees of the AccessPipeline refactor:
   and every policy class the package defines passes that validation,
   so none ships broken because no sweep happens to build it.
 
-Two further engine gates live here: a twelve-cell *same-trace sweep
-fixture* — cells replaying one trace, swept through the real
-``SweepRunner`` under both engines, per-cell results and fingerprints
-identical — and a lying policy that inherits static 64KB paging but
-overrides ``place`` (outside the audit table) to map pages below that
+Further engine gates live here, each selecting the staged reference
+by ``engine="staged"`` (sweeps themselves always replay batched): a
+twelve-cell *same-trace sweep fixture* — cells replaying one trace,
+swept through the real ``SweepRunner`` and replayed staged, per-cell
+results and fingerprints identical — ``repro sweep STE``'s seven
+cells and the quick Figure 21 body on both engines, and a lying policy
+that inherits static 64KB paging but overrides ``place`` (outside the
+audit table) to map pages below that
 granule: it must fault through the batched engine's exact per-access
 path (the below-granule branch of the one-access window) and still
 match the staged engine bit for bit, with consistent
@@ -48,15 +51,16 @@ from repro.policies import (
     StaticPaging,
     validate_policy,
 )
-from repro.sim.engine import run_simulation
+from repro.sim.engine import ENGINES, run_simulation
 from repro.sim.errors import PolicyContractError as ReexportedError
+from repro.sim.parallel import SweepCell, SweepRunner
 from repro.sim.runner import run_workload
 from repro.trace.suite import workload_by_name
 from repro.trace.workload import Pattern, StructureSpec, Trace, WorkloadSpec
-from repro.units import KB, MB, PAGE_4K, PAGE_64K
+from repro.units import KB, MB, PAGE_4K, PAGE_64K, SWEEP_PAGE_SIZES
 from repro.vm.va_space import VASpace
 
-from .conftest import comparable_telemetry
+from .conftest import EngineRunner, comparable_telemetry
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_pipeline_results.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -93,7 +97,9 @@ def _golden_key(workload, policy, kwargs):
 def test_pipeline_matches_pre_refactor_engine(workload, policy, kwargs):
     """The staged pipeline is bit-identical to the monolithic loop."""
     golden = GOLDEN[_golden_key(workload, policy, kwargs)]
-    result = run_workload(workload, policy, **kwargs).to_dict()
+    result = run_workload(
+        workload, policy, engine="staged", **kwargs
+    ).to_dict()
     # ``telemetry`` postdates the recording and defaults to None/off.
     assert result.pop("telemetry", None) is None
     assert set(result) == set(golden)
@@ -316,7 +322,7 @@ def test_a_run_never_changes_its_cell():
     """An in-process attempt runs on a copy of the cell: attaching binds
     run state to the policy, and the caller's cell keeps its fingerprint
     (and so its cache entry) whatever the policy does."""
-    from repro.sim.parallel import SweepCell, SweepRunner, cell_fingerprint
+    from repro.sim.parallel import cell_fingerprint
 
     changed = []
     for cls in _package_policy_classes():
@@ -330,14 +336,17 @@ def test_a_run_never_changes_its_cell():
 
 def test_a_reused_policy_instance_matches_a_fresh_one():
     """Each attach starts a run: one instance run on STE and then on 3DC
-    gives the 3DC result of a fresh instance."""
+    gives the 3DC result of a fresh instance, on either engine (each
+    reads the policy's run state its own way)."""
     differs = []
-    for cls in _package_policy_classes():
-        reused = _fresh(cls)
-        run_workload("STE", reused)
-        again = run_workload("3DC", reused).to_dict()
-        if again != run_workload("3DC", _fresh(cls)).to_dict():
-            differs.append(cls.__name__)
+    for engine in ENGINES:
+        for cls in _package_policy_classes():
+            reused = _fresh(cls)
+            run_workload("STE", reused, engine=engine)
+            again = run_workload("3DC", reused, engine=engine).to_dict()
+            fresh = run_workload("3DC", _fresh(cls), engine=engine)
+            if again != fresh.to_dict():
+                differs.append((engine, cls.__name__))
     assert differs == []
 
 
@@ -358,24 +367,28 @@ class _EpochSpy(StaticPaging):
 
 
 def test_final_partial_epoch_is_flushed():
-    policy = _EpochSpy()
-    result = run_workload("STE", policy)
-    n = result.n_accesses
-    epoch_len = max(1, n // policy.num_epochs)
-    # The quick STE trace length is not a multiple of the epoch length,
-    # so this exercises the closing flush — guard that premise.
-    assert n % epoch_len != 0
-    expected = n // epoch_len + 1
-    assert policy.epochs == list(range(expected))
+    """Both engines deliver the closing partial epoch, each through its
+    own epoch clock."""
+    for engine in ENGINES:
+        policy = _EpochSpy()
+        result = run_workload("STE", policy, engine=engine)
+        n = result.n_accesses
+        epoch_len = max(1, n // policy.num_epochs)
+        # The quick STE trace length is not a multiple of the epoch
+        # length, so this exercises the closing flush — guard that
+        # premise.
+        assert n % epoch_len != 0
+        expected = n // epoch_len + 1
+        assert policy.epochs == list(range(expected)), engine
 
 
 # --- multi-cell same-trace sweep ---
 #
 # Twelve sweep cells all replaying the quick STE trace under seed 7 —
 # every policy family plus the remote-cache and naive-interleave paths.
-# The sweep is run once per engine through the real ``SweepRunner``
-# (serial, cache off); per-cell results and cell fingerprints must be
-# identical across engines.
+# The batched leg goes through the real ``SweepRunner`` (serial, cache
+# off), the staged leg through ``EngineRunner("staged")``; per-cell
+# results and cell fingerprints must be identical across engines.
 
 SAME_TRACE_CELLS = [
     ("S-4KB", {}),
@@ -394,8 +407,6 @@ SAME_TRACE_CELLS = [
 
 
 def _same_trace_cells():
-    from repro.sim.parallel import SweepCell
-
     return [
         SweepCell("STE", policy, seed=7, **kwargs)
         for policy, kwargs in SAME_TRACE_CELLS
@@ -403,22 +414,26 @@ def _same_trace_cells():
 
 
 def _sweep_under_engine(engine):
-    from repro.sim.parallel import SweepRunner, cell_fingerprint
+    from repro.sim.parallel import cell_fingerprint
 
     mp = pytest.MonkeyPatch()
     try:
-        mp.setenv("REPRO_ENGINE", engine)
         mp.delenv("REPRO_TELEMETRY", raising=False)
         cells = _same_trace_cells()
         fingerprints = [cell_fingerprint(cell) for cell in cells]
-        runner = SweepRunner(jobs=1, use_cache=False)
-        results = runner.run_cells(cells)
+        if engine == "batched":
+            runner = SweepRunner(jobs=1, use_cache=False)
+            results = runner.run_cells(cells)
+            simulated = runner.stats.simulated
+        else:
+            results = EngineRunner(engine).run_cells(cells)
+            simulated = len(results)
         assert all(result is not None for result in results)
         return {
             "dicts": [result.to_dict() for result in results],
             "faults_dropped": [r.faults_dropped for r in results],
             "fingerprints": fingerprints,
-            "simulated": runner.stats.simulated,
+            "simulated": simulated,
         }
     finally:
         mp.undo()
@@ -426,13 +441,10 @@ def _sweep_under_engine(engine):
 
 @pytest.fixture(scope="module")
 def same_trace_sweeps():
-    return {
-        engine: _sweep_under_engine(engine)
-        for engine in ("staged", "batched")
-    }
+    return {engine: _sweep_under_engine(engine) for engine in ENGINES}
 
 
-@pytest.mark.parametrize("engine", ["staged", "batched"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_same_trace_sweep_simulates_every_cell(same_trace_sweeps, engine):
     """No cell is skipped, deduplicated away, or silently dropped —
     all twelve simulate under both engines."""
@@ -450,6 +462,36 @@ def test_same_trace_sweep_bit_identical_to_staged(same_trace_sweeps):
             f"cell {index} ({policy}, {kwargs}) diverged between the "
             f"batched sweep and the staged sweep"
         )
+
+
+def test_page_size_sweep_cells_match_on_both_engines():
+    """The seven cells of ``repro sweep STE`` (S-4KB ... S-2MB), swept
+    as the CLI sweeps them, equal their staged replays.  Five of them
+    (S-128KB ... S-2MB) take the bulk fault path's reservation
+    branch."""
+
+    def cells():
+        return [
+            SweepCell("STE", StaticPaging(size), seed=7)
+            for size in SWEEP_PAGE_SIZES
+        ]
+
+    batched = SweepRunner(jobs=1, use_cache=False).run_cells(cells())
+    staged = EngineRunner("staged").run_cells(cells())
+    assert [r.to_dict() for r in batched] == [r.to_dict() for r in staged]
+
+
+def test_remote_cache_figure_matches_on_both_engines():
+    """Figure 21's quick run (S-2MB and CLAP, each with no remote
+    cache, NUBA and SAC) prints the same rows and summary on both
+    engines: the cheapest run that drives SAC's stateful insert filter
+    through the batched data pass."""
+    from repro.experiments import fig21_caching_synergy as fig21
+
+    staged = fig21.run(quick=True, runner=EngineRunner("staged"))
+    batched = fig21.run(quick=True, runner=EngineRunner("batched"))
+    assert batched.rows == staged.rows
+    assert batched.summary == staged.summary
 
 
 # --- bulk fault path: accounting and the unaudited-place gate ---

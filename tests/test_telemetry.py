@@ -193,7 +193,7 @@ def test_custom_instrumentation_receives_hooks():
     spy = _Spy()
     result = run_simulation(
         workload_by_name("STE"), resolve_policy("S-64KB"),
-        instrumentation=spy,
+        instrumentation=spy, engine="staged",
     )
     assert spy.faults == result.page_faults
     assert spy.translations == result.n_accesses
@@ -202,11 +202,10 @@ def test_custom_instrumentation_receives_hooks():
     assert spy.run_ends == 1
     # A spy without a snapshot contributes no SimResult.telemetry.
     assert result.telemetry is None
-    # Per-access hooks need the staged pipeline, whatever the default.
-    assert result.fast_path_fraction is None
+    assert result.fast_path_fraction is None  # the staged pipeline
 
 
-def test_custom_instrumentation_rejects_an_explicit_batched_engine():
+def _run_with_a_counter(**kwargs):
     from repro.sim.engine import run_simulation
     from repro.sim.runner import resolve_policy
     from repro.trace.suite import workload_by_name
@@ -214,15 +213,26 @@ def test_custom_instrumentation_rejects_an_explicit_batched_engine():
     class _Counter(Instrumentation):
         enabled = True
 
+    return run_simulation(
+        workload_by_name("STE"), resolve_policy("S-64KB"),
+        instrumentation=_Counter(), **kwargs,
+    )
+
+
+def test_custom_instrumentation_rejects_an_explicit_batched_engine():
     with pytest.raises(
         ValueError,
         match=r"engine='batched' cannot replay a run with a custom "
         r"Instrumentation \(_Counter\)",
     ):
-        run_simulation(
-            workload_by_name("STE"), resolve_policy("S-64KB"),
-            instrumentation=_Counter(), engine="batched",
-        )
+        _run_with_a_counter(engine="batched")
+
+
+def test_custom_instrumentation_is_refused_by_the_default_engine():
+    """Per-access hooks run only on the staged pipeline; a run that
+    does not ask for it is refused, not switched to it."""
+    with pytest.raises(ValueError, match=r"pass engine='staged'"):
+        _run_with_a_counter()
 
 
 def test_a_telemetry_runner_leaves_the_callers_cells_alone(

@@ -6,8 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.config import baseline_config
 from repro.sim.coordinator import CoordinatorConfig
+from repro.sim.engine import ENGINES
 from repro.sim.parallel import SweepCell, SweepRunner
+from repro.sim.runner import run_workload
 from repro.trace.store import (
     TraceStore,
     resolve_trace_store,
@@ -213,11 +216,7 @@ class TestSweepIntegration:
         ]
 
     @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
-    @pytest.mark.parametrize("engine", ["staged", "batched"])
-    def test_store_on_matches_store_off(
-        self, spec, tmp_path, monkeypatch, engine, jobs
-    ):
-        monkeypatch.setenv("REPRO_ENGINE", engine)
+    def test_store_on_matches_store_off(self, spec, tmp_path, jobs):
         off = SweepRunner(
             jobs=jobs, use_cache=False, trace_store=False
         ).run_cells(self._cells(spec))
@@ -242,8 +241,24 @@ class TestSweepIntegration:
             shared.append(runner.stats.trace_bytes_shared)
         assert shared[0] == shared[1] > 0
 
-    def test_pool_workers_attach(self, spec, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "batched")
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_an_attached_trace_replays_identically(self, spec, tmp_path,
+                                                   engine):
+        """A trace mapped from the store replays, on either engine, as
+        the trace the run builds itself."""
+        store = TraceStore(tmp_path / "traces")
+        chiplets = baseline_config().num_chiplets
+        fingerprint, _, _ = store.ensure(spec, chiplets, 3)
+        attached = store.attach(fingerprint)
+        assert attached is not None
+        on = run_workload(spec, "CLAP", seed=3, trace=attached,
+                          engine=engine)
+        off = run_workload(spec, "CLAP", seed=3, engine=engine)
+        assert on == off
+        assert on.to_dict() == off.to_dict()
+        assert on.trace_source == "store"
+
+    def test_pool_workers_attach(self, spec, tmp_path):
         runner = SweepRunner(
             jobs=2, use_cache=False, trace_store=tmp_path / "traces"
         )
